@@ -168,6 +168,30 @@ class DynamicsSpec:
             length=float(d.get("length", 16.0)),
         )
 
+    def validate(self) -> None:
+        if self.mode not in _MODES:
+            raise ConfigError(
+                f"dynamics mode must be one of {_MODES}, got {self.mode!r}"
+            )
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dynamics dt must be positive and finite, got {self.dt}")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise ConfigError(
+                f"dynamics length must be positive and finite, got {self.length}"
+            )
+        minimums = (
+            ("record_stride", self.record_stride, 1),
+            ("period_count", self.period_count, 1),
+            ("steps", self.steps, 1),
+            ("n_grid", self.n_grid, 2),
+            ("n_fock", self.n_fock, 2),
+        )
+        for name, value, least in minimums:
+            if value is not None and value < least:
+                raise ConfigError(
+                    f"dynamics {name} must be at least {least}, got {value}"
+                )
+
 
 def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(d) - allowed)
@@ -219,10 +243,7 @@ class RunConfig:
             raise ConfigError(
                 f"state kind must be one of {_STATE_KINDS}, got {self.state.kind!r}"
             )
-        if self.dynamics.mode not in _MODES:
-            raise ConfigError(
-                f"dynamics mode must be one of {_MODES}, got {self.dynamics.mode!r}"
-            )
+        self.dynamics.validate()
         try:
             parse_expr(self.observable)
         except ExprError as exc:
@@ -557,7 +578,10 @@ def cmd_evolve(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
             period_count=ds.period_count,
             record_stride=ds.record_stride,
         )
-        table = dyn.oscillator_compare(params)
+        try:
+            table = dyn.oscillator_compare(params)
+        except dyn.LiouvilleUnstable as exc:
+            raise ConfigError(str(exc)) from exc
         path = os.path.join(out_dir, "comparison.csv")
         table.to_csv(path)
         _write_json(
@@ -598,9 +622,12 @@ def cmd_evolve(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
             ds.n_grid, ds.n_grid, ds.length, ds.length,
             ds.q0, ds.p0, sigma, sigma,
         )
-        traj = dyn.liouville_evolve(
-            rho0, config.observable, ds.dt, steps, record_stride=ds.record_stride
-        )
+        try:
+            traj = dyn.liouville_evolve(
+                rho0, config.observable, ds.dt, steps, record_stride=ds.record_stride
+            )
+        except dyn.LiouvilleUnstable as exc:
+            raise ConfigError(str(exc)) from exc
         label = "liouville"
     elif h == config.h_o:
         bq, bp = build_backends(config)

@@ -6,14 +6,19 @@ grid by the bracket transport equation
     d rho / dt = dh/dq * drho/dp - dh/dp * drho/dq
 
 with classic fourth-order Runge-Kutta stepping.  Density derivatives are
-spectral (DFT-based, periodic); the Hamiltonian partials are evaluated from
-the exact formal derivative of the polynomial expression on the mesh, since
-a polynomial is not periodic and differentiating it spectrally would poison
-the bracket with wrap-around artifacts.
+spectral and periodic: ``spectral_derivative`` defines them through the
+DFT, and the stepper applies them as the equivalent Fourier differentiation
+matrices (Trefethen, Spectral Methods in MATLAB, ch. 3), built once per run,
+so each bracket costs two small matrix products.  The Hamiltonian partials
+are evaluated from the exact formal derivative of the polynomial expression
+on the mesh, since a polynomial is not periodic and differentiating it
+spectrally would poison the bracket with wrap-around artifacts.
 
-The quantum side applies the exact propagator exp(-i H t / hbar) built from
-one Hermitian eigendecomposition, so unitarity holds to roundoff and the
-time step only controls the recording cadence.
+The quantum side applies the exact propagator exp(-i H t / hbar).  H is
+diagonalized once per invariant r-sector (the two sectors decouple whenever
+the off-diagonal r-blocks of H vanish, as for every qm-family Hamiltonian),
+and each record time is evaluated directly in that eigenbasis, so unitarity
+holds to roundoff and the time step only controls the recording cadence.
 
 No dynamics is defined between the two endpoints, deliberately; callers
 enforce that rule.
@@ -34,6 +39,12 @@ from .states import HybridDensity, HybridVector, WeightSpec, coherent_state, lif
 _MASS_TOL = 1e-10
 _ABORT_DRIFT = 1e-4
 _BOUNDARY_WARN = 1e-8
+# record times propagated per batched product; bounds the vector path's memory
+_RECORD_CHUNK = 64
+
+
+class LiouvilleUnstable(RuntimeError):
+    """The Liouville run's total mass drifted beyond the abort threshold."""
 
 
 @dataclass(frozen=True)
@@ -156,16 +167,27 @@ def spectral_derivative(arr: np.ndarray, spacing: float, axis: int) -> np.ndarra
     return np.real(np.fft.ifft(1j * k.reshape(shape) * transformed, axis=axis))
 
 
+def _differentiation_matrices(rho: PhaseSpaceDensity) -> tuple[np.ndarray, np.ndarray]:
+    """``(D_q, D_p^T)``, the periodic spectral differentiation matrices.
+
+    ``D_q @ g`` differentiates g along q and ``g @ D_p^T`` along p.  Both are
+    ``spectral_derivative`` applied to the identity, so its Nyquist rule is
+    the one in force; the contiguous copies keep the products on BLAS's
+    fast path.
+    """
+    d_q = spectral_derivative(np.eye(rho.n_q), rho.dq, axis=0)
+    d_p_t = spectral_derivative(np.eye(rho.n_p), rho.dp, axis=1)
+    return np.ascontiguousarray(d_q), np.ascontiguousarray(d_p_t)
+
+
 def _bracket(
     dh_dq: np.ndarray,
     dh_dp: np.ndarray,
     grid: np.ndarray,
-    dq: float,
-    dp: float,
+    d_q: np.ndarray,
+    d_p_t: np.ndarray,
 ) -> np.ndarray:
-    drho_dq = spectral_derivative(grid, dq, axis=0)
-    drho_dp = spectral_derivative(grid, dp, axis=1)
-    return dh_dq * drho_dp - dh_dp * drho_dq
+    return dh_dq * (grid @ d_p_t) - dh_dp * (d_q @ grid)
 
 
 def poisson_bracket(
@@ -185,16 +207,17 @@ def poisson_bracket(
         raise ValueError(
             f"grid mismatch: h {hgrid.shape} vs rho {rho.grid.shape}"
         )
+    d_q, d_p_t = _differentiation_matrices(rho)
     if dh_dq is None:
-        dh_dq = spectral_derivative(hgrid, rho.dq, axis=0)
+        dh_dq = d_q @ hgrid
     if dh_dp is None:
-        dh_dp = spectral_derivative(hgrid, rho.dp, axis=1)
+        dh_dp = hgrid @ d_p_t
     return _bracket(
         np.broadcast_to(dh_dq, hgrid.shape),
         np.broadcast_to(dh_dp, hgrid.shape),
         rho.grid,
-        rho.dq,
-        rho.dp,
+        d_q,
+        d_p_t,
     )
 
 
@@ -237,6 +260,7 @@ def liouville_evolve(
     dh_dp = _mesh_eval(expr_mod.differentiate(node, "P"), qm, pm)
     dq, dp = rho0.dq, rho0.dp
     cell = dq * dp
+    d_q, d_p_t = _differentiation_matrices(rho0)
 
     grid = rho0.grid.astype(float).copy()
     traj = Trajectory()
@@ -248,7 +272,7 @@ def liouville_evolve(
         nonlocal warned
         mass = float(grid.sum() * cell)
         if abs(mass - 1.0) > _ABORT_DRIFT:
-            raise RuntimeError(
+            raise LiouvilleUnstable(
                 f"Liouville integration unstable: mass {mass!r} at step {step}"
                 f" (t={step * dt!r}) drifted beyond {_ABORT_DRIFT}"
             )
@@ -273,25 +297,26 @@ def liouville_evolve(
 
     record(0)
     for step in range(1, steps + 1):
-        k1 = _bracket(dh_dq, dh_dp, grid, dq, dp)
-        k2 = _bracket(dh_dq, dh_dp, grid + 0.5 * dt * k1, dq, dp)
-        k3 = _bracket(dh_dq, dh_dp, grid + 0.5 * dt * k2, dq, dp)
-        k4 = _bracket(dh_dq, dh_dp, grid + dt * k3, dq, dp)
+        k1 = _bracket(dh_dq, dh_dp, grid, d_q, d_p_t)
+        k2 = _bracket(dh_dq, dh_dp, grid + 0.5 * dt * k1, d_q, d_p_t)
+        k3 = _bracket(dh_dq, dh_dp, grid + 0.5 * dt * k2, d_q, d_p_t)
+        k4 = _bracket(dh_dq, dh_dp, grid + dt * k3, d_q, d_p_t)
         grid += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % record_stride == 0 or step == steps:
             record(step)
     return traj
 
 
-def _expect(state, mat: np.ndarray) -> tuple[float, float]:
-    """(normalized mean, norm-or-trace) for a vector or density array."""
-    if state.ndim == 1:
-        denom = np.vdot(state, state).real
-        numer = np.vdot(state, mat @ state).real
-    else:
-        denom = np.trace(state).real
-        numer = np.einsum("ij,ji->", state, mat).real
-    return numer / denom, float(denom)
+def _r_sectors(hmat: np.ndarray) -> list[slice]:
+    """Flat-index sets that ``hmat`` leaves invariant.
+
+    The r index varies fastest, so the two r-sectors are the even and the
+    odd flat indices; they decouple when both off-diagonal r-blocks vanish
+    exactly.  Otherwise the whole space is one sector.
+    """
+    if hmat[0::2, 1::2].any() or hmat[1::2, 0::2].any():
+        return [slice(None)]
+    return [slice(0, None, 2), slice(1, None, 2)]
 
 
 def von_neumann_evolve(
@@ -309,6 +334,10 @@ def von_neumann_evolve(
     Vectors evolve as psi -> U psi, densities as rho -> U rho U^dagger.
     Records means of the supplied coordinate/momentum observables and the
     Hamiltonian every ``record_stride`` steps plus the final step.
+
+    ``H`` is diagonalized per invariant r-sector, and every record time is
+    evaluated directly from the initial state expanded in that eigenbasis,
+    so no error accumulates from step to step.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -322,40 +351,58 @@ def von_neumann_evolve(
             f"Hamiltonian is not Hermitian (defect {defect:.3e} > 1e-10)"
         )
     hmat = np.asarray(h_matrix.data)
-    energies, vectors = np.linalg.eigh((hmat + hmat.conj().T) / 2.0)
-
-    def propagator(tau: float) -> np.ndarray:
-        phases = np.exp(-1j * energies * tau / hbar)
-        return (vectors * phases) @ vectors.conj().T
-
-    qmat = np.asarray(q_matrix.data)
-    pmat = np.asarray(p_matrix.data)
-    state = state0.data.astype(complex).copy()
+    sectors = _r_sectors(hmat)
+    eigen = []
+    for s in sectors:
+        block = hmat[s, s]
+        eigen.append(np.linalg.eigh((block + block.conj().T) / 2.0))
+    observables = (np.asarray(q_matrix.data), np.asarray(p_matrix.data), hmat)
+    marks = list(range(0, steps + 1, record_stride))
+    if marks[-1] != steps:
+        marks.append(steps)
+    times = [step * dt for step in marks]
+    data = state0.data.astype(complex)
     traj = Trajectory()
 
-    def record(step: int) -> None:
-        mq, _ = _expect(state, qmat)
-        mp, _ = _expect(state, pmat)
-        me, norm = _expect(state, hmat)
-        traj.append(step * dt, mq, mp, me, norm)
+    if data.ndim == 1:
+        coeffs = [v.conj().T @ data[s] for s, (_, v) in zip(sectors, eigen)]
+        for start in range(0, len(times), _RECORD_CHUNK):
+            t = np.array(times[start : start + _RECORD_CHUNK])
+            # one column per record time
+            psi = np.empty((data.size, t.size), dtype=complex)
+            for s, (energies, vectors), c in zip(sectors, eigen, coeffs):
+                phases = np.exp(np.outer(energies, -1j * t / hbar))
+                psi[s] = vectors @ (phases * c[:, None])
+            norms = np.einsum("ij,ij->j", psi.conj(), psi).real
+            mq, mp, me = (
+                np.einsum("ij,ij->j", psi.conj(), mat @ psi).real / norms
+                for mat in observables
+            )
+            for row in zip(t, mq, mp, me, norms):
+                traj.append(*(float(v) for v in row))
+        return traj
 
-    def advance(u: np.ndarray) -> None:
-        nonlocal state
-        if state.ndim == 1:
-            state = u @ state
-        else:
-            state = u @ state @ u.conj().T
-
-    record(0)
-    u_stride = propagator(dt * record_stride)
-    step = 0
-    while step + record_stride <= steps:
-        advance(u_stride)
-        step += record_stride
-        record(step)
-    if step < steps:
-        advance(propagator(dt * (steps - step)))
-        record(steps)
+    # rho_{ss'}(t) = U_s rho_{ss'} U_{s'}^dagger with U_s = W_s V_s^dagger and
+    # W_s = V_s e^{-i E_s t/hbar}: rho is rotated into the eigenbasis once, and
+    # each record applies W_s on the left and W_{s'}^dagger on the right.
+    rotated = np.empty_like(data)
+    half = np.empty_like(data)
+    for s, (_, vectors) in zip(sectors, eigen):
+        half[s] = vectors.conj().T @ data[s]
+    for s, (_, vectors) in zip(sectors, eigen):
+        rotated[:, s] = half[:, s] @ vectors
+    rho = np.empty_like(data)
+    for t in times:
+        ws = [v * np.exp(-1j * energies * t / hbar) for energies, v in eigen]
+        for s, w in zip(sectors, ws):
+            half[s] = w @ rotated[s]
+        for s, w in zip(sectors, ws):
+            rho[:, s] = half[:, s] @ w.conj().T
+        trace = np.trace(rho).real
+        mq, mp, me = (
+            np.einsum("ij,ji->", rho, mat).real / trace for mat in observables
+        )
+        traj.append(t, float(mq), float(mp), float(me), float(trace))
     return traj
 
 

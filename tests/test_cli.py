@@ -320,6 +320,55 @@ def test_main_intermediate_h_is_usage_error(tmp_path, capsys):
     assert "no dynamics defined at intermediate h" in err
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"dynamics": {"dt": -1}}, "dt"),
+        ({"h_values": [0.0], "dynamics": {"mode": "auto", "dt": -1}}, "dt"),
+        ({"dynamics": {"dt": 0}}, "dt"),
+        ({"dynamics": {"dt": float("nan")}}, "dt"),
+        ({"dynamics": {"dt": float("inf")}}, "dt"),
+        ({"dynamics": {"record_stride": 0}}, "record_stride"),
+        ({"dynamics": {"period_count": 0}}, "period_count"),
+        ({"h_values": [0.0], "dynamics": {"mode": "auto", "steps": 0}}, "steps"),
+        ({"dynamics": {"n_grid": 1}}, "n_grid"),
+        ({"dynamics": {"n_fock": 1}}, "n_fock"),
+        ({"dynamics": {"length": 0}}, "length"),
+        ({"dynamics": {"length": float("inf")}}, "length"),
+    ],
+    ids=[
+        "dt-negative-compare", "dt-negative-auto", "dt-zero", "dt-nan", "dt-inf",
+        "record_stride", "period_count", "steps", "n_grid", "n_fock", "length-zero",
+        "length-inf",
+    ],
+)
+def test_main_bad_dynamics_value_is_usage_error(tmp_path, capsys, config, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: dynamics {field} must be")
+    assert err.count("\n") == 1
+
+
+STEEP = {"dt": 0.2, "n_grid": 16, "n_fock": 8}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"dynamics": STEEP}, {"h_values": [0.0], "dynamics": {**STEEP, "mode": "auto"}}],
+    ids=["compare", "auto"],
+)
+def test_main_diverging_liouville_run_is_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(config))
+    code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: Liouville integration unstable" in err
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(
         ["verify", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]

@@ -7,8 +7,14 @@ import pytest
 from qclab import dynamics as dyn
 from qclab.expr import parse_expr
 from qclab.matrep import build_backend, realize
-from qclab.ncpoly import eval_ncpoly, make_generators
-from qclab.states import WeightSpec, coherent_state, lift_qm_eigenstate
+from qclab.ncpoly import FactorPoly, ROperator, TensorPoly, eval_ncpoly, make_generators
+from qclab.states import (
+    HybridDensity,
+    HybridVector,
+    WeightSpec,
+    coherent_state,
+    lift_qm_eigenstate,
+)
 
 GENS = make_generators()
 OSC = "(1/2)*(P^2 + Q^2)"
@@ -62,6 +68,41 @@ def test_poisson_bracket_h_equals_q():
     sigma2 = 0.5
     analytic = -rho.grid * (-pm / sigma2)
     np.testing.assert_allclose(out, -analytic, atol=1e-8)
+
+
+def fft_bracket(dh_dq, dh_dp, rho):
+    """The bracket from the defining DFT derivative, one FFT pair per axis."""
+    drho_dq = dyn.spectral_derivative(rho.grid, rho.dq, axis=0)
+    drho_dp = dyn.spectral_derivative(rho.grid, rho.dp, axis=1)
+    return dh_dq * drho_dp - dh_dp * drho_dq
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(16, 16), (15, 15), (12, 17), (17, 12)],
+    ids=["even", "odd", "nq-lt-np", "nq-gt-np"],
+)
+def test_matrix_bracket_matches_fft_bracket(shape):
+    rng = np.random.default_rng(sum(shape))
+    n_q, n_p = shape
+    length_q, length_p = 7.0, 9.0
+    dq, dp = length_q / n_q, length_p / n_p
+    grid = rng.uniform(0.0, 1.0, shape)
+    grid /= grid.sum() * dq * dp
+    rho = dyn.PhaseSpaceDensity(grid, dq, dp, (length_q, length_p))
+    dh_dq, dh_dp = rng.normal(size=shape), rng.normal(size=shape)
+    expected = fft_bracket(dh_dq, dh_dp, rho)
+    out = dyn.poisson_bracket(np.zeros(shape), rho, dh_dq=dh_dq, dh_dp=dh_dp)
+    assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+    # default partials of h are the same spectral derivative
+    hgrid = rng.normal(size=shape)
+    expected = fft_bracket(
+        dyn.spectral_derivative(hgrid, rho.dq, axis=0),
+        dyn.spectral_derivative(hgrid, rho.dp, axis=1),
+        rho,
+    )
+    out = dyn.poisson_bracket(hgrid, rho)
+    assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_poisson_bracket_shape_mismatch():
@@ -198,6 +239,103 @@ def test_von_neumann_rejects_non_hermitian_hamiltonian():
     p_mat = realize(GENS.p_qm, b, b)
     with pytest.raises(ValueError):
         dyn.von_neumann_evolve(state, bad, 1e-2, 5, 1.0, q_mat, p_mat)
+
+
+def dense_stepping_oracle(state0, h_mat, dt, steps, hbar, q_mat, p_mat, record_stride):
+    """One eigendecomposition of the whole H; the state steps by U(dt*stride)."""
+    hmat = np.asarray(h_mat.data)
+    energies, vectors = np.linalg.eigh((hmat + hmat.conj().T) / 2.0)
+
+    def propagator(tau):
+        return (vectors * np.exp(-1j * energies * tau / hbar)) @ vectors.conj().T
+
+    def expect(state, mat):
+        if state.ndim == 1:
+            denom = np.vdot(state, state).real
+            return np.vdot(state, mat @ state).real / denom, denom
+        denom = np.trace(state).real
+        return np.einsum("ij,ji->", state, mat).real / denom, denom
+
+    def advance(state, u):
+        return u @ state if state.ndim == 1 else u @ state @ u.conj().T
+
+    state = state0.data.astype(complex)
+    traj = dyn.Trajectory()
+
+    def record(step):
+        mq, _ = expect(state, np.asarray(q_mat.data))
+        mp, _ = expect(state, np.asarray(p_mat.data))
+        me, norm = expect(state, hmat)
+        traj.append(step * dt, mq, mp, me, norm)
+
+    record(0)
+    step = 0
+    u_stride = propagator(dt * record_stride)
+    while step + record_stride <= steps:
+        state = advance(state, u_stride)
+        step += record_stride
+        record(step)
+    if step < steps:
+        state = advance(state, propagator(dt * (steps - step)))
+        record(steps)
+    return traj
+
+
+def random_states(n, seed):
+    dim = 2 * n * n
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weights = np.array([0.5, 0.3, 0.2])
+    rho = np.einsum("k,ki,kj->ij", weights, vecs, vecs.conj())
+    return HybridVector(vecs[0], n, n), HybridDensity(rho)
+
+
+R_COUPLING = TensorPoly.from_parts(
+    FactorPoly.one(), FactorPoly.one(), ROperator.unit(0, 1) + ROperator.unit(1, 0)
+)
+
+
+@pytest.mark.parametrize(
+    "coupled", [False, True], ids=["r-block-diagonal", "r-coupled"]
+)
+def test_von_neumann_matches_dense_stepping_oracle(coupled):
+    n = 6
+    b = build_backend("fock", n, 1.0)
+    h_poly = eval_ncpoly(parse_expr(OSC + " + (1/10)*Q^4"), GENS.q_qm, GENS.p_qm)
+    if coupled:
+        h_poly = h_poly + R_COUPLING * TensorPoly.from_parts(
+            FactorPoly.monomial(1, 0), FactorPoly.one(), ROperator.identity()
+        )
+    h_mat = realize(h_poly, b, b)
+    off_diagonal = np.abs(np.asarray(h_mat.data)[0::2, 1::2]).max()
+    assert (off_diagonal > 0) == coupled
+    q_mat = realize(GENS.q_qm, b, b)
+    p_mat = realize(GENS.p_qm, b, b)
+    for state in random_states(n, seed=7):
+        args = (state, h_mat, 1e-2, 333, 1.0, q_mat, p_mat)
+        traj = dyn.von_neumann_evolve(*args, record_stride=40)
+        oracle = dense_stepping_oracle(*args, record_stride=40)
+        assert traj.times == oracle.times
+        for name in ("mean_q", "mean_p", "mean_energy", "norm_or_trace"):
+            np.testing.assert_allclose(
+                getattr(traj, name), getattr(oracle, name), rtol=0, atol=1e-12
+            )
+
+
+def test_record_times_keep_the_trailing_partial_stride():
+    dt, steps, stride = 1e-2, 333, 40
+    expected = [s * dt for s in (0, 40, 80, 120, 160, 200, 240, 280, 320, 333)]
+    state, h_mat, q_mat, p_mat = quantum_setup(n_fock=6)
+    for st in (state, state.outer()):
+        traj = dyn.von_neumann_evolve(
+            st, h_mat, dt, steps, 1.0, q_mat, p_mat, record_stride=stride
+        )
+        assert traj.times == expected
+    traj = dyn.liouville_evolve(
+        centered_gaussian(), OSC, dt, steps, record_stride=stride
+    )
+    assert traj.times == expected
 
 
 def test_trajectory_csv_layout(tmp_path):
