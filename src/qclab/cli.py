@@ -17,10 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -59,38 +62,11 @@ class ConfigError(ValueError):
 Pair = tuple[float, float]
 
 
-def _as_pair(value) -> Pair:
-    if isinstance(value, (int, float)):
-        return (float(value), 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (float(value[0]), float(value[1]))
-    raise ConfigError(f"expected a number or [re, im] pair, got {value!r}")
-
-
-def _as_vector(value) -> tuple[Pair, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"expected a list of entries, got {value!r}")
-    return tuple(_as_pair(entry) for entry in value)
-
-
 @dataclass(frozen=True)
 class BackendSpec:
     kind: str = "grid-position"
     n: int = 8
     length: float | None = 8.0
-
-    @staticmethod
-    def from_dict(d: dict) -> "BackendSpec":
-        _reject_unknown(d, {"kind", "n", "length"}, "backend")
-        if "length" in d:
-            length = None if d["length"] is None else float(d["length"])
-        else:
-            length = 8.0
-        return BackendSpec(
-            kind=str(d.get("kind", "grid-position")),
-            n=int(d.get("n", 8)),
-            length=length,
-        )
 
 
 @dataclass(frozen=True)
@@ -99,16 +75,6 @@ class WeightsConfig:
     c_p: Pair | None = None
     a_vec: tuple[Pair, ...] | None = None
     b_vec: tuple[Pair, ...] | None = None
-
-    @staticmethod
-    def from_dict(d: dict) -> "WeightsConfig":
-        _reject_unknown(d, {"c_q", "c_p", "a_vec", "b_vec"}, "weights")
-        return WeightsConfig(
-            c_q=None if d.get("c_q") is None else _as_pair(d["c_q"]),
-            c_p=None if d.get("c_p") is None else _as_pair(d["c_p"]),
-            a_vec=None if d.get("a_vec") is None else _as_vector(d["a_vec"]),
-            b_vec=None if d.get("b_vec") is None else _as_vector(d["b_vec"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -119,18 +85,6 @@ class StateSpec:
     sigma: float | None = None
     k: int = 0
     l: int = 0
-
-    @staticmethod
-    def from_dict(d: dict) -> "StateSpec":
-        _reject_unknown(d, {"kind", "q0", "p0", "sigma", "k", "l"}, "state")
-        return StateSpec(
-            kind=str(d.get("kind", "lifted-qm")),
-            q0=float(d.get("q0", 0.0)),
-            p0=float(d.get("p0", 0.0)),
-            sigma=None if d.get("sigma") is None else float(d["sigma"]),
-            k=int(d.get("k", 0)),
-            l=int(d.get("l", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -146,27 +100,6 @@ class DynamicsSpec:
     n_grid: int = 64
     n_fock: int = 32
     length: float = 16.0
-
-    @staticmethod
-    def from_dict(d: dict) -> "DynamicsSpec":
-        allowed = {
-            "mode", "q0", "p0", "sigma", "dt", "steps", "period_count",
-            "record_stride", "n_grid", "n_fock", "length",
-        }
-        _reject_unknown(d, allowed, "dynamics")
-        return DynamicsSpec(
-            mode=str(d.get("mode", "compare")),
-            q0=float(d.get("q0", 1.0)),
-            p0=float(d.get("p0", 0.0)),
-            sigma=None if d.get("sigma") is None else float(d["sigma"]),
-            dt=float(d.get("dt", 1e-3)),
-            steps=None if d.get("steps") is None else int(d["steps"]),
-            period_count=int(d.get("period_count", 1)),
-            record_stride=int(d.get("record_stride", 50)),
-            n_grid=int(d.get("n_grid", 64)),
-            n_fock=int(d.get("n_fock", 32)),
-            length=float(d.get("length", 16.0)),
-        )
 
     def validate(self) -> None:
         if self.mode not in _MODES:
@@ -193,10 +126,74 @@ class DynamicsSpec:
                 )
 
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
+def _read_section(cls, d: dict, section: str = ""):
+    """Build the dataclass ``cls`` from a JSON object.
+
+    Keys are the field names; an absent key takes the declared default and
+    every given value must match the field's declared type.
+    """
+    hints = get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in fields(cls)}
+    unknown = sorted(set(d) - set(types))
     if unknown:
+        where = section or "top-level"
         raise ConfigError(f"unknown {where} config keys: {', '.join(unknown)}")
+    values = {}
+    for name, value in d.items():
+        label = f"{section} {name}".lstrip()
+        if is_dataclass(types[name]) and isinstance(value, dict):
+            values[name] = _read_section(types[name], value, label)
+            continue
+        try:
+            values[name] = _read_value(types[name], value)
+        except (TypeError, OverflowError):
+            raise ConfigError(
+                f"{label} must be {_expected(types[name])}, got {value!r}"
+            ) from None
+    return cls(**values)
+
+
+def _read_value(tp, value):
+    """``value`` read as the declared type ``tp``; TypeError if it does not match."""
+    if tp is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            # float() of an integer beyond the float range raises OverflowError
+            if math.isfinite(number := float(value)):
+                return number
+    elif tp is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif tp is bool or tp is str:
+        if isinstance(value, tp):
+            return value
+    elif tp == Pair:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return (_read_value(float, value[0]), _read_value(float, value[1]))
+        return (_read_value(float, value), 0.0)
+    elif get_origin(tp) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_read_value(get_args(tp)[0], entry) for entry in value)
+    elif get_origin(tp) is UnionType:
+        return None if value is None else _read_value(get_args(tp)[0], value)
+    raise TypeError(tp)
+
+
+def _expected(tp) -> str:
+    if tp is float:
+        return "a finite number"
+    if tp is int:
+        return "an integer"
+    if tp is bool:
+        return "true or false"
+    if tp is str:
+        return "a string"
+    if tp == Pair:
+        return "a number or an [re, im] pair"
+    if get_origin(tp) is tuple:
+        return f"an array, each entry {_expected(get_args(tp)[0])}"
+    if get_origin(tp) is UnionType:
+        return f"{_expected(get_args(tp)[0])}, or null"
+    return "a JSON object"
 
 
 def _default_h_values() -> tuple[float, ...]:
@@ -250,47 +247,11 @@ class RunConfig:
             raise ConfigError(f"observable does not parse: {exc}") from exc
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["h_values"] = list(self.h_values)
-        for key in ("backend_q", "backend_p", "weights", "state", "dynamics"):
-            payload[key] = {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in payload[key].items()
-            }
-        wc = payload["weights"]
-        for k, v in wc.items():
-            if isinstance(v, list) and v and isinstance(v[0], tuple):
-                wc[k] = [list(entry) for entry in v]
-        return payload
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        allowed = {
-            "hbar", "h_o", "h_values", "seed", "backend_q", "backend_p",
-            "weights", "observable", "family", "state", "dynamics",
-            "fault_injection", "export_matrix",
-        }
-        _reject_unknown(d, allowed, "top-level")
-        cfg = RunConfig(
-            hbar=float(d.get("hbar", 1.0)),
-            h_o=float(d.get("h_o", 1.0)),
-            h_values=tuple(float(h) for h in d.get("h_values", _default_h_values())),
-            seed=int(d.get("seed", 1234)),
-            backend_q=BackendSpec.from_dict(d.get("backend_q", {})),
-            backend_p=BackendSpec.from_dict(
-                d.get("backend_p", {"kind": "grid-momentum"})
-            ),
-            weights=WeightsConfig.from_dict(d.get("weights", {})),
-            observable=str(d.get("observable", "(1/2)*(P^2 + Q^2)")),
-            family=str(d.get("family", "tilde")),
-            state=StateSpec.from_dict(d.get("state", {})),
-            dynamics=DynamicsSpec.from_dict(d.get("dynamics", {})),
-            fault_injection=(
-                None if d.get("fault_injection") is None
-                else float(d["fault_injection"])
-            ),
-            export_matrix=bool(d.get("export_matrix", False)),
-        )
+        cfg = _read_section(RunConfig, d)
         cfg.validate()
         return cfg
 
@@ -508,7 +469,7 @@ def cmd_sweep(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
     return 0
 
 
-def cmd_kernels(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
+def cmd_kernels(config: RunConfig, out_dir: str) -> int:
     if len(config.h_values) != 1:
         raise ConfigError(
             "kernels needs exactly one h value (use --h or a single-entry"
@@ -555,7 +516,7 @@ def cmd_kernels(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
     return 0
 
 
-def cmd_evolve(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
+def cmd_evolve(config: RunConfig, out_dir: str) -> int:
     ds = config.dynamics
     if len(config.h_values) == 1:
         h = config.h_values[0]
@@ -587,17 +548,9 @@ def cmd_evolve(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
         _write_json(
             os.path.join(out_dir, "evolve_meta.json"),
             {
+                **asdict(params),
                 "mode": "compare",
-                "hbar": config.hbar,
-                "q0": ds.q0,
-                "p0": ds.p0,
                 "sigma": params.width(),
-                "n_grid": ds.n_grid,
-                "n_fock": ds.n_fock,
-                "length": ds.length,
-                "dt": ds.dt,
-                "period_count": ds.period_count,
-                "record_stride": ds.record_stride,
                 "max_dq_abs": table.max_dq_abs(),
                 "max_dp_abs": table.max_dp_abs(),
                 "classical_mass_drift": table.classical_mass_drift(),
@@ -683,9 +636,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         "--h", type=float, help="override h_values with a single value"
     )
     parser.add_argument("--expr", help="override the observable expression")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), help="output format where applicable"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -697,14 +647,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify", "run the identity, defect, and state check suites"),
-        ("sweep", "tabulate interpolating-pair means across h values"),
-        ("kernels", "dump r-factor kernel blocks of a realized observable"),
-        ("evolve", "run endpoint dynamics or the oscillator comparison"),
+    for name, help_text, fmt in (
+        ("verify", "run the identity, defect, and state check suites", "json"),
+        ("sweep", "tabulate interpolating-pair means across h values", "csv"),
+        ("kernels", "dump r-factor kernel blocks of a realized observable", None),
+        ("evolve", "run endpoint dynamics or the oscillator comparison", None),
     ):
         p = sub.add_parser(name, help=help_text)
         _common_flags(p)
+        if fmt is not None:
+            p.add_argument(
+                "--format", choices=("csv", "json"), default=fmt,
+                help=f"report format (default {fmt})",
+            )
     return parser
 
 
@@ -723,21 +678,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    default_fmt = "json" if args.command == "verify" else "csv"
-    fmt = args.format or default_fmt
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
         if args.command == "verify":
-            return cmd_verify(config, args.out, fmt)
+            return cmd_verify(config, args.out, args.format)
         if args.command == "sweep":
-            return cmd_sweep(config, args.out, fmt)
+            return cmd_sweep(config, args.out, args.format)
         if args.command == "kernels":
-            return cmd_kernels(config, args.out, fmt)
-        if args.command == "evolve":
-            return cmd_evolve(config, args.out, fmt)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_kernels(config, args.out)
+        return cmd_evolve(config, args.out)
     except (ConfigError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -188,26 +188,14 @@ def realize(
     ppow_q = _matrix_powers(np.asarray(bq.pmat), max_q[1])
     qpow_p = _matrix_powers(np.asarray(bp.qmat), max_p[0])
     ppow_p = _matrix_powers(np.asarray(bp.pmat), max_p[1])
-    nq_np = bq.dim * bp.dim
-    blocks = [[None, None], [None, None]]
+    dim = bq.dim * bp.dim * 2
+    data = np.zeros((dim, dim), dtype=complex)
     for (mq, nq, mp, np_, i, j), coeff in sorted(terms.items()):
         c = coeff.evaluate(hbar)
         factor_q = qpow_q[mq] @ ppow_q[nq]
         factor_p = qpow_p[mp] @ ppow_p[np_]
-        piece = c * np.kron(factor_q, factor_p)
-        if blocks[i][j] is None:
-            blocks[i][j] = piece
-        else:
-            blocks[i][j] = blocks[i][j] + piece
-    data = np.zeros((nq_np * 2, nq_np * 2), dtype=complex)
-    eij = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            if blocks[i][j] is None:
-                continue
-            eij[:, :] = 0.0
-            eij[i, j] = 1.0
-            data += np.kron(blocks[i][j], eij)
+        # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
+        data[i::2, j::2] += c * np.kron(factor_q, factor_p)
     return TensorMatrix(bq.dim, bp.dim, _freeze(data))
 
 

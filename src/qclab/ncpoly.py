@@ -454,11 +454,6 @@ class TensorPoly:
 # -- module-level operation names ------------------------------------------
 
 
-def tp_add(a: TensorPoly, b: TensorPoly) -> TensorPoly:
-    """Termwise sum in canonical form."""
-    return a + b
-
-
 def tp_mul(a: TensorPoly, b: TensorPoly) -> TensorPoly:
     """Product in the algebra: factorwise normal-ordered, r-factor as 2x2."""
     return a * b

@@ -1,6 +1,7 @@
 """Command-line interface: configuration, subcommands, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,10 +90,23 @@ def test_config_rejects_malformed_file(tmp_path):
 
 
 def test_backend_spec_default_length_rule():
-    spec = BackendSpec.from_dict({"kind": "fock", "n": 16})
+    spec = RunConfig.from_dict({"backend_q": {"kind": "fock", "n": 16}}).backend_q
     assert spec.length == 8.0  # carried but unused for fock
-    spec = BackendSpec.from_dict({"kind": "grid-position", "length": None})
+    spec = RunConfig.from_dict(
+        {"backend_q": {"kind": "grid-position", "length": None}}
+    ).backend_q
     assert spec.length is None
+
+
+def test_empty_config_reads_to_defaults():
+    assert RunConfig.from_dict({}) == RunConfig()
+
+
+def test_readme_default_config_reads_to_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert RunConfig.from_dict(json.loads(block)) == RunConfig()
 
 
 def test_build_state_lifted_default():
@@ -350,6 +364,53 @@ def test_main_bad_dynamics_value_is_usage_error(tmp_path, capsys, config, field)
     assert code == 2
     assert err.startswith(f"error: dynamics {field} must be")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"dynamics": {"dt": "x"}}, "dynamics dt must be a finite number, got 'x'"),
+        ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ({"h_values": 0.5}, "h_values must be an array, each entry a finite number"),
+        ({"weights": None}, "weights must be a JSON object, got None"),
+        ({"state": {"q0": [1, 2]}}, "state q0 must be a finite number, got [1, 2]"),
+        (
+            {"fault_injection": {"rule": "swap-contraction-sign", "factor": -1.0}},
+            "fault_injection must be a finite number, or null, got {",
+        ),
+        ({"export_matrix": "false"}, "export_matrix must be true or false"),
+        ({"backend_q": {"n": 8.7}}, "backend_q n must be an integer, got 8.7"),
+        ({"hbar": float("inf")}, "hbar must be a finite number, got inf"),
+        ({"backend_q": "fock"}, "backend_q must be a JSON object, got 'fock'"),
+        (
+            {"weights": {"a_vec": [[1, 0, 0]]}},
+            "weights a_vec must be an array, each entry a number or an [re, im] pair",
+        ),
+        ({"dynamics": {"steps": 2.5}}, "dynamics steps must be an integer, or null"),
+    ],
+    ids=[
+        "dt-string", "seed-string", "h_values-number", "weights-null",
+        "q0-array", "fault_injection-object", "export_matrix-string",
+        "n-fraction", "hbar-infinity", "backend-string", "a_vec-triple",
+        "steps-fraction",
+    ],
+)
+def test_main_mistyped_config_value_is_usage_error(tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_format_flag_is_only_on_report_commands(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kernels", "--h", "1.0", "--format", "json", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 STEEP = {"dt": 0.2, "n_grid": 16, "n_fock": 8}
