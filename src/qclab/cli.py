@@ -32,20 +32,29 @@ from .expr import ExprError, parse_expr
 from .matrep import (
     Backend,
     build_backend,
-    commutator_defect,
+    bulk_max,
+    check_backend,
     export_kernel_csv,
     export_matrix,
     format_float,
+    hermitian_defect,
     kernel_block,
     realize,
 )
-from .ncpoly import eval_ncpoly, make_generators, substitute_lambda
+from .ncpoly import (
+    eval_ncpoly,
+    lambda_coefficients,
+    make_generators,
+    substitute_lambda,
+    tp_commutator,
+)
 from .states import (
     WeightSpec,
     cm_point_state,
     coherent_state,
     gaussian_grid_state,
     lift_qm_eigenstate,
+    mean_parts,
     mean_value,
 )
 from .verify import VerifyReport, run_verify
@@ -87,6 +96,12 @@ class StateSpec:
     l: int = 0
 
 
+def _check_positive(label: str, value: float | None) -> None:
+    """ConfigError unless ``value`` is null or positive and finite."""
+    if value is not None and not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{label} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DynamicsSpec:
     mode: str = "compare"
@@ -106,12 +121,8 @@ class DynamicsSpec:
             raise ConfigError(
                 f"dynamics mode must be one of {_MODES}, got {self.mode!r}"
             )
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dynamics dt must be positive and finite, got {self.dt}")
-        if not (np.isfinite(self.length) and self.length > 0):
-            raise ConfigError(
-                f"dynamics length must be positive and finite, got {self.length}"
-            )
+        for name in ("dt", "length", "sigma"):
+            _check_positive(f"dynamics {name}", getattr(self, name))
         minimums = (
             ("record_stride", self.record_stride, 1),
             ("period_count", self.period_count, 1),
@@ -240,6 +251,7 @@ class RunConfig:
             raise ConfigError(
                 f"state kind must be one of {_STATE_KINDS}, got {self.state.kind!r}"
             )
+        _check_positive("state sigma", self.state.sigma)
         self.dynamics.validate()
         try:
             parse_expr(self.observable)
@@ -270,6 +282,16 @@ class RunConfig:
 
 
 # -- construction helpers --------------------------------------------------
+
+
+def check_backends(config: RunConfig) -> None:
+    """Apply the backend rules of :func:`build_backend` to both factors."""
+    for name in ("backend_q", "backend_p"):
+        spec = getattr(config, name)
+        try:
+            check_backend(spec.kind, spec.n, spec.length)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
 
 def build_backends(config: RunConfig) -> tuple[Backend, Backend]:
@@ -405,48 +427,102 @@ def _write_verify_csv(report: VerifyReport, path: str) -> None:
             )
 
 
-def cmd_sweep(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
-    bq, bp = build_backends(config)
-    state = build_state(config, bq, bp)
+def _horner(coeffs: list, x: float):
+    """``sum(x**k * coeffs[k])`` by Horner's rule, for scalars or arrays."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]:
+    """The sweep table, one row per h value.
+
+    Every swept element is a polynomial in lam, so each lam-coefficient is
+    realized once.  A mean is linear in the matrix: the numerators of the
+    coefficients combine per h by Horner's rule in lam, as do the
+    coefficients of the bulk commutator defect.  The Hermitian test of a
+    row is bounded by the defects of the coefficients; a row whose bound
+    exceeds 1e-10, or whose mean is not real to 1e-10, is evaluated on the
+    realized element at that h, which reports the error.
+    """
     gens = make_generators()
-    node = parse_expr(config.observable)
-    q_qm_mat = realize(gens.q_qm, bq, bp)
-    p_qm_mat = realize(gens.p_qm, bq, bp)
-    q_cm_mat = realize(gens.q_cm, bq, bp)
-    p_cm_mat = realize(gens.p_cm, bq, bp)
+    q_t, p_t = gens.q_tilde, gens.p_tilde
+    obs = eval_ncpoly(parse_expr(config.observable), q_t, p_t)
+
+    def numer_and_defect(mat: np.ndarray) -> tuple[complex, float]:
+        return mean_parts(state, mat)[0], hermitian_defect(mat)
+
+    # each observable coefficient is reduced to scalars before the next is
+    # realized, so only the pair's coefficient matrices stay alive
+    obs_parts = [
+        numer_and_defect(realize(c, bq, bp).data) for c in lambda_coefficients(obs)
+    ]
+    q_mats = [realize(c, bq, bp).data for c in lambda_coefficients(q_t)]
+    p_mats = [realize(c, bq, bp).data for c in lambda_coefficients(p_t)]
+    q_parts = [numer_and_defect(m) for m in q_mats]
+    p_parts = [numer_and_defect(m) for m in p_mats]
+    denom = mean_parts(state, q_mats[0])[1]
+
+    endpoint = {}
+    refs = ((config.h_o, gens.q_qm, gens.p_qm), (0.0, gens.q_cm, gens.p_cm))
+    for h, q_ref, p_ref in refs:
+        if h in config.h_values:
+            x = float(_lambda_of(h, config.h_o))
+            endpoint[h] = tuple(
+                float(np.max(np.abs(_horner(mats, x) - realize(ref, bq, bp).data)))
+                for mats, ref in ((q_mats, q_ref), (p_mats, p_ref))
+            )
+
+    # bulk defect D(lam) = sum lam^k D_k, with D_k the realized lam^k part of
+    # the symbolic commutator minus sum_{i+j=k} [Q_i, P_j]
+    sym = lambda_coefficients(tp_commutator(q_t, p_t))
+    dim = q_mats[0].shape[0]
+    defects = [
+        np.zeros((dim, dim), dtype=complex)
+        for _ in range(max(len(sym), len(q_mats) + len(p_mats) - 1))
+    ]
+    for d, c in zip(defects, sym):
+        d += realize(c, bq, bp).data
+    scratch = np.empty((dim, dim), dtype=complex)
+    for i, q_i in enumerate(q_mats):
+        for j, p_j in enumerate(p_mats):
+            defects[i + j] -= np.matmul(q_i, p_j, out=scratch)
+            defects[i + j] += np.matmul(p_j, q_i, out=scratch)
+    del q_mats, p_mats, scratch
+
+    def mean(element, parts, lam: Fraction, x: float) -> float:
+        if denom != 0 and sum(x**k * hd for k, (_, hd) in enumerate(parts)) <= 1e-10:
+            ratio = _horner([numer for numer, _ in parts], x) / denom
+            if abs(ratio.imag) <= 1e-10:
+                return float(ratio.real)
+        return mean_value(state, realize(element, bq, bp, lam=lam))
 
     rows = []
     for h in config.h_values:
         lam = _lambda_of(h, config.h_o)
-        qt = substitute_lambda(gens.q_tilde, lam)
-        pt = substitute_lambda(gens.p_tilde, lam)
-        q_mat = realize(qt, bq, bp)
-        p_mat = realize(pt, bq, bp)
-        obs_mat = realize(eval_ncpoly(node, qt, pt), bq, bp)
-        defect = commutator_defect(bq, bp, qt, pt)
+        x = float(lam)
         try:
             row = {
                 "h": h,
-                "lambda": float(lam),
-                "mean_q_tilde": mean_value(state, q_mat),
-                "mean_p_tilde": mean_value(state, p_mat),
-                "mean_observable": mean_value(state, obs_mat),
-                "bulk_commutator_defect": defect["bulk_defect_norm"],
+                "lambda": x,
+                "mean_q_tilde": mean(q_t, q_parts, lam, x),
+                "mean_p_tilde": mean(p_t, p_parts, lam, x),
+                "mean_observable": mean(obs, obs_parts, lam, x),
+                "bulk_commutator_defect": bulk_max(_horner(defects, x), bq, bp),
             }
         except ValueError as exc:
             raise ConfigError(
                 f"cannot evaluate means at h={h!r}: {exc}"
             ) from exc
-        if h == config.h_o:
-            row["endpoint_q_diff"] = float(np.max(np.abs(q_mat.data - q_qm_mat.data)))
-            row["endpoint_p_diff"] = float(np.max(np.abs(p_mat.data - p_qm_mat.data)))
-        elif h == 0.0:
-            row["endpoint_q_diff"] = float(np.max(np.abs(q_mat.data - q_cm_mat.data)))
-            row["endpoint_p_diff"] = float(np.max(np.abs(p_mat.data - p_cm_mat.data)))
-        else:
-            row["endpoint_q_diff"] = None
-            row["endpoint_p_diff"] = None
+        row["endpoint_q_diff"], row["endpoint_p_diff"] = endpoint.get(h, (None, None))
         rows.append(row)
+    return rows
+
+
+def cmd_sweep(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
+    bq, bp = build_backends(config)
+    rows = sweep_rows(config, bq, bp, build_state(config, bq, bp))
 
     os.makedirs(out_dir, exist_ok=True)
     columns = [
@@ -674,6 +750,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.expr is not None:
         config = replace(config, observable=args.expr)
     config.validate()
+    # every subcommand takes the same backends, whether it builds them or not
+    check_backends(config)
     return config
 
 

@@ -80,11 +80,20 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def build_backend(kind: str, n: int, hbar: float, length: float | None = None) -> Backend:
-    """Construct a backend; grid kinds require a positive extent ``length``."""
+def check_backend(kind: str, n: int, length: float | None = None) -> str:
+    """The canonical kind of a backend spec; ValueError if ``kind``, ``n`` or
+    ``length`` cannot make a backend (grid kinds need a positive extent)."""
     kind = _canonical_kind(kind)
     if n < 2:
         raise ValueError(f"backend dimension must be at least 2, got {n}")
+    if kind != "fock" and (length is None or length <= 0):
+        raise ValueError(f"grid backends need a positive length, got {length}")
+    return kind
+
+
+def build_backend(kind: str, n: int, hbar: float, length: float | None = None) -> Backend:
+    """Construct a backend; grid kinds require a positive extent ``length``."""
+    kind = check_backend(kind, n, length)
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
     if kind == "fock":
@@ -94,8 +103,6 @@ def build_backend(kind: str, n: int, hbar: float, length: float | None = None) -
         pmat = 1j * np.sqrt(hbar / 2.0) * (raising - lowering)
         labels = np.arange(n, dtype=float)
         return Backend("fock", n, float(hbar), None, _freeze(qmat), _freeze(pmat), _freeze(labels))
-    if length is None or length <= 0:
-        raise ValueError(f"grid backends need a positive length, got {length}")
     spacing = length / n
     points = -length / 2.0 + spacing * np.arange(n)
     conjugate = 2.0 * np.pi * hbar * np.fft.fftfreq(n, d=spacing)
@@ -230,12 +237,17 @@ def commutator_defect(
     ma = realize(a, bq, bp, lam=lam).data
     mb = realize(b, bq, bp, lam=lam).data
     defect = sym - (ma @ mb - mb @ ma)
-    keep = _bulk_mask(bq, bp)
-    bulk = defect[np.ix_(keep, keep)]
     return {
         "defect_norm": float(np.max(np.abs(defect))) if defect.size else 0.0,
-        "bulk_defect_norm": float(np.max(np.abs(bulk))) if bulk.size else 0.0,
+        "bulk_defect_norm": bulk_max(defect, bq, bp),
     }
+
+
+def bulk_max(m: np.ndarray, bq: Backend, bp: Backend) -> float:
+    """Largest entry modulus of ``m`` over the bulk rows and columns."""
+    keep = _bulk_mask(bq, bp)
+    bulk = m if keep.all() else m[np.ix_(keep, keep)]
+    return float(np.max(np.abs(bulk))) if bulk.size else 0.0
 
 
 def kernel_block(m: TensorMatrix, i: str | int, j: str | int) -> np.ndarray:

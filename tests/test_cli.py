@@ -406,6 +406,44 @@ def test_main_mistyped_config_value_is_usage_error(tmp_path, capsys, config, mes
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "command, section", [("sweep", "state"), ("evolve", "dynamics")]
+)
+def test_main_nonpositive_sigma_is_usage_error(tmp_path, capsys, command, section, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({section: {"sigma": value}}))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {section} sigma must be positive and finite, got {float(value)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "kernels", "evolve"])
+@pytest.mark.parametrize(
+    "backend, message",
+    [
+        ({"n": 1}, "backend_q: backend dimension must be at least 2, got 1"),
+        (
+            {"kind": "grid-position", "length": None},
+            "backend_q: grid backends need a positive length, got None",
+        ),
+    ],
+    ids=["n-1", "grid-length-null"],
+)
+def test_main_bad_backend_is_usage_error_for_every_command(
+    tmp_path, capsys, command, backend, message
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"h_values": [1.0], "backend_q": backend}))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_format_flag_is_only_on_report_commands(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kernels", "--h", "1.0", "--format", "json", "--out", str(tmp_path)])
