@@ -232,6 +232,8 @@ class RunConfig:
     export_matrix: bool = False
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.hbar <= 0:
             raise ConfigError(f"hbar must be positive, got {self.hbar}")
         if self.h_o <= 0:
@@ -257,6 +259,13 @@ class RunConfig:
             parse_expr(self.observable)
         except ExprError as exc:
             raise ConfigError(f"observable does not parse: {exc}") from exc
+        # every subcommand takes the same backends, whether it builds them or not
+        for name in ("backend_q", "backend_p"):
+            spec = getattr(self, name)
+            try:
+                check_backend(spec.kind, spec.n, spec.length)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -282,16 +291,6 @@ class RunConfig:
 
 
 # -- construction helpers --------------------------------------------------
-
-
-def check_backends(config: RunConfig) -> None:
-    """Apply the backend rules of :func:`build_backend` to both factors."""
-    for name in ("backend_q", "backend_p"):
-        spec = getattr(config, name)
-        try:
-            check_backend(spec.kind, spec.n, spec.length)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
 
 
 def build_backends(config: RunConfig) -> tuple[Backend, Backend]:
@@ -750,8 +749,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.expr is not None:
         config = replace(config, observable=args.expr)
     config.validate()
-    # every subcommand takes the same backends, whether it builds them or not
-    check_backends(config)
     return config
 
 

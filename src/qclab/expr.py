@@ -17,6 +17,7 @@ expressions.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,74 +215,73 @@ def parse_expr(src: str) -> Node:
     return _Parser(src).parse()
 
 
+def fold(node: Node, const, var, *, neg=operator.neg, add=operator.add,
+         sub=operator.sub, mul=operator.mul, power=operator.pow):
+    """Read the tree bottom-up as a choice of leaf and operator functions.
+
+    ``const`` gets each rational leaf's ``Fraction`` and ``var`` each
+    variable's name; every operator node applies its function to the
+    readings of its children, left before right, and ``power`` gets the
+    base's reading with the integer exponent.  This is the only code in the
+    package that dispatches on the node classes.
+    """
+
+    def read(n):
+        if isinstance(n, Const):
+            return const(n.value)
+        if isinstance(n, Var):
+            return var(n.name)
+        if isinstance(n, Neg):
+            return neg(read(n.operand))
+        if isinstance(n, Add):
+            return add(read(n.left), read(n.right))
+        if isinstance(n, Sub):
+            return sub(read(n.left), read(n.right))
+        if isinstance(n, Mul):
+            return mul(read(n.left), read(n.right))
+        if isinstance(n, Pow):
+            return power(read(n.base), n.exponent)
+        raise TypeError(f"unsupported expression node {type(n).__name__}")
+
+    return read(node)
+
+
 def evaluate_numeric(node: Node, q, p):
     """Evaluate the tree with numpy semantics.
 
     ``q`` and ``p`` may be scalars or arrays; products use elementwise ``*``
     so this is the commutative (phase-space) reading of the expression.
     """
-    if isinstance(node, Const):
-        return float(node.value)
-    if isinstance(node, Var):
-        return q if node.name == "Q" else p
-    if isinstance(node, Neg):
-        return -evaluate_numeric(node.operand, q, p)
-    if isinstance(node, Add):
-        return evaluate_numeric(node.left, q, p) + evaluate_numeric(node.right, q, p)
-    if isinstance(node, Sub):
-        return evaluate_numeric(node.left, q, p) - evaluate_numeric(node.right, q, p)
-    if isinstance(node, Mul):
-        return evaluate_numeric(node.left, q, p) * evaluate_numeric(node.right, q, p)
-    if isinstance(node, Pow):
-        return evaluate_numeric(node.base, q, p) ** node.exponent
-    raise TypeError(f"unsupported expression node {type(node).__name__}")
-
-
-def evaluate_matrix(node: Node, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Evaluate the tree with matrix products, preserving factor order."""
-    n = q.shape[0]
-    if isinstance(node, Const):
-        return complex(node.value) * np.eye(n, dtype=complex)
-    if isinstance(node, Var):
-        return np.asarray(q if node.name == "Q" else p, dtype=complex)
-    if isinstance(node, Neg):
-        return -evaluate_matrix(node.operand, q, p)
-    if isinstance(node, Add):
-        return evaluate_matrix(node.left, q, p) + evaluate_matrix(node.right, q, p)
-    if isinstance(node, Sub):
-        return evaluate_matrix(node.left, q, p) - evaluate_matrix(node.right, q, p)
-    if isinstance(node, Mul):
-        return evaluate_matrix(node.left, q, p) @ evaluate_matrix(node.right, q, p)
-    if isinstance(node, Pow):
-        return np.linalg.matrix_power(evaluate_matrix(node.base, q, p), node.exponent)
-    raise TypeError(f"unsupported expression node {type(node).__name__}")
+    return fold(node, float, lambda name: q if name == "Q" else p)
 
 
 def differentiate(node: Node, var: str) -> Node:
     """Formal partial derivative treating Q and P as commuting symbols."""
-    if isinstance(node, Const):
-        return Const(Fraction(0))
-    if isinstance(node, Var):
-        return Const(Fraction(1 if node.name == var else 0))
-    if isinstance(node, Neg):
-        return Neg(differentiate(node.operand, var))
-    if isinstance(node, Add):
-        return Add(differentiate(node.left, var), differentiate(node.right, var))
-    if isinstance(node, Sub):
-        return Sub(differentiate(node.left, var), differentiate(node.right, var))
-    if isinstance(node, Mul):
-        return Add(
-            Mul(differentiate(node.left, var), node.right),
-            Mul(node.left, differentiate(node.right, var)),
+    zero = Const(Fraction(0))
+
+    # each subtree reads as the pair (subtree, its derivative)
+    def mul(a, b):
+        (f, df), (g, dg) = a, b
+        return Mul(f, g), Add(Mul(df, g), Mul(f, dg))
+
+    def power(a, exponent):
+        f, df = a
+        if exponent == 0:
+            return Pow(f, 0), zero
+        return Pow(f, exponent), Mul(
+            Mul(Const(Fraction(exponent)), Pow(f, exponent - 1)), df
         )
-    if isinstance(node, Pow):
-        if node.exponent == 0:
-            return Const(Fraction(0))
-        return Mul(
-            Mul(Const(Fraction(node.exponent)), Pow(node.base, node.exponent - 1)),
-            differentiate(node.base, var),
-        )
-    raise TypeError(f"unsupported expression node {type(node).__name__}")
+
+    return fold(
+        node,
+        lambda value: (Const(value), zero),
+        lambda name: (Var(name), Const(Fraction(1 if name == var else 0))),
+        neg=lambda a: (Neg(a[0]), Neg(a[1])),
+        add=lambda a, b: (Add(a[0], b[0]), Add(a[1], b[1])),
+        sub=lambda a, b: (Sub(a[0], b[0]), Sub(a[1], b[1])),
+        mul=mul,
+        power=power,
+    )[1]
 
 
 def random_expr(rng: np.random.Generator, max_degree: int = 3, max_terms: int = 4) -> Node:
@@ -307,19 +307,15 @@ def random_expr(rng: np.random.Generator, max_degree: int = 3, max_terms: int = 
 
 def format_expr(node: Node) -> str:
     """Render a tree back to source, fully parenthesized inside products."""
-    if isinstance(node, Const):
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"-({format_expr(node.operand)})"
-    if isinstance(node, Add):
-        return f"{format_expr(node.left)} + {format_expr(node.right)}"
-    if isinstance(node, Sub):
-        return f"{format_expr(node.left)} - ({format_expr(node.right)})"
-    if isinstance(node, Mul):
-        return f"({format_expr(node.left)})*({format_expr(node.right)})"
-    if isinstance(node, Pow):
-        return f"({format_expr(node.base)})^{node.exponent}"
-    raise TypeError(f"unsupported expression node {type(node).__name__}")
+    return fold(
+        node,
+        lambda v: (
+            str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        ),
+        lambda name: name,
+        neg=lambda a: f"-({a})",
+        add=lambda a, b: f"{a} + {b}",
+        sub=lambda a, b: f"{a} - ({b})",
+        mul=lambda a, b: f"({a})*({b})",
+        power=lambda a, exponent: f"({a})^{exponent}",
+    )

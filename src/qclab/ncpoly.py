@@ -19,11 +19,15 @@ tolerance test.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
+from .expr import fold
 from .scalars import ComplexRational, ScalarCoeff
 
 # Letters of the single-factor word alphabet.
@@ -552,60 +556,36 @@ def qm_embedding(f: FactorPoly) -> TensorPoly:
     )
 
 
+def _power(unit):
+    """The power reading: ``exponent`` factors of the base multiplied onto ``unit``."""
+    return lambda base, exponent: reduce(operator.mul, repeat(base, exponent), unit)
+
+
 def eval_factor_poly(expr) -> FactorPoly:
     """Evaluate a polynomial expression at the single-factor pair (Q, P).
 
     Gives the plain one-factor normal form f(Q, P), the ingredient of the
     two-sector diagonal lift in :func:`qm_embedding`.
     """
-    from . import expr as expr_mod
-
-    node = expr
-    if isinstance(node, expr_mod.Const):
-        return FactorPoly.one().scale(ScalarCoeff.from_rational(node.value))
-    if isinstance(node, expr_mod.Var):
-        return FactorPoly.monomial(1, 0) if node.name == "Q" else FactorPoly.monomial(0, 1)
-    if isinstance(node, expr_mod.Neg):
-        return -eval_factor_poly(node.operand)
-    if isinstance(node, expr_mod.Add):
-        return eval_factor_poly(node.left) + eval_factor_poly(node.right)
-    if isinstance(node, expr_mod.Sub):
-        return eval_factor_poly(node.left) - eval_factor_poly(node.right)
-    if isinstance(node, expr_mod.Mul):
-        return eval_factor_poly(node.left) * eval_factor_poly(node.right)
-    if isinstance(node, expr_mod.Pow):
-        out = FactorPoly.one()
-        for _ in range(node.exponent):
-            out = out * eval_factor_poly(node.base)
-        return out
-    raise TypeError(f"unsupported expression node {type(node).__name__}")
+    return fold(
+        expr,
+        lambda value: FactorPoly.one().scale(ScalarCoeff.from_rational(value)),
+        lambda name: (
+            FactorPoly.monomial(1, 0) if name == "Q" else FactorPoly.monomial(0, 1)
+        ),
+        power=_power(FactorPoly.one()),
+    )
 
 
 def eval_ncpoly(expr, x: TensorPoly, y: TensorPoly) -> TensorPoly:
     """Evaluate a polynomial expression tree at two algebra elements.
 
-    The tree uses the node types from :mod:`qclab.expr`; products respect
-    the written order since x and y need not commute.
+    The tree is read through :func:`qclab.expr.fold`; products respect the
+    written order since x and y need not commute.
     """
-    from . import expr as expr_mod
-
-    node = expr
-    if isinstance(node, expr_mod.Const):
-        return TensorPoly.scalar(ScalarCoeff.from_rational(node.value))
-    if isinstance(node, expr_mod.Var):
-        return x if node.name == "Q" else y
-    if isinstance(node, expr_mod.Neg):
-        return -eval_ncpoly(node.operand, x, y)
-    if isinstance(node, expr_mod.Add):
-        return eval_ncpoly(node.left, x, y) + eval_ncpoly(node.right, x, y)
-    if isinstance(node, expr_mod.Sub):
-        return eval_ncpoly(node.left, x, y) - eval_ncpoly(node.right, x, y)
-    if isinstance(node, expr_mod.Mul):
-        return eval_ncpoly(node.left, x, y) * eval_ncpoly(node.right, x, y)
-    if isinstance(node, expr_mod.Pow):
-        base = eval_ncpoly(node.base, x, y)
-        out = TensorPoly.identity()
-        for _ in range(node.exponent):
-            out = out * base
-        return out
-    raise TypeError(f"unsupported expression node {type(node).__name__}")
+    return fold(
+        expr,
+        lambda value: TensorPoly.scalar(ScalarCoeff.from_rational(value)),
+        lambda name: x if name == "Q" else y,
+        power=_power(TensorPoly.identity()),
+    )

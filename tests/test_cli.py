@@ -1,6 +1,10 @@
 """Command-line interface: configuration, subcommands, exit codes."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,10 +96,8 @@ def test_config_rejects_malformed_file(tmp_path):
 def test_backend_spec_default_length_rule():
     spec = RunConfig.from_dict({"backend_q": {"kind": "fock", "n": 16}}).backend_q
     assert spec.length == 8.0  # carried but unused for fock
-    spec = RunConfig.from_dict(
-        {"backend_q": {"kind": "grid-position", "length": None}}
-    ).backend_q
-    assert spec.length is None
+    with pytest.raises(ConfigError, match="backend_q: grid backends need a positive length"):
+        RunConfig.from_dict({"backend_q": {"kind": "grid-position", "length": None}})
 
 
 def test_empty_config_reads_to_defaults():
@@ -107,6 +109,26 @@ def test_readme_default_config_reads_to_defaults():
     section = readme.split("## Configuration", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     assert RunConfig.from_dict(json.loads(block)) == RunConfig()
+
+
+def test_readme_quick_start_runs():
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    defect, group = run.stdout.splitlines()
+    assert float(defect) < 1e-14
+    value, multiplicity = ast.literal_eval(group)
+    assert value == pytest.approx(0.5, abs=1e-10)
+    assert multiplicity == 32
 
 
 def test_build_state_lifted_default():
@@ -403,6 +425,18 @@ def test_main_mistyped_config_value_is_usage_error(tmp_path, capsys, config, mes
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "kernels", "evolve"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_main_negative_seed_is_usage_error(tmp_path, capsys, where, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": -1} if where == "config" else {}))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    code = main(argv + (["--seed", "-1"] if where == "flag" else []))
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 """Infix grammar for noncommutative polynomial expressions."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,15 @@ from qclab.expr import (
     Pow,
     Var,
     differentiate,
-    evaluate_matrix,
     evaluate_numeric,
     format_expr,
     parse_expr,
     random_expr,
 )
+from qclab.ncpoly import eval_factor_poly, eval_ncpoly, make_generators
+from matrix_oracle import evaluate_matrix
+
+GENS = make_generators()
 
 
 def test_parse_atoms():
@@ -147,6 +151,56 @@ def test_differentiate_matches_finite_difference():
         evaluate_numeric(node, q0 + eps, p0) - evaluate_numeric(node, q0 - eps, p0)
     ) / (2 * eps)
     assert abs(evaluate_numeric(dq, q0, p0) - fd) < 1e-7
+
+
+# Strings of the recursive differentiate this one replaced: the tree shape
+# fixes the float evaluation order of the Liouville partials.
+@pytest.mark.parametrize(
+    "src, var, shape",
+    [
+        (
+            "Q^3 + 2*Q*P", "Q",
+            "((3)*((Q)^2))*(1) + ((0)*(Q) + (2)*(1))*(P) + ((2)*(Q))*(0)",
+        ),
+        (
+            "(1/2)*(P^2 + Q^2) + (1/10)*Q^4", "Q",
+            "(0)*((P)^2 + (Q)^2) + (1/2)*(((2)*((P)^1))*(0) + ((2)*((Q)^1))*(1))"
+            " + (0)*((Q)^4) + (1/10)*(((4)*((Q)^3))*(1))",
+        ),
+        (
+            "(1/2)*(P^2 + Q^2) + (1/10)*Q^4", "P",
+            "(0)*((P)^2 + (Q)^2) + (1/2)*(((2)*((P)^1))*(1) + ((2)*((Q)^1))*(0))"
+            " + (0)*((Q)^4) + (1/10)*(((4)*((Q)^3))*(0))",
+        ),
+        ("(Q*P)^0 - P^0*Q", "Q", "0 - ((0)*(Q) + ((P)^0)*(1))"),
+        ("-Q", "Q", "-(1)"),
+    ],
+    ids=["cubic", "quartic-Q", "quartic-P", "power-zero", "neg"],
+)
+def test_differentiate_keeps_the_tree_shape(src, var, shape):
+    assert format_expr(differentiate(parse_expr(src), var)) == shape
+
+
+@dataclass(frozen=True)
+class Unknown:
+    pass
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda node: evaluate_numeric(node, 1.0, 2.0),
+        lambda node: evaluate_matrix(node, np.eye(2), np.eye(2)),
+        lambda node: differentiate(node, "Q"),
+        format_expr,
+        eval_factor_poly,
+        lambda node: eval_ncpoly(node, GENS.q_tilde, GENS.p_tilde),
+    ],
+    ids=["numeric", "matrix", "differentiate", "format", "factor-poly", "ncpoly"],
+)
+def test_unknown_node_is_a_type_error_in_every_reading(read):
+    with pytest.raises(TypeError, match="unsupported expression node Unknown"):
+        read(Add(Var("Q"), Mul(Const(Fraction(2)), Unknown())))
 
 
 def test_format_parse_round_trip_fixed():

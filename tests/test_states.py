@@ -318,7 +318,7 @@ def test_grid_and_fock_coherent_states_agree_on_energy():
     bg = build_backend("grid-position", 64, hbar, 16.0)
     bf = build_backend("fock", 32, hbar)
     node = OSC
-    from qclab.expr import evaluate_matrix
+    from matrix_oracle import evaluate_matrix
 
     psi = gaussian_grid_state(bg, 1.0, 0.0)
     vec = coherent_state(32, 1.0 / np.sqrt(2))
