@@ -267,9 +267,6 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
         cfg = _read_section(RunConfig, d)
@@ -661,18 +658,10 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
         bq, bp = build_backends(config)
         state = build_state(config, bq, bp)
         gens = make_generators()
-        node = parse_expr(config.observable)
-        h_matrix = realize(eval_ncpoly(node, gens.q_qm, gens.p_qm), bq, bp)
+        h_poly = eval_ncpoly(parse_expr(config.observable), gens.q_qm, gens.p_qm)
         try:
             traj = dyn.von_neumann_evolve(
-                state,
-                h_matrix,
-                ds.dt,
-                steps,
-                config.hbar,
-                realize(gens.q_qm, bq, bp),
-                realize(gens.p_qm, bq, bp),
-                record_stride=ds.record_stride,
+                state, h_poly, bq, bp, ds.dt, steps, record_stride=ds.record_stride
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

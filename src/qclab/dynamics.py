@@ -14,11 +14,16 @@ are evaluated from the exact formal derivative of the polynomial expression
 on the mesh, since a polynomial is not periodic and differentiating it
 spectrally would poison the bracket with wrap-around artifacts.
 
-The quantum side applies the exact propagator exp(-i H t / hbar).  H is
-diagonalized once per invariant r-sector (the two sectors decouple whenever
-the off-diagonal r-blocks of H vanish, as for every qm-family Hamiltonian),
-and each record time is evaluated directly in that eigenbasis, so unitarity
-holds to roundoff and the time step only controls the recording cadence.
+The quantum side applies the exact propagator exp(-i H t / hbar).  Every
+Hamiltonian of the quantum endpoint is a polynomial in q_qm, p_qm, so it
+realizes as H = A (x) 1 (x) E_qq + 1 (x) B (x) E_pp: it keeps each r-sector
+and acts there on one factor only.  The recorded means then depend only on
+the two reduced densities, which evolve under the N_q x N_q and N_p x N_p
+factor matrices A and B.  Each is diagonalized once and every record time is
+evaluated directly in its eigenbasis (Van Loan, "The ubiquitous Kronecker
+product", J. Comput. Appl. Math. 123 (2000)), so no matrix of dimension
+2 N_q N_p is formed, unitarity holds to roundoff, and the time step only
+controls the recording cadence.
 
 No dynamics is defined between the two endpoints, deliberately; callers
 enforce that rule.
@@ -32,15 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as expr_mod
-from .matrep import TensorMatrix, build_backend, hermitian_defect, realize
-from .ncpoly import eval_ncpoly, make_generators
+from .matrep import Backend, build_backend, hermitian_defect, qm_factors
+from .ncpoly import TensorPoly, eval_ncpoly, make_generators
 from .states import HybridDensity, HybridVector, WeightSpec, coherent_state, lift_qm_eigenstate
 
 _MASS_TOL = 1e-10
 _ABORT_DRIFT = 1e-4
 _BOUNDARY_WARN = 1e-8
-# record times propagated per batched product; bounds the vector path's memory
-_RECORD_CHUNK = 64
 
 
 class LiouvilleUnstable(RuntimeError):
@@ -190,37 +193,6 @@ def _bracket(
     return dh_dq * (grid @ d_p_t) - dh_dp * (d_q @ grid)
 
 
-def poisson_bracket(
-    hgrid: np.ndarray,
-    rho: PhaseSpaceDensity,
-    dh_dq: np.ndarray | None = None,
-    dh_dp: np.ndarray | None = None,
-) -> np.ndarray:
-    """Bracket {h, rho} on the periodic grid.
-
-    By default both partials of h are spectral, like the density's.  Callers
-    holding a closed form for h can pass its exact partials instead, which
-    sidesteps the periodicity mismatch of polynomial Hamiltonians.
-    """
-    hgrid = np.asarray(hgrid, dtype=float)
-    if hgrid.shape != rho.grid.shape:
-        raise ValueError(
-            f"grid mismatch: h {hgrid.shape} vs rho {rho.grid.shape}"
-        )
-    d_q, d_p_t = _differentiation_matrices(rho)
-    if dh_dq is None:
-        dh_dq = d_q @ hgrid
-    if dh_dp is None:
-        dh_dp = hgrid @ d_p_t
-    return _bracket(
-        np.broadcast_to(dh_dq, hgrid.shape),
-        np.broadcast_to(dh_dp, hgrid.shape),
-        rho.grid,
-        d_q,
-        d_p_t,
-    )
-
-
 def _mesh_eval(node, qm: np.ndarray, pm: np.ndarray) -> np.ndarray:
     values = expr_mod.evaluate_numeric(node, qm, pm)
     return np.broadcast_to(np.asarray(values, dtype=float), qm.shape).copy()
@@ -307,37 +279,46 @@ def liouville_evolve(
     return traj
 
 
-def _r_sectors(hmat: np.ndarray) -> list[slice]:
-    """Flat-index sets that ``hmat`` leaves invariant.
+def _reduced_densities(data: np.ndarray, n_q: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rho_q = Tr_p rho_qq`` and ``rho_p = Tr_q rho_pp`` of a vector or density.
 
-    The r index varies fastest, so the two r-sectors are the even and the
-    odd flat indices; they decouple when both off-diagonal r-blocks vanish
-    exactly.  Otherwise the whole space is one sector.
+    For a vector reshaped to ``(N_q, N_p, 2)`` these are ``Psi_q Psi_q^dagger``
+    and ``Psi_p^T Psi_p^*`` of its two r-slices.
     """
-    if hmat[0::2, 1::2].any() or hmat[1::2, 0::2].any():
-        return [slice(None)]
-    return [slice(0, None, 2), slice(1, None, 2)]
+    if data.ndim == 1:
+        psi = data.reshape(n_q, n_p, 2)
+        psi_q, psi_p = psi[:, :, 0], psi[:, :, 1]
+        return psi_q @ psi_q.conj().T, psi_p.T @ psi_p.conj()
+    rho = data.reshape(n_q, n_p, 2, n_q, n_p, 2)
+    return (
+        np.einsum("ikjk->ij", rho[:, :, 0, :, :, 0]),
+        np.einsum("kikj->ij", rho[:, :, 1, :, :, 1]),
+    )
 
 
 def von_neumann_evolve(
     state0: HybridVector | HybridDensity,
-    h_matrix: TensorMatrix,
+    h: TensorPoly,
+    bq: Backend,
+    bp: Backend,
     dt: float,
     steps: int,
-    hbar: float,
-    q_matrix: TensorMatrix,
-    p_matrix: TensorMatrix,
     record_stride: int = 1,
 ) -> Trajectory:
-    """Unitary evolution with the exact eigendecomposition propagator.
+    """Unitary evolution under the quantum-endpoint Hamiltonian ``h``.
 
-    Vectors evolve as psi -> U psi, densities as rho -> U rho U^dagger.
-    Records means of the supplied coordinate/momentum observables and the
-    Hamiltonian every ``record_stride`` steps plus the final step.
+    ``h`` is a polynomial in ``q_qm``, ``p_qm``, realized on ``bq``, ``bp`` at
+    their hbar as ``H = A (x) 1 (x) E_qq + 1 (x) B (x) E_pp``.  Vectors evolve
+    as psi -> U psi, densities as rho -> U rho U^dagger.  Records the trace
+    and the means of q_qm, p_qm and H every ``record_stride`` steps plus the
+    final step.
 
-    ``H`` is diagonalized per invariant r-sector, and every record time is
-    evaluated directly from the initial state expanded in that eigenbasis,
-    so no error accumulates from step to step.
+    All four depend only on the reduced densities ``rho_q``, ``rho_p``, and
+    ``U`` acts on each as the factor propagator ``e^{-iXt/hbar}`` (X = A, B).
+    So each factor is diagonalized once, ``X = V diag(E) V^dagger``; with
+    ``rho~ = V^dagger rho V`` and ``O~ = V^dagger O V``, every record time is
+    ``Tr(O rho(t)) = sum_ab O~_ba rho~_ab e^{-i(E_a - E_b)t/hbar}``, evaluated
+    directly, so no error accumulates from step to step.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -345,64 +326,32 @@ def von_neumann_evolve(
         raise ValueError(f"steps must be at least 1, got {steps}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be at least 1, got {record_stride}")
-    defect = hermitian_defect(h_matrix)
+    factors = qm_factors(h, bq, bp)
+    defect = max(hermitian_defect(x) for x in factors)
     if defect > 1e-10:
         raise ValueError(
             f"Hamiltonian is not Hermitian (defect {defect:.3e} > 1e-10)"
         )
-    hmat = np.asarray(h_matrix.data)
-    sectors = _r_sectors(hmat)
-    eigen = []
-    for s in sectors:
-        block = hmat[s, s]
-        eigen.append(np.linalg.eigh((block + block.conj().T) / 2.0))
-    observables = (np.asarray(q_matrix.data), np.asarray(p_matrix.data), hmat)
     marks = list(range(0, steps + 1, record_stride))
     if marks[-1] != steps:
         marks.append(steps)
     times = [step * dt for step in marks]
-    data = state0.data.astype(complex)
+    reduced = _reduced_densities(np.asarray(state0.data), bq.dim, bp.dim)
+
+    # rows: trace, q_qm, p_qm, H; columns: record times
+    totals = np.zeros((4, len(times)))
+    for rho, x, backend in zip(reduced, factors, (bq, bp)):
+        energies, vectors = np.linalg.eigh((x + x.conj().T) / 2.0)
+        phases = np.exp(np.outer(-1j * np.array(times) / backend.hbar, energies))
+        rotated = vectors.conj().T @ rho @ vectors
+        for row, mat in zip(totals, (np.eye(backend.dim), backend.qmat, backend.pmat, x)):
+            weights = (vectors.conj().T @ mat @ vectors).T * rotated
+            row += np.einsum("ta,ta->t", phases @ weights, phases.conj()).real
+
     traj = Trajectory()
-
-    if data.ndim == 1:
-        coeffs = [v.conj().T @ data[s] for s, (_, v) in zip(sectors, eigen)]
-        for start in range(0, len(times), _RECORD_CHUNK):
-            t = np.array(times[start : start + _RECORD_CHUNK])
-            # one column per record time
-            psi = np.empty((data.size, t.size), dtype=complex)
-            for s, (energies, vectors), c in zip(sectors, eigen, coeffs):
-                phases = np.exp(np.outer(energies, -1j * t / hbar))
-                psi[s] = vectors @ (phases * c[:, None])
-            norms = np.einsum("ij,ij->j", psi.conj(), psi).real
-            mq, mp, me = (
-                np.einsum("ij,ij->j", psi.conj(), mat @ psi).real / norms
-                for mat in observables
-            )
-            for row in zip(t, mq, mp, me, norms):
-                traj.append(*(float(v) for v in row))
-        return traj
-
-    # rho_{ss'}(t) = U_s rho_{ss'} U_{s'}^dagger with U_s = W_s V_s^dagger and
-    # W_s = V_s e^{-i E_s t/hbar}: rho is rotated into the eigenbasis once, and
-    # each record applies W_s on the left and W_{s'}^dagger on the right.
-    rotated = np.empty_like(data)
-    half = np.empty_like(data)
-    for s, (_, vectors) in zip(sectors, eigen):
-        half[s] = vectors.conj().T @ data[s]
-    for s, (_, vectors) in zip(sectors, eigen):
-        rotated[:, s] = half[:, s] @ vectors
-    rho = np.empty_like(data)
-    for t in times:
-        ws = [v * np.exp(-1j * energies * t / hbar) for energies, v in eigen]
-        for s, w in zip(sectors, ws):
-            half[s] = w @ rotated[s]
-        for s, w in zip(sectors, ws):
-            rho[:, s] = half[:, s] @ w.conj().T
-        trace = np.trace(rho).real
-        mq, mp, me = (
-            np.einsum("ij,ji->", rho, mat).real / trace for mat in observables
-        )
-        traj.append(t, float(mq), float(mp), float(me), float(trace))
+    trace = totals[0]
+    for row in zip(times, *(totals[1:] / trace), trace):
+        traj.append(*(float(v) for v in row))
     return traj
 
 
@@ -518,19 +467,9 @@ def oscillator_compare(params: OscillatorParams) -> ComparisonTable:
     psi = coherent_state(params.n_fock, alpha)
     state = lift_qm_eigenstate(psi, WeightSpec.default(params.n_fock, params.n_fock))
     gens = make_generators()
-    node = expr_mod.parse_expr(OSCILLATOR_EXPR)
-    h_matrix = realize(eval_ncpoly(node, gens.q_qm, gens.p_qm), bq, bp)
-    q_matrix = realize(gens.q_qm, bq, bp)
-    p_matrix = realize(gens.p_qm, bq, bp)
+    h = eval_ncpoly(expr_mod.parse_expr(OSCILLATOR_EXPR), gens.q_qm, gens.p_qm)
     quantum = von_neumann_evolve(
-        state,
-        h_matrix,
-        dt,
-        steps,
-        params.hbar,
-        q_matrix,
-        p_matrix,
-        record_stride=params.record_stride,
+        state, h, bq, bp, dt, steps, record_stride=params.record_stride
     )
 
     if classical.times != quantum.times:

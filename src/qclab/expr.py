@@ -9,8 +9,10 @@ Grammar (lowest to highest precedence):
     atom    := 'Q' | 'P' | RATIONAL | '(' sum ')'
 
 ``RATIONAL`` is an integer or a ratio like ``3/2`` written as one literal
-(no spaces around the slash).  A general ``/`` operator is rejected: the
-variables do not commute and quotients are not part of the algebra.
+(no spaces around the slash).  Parentheses, unary minus signs and powers
+nest at most ``MAX_DEPTH`` levels deep.  A general ``/`` operator is
+rejected: the variables do not commute and quotients are not part of the
+algebra.
 Multiplication is noncommutative, so ``Q*P`` and ``P*Q`` are different
 expressions.
 """
@@ -110,11 +112,31 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
+# deepest nesting parse_expr accepts: the operand of each open parenthesis
+# or unary minus sign is one level down, and a power adds one level where it
+# stands; each level costs the recursive-descent parser a few stack frames
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.index = 0
+        self.depth = 0
+
+    def check_depth(self, tok: _Token) -> None:
+        """Refuse a level opened at ``tok`` below ``MAX_DEPTH`` others."""
+        if self.depth >= MAX_DEPTH:
+            raise ExprError(f"expression nests deeper than {MAX_DEPTH} levels", tok.pos)
+
+    def nest(self, tok: _Token, inner):
+        """Parse ``inner()`` one nesting level below ``tok``."""
+        self.check_depth(tok)
+        self.depth += 1
+        node = inner()
+        self.depth -= 1
+        return node
 
     def peek(self) -> _Token | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -164,7 +186,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "-":
             self.index += 1
-            return Neg(self.unary())
+            return Neg(self.nest(tok, self.unary))
         return self.power()
 
     def power(self) -> Node:
@@ -173,6 +195,7 @@ class _Parser:
         if tok is None or tok.kind != "op" or tok.text != "^":
             return base
         self.index += 1
+        self.check_depth(tok)
         exp_tok = self.peek()
         if exp_tok is None:
             raise ExprError("expected an integer exponent after '^'", len(self.src))
@@ -198,7 +221,7 @@ class _Parser:
                 raise ExprError("rational literal has zero denominator", tok.pos)
             return Const(Fraction(int(num), int(den)))
         if tok.kind == "op" and tok.text == "(":
-            node = self.sum()
+            node = self.nest(tok, self.sum)
             self.expect_op(")")
             return node
         raise ExprError(f"unexpected token {tok.text!r}", tok.pos)
@@ -226,24 +249,37 @@ def fold(node: Node, const, var, *, neg=operator.neg, add=operator.add,
     package that dispatches on the node classes.
     """
 
-    def read(n):
+    binary = {Add: add, Sub: sub, Mul: mul}
+    # post-order walk on an explicit stack, so depth costs no recursion: a
+    # node is pushed once to visit its children (left popped first) and once
+    # more, marked, to combine their readings
+    readings = []
+    stack = [(node, False)]
+    while stack:
+        n, children_read = stack.pop()
         if isinstance(n, Const):
-            return const(n.value)
-        if isinstance(n, Var):
-            return var(n.name)
-        if isinstance(n, Neg):
-            return neg(read(n.operand))
-        if isinstance(n, Add):
-            return add(read(n.left), read(n.right))
-        if isinstance(n, Sub):
-            return sub(read(n.left), read(n.right))
-        if isinstance(n, Mul):
-            return mul(read(n.left), read(n.right))
-        if isinstance(n, Pow):
-            return power(read(n.base), n.exponent)
-        raise TypeError(f"unsupported expression node {type(n).__name__}")
-
-    return read(node)
+            readings.append(const(n.value))
+        elif isinstance(n, Var):
+            readings.append(var(n.name))
+        elif isinstance(n, (Add, Sub, Mul)):
+            if children_read:
+                right = readings.pop()
+                readings.append(binary[type(n)](readings.pop(), right))
+            else:
+                stack += [(n, True), (n.right, False), (n.left, False)]
+        elif isinstance(n, Neg):
+            if children_read:
+                readings.append(neg(readings.pop()))
+            else:
+                stack += [(n, True), (n.operand, False)]
+        elif isinstance(n, Pow):
+            if children_read:
+                readings.append(power(readings.pop(), n.exponent))
+            else:
+                stack += [(n, True), (n.base, False)]
+        else:
+            raise TypeError(f"unsupported expression node {type(n).__name__}")
+    return readings.pop()
 
 
 def evaluate_numeric(node: Node, q, p):

@@ -159,6 +159,38 @@ def _matrix_powers(mat: np.ndarray, max_power: int) -> list[np.ndarray]:
     return powers
 
 
+def _factor_words(a: TensorPoly, bq: Backend, bp: Backend):
+    """Check that ``a`` can be realized on ``bq``, ``bp``; return its hbar and
+    ``word(k, m, n)``, the matrix ``Q^m P^n`` on factor k (0: q, 1: p).
+
+    Words are read from power tables of each factor's Q and P, built once up
+    to the largest exponent ``a`` uses.
+    """
+    if a.has_lambda:
+        raise ValueError(
+            "element still depends on the symbolic interpolation weight;"
+            " call substitute_lambda first or pass lam="
+        )
+    if bq.hbar != bp.hbar:
+        raise ValueError(
+            f"backends disagree on hbar ({bq.hbar} vs {bp.hbar})"
+        )
+    keys = a.terms.keys()
+    tables = [
+        (
+            _matrix_powers(np.asarray(b.qmat), max((k[2 * f] for k in keys), default=0)),
+            _matrix_powers(np.asarray(b.pmat), max((k[2 * f + 1] for k in keys), default=0)),
+        )
+        for f, b in enumerate((bq, bp))
+    ]
+
+    def word(k: int, m: int, n: int) -> np.ndarray:
+        qpow, ppow = tables[k]
+        return qpow[m] @ ppow[n]
+
+    return bq.hbar, word
+
+
 def realize(
     a: TensorPoly,
     bq: Backend,
@@ -173,37 +205,36 @@ def realize(
     """
     if lam is not None:
         a = a.substitute_lambda(Fraction(lam))
-    if a.has_lambda:
-        raise ValueError(
-            "element still depends on the symbolic interpolation weight;"
-            " call substitute_lambda first or pass lam="
-        )
-    if bq.hbar != bp.hbar:
-        raise ValueError(
-            f"backends disagree on hbar ({bq.hbar} vs {bp.hbar})"
-        )
-    hbar = bq.hbar
-    terms = a.terms
-    max_q = [0, 0]
-    max_p = [0, 0]
-    for mq, nq, mp, np_, _, _ in terms:
-        max_q[0] = max(max_q[0], mq)
-        max_q[1] = max(max_q[1], nq)
-        max_p[0] = max(max_p[0], mp)
-        max_p[1] = max(max_p[1], np_)
-    qpow_q = _matrix_powers(np.asarray(bq.qmat), max_q[0])
-    ppow_q = _matrix_powers(np.asarray(bq.pmat), max_q[1])
-    qpow_p = _matrix_powers(np.asarray(bp.qmat), max_p[0])
-    ppow_p = _matrix_powers(np.asarray(bp.pmat), max_p[1])
+    hbar, word = _factor_words(a, bq, bp)
     dim = bq.dim * bp.dim * 2
     data = np.zeros((dim, dim), dtype=complex)
-    for (mq, nq, mp, np_, i, j), coeff in sorted(terms.items()):
+    for (mq, nq, mp, np_, i, j), coeff in sorted(a.terms.items()):
         c = coeff.evaluate(hbar)
-        factor_q = qpow_q[mq] @ ppow_q[nq]
-        factor_p = qpow_p[mp] @ ppow_p[np_]
         # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
-        data[i::2, j::2] += c * np.kron(factor_q, factor_p)
+        data[i::2, j::2] += c * np.kron(word(0, mq, nq), word(1, mp, np_))
     return TensorMatrix(bq.dim, bp.dim, _freeze(data))
+
+
+def qm_factors(a: TensorPoly, bq: Backend, bp: Backend) -> tuple[np.ndarray, np.ndarray]:
+    """The factor matrices ``(A, B)`` of ``a = A (x) 1 (x) E_qq + 1 (x) B (x) E_pp``.
+
+    Every polynomial in the quantum generators ``q_qm``, ``p_qm`` has this
+    form: it keeps each r-sector and acts there on one factor only.  A is
+    N_q x N_q and B is N_p x N_p, with the entries ``realize`` gives the
+    matching blocks.  Raises ValueError on a term that couples the two
+    r-sectors or acts on the other factor of its sector.
+    """
+    hbar, word = _factor_words(a, bq, bp)
+    factors = [np.zeros((b.dim, b.dim), dtype=complex) for b in (bq, bp)]
+    for key, coeff in sorted(a.terms.items()):
+        mq, nq, mp, np_, i, j = key
+        if i != j:
+            raise ValueError(f"term {key} couples the two r-sectors")
+        own, other = ((mq, nq), (mp, np_)) if i == 0 else ((mp, np_), (mq, nq))
+        if other != (0, 0):
+            raise ValueError(f"term {key} acts on the other factor of its r-sector")
+        factors[i] += coeff.evaluate(hbar) * word(i, *own)
+    return factors[0], factors[1]
 
 
 def _bulk_mask(bq: Backend, bp: Backend) -> np.ndarray:

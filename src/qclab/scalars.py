@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 RationalLike = Rational | int
@@ -106,10 +106,6 @@ class ScalarCoeff:
     @staticmethod
     def from_rational(re: RationalLike, im: RationalLike = 0) -> "ScalarCoeff":
         return ScalarCoeff({(0, 0): ComplexRational.of(re, im)})
-
-    @staticmethod
-    def from_complex_rational(c: ComplexRational) -> "ScalarCoeff":
-        return ScalarCoeff({(0, 0): c})
 
     @staticmethod
     def i() -> "ScalarCoeff":
@@ -223,10 +219,3 @@ class ScalarCoeff:
 
 _ZERO = ScalarCoeff({})
 _ONE = ScalarCoeff({(0, 0): CR_ONE})
-
-
-def scalar_sum(values: Iterable[ScalarCoeff]) -> ScalarCoeff:
-    total = ScalarCoeff.zero()
-    for v in values:
-        total = total + v
-    return total

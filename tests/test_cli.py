@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,7 @@ def test_default_config_is_valid():
 
 def test_config_round_trips_through_dict():
     cfg = RunConfig()
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    assert RunConfig.from_dict(asdict(cfg)) == cfg
 
 
 def test_config_round_trips_through_json():
@@ -50,7 +52,7 @@ def test_config_round_trips_through_json():
         state=StateSpec(kind="cm-point", k=3, l=1),
         fault_injection=0.5,
     )
-    text = json.dumps(cfg.to_dict())
+    text = json.dumps(asdict(cfg))
     again = RunConfig.from_dict(json.loads(text))
     assert again == cfg
 
@@ -537,3 +539,57 @@ def test_sweep_output_is_deterministic(tmp_path, capsys):
     b1 = (tmp_path / "s1" / "sweep.csv").read_bytes()
     b2 = (tmp_path / "s2" / "sweep.csv").read_bytes()
     assert b1 == b2
+
+
+def test_main_long_sum_writes_its_kernels(tmp_path, capsys):
+    expr = "+".join(["Q"] * 1500)
+    code = main(["kernels", "--h", "1.0", "--expr", expr, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    meta = json.loads((tmp_path / "kernels_meta.json").read_text())
+    assert meta["observable"] == expr
+    single = tmp_path / "single"
+    assert main(["kernels", "--h", "1.0", "--expr", "Q", "--out", str(single)]) == 0
+    capsys.readouterr()
+    # 1500 Q = 1500 * Q exactly, entry by entry
+    for name in ("kernel_qq.csv", "kernel_pp.csv"):
+        long_rows = (tmp_path / name).read_text().splitlines()[1:]
+        single_rows = (single / name).read_text().splitlines()[1:]
+        for a, b in zip(long_rows, single_rows):
+            assert float(a.split(",")[2]) == 1500 * float(b.split(",")[2])
+
+
+def test_main_deep_nesting_is_usage_error(tmp_path, capsys):
+    expr = "(" * 1200 + "Q" + ")" * 1200
+    code = main(["kernels", "--h", "1.0", "--expr", expr, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: observable does not parse: expression nests deeper than")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "h, dynamics, artifacts",
+    [
+        (None, {"mode": "compare", "n_grid": 32, "n_fock": 16, "dt": 5e-3},
+         ("comparison.csv", "evolve_meta.json")),
+        ("1.0", {"mode": "auto", "dt": 1e-2, "steps": 300, "record_stride": 7},
+         ("trajectory.csv", "evolve_meta.json")),
+    ],
+    ids=["compare", "auto-quantum"],
+)
+def test_evolve_is_byte_deterministic(tmp_path, capsys, h, dynamics, artifacts):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dynamics": dynamics}))
+    runs = []
+    for name in ("e1", "e2"):
+        argv = ["evolve", "--config", str(path), "--out", str(tmp_path / name)]
+        with warnings.catch_warnings():
+            # the small compare grid reports its boundary ring; not under test
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv + (["--h", h] if h else [])) == 0
+        runs.append([(tmp_path / name / a).read_bytes() for a in artifacts])
+    capsys.readouterr()
+    assert runs[0] == runs[1]
+    assert all(runs[0])

@@ -6,7 +6,7 @@ import pytest
 
 from qclab import dynamics as dyn
 from qclab.expr import parse_expr
-from qclab.matrep import build_backend, realize
+from qclab.matrep import build_backend, qm_factors, realize
 from qclab.ncpoly import FactorPoly, ROperator, TensorPoly, eval_ncpoly, make_generators
 from qclab.states import (
     HybridDensity,
@@ -53,9 +53,31 @@ def test_spectral_derivative_kills_nyquist():
     np.testing.assert_allclose(d, 0.0, atol=1e-13)
 
 
+def poisson_bracket(hgrid, rho, dh_dq=None, dh_dp=None):
+    """Bracket {h, rho} on the periodic grid, as the stepper applies it.
+
+    By default both partials of h are spectral, like the density's.
+    """
+    hgrid = np.asarray(hgrid, dtype=float)
+    if hgrid.shape != rho.grid.shape:
+        raise ValueError(f"grid mismatch: h {hgrid.shape} vs rho {rho.grid.shape}")
+    d_q, d_p_t = dyn._differentiation_matrices(rho)
+    if dh_dq is None:
+        dh_dq = d_q @ hgrid
+    if dh_dp is None:
+        dh_dp = hgrid @ d_p_t
+    return dyn._bracket(
+        np.broadcast_to(dh_dq, hgrid.shape),
+        np.broadcast_to(dh_dp, hgrid.shape),
+        rho.grid,
+        d_q,
+        d_p_t,
+    )
+
+
 def test_poisson_bracket_constant_h_vanishes():
     rho = centered_gaussian(n=32)
-    out = dyn.poisson_bracket(np.ones_like(rho.grid), rho)
+    out = poisson_bracket(np.ones_like(rho.grid), rho)
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
@@ -64,7 +86,7 @@ def test_poisson_bracket_h_equals_q():
     n, length = 64, 16.0
     rho = centered_gaussian(n=n, length=length, q0=0.0, p0=0.0)
     qm, pm = np.meshgrid(rho.q_values, rho.p_values, indexing="ij")
-    out = dyn.poisson_bracket(qm, rho, dh_dq=np.ones_like(qm), dh_dp=np.zeros_like(qm))
+    out = poisson_bracket(qm, rho, dh_dq=np.ones_like(qm), dh_dp=np.zeros_like(qm))
     sigma2 = 0.5
     analytic = -rho.grid * (-pm / sigma2)
     np.testing.assert_allclose(out, -analytic, atol=1e-8)
@@ -92,7 +114,7 @@ def test_matrix_bracket_matches_fft_bracket(shape):
     rho = dyn.PhaseSpaceDensity(grid, dq, dp, (length_q, length_p))
     dh_dq, dh_dp = rng.normal(size=shape), rng.normal(size=shape)
     expected = fft_bracket(dh_dq, dh_dp, rho)
-    out = dyn.poisson_bracket(np.zeros(shape), rho, dh_dq=dh_dq, dh_dp=dh_dp)
+    out = poisson_bracket(np.zeros(shape), rho, dh_dq=dh_dq, dh_dp=dh_dp)
     assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
     # default partials of h are the same spectral derivative
     hgrid = rng.normal(size=shape)
@@ -101,14 +123,14 @@ def test_matrix_bracket_matches_fft_bracket(shape):
         dyn.spectral_derivative(hgrid, rho.dp, axis=1),
         rho,
     )
-    out = dyn.poisson_bracket(hgrid, rho)
+    out = poisson_bracket(hgrid, rho)
     assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_poisson_bracket_shape_mismatch():
     rho = centered_gaussian(n=16)
     with pytest.raises(ValueError):
-        dyn.poisson_bracket(np.ones((8, 8)), rho)
+        poisson_bracket(np.ones((8, 8)), rho)
 
 
 def test_liouville_oscillator_rotates_means():
@@ -168,23 +190,20 @@ def test_liouville_warns_when_flow_reaches_boundary():
 def quantum_setup(n_fock=24, q0=1.0, p0=0.0, expr=OSC):
     hbar = 1.0
     b = build_backend("fock", n_fock, hbar)
-    node = parse_expr(expr)
-    h_mat = realize(eval_ncpoly(node, GENS.q_qm, GENS.p_qm), b, b)
+    h_poly = eval_ncpoly(parse_expr(expr), GENS.q_qm, GENS.p_qm)
     alpha = (q0 + 1j * p0) / np.sqrt(2 * hbar)
     state = lift_qm_eigenstate(
         coherent_state(n_fock, alpha), WeightSpec.default(n_fock, n_fock)
     )
-    q_mat = realize(GENS.q_qm, b, b)
-    p_mat = realize(GENS.p_qm, b, b)
-    return state, h_mat, q_mat, p_mat
+    return state, h_poly, b
 
 
 def test_von_neumann_oscillator_period_return():
-    state, h_mat, q_mat, p_mat = quantum_setup()
+    state, h_poly, b = quantum_setup()
     period = 2.0 * np.pi
     steps = 628
     traj = dyn.von_neumann_evolve(
-        state, h_mat, period / steps, steps, 1.0, q_mat, p_mat, record_stride=157
+        state, h_poly, b, b, period / steps, steps, record_stride=157
     )
     assert traj.mean_q[0] == pytest.approx(1.0, abs=1e-10)
     assert traj.mean_q[-1] == pytest.approx(1.0, abs=1e-6)
@@ -193,52 +212,38 @@ def test_von_neumann_oscillator_period_return():
 
 
 def test_von_neumann_energy_is_constant():
-    state, h_mat, q_mat, p_mat = quantum_setup()
-    traj = dyn.von_neumann_evolve(
-        state, h_mat, 1e-2, 100, 1.0, q_mat, p_mat, record_stride=25
-    )
+    state, h_poly, b = quantum_setup()
+    traj = dyn.von_neumann_evolve(state, h_poly, b, b, 1e-2, 100, record_stride=25)
     es = traj.mean_energy
     assert max(abs(e - es[0]) for e in es) < 1e-10
 
 
 def test_von_neumann_constant_hamiltonian_freezes_means():
-    from qclab.ncpoly import TensorPoly
-
     b = build_backend("fock", 8, 1.0)
-    ident = realize(TensorPoly.identity(), b, b)
     state = lift_qm_eigenstate(
         coherent_state(8, 0.4), WeightSpec.default(8, 8)
     )
-    q_mat = realize(GENS.q_qm, b, b)
-    p_mat = realize(GENS.p_qm, b, b)
     traj = dyn.von_neumann_evolve(
-        state, ident, 1e-2, 50, 1.0, q_mat, p_mat, record_stride=10
+        state, TensorPoly.identity(), b, b, 1e-2, 50, record_stride=10
     )
     assert max(traj.mean_q) - min(traj.mean_q) < 1e-12
     assert max(traj.mean_p) - min(traj.mean_p) < 1e-12
 
 
 def test_von_neumann_evolves_densities_too():
-    state, h_mat, q_mat, p_mat = quantum_setup(n_fock=16)
+    state, h_poly, b = quantum_setup(n_fock=16)
     rho = state.outer()
-    traj_v = dyn.von_neumann_evolve(
-        state, h_mat, 1e-2, 60, 1.0, q_mat, p_mat, record_stride=20
-    )
-    traj_d = dyn.von_neumann_evolve(
-        rho, h_mat, 1e-2, 60, 1.0, q_mat, p_mat, record_stride=20
-    )
+    traj_v = dyn.von_neumann_evolve(state, h_poly, b, b, 1e-2, 60, record_stride=20)
+    traj_d = dyn.von_neumann_evolve(rho, h_poly, b, b, 1e-2, 60, record_stride=20)
     np.testing.assert_allclose(traj_v.mean_q, traj_d.mean_q, atol=1e-11)
     np.testing.assert_allclose(traj_v.mean_p, traj_d.mean_p, atol=1e-11)
 
 
 def test_von_neumann_rejects_non_hermitian_hamiltonian():
     b = build_backend("fock", 6, 1.0)
-    bad = realize(GENS.q_qm * GENS.p_qm, b, b)
     state = lift_qm_eigenstate(coherent_state(6, 0.1), WeightSpec.default(6, 6))
-    q_mat = realize(GENS.q_qm, b, b)
-    p_mat = realize(GENS.p_qm, b, b)
-    with pytest.raises(ValueError):
-        dyn.von_neumann_evolve(state, bad, 1e-2, 5, 1.0, q_mat, p_mat)
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        dyn.von_neumann_evolve(state, GENS.q_qm * GENS.p_qm, b, b, 1e-2, 5)
 
 
 def dense_stepping_oracle(state0, h_mat, dt, steps, hbar, q_mat, p_mat, record_stride):
@@ -281,56 +286,85 @@ def dense_stepping_oracle(state0, h_mat, dt, steps, hbar, q_mat, p_mat, record_s
     return traj
 
 
-def random_states(n, seed):
-    dim = 2 * n * n
+def random_states(n_q, n_p, seed):
+    """A random vector and a rank-3 density, with cross-sector coherences."""
+    dim = 2 * n_q * n_p
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     weights = np.array([0.5, 0.3, 0.2])
     rho = np.einsum("k,ki,kj->ij", weights, vecs, vecs.conj())
-    return HybridVector(vecs[0], n, n), HybridDensity(rho)
+    return HybridVector(vecs[0], n_q, n_p), HybridDensity(rho)
 
 
 R_COUPLING = TensorPoly.from_parts(
     FactorPoly.one(), FactorPoly.one(), ROperator.unit(0, 1) + ROperator.unit(1, 0)
 )
+QUARTIC = eval_ncpoly(parse_expr(OSC + " + (1/10)*Q^4"), GENS.q_qm, GENS.p_qm)
 
 
 @pytest.mark.parametrize(
     "coupled", [False, True], ids=["r-block-diagonal", "r-coupled"]
 )
 def test_von_neumann_matches_dense_stepping_oracle(coupled):
-    n = 6
-    b = build_backend("fock", n, 1.0)
-    h_poly = eval_ncpoly(parse_expr(OSC + " + (1/10)*Q^4"), GENS.q_qm, GENS.p_qm)
     if coupled:
-        h_poly = h_poly + R_COUPLING * TensorPoly.from_parts(
+        # no polynomial in q_qm, p_qm couples the r-sectors; such an H is refused
+        b = build_backend("fock", 6, 1.0)
+        h_poly = QUARTIC + R_COUPLING * TensorPoly.from_parts(
             FactorPoly.monomial(1, 0), FactorPoly.one(), ROperator.identity()
         )
-    h_mat = realize(h_poly, b, b)
-    off_diagonal = np.abs(np.asarray(h_mat.data)[0::2, 1::2]).max()
-    assert (off_diagonal > 0) == coupled
-    q_mat = realize(GENS.q_qm, b, b)
-    p_mat = realize(GENS.p_qm, b, b)
-    for state in random_states(n, seed=7):
-        args = (state, h_mat, 1e-2, 333, 1.0, q_mat, p_mat)
-        traj = dyn.von_neumann_evolve(*args, record_stride=40)
-        oracle = dense_stepping_oracle(*args, record_stride=40)
-        assert traj.times == oracle.times
-        for name in ("mean_q", "mean_p", "mean_energy", "norm_or_trace"):
-            np.testing.assert_allclose(
-                getattr(traj, name), getattr(oracle, name), rtol=0, atol=1e-12
+        assert np.abs(np.asarray(realize(h_poly, b, b).data)[0::2, 1::2]).max() > 0
+        state, _ = random_states(6, 6, seed=7)
+        with pytest.raises(ValueError, match="couples the two r-sectors"):
+            dyn.von_neumann_evolve(state, h_poly, b, b, 1e-2, 333, record_stride=40)
+        return
+    pairs = [
+        (build_backend("fock", 6, 1.0), build_backend("fock", 6, 1.0)),
+        (
+            build_backend("grid-position", 9, 0.7, 6.0),
+            build_backend("grid-momentum", 7, 0.7, 5.0),
+        ),
+    ]
+    for bq, bp in pairs:
+        h_mat = realize(QUARTIC, bq, bp)
+        q_mat = realize(GENS.q_qm, bq, bp)
+        p_mat = realize(GENS.p_qm, bq, bp)
+        for state in random_states(bq.dim, bp.dim, seed=7):
+            traj = dyn.von_neumann_evolve(
+                state, QUARTIC, bq, bp, 1e-2, 333, record_stride=40
             )
+            oracle = dense_stepping_oracle(
+                state, h_mat, 1e-2, 333, bq.hbar, q_mat, p_mat, record_stride=40
+            )
+            assert traj.times == oracle.times
+            for name in ("mean_q", "mean_p", "mean_energy", "norm_or_trace"):
+                np.testing.assert_allclose(
+                    getattr(traj, name), getattr(oracle, name), rtol=0, atol=1e-12
+                )
+
+
+def test_qm_factors_rebuild_the_dense_realization():
+    """A (x) 1 (x) E_qq + 1 (x) B (x) E_pp is realize's matrix, entry for entry."""
+    bq = build_backend("grid-position", 5, 0.7, 6.0)
+    bp = build_backend("fock", 4, 0.7)
+    a, b = qm_factors(QUARTIC, bq, bp)
+    dense = np.asarray(realize(QUARTIC, bq, bp).data)
+    rebuilt = np.kron(np.kron(a, np.eye(4)), np.diag([1, 0])) + np.kron(
+        np.kron(np.eye(5), b), np.diag([0, 1])
+    )
+    assert np.array_equal(dense, rebuilt)
+    with pytest.raises(ValueError, match="acts on the other factor"):
+        qm_factors(TensorPoly.from_parts(
+            FactorPoly.monomial(1, 0), FactorPoly.monomial(1, 0), ROperator.r_q()
+        ), bq, bp)
 
 
 def test_record_times_keep_the_trailing_partial_stride():
     dt, steps, stride = 1e-2, 333, 40
     expected = [s * dt for s in (0, 40, 80, 120, 160, 200, 240, 280, 320, 333)]
-    state, h_mat, q_mat, p_mat = quantum_setup(n_fock=6)
+    state, h_poly, b = quantum_setup(n_fock=6)
     for st in (state, state.outer()):
-        traj = dyn.von_neumann_evolve(
-            st, h_mat, dt, steps, 1.0, q_mat, p_mat, record_stride=stride
-        )
+        traj = dyn.von_neumann_evolve(st, h_poly, b, b, dt, steps, record_stride=stride)
         assert traj.times == expected
     traj = dyn.liouville_evolve(
         centered_gaussian(), OSC, dt, steps, record_stride=stride
@@ -338,11 +372,24 @@ def test_record_times_keep_the_trailing_partial_stride():
     assert traj.times == expected
 
 
-def test_trajectory_csv_layout(tmp_path):
-    state, h_mat, q_mat, p_mat = quantum_setup(n_fock=8, q0=0.2)
+def test_coherent_state_beyond_any_dense_size():
+    """Fock N=256: the product space has dimension 131072, a 256 GiB dense H."""
+    q0, p0 = 1.0, 0.5
+    state, h_poly, b = quantum_setup(n_fock=256, q0=q0, p0=p0)
+    steps = 628
     traj = dyn.von_neumann_evolve(
-        state, h_mat, 1e-2, 10, 1.0, q_mat, p_mat, record_stride=5
+        state, h_poly, b, b, 2.0 * np.pi / steps, steps, record_stride=20
     )
+    t = np.array(traj.times)
+    assert t[-1] == pytest.approx(2.0 * np.pi, abs=1e-12)
+    np.testing.assert_allclose(traj.mean_q, q0 * np.cos(t) + p0 * np.sin(t), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(traj.mean_p, p0 * np.cos(t) - q0 * np.sin(t), rtol=0, atol=1e-10)
+    assert traj.drift() < 1e-10
+
+
+def test_trajectory_csv_layout(tmp_path):
+    state, h_poly, b = quantum_setup(n_fock=8, q0=0.2)
+    traj = dyn.von_neumann_evolve(state, h_poly, b, b, 1e-2, 10, record_stride=5)
     path = str(tmp_path / "traj.csv")
     traj.to_csv(path)
     lines = open(path, encoding="utf-8").read().splitlines()
@@ -369,10 +416,8 @@ def test_quartic_term_separates_the_engines():
     rho0 = centered_gaussian()
     with pytest.warns(RuntimeWarning, match="boundary ring"):
         tc = dyn.liouville_evolve(rho0, expr, 1e-3, 2000, record_stride=500)
-    state, h_mat, q_mat, p_mat = quantum_setup(expr=expr)
-    tq = dyn.von_neumann_evolve(
-        state, h_mat, 1e-3, 2000, 1.0, q_mat, p_mat, record_stride=500
-    )
+    state, h_poly, b = quantum_setup(expr=expr)
+    tq = dyn.von_neumann_evolve(state, h_poly, b, b, 1e-3, 2000, record_stride=500)
     gap = max(abs(a - b) for a, b in zip(tc.mean_q, tq.mean_q))
     assert gap > 5e-3
     assert gap < 0.5  # still the same physical problem, not runaway

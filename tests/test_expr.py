@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qclab.expr import (
+    MAX_DEPTH,
     Add,
     Const,
     ExprError,
     Mul,
+    Neg,
     Pow,
+    Sub,
     Var,
     differentiate,
     evaluate_numeric,
+    fold,
     format_expr,
     parse_expr,
     random_expr,
@@ -234,3 +238,56 @@ def test_whitespace_is_insensitive():
     a = parse_expr(" ( 1/2 ) * ( P ^ 2+Q^2 ) ")
     b = parse_expr("(1/2)*(P^2+Q^2)")
     assert a == b
+
+
+def test_fold_calls_left_before_right_in_post_order():
+    calls = []
+
+    def note(label):
+        def call(*args):
+            calls.append((label, *args))
+            return label
+        return call
+
+    node = Sub(Mul(Neg(Var("Q")), Const(Fraction(2))), Pow(Add(Var("P"), Var("Q")), 3))
+    fold(
+        node, note("const"), note("var"), neg=note("neg"), add=note("add"),
+        sub=note("sub"), mul=note("mul"), power=note("power"),
+    )
+    assert calls == [
+        ("var", "Q"),
+        ("neg", "var"),
+        ("const", Fraction(2)),
+        ("mul", "neg", "const"),
+        ("var", "P"),
+        ("var", "Q"),
+        ("add", "var", "var"),
+        ("power", "add", 3),
+        ("sub", "mul", "power"),
+    ]
+
+
+def test_fold_reads_trees_deeper_than_the_recursion_limit():
+    long_sum = parse_expr("+".join(["Q"] * 1500))
+    assert evaluate_numeric(long_sum, 2.0, 0.0) == 3000.0
+    assert format_expr(long_sum) == " + ".join(["Q"] * 1500)
+    chain = Var("P")
+    for _ in range(5000):
+        chain = Neg(chain)
+    assert evaluate_numeric(chain, 0.0, 3.0) == 3.0
+    assert differentiate(long_sum, "Q") is not None
+
+
+@pytest.mark.parametrize(
+    "nested",
+    [
+        lambda n: "(" * n + "Q" + ")" * n,
+        lambda n: "-" * n + "Q",
+        lambda n: "-" * (n - 1) + "Q^2",
+    ],
+    ids=["parentheses", "unary-minus", "power"],
+)
+def test_parse_depth_is_bounded(nested):
+    assert abs(evaluate_numeric(parse_expr(nested(MAX_DEPTH)), 1.0, 0.0)) == 1.0
+    with pytest.raises(ExprError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse_expr(nested(MAX_DEPTH + 1))

@@ -42,6 +42,11 @@ from qclab.scalars import CR_ONE, ComplexRational, ScalarCoeff
 I_HBAR = ScalarCoeff.i() * ScalarCoeff.hbar()
 
 
+def from_complex_rational(c: ComplexRational) -> ScalarCoeff:
+    """The constant coefficient ``c``."""
+    return ScalarCoeff({(0, 0): c})
+
+
 def reorder_oracle(m: int, n: int) -> FactorPoly:
     """Closed form for the normal ordering of P^m Q^n."""
     total = FactorPoly.zero()
@@ -49,7 +54,7 @@ def reorder_oracle(m: int, n: int) -> FactorPoly:
         z = (-ComplexRational.of(0, 1)) ** k * ComplexRational.of(
             factorial(k) * comb(m, k) * comb(n, k)
         )
-        coeff = ScalarCoeff.hbar(k) * ScalarCoeff.from_complex_rational(z)
+        coeff = ScalarCoeff.hbar(k) * from_complex_rational(z)
         total = total + FactorPoly.monomial(n - k, m - k, coeff)
     return total
 
@@ -61,8 +66,8 @@ def test_single_swap():
 
 def test_frozen_word_ppqq():
     out = factor_normalize([P, P, Q, Q])
-    minus_4i = ScalarCoeff.from_complex_rational(ComplexRational.of(0, -4))
-    minus_2 = ScalarCoeff.from_complex_rational(ComplexRational.of(-2))
+    minus_4i = from_complex_rational(ComplexRational.of(0, -4))
+    minus_2 = from_complex_rational(ComplexRational.of(-2))
     assert out.terms == {
         (2, 2): ScalarCoeff.one(),
         (1, 1): ScalarCoeff.hbar() * minus_4i,
@@ -400,7 +405,7 @@ def test_cm_evaluation_matches_commutative_expansion():
                 FactorPoly.monomial(m, 0),
                 FactorPoly.monomial(0, n),
                 ROperator.identity(),
-            ).scale(ScalarCoeff.from_complex_rational(z))
+            ).scale(from_complex_rational(z))
         assert canonical_eq(out, expected)
 
 

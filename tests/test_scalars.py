@@ -11,13 +11,24 @@ from qclab.scalars import (
     CR_ZERO,
     ComplexRational,
     ScalarCoeff,
-    scalar_sum,
 )
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
 gaussians = st.builds(ComplexRational.of, rationals, rationals)
+
+
+def from_complex_rational(c: ComplexRational) -> ScalarCoeff:
+    """The constant coefficient ``c``."""
+    return ScalarCoeff({(0, 0): c})
+
+
+def scalar_sum(values) -> ScalarCoeff:
+    total = ScalarCoeff.zero()
+    for v in values:
+        total = total + v
+    return total
 
 
 def test_complex_rational_construction():
@@ -98,7 +109,7 @@ def test_scalar_coeff_arithmetic():
 
 def test_scalar_coeff_i_squares():
     i = ScalarCoeff.i()
-    minus_one = ScalarCoeff.from_complex_rational(-CR_ONE)
+    minus_one = from_complex_rational(-CR_ONE)
     assert i * i == minus_one
 
 
@@ -116,7 +127,7 @@ def test_scalar_coeff_substitute_leaves_hbar_alone():
 
 
 def test_scalar_coeff_evaluate():
-    s = ScalarCoeff.hbar(2) * ScalarCoeff.from_complex_rational(CR_I)
+    s = ScalarCoeff.hbar(2) * from_complex_rational(CR_I)
     assert s.evaluate(2.0) == 4j
 
 
