@@ -42,6 +42,7 @@ from .matrep import (
     realize,
 )
 from .ncpoly import (
+    eval_factor_poly,
     eval_ncpoly,
     lambda_coefficients,
     make_generators,
@@ -597,8 +598,14 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
                 f"no dynamics defined at intermediate h (h={h!r},"
                 f" h_o={config.h_o!r}); only the endpoints evolve"
             )
-    os.makedirs(out_dir, exist_ok=True)
     if ds.mode == "compare":
+        if eval_factor_poly(parse_expr(config.observable)) != eval_factor_poly(
+            parse_expr(dyn.OSCILLATOR_EXPR)
+        ):
+            raise ConfigError(
+                f"compare mode evolves the oscillator {dyn.OSCILLATOR_EXPR} only,"
+                f" got observable {config.observable!r}"
+            )
         params = dyn.OscillatorParams(
             q0=ds.q0,
             p0=ds.p0,
@@ -615,6 +622,7 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
             table = dyn.oscillator_compare(params)
         except dyn.LiouvilleUnstable as exc:
             raise ConfigError(str(exc)) from exc
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "comparison.csv")
         table.to_csv(path)
         _write_json(
@@ -654,7 +662,7 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
         except dyn.LiouvilleUnstable as exc:
             raise ConfigError(str(exc)) from exc
         label = "liouville"
-    elif h == config.h_o:
+    else:  # h == h_o, the only other endpoint the opening check lets through
         bq, bp = build_backends(config)
         state = build_state(config, bq, bp)
         gens = make_generators()
@@ -666,11 +674,7 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         label = "von-neumann"
-    else:
-        raise ConfigError(
-            f"no dynamics defined at intermediate h (h={h!r}, h_o={config.h_o!r});"
-            " only the endpoints evolve"
-        )
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "trajectory.csv")
     traj.to_csv(path)
     _write_json(

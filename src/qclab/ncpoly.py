@@ -8,7 +8,9 @@ spanned by the projector pair ``R_q = diag(1, 0)`` and ``R_p = diag(0, 1)``.
 Every element is kept in a canonical normal form:
 
 * per factor, monomials are normally ordered (all Q powers to the left of
-  all P powers), reached only through the rewrite ``P Q -> Q P - i*hbar``;
+  all P powers); products reorder ``P^b Q^c`` by its closed form in the swap
+  constant ``s`` of ``P Q = Q P + s`` (``s = -i*hbar``), and the word
+  rewriter ``P Q -> Q P + s`` stays as the independent confluence oracle;
 * the third factor is a dense 2x2 matrix of scalar coefficients;
 * term maps are sparse, with zero coefficients pruned.
 
@@ -43,15 +45,15 @@ R_INDEX = {"q": 0, "p": 1}
 
 _MINUS_I_HBAR = ScalarCoeff({(1, 0): ComplexRational.of(0, -1)})
 
-# Swap term appended when P Q is rewritten to Q P + (term).  Mutable only
-# through the fault-injection hook below; everything else treats it as a
-# constant.
+# Swap constant s of P Q = Q P + s, read by ordered_product and by the word
+# rewriter alike.  Mutable only through the fault-injection hook below;
+# everything else treats it as a constant.
 _swap_term = _MINUS_I_HBAR
 
 
 @contextmanager
 def rewrite_fault(term: ScalarCoeff) -> Iterator[None]:
-    """Test hook: replace the rewrite constant, corrupting the algebra.
+    """Test hook: replace the swap constant, corrupting the algebra.
 
     Intended for fault-injection checks only (a corrupted engine must make
     the identity suite fail).  Not thread safe.
@@ -63,9 +65,6 @@ def rewrite_fault(term: ScalarCoeff) -> Iterator[None]:
         yield
     finally:
         _swap_term = saved
-
-
-_word_cache: dict[tuple, "FactorPoly"] = {}
 
 
 class FactorPoly:
@@ -165,6 +164,7 @@ def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorP
     ``strategy`` picks which misordered adjacent pair (a P immediately left
     of a Q) gets rewritten first; the rewrite system is confluent, so every
     strategy ends at the same polynomial.  The empty word normalizes to 1.
+    This rewriter is the independent oracle for :func:`ordered_product`.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -172,16 +172,6 @@ def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorP
     for ch in letters:
         if ch not in (Q, P):
             raise ValueError(f"word letters must be {Q!r} or {P!r}, got {ch!r}")
-    cache_key = (letters, strategy, _swap_term)
-    hit = _word_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    result = _normalize_word(letters, strategy)
-    _word_cache[cache_key] = result
-    return result
-
-
-def _normalize_word(letters: tuple[str, ...], strategy: str) -> FactorPoly:
     # Worklist of words with accumulated coefficients; each rewrite of
     # P Q at position i branches into the swapped word and the contracted
     # word carrying the swap term.
@@ -215,8 +205,25 @@ def _misordered_position(word: tuple[str, ...], strategy: str) -> int | None:
 
 
 def ordered_product(m1: int, n1: int, m2: int, n2: int) -> FactorPoly:
-    """Normal form of the concatenated monomial word Q^m1 P^n1 Q^m2 P^n2."""
-    return factor_normalize((Q,) * m1 + (P,) * n1 + (Q,) * m2 + (P,) * n2)
+    """Normal form of the concatenated monomial word Q^m1 P^n1 Q^m2 P^n2.
+
+    With ``P Q = Q P + s`` the middle pair reorders in closed form,
+    ``P^b Q^c = sum_k k! C(b, k) C(c, k) s^k Q^(c-k) P^(b-k)`` (Wilcox 1967).
+    """
+    # s itself serves k = 1 and a unit weight is not applied, so the common
+    # single contraction P Q costs no scalar arithmetic
+    terms = {(m1 + m2, n1 + n2): ScalarCoeff.one()}
+    power, weight = _swap_term, 1
+    for k in range(1, min(n1, m2) + 1):
+        if k > 1:
+            power = power * _swap_term
+        # weight = k! C(n1, k) C(m2, k), an integer at every step
+        weight = weight * (n1 - k + 1) * (m2 - k + 1) // k
+        terms[(m1 + m2 - k, n1 + n2 - k)] = power if weight == 1 else ScalarCoeff(
+            {key: ComplexRational(c.re * weight, c.im * weight)
+             for key, c in power.terms.items()}
+        )
+    return FactorPoly(terms)
 
 
 class ROperator:

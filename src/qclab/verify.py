@@ -16,6 +16,7 @@ operator).  Informational results never affect the aggregate outcome.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -43,6 +44,7 @@ from .ncpoly import (
     factor_normalize,
     make_generators,
     qm_embedding,
+    rewrite_fault,
     substitute_lambda,
     tp_adjoint,
     tp_commutator,
@@ -633,22 +635,15 @@ def run_verify(
 ) -> VerifyReport:
     """Execute the check suite (or a named subset) and collect a report.
 
-    ``fault_injection`` deliberately corrupts the normal-ordering rewrite by
-    the given factor for the duration of the run; a corrupted engine must
-    surface as failing identity checks.
+    ``fault_injection`` deliberately scales the swap constant ``s = -i*hbar``
+    of normal ordering by the given factor for the duration of the run; a
+    corrupted engine must surface as failing identity checks.
     """
-    from contextlib import nullcontext
-
-    from .ncpoly import rewrite_fault
-    from .scalars import ComplexRational
-
     if fault_injection is None:
         guard = nullcontext()
     else:
-        term = ScalarCoeff(
-            {(1, 0): ComplexRational.of(0, -1) * ComplexRational.of(Fraction(str(fault_injection)))}
-        )
-        guard = rewrite_fault(term)
+        factor = Fraction(str(fault_injection))
+        guard = rewrite_fault(ScalarCoeff.from_rational(0, -factor) * ScalarCoeff.hbar())
 
     wanted = set(names) if names is not None else None
     if wanted is not None:

@@ -502,6 +502,43 @@ def test_main_diverging_liouville_run_is_usage_error(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert code == 2
     assert "error: Liouville integration unstable" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--expr", "Q*P"], {}, "compare mode evolves the oscillator (1/2)*(P^2 + Q^2) only"),
+        (["--h", "1.0", "--expr", "Q*P"], {"dynamics": {"mode": "auto"}},
+         "Hamiltonian is not Hermitian"),
+        ([], {"dynamics": {"mode": "auto"}}, "evolve needs exactly one h value"),
+    ],
+    ids=["compare-QP", "auto-QP", "auto-no-single-h"],
+)
+def test_main_evolve_refusal_is_usage_error(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_mode_accepts_the_oscillator_however_written(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dynamics": {"n_grid": 32, "n_fock": 16, "dt": 5e-3}}))
+    runs = []
+    for name, expr in (("a", "(1/2)*(P^2 + Q^2)"), ("b", "(1/2)*Q^2 + (1/2)*P^2")):
+        argv = ["evolve", "--config", str(path), "--out", str(tmp_path / name)]
+        with warnings.catch_warnings():
+            # the small compare grid reports its boundary ring; not under test
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv + ["--expr", expr]) == 0
+        runs.append((tmp_path / name / "comparison.csv").read_bytes())
+    capsys.readouterr()
+    assert runs[0] == runs[1]
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -4,11 +4,13 @@ The closed-form reordering identity
 
     P^m Q^n = sum_k (-i*hbar)^k k! C(m,k) C(n,k) Q^(n-k) P^(m-k)
 
-serves as an independent oracle for the rewrite engine, and truncated
-oscillator matrices cross-check the symbolic normal forms numerically.
+pins both normal-ordering algorithms, the closed-form product and the word
+rewriter, and truncated oscillator matrices cross-check the symbolic normal
+forms numerically.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import numpy as np
@@ -89,6 +91,10 @@ def test_reorder_matches_closed_form():
         for n in range(5):
             word = [P] * m + [Q] * n
             assert factor_normalize(word) == reorder_oracle(m, n), (m, n)
+    # sizes out of the rewriter's reach
+    for m in range(9):
+        for n in range(9):
+            assert ordered_product(0, m, n, 0) == reorder_oracle(m, n), (m, n)
 
 
 def test_factor_normalize_rejects_bad_letters():
@@ -143,6 +149,18 @@ def test_ordered_product_examples():
     assert ordered_product(0, 1, 1, 0) == factor_normalize([P, Q])
     assert ordered_product(1, 0, 0, 1) == FactorPoly.monomial(1, 1)
     assert ordered_product(0, 0, 2, 3) == FactorPoly.monomial(2, 3)
+
+    def agrees_with_rewriter():
+        for a, b, c, d in product(range(5), repeat=4):
+            word = [Q] * a + [P] * b + [Q] * c + [P] * d
+            assert ordered_product(a, b, c, d) == factor_normalize(word), (a, b, c, d)
+
+    agrees_with_rewriter()
+    # a fault corrupts the closed form exactly as it corrupts the rewriter
+    bad = ScalarCoeff.from_rational(Fraction(3, 2)) * ScalarCoeff.hbar() + ScalarCoeff.lam()
+    with rewrite_fault(bad):
+        assert ordered_product(0, 1, 1, 0).terms[(0, 0)] == bad
+        agrees_with_rewriter()
 
 
 def test_factor_adjoint_reverses_products():
