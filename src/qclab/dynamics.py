@@ -37,7 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as expr_mod
-from .matrep import Backend, build_backend, hermitian_defect, qm_factors
+from .matrep import (
+    Backend,
+    build_backend,
+    hermitian_defect,
+    hermitian_tolerance,
+    qm_factors,
+)
 from .ncpoly import TensorPoly, eval_ncpoly, make_generators
 from .states import HybridDensity, HybridVector, WeightSpec, coherent_state, lift_qm_eigenstate
 
@@ -327,11 +333,12 @@ def von_neumann_evolve(
     if record_stride < 1:
         raise ValueError(f"record_stride must be at least 1, got {record_stride}")
     factors = qm_factors(h, bq, bp)
-    defect = max(hermitian_defect(x) for x in factors)
-    if defect > 1e-10:
-        raise ValueError(
-            f"Hamiltonian is not Hermitian (defect {defect:.3e} > 1e-10)"
-        )
+    for x in factors:
+        defect = hermitian_defect(x)
+        if defect > hermitian_tolerance(x):
+            raise ValueError(
+                f"Hamiltonian is not Hermitian (defect {defect:.3e} > 1e-10)"
+            )
     marks = list(range(0, steps + 1, record_stride))
     if marks[-1] != steps:
         marks.append(steps)

@@ -10,9 +10,10 @@ Grammar (lowest to highest precedence):
 
 ``RATIONAL`` is an integer or a ratio like ``3/2`` written as one literal
 (no spaces around the slash).  Parentheses, unary minus signs and powers
-nest at most ``MAX_DEPTH`` levels deep.  A general ``/`` operator is
-rejected: the variables do not commute and quotients are not part of the
-algebra.
+nest at most ``MAX_DEPTH`` levels deep, and the polynomial degree, read
+off the tree before any cancellation, is at most ``MAX_DEGREE``.  A general
+``/`` operator is rejected: the variables do not commute and quotients are
+not part of the algebra.
 Multiplication is noncommutative, so ``Q*P`` and ``P*Q`` are different
 expressions.
 """
@@ -116,6 +117,10 @@ def _tokenize(src: str) -> list[_Token]:
 # or unary minus sign is one level down, and a power adds one level where it
 # stands; each level costs the recursive-descent parser a few stack frames
 MAX_DEPTH = 100
+
+# highest polynomial degree parse_expr accepts; normal-ordering (Q+P)^n at
+# the interpolating pair costs about n^4 (2.6 s at n = 32 on one core)
+MAX_DEGREE = 32
 
 
 class _Parser:
@@ -231,11 +236,19 @@ def parse_expr(src: str) -> Node:
     """Parse a polynomial expression in Q and P into an AST.
 
     Raises :class:`ExprError` with the offending character position on any
-    malformed input, including the unsupported ``/`` operator.
+    malformed input, including the unsupported ``/`` operator, and at
+    position 0 on a tree of degree above ``MAX_DEGREE``.
     """
     if not src.strip():
         raise ExprError("empty expression", 0)
-    return _Parser(src).parse()
+    node = _Parser(src).parse()
+    degree = fold(
+        node, lambda _: 0, lambda _: 1, neg=lambda d: d, add=max, sub=max,
+        mul=operator.add, power=operator.mul,
+    )
+    if degree > MAX_DEGREE:
+        raise ExprError(f"expression has degree {degree}, above {MAX_DEGREE}", 0)
+    return node
 
 
 def fold(node: Node, const, var, *, neg=operator.neg, add=operator.add,

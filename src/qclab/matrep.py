@@ -301,6 +301,16 @@ def hermitian_defect(m: TensorMatrix | np.ndarray) -> float:
     return float(np.max(np.abs(data - data.conj().T)))
 
 
+def hermitian_tolerance(m: TensorMatrix | np.ndarray) -> float:
+    """Largest Hermitian defect of ``m`` that is roundoff: ``1e-10 * max(1, max|m|)``.
+
+    The defect of a realized Hermitian element grows with its entries (a
+    ``Q^8`` on a grid has entries near 1e6), so the bound scales with them.
+    """
+    data = m.data if isinstance(m, TensorMatrix) else m
+    return 1e-10 * max(1.0, float(np.max(np.abs(data))))
+
+
 def spectrum(m: TensorMatrix, group_tol: float = 1e-8) -> list[tuple[float, int]]:
     """Eigenvalues of a Hermitian TensorMatrix, ascending, with multiplicities.
 
@@ -308,7 +318,7 @@ def spectrum(m: TensorMatrix, group_tol: float = 1e-8) -> list[tuple[float, int]
     into one group reported at the group mean.
     """
     defect = hermitian_defect(m)
-    if defect > 1e-10:
+    if defect > hermitian_tolerance(m):
         raise ValueError(
             f"matrix is not Hermitian (defect {defect:.3e} > 1e-10)"
         )

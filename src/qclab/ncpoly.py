@@ -219,10 +219,8 @@ def ordered_product(m1: int, n1: int, m2: int, n2: int) -> FactorPoly:
             power = power * _swap_term
         # weight = k! C(n1, k) C(m2, k), an integer at every step
         weight = weight * (n1 - k + 1) * (m2 - k + 1) // k
-        terms[(m1 + m2 - k, n1 + n2 - k)] = power if weight == 1 else ScalarCoeff(
-            {key: ComplexRational(c.re * weight, c.im * weight)
-             for key, c in power.terms.items()}
-        )
+        key = (m1 + m2 - k, n1 + n2 - k)
+        terms[key] = power if weight == 1 else power.scale_int(weight)
     return FactorPoly(terms)
 
 
@@ -491,16 +489,13 @@ def lambda_coefficients(a: TensorPoly) -> list[TensorPoly]:
     The list has one entry per power up to the highest; a lam-free element
     gives a one-entry list.
     """
-    parts: list[dict[TensorKey, dict[tuple[int, int], ComplexRational]]] = []
+    parts: list[dict[TensorKey, ScalarCoeff]] = []
     for key, coeff in a.terms.items():
-        for (h_pow, l_pow), c in coeff.terms.items():
+        for l_pow, c in coeff.lambda_parts().items():
             while len(parts) <= l_pow:
                 parts.append({})
-            parts[l_pow].setdefault(key, {})[(h_pow, 0)] = c
-    return [
-        TensorPoly({key: ScalarCoeff(c) for key, c in part.items()})
-        for part in parts or [{}]
-    ]
+            parts[l_pow][key] = c
+    return [TensorPoly(part) for part in parts or [{}]]
 
 
 def canonical_eq(a: TensorPoly, b: TensorPoly) -> bool:

@@ -5,12 +5,19 @@ scale ``hbar`` and the interpolation weight ``lam`` (ranging over [0, 1]),
 with complex rational coefficients.  Exactness is the point: equality of
 operators is decided by comparing canonical term maps, so no floats enter
 until a matrix realization asks for them.
+
+A coefficient keeps Gaussian-integer numerators over one positive common
+denominator, the layout of FLINT's ``fmpq_poly`` (Hart, "FLINT: Fast Library
+for Number Theory", ICMS 2010), so its arithmetic is integer arithmetic plus
+one gcd pass.  ``ComplexRational`` is the exchange type of the constructor
+and of ``ScalarCoeff.terms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 from typing import Mapping
 
@@ -75,23 +82,60 @@ CR_ONE = ComplexRational.of(1)
 CR_I = ComplexRational.of(0, 1)
 
 
-class ScalarCoeff:
-    """Sparse polynomial ``sum c_{ab} hbar^a lam^b`` with ComplexRational c.
+# Numerators of a coefficient: (hbar power, lam power) -> (re, im).
+Numerators = dict[tuple[int, int], tuple[int, int]]
 
-    Canonical sparse form: keys are unique ``(a, b)`` pairs of nonnegative
-    integers and no stored value is zero.  Instances are immutable and
-    hashable; all arithmetic returns new values.
+
+class ScalarCoeff:
+    """Sparse polynomial ``sum c_{ab} hbar^a lam^b`` with complex rational c.
+
+    Stored as integer numerators ``(a, b) -> (re, im)`` over one positive
+    integer denominator, in canonical form: keys are unique pairs of
+    nonnegative integers, no numerator is ``(0, 0)``, the denominator and
+    every numerator part have gcd 1, and zero has denominator 1.  Equal
+    values therefore have equal numerators and denominators.  Instances are
+    immutable and hashable; all arithmetic returns new values.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], ComplexRational] = ()):
         pruned = {k: v for k, v in dict(terms).items() if not v.is_zero()}
         for a, b in pruned:
             if a < 0 or b < 0:
                 raise ValueError("powers of hbar and lam must be nonnegative")
-        object.__setattr__(self, "_terms", pruned)
-        object.__setattr__(self, "_hash", None)
+        # over the lcm of reduced denominators the gcd is already 1
+        den = lcm(*(x.denominator for v in pruned.values() for x in (v.re, v.im)))
+        self._num = {
+            k: (v.re.numerator * (den // v.re.denominator),
+                v.im.numerator * (den // v.im.denominator))
+            for k, v in pruned.items()
+        }
+        self._den = den
+        self._hash = None
+
+    @staticmethod
+    def _raw(num: Numerators, den: int) -> "ScalarCoeff":
+        """Wrap numerators and a denominator that are already canonical."""
+        out = object.__new__(ScalarCoeff)
+        out._num = num
+        out._den = den
+        out._hash = None
+        return out
+
+    @staticmethod
+    def _reduced(num: Numerators, den: int) -> "ScalarCoeff":
+        """Canonical ``num / den`` from zero-free numerators."""
+        if den != 1:
+            g = den
+            for re, im in num.values():
+                g = gcd(g, re, im)
+                if g == 1:
+                    break
+            else:
+                den //= g
+                num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+        return ScalarCoeff._raw(num, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -123,53 +167,119 @@ class ScalarCoeff:
 
     @property
     def terms(self) -> dict[tuple[int, int], ComplexRational]:
-        return dict(self._terms)
+        d = self._den
+        return {
+            k: ComplexRational(Fraction(re, d), Fraction(im, d))
+            for k, (re, im) in self._num.items()
+        }
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def has_lambda(self) -> bool:
-        return any(b > 0 for _, b in self._terms)
+        return any(b > 0 for _, b in self._num)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ScalarCoeff") -> "ScalarCoeff":
-        merged = dict(self._terms)
-        for k, v in other._terms.items():
-            merged[k] = merged[k] + v if k in merged else v
-        return ScalarCoeff(merged)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        den, d2 = self._den, other._den
+        if den == d2:
+            merged = dict(self._num)
+            s2 = 1
+        else:
+            g = gcd(den, d2)
+            s1, s2 = d2 // g, den // g
+            merged = {k: (re * s1, im * s1) for k, (re, im) in self._num.items()}
+            den *= s1
+        cancelled = False
+        for k, (re, im) in other._num.items():
+            if s2 != 1:
+                re, im = re * s2, im * s2
+            if k in merged:
+                r0, i0 = merged[k]
+                re, im = r0 + re, i0 + im
+                cancelled = cancelled or not (re or im)
+            merged[k] = (re, im)
+        if cancelled:
+            merged = {k: v for k, v in merged.items() if v[0] or v[1]}
+        return ScalarCoeff._reduced(merged, den)
 
     def __sub__(self, other: "ScalarCoeff") -> "ScalarCoeff":
         return self + (-other)
 
     def __neg__(self) -> "ScalarCoeff":
-        return ScalarCoeff({k: -v for k, v in self._terms.items()})
+        return ScalarCoeff._raw(
+            {k: (-re, -im) for k, (re, im) in self._num.items()}, self._den
+        )
 
     def __mul__(self, other: "ScalarCoeff") -> "ScalarCoeff":
-        out: dict[tuple[int, int], ComplexRational] = {}
-        for (a1, b1), v1 in self._terms.items():
-            for (a2, b2), v2 in other._terms.items():
+        out: Numerators = {}
+        for (a1, b1), (r1, i1) in self._num.items():
+            for (a2, b2), (r2, i2) in other._num.items():
                 key = (a1 + a2, b1 + b2)
-                prod = v1 * v2
-                out[key] = out[key] + prod if key in out else prod
-        return ScalarCoeff(out)
+                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+                if key in out:
+                    r0, i0 = out[key]
+                    re, im = r0 + re, i0 + im
+                out[key] = (re, im)
+        if len(out) < len(self._num) * len(other._num):
+            # keys collided, so a sum may have cancelled to zero
+            out = {k: v for k, v in out.items() if v[0] or v[1]}
+        return ScalarCoeff._reduced(out, self._den * other._den)
+
+    def scale_int(self, n: int) -> "ScalarCoeff":
+        """``n`` times this coefficient, for a nonzero integer ``n``."""
+        return ScalarCoeff._reduced(
+            {k: (re * n, im * n) for k, (re, im) in self._num.items()}, self._den
+        )
 
     def conjugate(self) -> "ScalarCoeff":
         # hbar and lam are real symbols, only the coefficients conjugate
-        return ScalarCoeff({k: v.conjugate() for k, v in self._terms.items()})
+        return ScalarCoeff._raw(
+            {k: (re, -im) for k, (re, im) in self._num.items()}, self._den
+        )
 
     # -- substitution and evaluation ---------------------------------------
 
-    def substitute_lambda(self, value: RationalLike) -> "ScalarCoeff":
-        """Replace ``lam`` by an exact rational; the result has no lam powers."""
-        val = Fraction(value)
-        out: dict[tuple[int, int], ComplexRational] = {}
-        for (a, b), v in self._terms.items():
-            scaled = v * ComplexRational.of(val**b)
+    def lambda_parts(self) -> dict[int, "ScalarCoeff"]:
+        """Split by powers of lam: power b maps to the lam^b part with lam removed."""
+        parts: dict[int, Numerators] = {}
+        for (a, b), v in self._num.items():
+            parts.setdefault(b, {})[(a, 0)] = v
+        return {b: ScalarCoeff._reduced(num, self._den) for b, num in parts.items()}
+
+    def substitute_lambda(self, value: RationalLike | float) -> "ScalarCoeff":
+        """Replace ``lam`` by an exact rational; the result has no lam powers.
+
+        With ``value = n/d`` and top lam power ``t``, the lam^b numerators are
+        scaled by ``n^b d^(t-b)`` over the denominator times ``d^t``.
+        """
+        n, d = (
+            (value.numerator, value.denominator)
+            if isinstance(value, Rational)
+            else value.as_integer_ratio()
+        )
+        top = max((b for _, b in self._num), default=0)
+        n_pow, d_pow = [1], [1]
+        for _ in range(top):
+            n_pow.append(n_pow[-1] * n)
+            d_pow.append(d_pow[-1] * d)
+        out: Numerators = {}
+        for (a, b), (re, im) in self._num.items():
+            w = n_pow[b] * d_pow[top - b]
             key = (a, 0)
-            out[key] = out[key] + scaled if key in out else scaled
-        return ScalarCoeff(out)
+            re, im = re * w, im * w
+            if key in out:
+                r0, i0 = out[key]
+                re, im = r0 + re, i0 + im
+            out[key] = (re, im)
+        out = {k: v for k, v in out.items() if v[0] or v[1]}
+        return ScalarCoeff._reduced(out, self._den * d_pow[top])
 
     def evaluate(self, hbar: float) -> complex:
         """Numeric value at the given hbar.  Any remaining lam power is an error."""
@@ -177,26 +287,25 @@ class ScalarCoeff:
             raise ValueError(
                 "coefficient still depends on lam; substitute a value first"
             )
+        d = self._den
         total = 0j
-        for (a, _), v in self._terms.items():
-            total += v.to_complex() * hbar**a
+        for (a, _), (re, im) in self._num.items():
+            # int / int is correctly rounded, as float(Fraction) is
+            total += (complex(re / d) + 1j * complex(im / d)) * hbar**a
         return total
 
     # -- canonical identity ------------------------------------------------
 
-    def _key(self) -> tuple:
-        return tuple(sorted((k, (v.re, v.im)) for k, v in self._terms.items()))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScalarCoeff):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
+            h = hash((self._den, tuple(sorted(self._num.items()))))
+            self._hash = h
         return h
 
     def __repr__(self) -> str:
@@ -208,7 +317,7 @@ class ScalarCoeff:
         if self.is_zero():
             return "0"
         parts: list[str] = []
-        for (a, b), v in sorted(self._terms.items()):
+        for (a, b), v in sorted(self.terms.items()):
             syms = "".join(
                 [f"hbar^{a}" if a > 1 else "hbar" * min(a, 1),
                  f"lam^{b}" if b > 1 else "lam" * min(b, 1)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrep import Backend, TensorMatrix, hermitian_defect
+from .matrep import Backend, TensorMatrix, hermitian_defect, hermitian_tolerance
 
 _NORM_TOL = 1e-10
 
@@ -234,17 +234,18 @@ def mean_parts(
 def mean_value(state: HybridVector | HybridDensity, a: TensorMatrix) -> float:
     """Normalized expectation Tr(rho A)/Tr(rho), or <v|A|v>/<v|v> for vectors.
 
-    ``a`` must be Hermitian; the ratio must come out real to 1e-10, and the
-    residual imaginary part is then discarded.
+    ``a`` must be Hermitian and the ratio must come out real, both to
+    ``hermitian_tolerance(a)``; the residual imaginary part is then discarded.
     """
     mat = a.data if isinstance(a, TensorMatrix) else np.asarray(a)
-    if hermitian_defect(mat) > 1e-10:
+    tol = hermitian_tolerance(mat)
+    if hermitian_defect(mat) > tol:
         raise ValueError("observable is not Hermitian within 1e-10")
     numer, denom = mean_parts(state, mat)
     if denom == 0:
         raise ValueError("state has zero norm/trace")
     ratio = numer / denom
-    if abs(ratio.imag) > 1e-10:
+    if abs(ratio.imag) > tol:
         raise ValueError(
             f"mean value has non-negligible imaginary part {ratio.imag!r}"
         )

@@ -606,6 +606,19 @@ def test_main_deep_nesting_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "kernels", "evolve"])
+def test_main_high_degree_is_usage_error(tmp_path, capsys, command):
+    # refused when parsed, before any normal ordering of Q^1000000 starts
+    code = main([command, "--h", "1.0", "--expr", "Q^1000000", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "error: observable does not parse: expression has degree 1000000,"
+        " above 32 (at position 0)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "h, dynamics, artifacts",
     [

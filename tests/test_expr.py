@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qclab.expr import (
+    MAX_DEGREE,
     MAX_DEPTH,
     Add,
     Const,
@@ -291,3 +292,28 @@ def test_parse_depth_is_bounded(nested):
     assert abs(evaluate_numeric(parse_expr(nested(MAX_DEPTH)), 1.0, 0.0)) == 1.0
     with pytest.raises(ExprError, match=f"nests deeper than {MAX_DEPTH} levels"):
         parse_expr(nested(MAX_DEPTH + 1))
+
+
+@pytest.mark.parametrize(
+    "accepted, refused, degree",
+    [
+        ("Q^32", "Q^33", 33),
+        ("(Q*P)^16", "(Q*P)^17", 34),
+        ("(Q^2)^16 + 3", "3 + (Q^2)^17", 34),
+        ("-(P - Q)^32*1/7", "-(P - Q)^33*1/7", 33),
+        ("Q^31*P", "Q^32*P", 33),
+    ],
+)
+def test_parse_degree_is_bounded(accepted, refused, degree):
+    assert MAX_DEGREE == 32
+    parse_expr(accepted)
+    with pytest.raises(ExprError, match=f"degree {degree}, above {MAX_DEGREE}"):
+        parse_expr(refused)
+
+
+def test_parse_degree_bound_reads_exponents_without_expanding():
+    # a power is refused by its exponent alone, and nested powers multiply
+    with pytest.raises(ExprError, match=f"degree 1000000, above {MAX_DEGREE}"):
+        parse_expr("Q^1000000")
+    with pytest.raises(ExprError, match=f"degree {40 ** 50}, above"):
+        parse_expr("(" * 49 + "Q^40" + ")^40" * 49)

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: Gaussian rationals and two-symbol coefficients."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -184,3 +185,159 @@ def test_scalar_coeff_ring_axioms(a, b, c):
 @given(coeffs)
 def test_scalar_coeff_conjugate_involution(a):
     assert a.conjugate().conjugate() == a
+
+
+# -- the integer-numerator form against a dict-of-ComplexRational oracle ----
+#
+# The oracle keeps one ComplexRational per (hbar power, lam power), with no
+# zero entries, and does every operation term by term in Fraction
+# arithmetic.  The coefficients below mix denominators, so sums and
+# products have to bring them onto one common denominator and reduce.
+
+Oracle = dict
+
+
+def _oracle_add(a: Oracle, b: Oracle) -> Oracle:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _oracle_mul(a: Oracle, b: Oracle) -> Oracle:
+    out: Oracle = {}
+    for (a1, b1), v1 in a.items():
+        for (a2, b2), v2 in b.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out[key] + v1 * v2 if key in out else v1 * v2
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _oracle_substitute(a: Oracle, value: Fraction) -> Oracle:
+    out: Oracle = {}
+    for (hp, lp), v in a.items():
+        scaled = v * ComplexRational.of(value**lp)
+        out[(hp, 0)] = out[(hp, 0)] + scaled if (hp, 0) in out else scaled
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+mixed_terms = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    ),
+    max_size=5,
+)
+
+
+def _pair(pairs) -> tuple[ScalarCoeff, Oracle]:
+    """The same value as a ScalarCoeff and as an oracle dict."""
+    oracle: Oracle = {}
+    for hp, lp, re, im in pairs:
+        oracle = _oracle_add(oracle, {(hp, lp): ComplexRational.of(re, im)})
+    return ScalarCoeff(oracle), oracle
+
+
+def _assert_canonical(c: ScalarCoeff) -> None:
+    num, den = c._num, c._den
+    assert den > 0
+    assert all(re or im for re, im in num.values())
+    assert gcd(den, *(x for v in num.values() for x in v)) == 1
+    if not num:
+        assert den == 1
+
+
+@given(mixed_terms, mixed_terms)
+def test_arithmetic_matches_the_oracle(xs, ys):
+    a, oa = _pair(xs)
+    b, ob = _pair(ys)
+    neg_b = {k: -v for k, v in ob.items()}
+    cases = [
+        (a + b, _oracle_add(oa, ob)),
+        (a - b, _oracle_add(oa, neg_b)),
+        (-b, neg_b),
+        (a * b, _oracle_mul(oa, ob)),
+        (a.conjugate(), {k: v.conjugate() for k, v in oa.items()}),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.terms == want
+
+
+@given(
+    mixed_terms,
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+)
+def test_substitute_lambda_matches_the_oracle(xs, value):
+    a, oa = _pair(xs)
+    got = a.substitute_lambda(value)
+    _assert_canonical(got)
+    assert got.terms == _oracle_substitute(oa, value)
+    assert not got.has_lambda
+
+
+@given(mixed_terms, st.floats(min_value=-4, max_value=4))
+def test_evaluate_is_the_sum_of_rounded_terms(xs, hbar):
+    # each rational part is rounded once (n/d correctly rounded) and the
+    # terms are summed in the order of .terms
+    a = _pair(xs)[0].substitute_lambda(Fraction(1, 3))
+    want = 0j
+    for (hp, _), v in a.terms.items():
+        want += v.to_complex() * hbar**hp
+    got = a.evaluate(hbar)
+    assert (repr(got.real), repr(got.imag)) == (repr(want.real), repr(want.imag))
+
+
+def test_evaluate_rounds_each_part_once():
+    # float(n) / float(d) rounds three times and misses n / d here
+    n, d = 10**25 + 1, 3**33
+    assert float(n) / float(d) != n / d
+    c = ScalarCoeff.from_rational(Fraction(n, d), Fraction(-n, d)) * ScalarCoeff.hbar()
+    assert c.evaluate(1.0) == complex(n / d, -n / d)
+    assert c.evaluate(1.0) == c.terms[(1, 0)].to_complex()
+
+
+@given(mixed_terms, mixed_terms)
+def test_equal_values_built_apart_are_equal_and_hash_equal(xs, ys):
+    a, b = _pair(xs)[0], _pair(ys)[0]
+    for left, right in [((a + b) - b, a), (a * b, b * a), (a - a, ScalarCoeff.zero())]:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+def test_reduced_products_are_canonical():
+    half, two = ScalarCoeff.from_rational(Fraction(1, 2)), ScalarCoeff.from_rational(2)
+    one = half * two
+    assert one == ScalarCoeff.one()
+    assert hash(one) == hash(ScalarCoeff.one())
+    _assert_canonical(one)
+    sixth = ScalarCoeff.from_rational(Fraction(1, 6))
+    third = ScalarCoeff.from_rational(Fraction(1, 3))
+    assert sixth + third == half
+    assert hash(sixth + third) == hash(half)
+    assert (half - half)._den == 1
+    # the hbar terms of a product and of a sum cancel and are dropped
+    plus, minus = ScalarCoeff.one() + half * ScalarCoeff.hbar(), ScalarCoeff.one() - half * ScalarCoeff.hbar()
+    assert (plus * minus).terms == {(0, 0): CR_ONE, (2, 0): ComplexRational.of(Fraction(-1, 4))}
+    assert (plus + minus).terms == {(0, 0): ComplexRational.of(2)}
+    assert half.scale_int(-4) == ScalarCoeff.from_rational(-2)
+
+
+def test_constructor_rejects_negative_powers_only_on_nonzero_terms():
+    assert ScalarCoeff({(-1, 0): CR_ZERO, (0, -2): CR_ZERO}).is_zero()
+    with pytest.raises(ValueError, match="nonnegative"):
+        ScalarCoeff({(-1, 0): CR_ONE})
+    with pytest.raises(ValueError, match="nonnegative"):
+        ScalarCoeff({(0, -1): CR_I})
+
+
+def test_lambda_parts_split_by_lam_power():
+    half = ScalarCoeff.from_rational(Fraction(1, 2))
+    three_halves = ScalarCoeff.from_rational(Fraction(3, 2))
+    c = half * ScalarCoeff.hbar() + three_halves * ScalarCoeff.lam(2)
+    parts = c.lambda_parts()
+    assert parts == {0: half * ScalarCoeff.hbar(), 2: three_halves}
+    for part in parts.values():
+        _assert_canonical(part)

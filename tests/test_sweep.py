@@ -72,7 +72,7 @@ def oracle_rows(config, bq, bp, state):
     return rows
 
 
-def _assert_rows_match(got, want):
+def _assert_rows_match(got, want, rtol=0.0):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert repr(float(g["h"])) == repr(float(w["h"]))
@@ -81,7 +81,8 @@ def _assert_rows_match(got, want):
             if w[col] is None:
                 assert g[col] is None, col
             else:
-                assert abs(float(g[col]) - w[col]) <= 1e-12, (col, g[col], w[col])
+                tol = max(1e-12, rtol * abs(w[col]))
+                assert abs(float(g[col]) - w[col]) <= tol, (col, g[col], w[col])
 
 
 def _read_csv(path):
@@ -127,6 +128,19 @@ def test_sweep_rows_match_the_oracle_on_a_density():
     _assert_rows_match(
         sweep_rows(config, bq, bp, density), oracle_rows(config, bq, bp, density)
     )
+
+
+@pytest.mark.parametrize("expr", ["Q^8", "P^8"])
+def test_high_powers_sweep_on_the_grid_pair(tmp_path, capsys, expr):
+    # entries of Q^8 on the default grid reach 1.3e6, so its roundoff
+    # Hermitian defect (2.6e-10) is above 1e-10 but far below 1e-10 * max|M|;
+    # its means reach 1.3e4, so rows are compared to 1e-13 relative
+    assert main(["sweep", "--expr", expr, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    config = RunConfig(observable=expr)
+    bq, bp = build_backends(config)
+    want = oracle_rows(config, bq, bp, build_state(config, bq, bp))
+    _assert_rows_match(_read_csv(tmp_path / "sweep.csv"), want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("h, named", [(None, "0.0"), ("0.5", "0.5")])
