@@ -29,9 +29,7 @@ from .matrep import (
     unflatten,
 )
 from .ncpoly import (
-    FactorPoly,
     GeneratorSet,
-    ROperator,
     TensorPoly,
     canonical_eq,
     eval_ncpoly,
@@ -67,11 +65,9 @@ __all__ = [
     "CheckResult",
     "ComplexRational",
     "ExprError",
-    "FactorPoly",
     "GeneratorSet",
     "HybridDensity",
     "HybridVector",
-    "ROperator",
     "ScalarCoeff",
     "StateReport",
     "TensorMatrix",

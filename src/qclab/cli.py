@@ -42,7 +42,6 @@ from .matrep import (
     realize,
 )
 from .ncpoly import (
-    eval_factor_poly,
     eval_ncpoly,
     lambda_coefficients,
     make_generators,
@@ -599,9 +598,12 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
                 f" h_o={config.h_o!r}); only the endpoints evolve"
             )
     if ds.mode == "compare":
-        if eval_factor_poly(parse_expr(config.observable)) != eval_factor_poly(
-            parse_expr(dyn.OSCILLATOR_EXPR)
-        ):
+        gens = make_generators()
+        observable, oscillator = (
+            eval_ncpoly(parse_expr(text), gens.q_qm, gens.p_qm)
+            for text in (config.observable, dyn.OSCILLATOR_EXPR)
+        )
+        if observable != oscillator:
             raise ConfigError(
                 f"compare mode evolves the oscillator {dyn.OSCILLATOR_EXPR} only,"
                 f" got observable {config.observable!r}"

@@ -424,18 +424,19 @@ class ComparisonTable:
                 "t,mean_q_cl,mean_q_qm,mean_p_cl,mean_p_qm,dq_abs,dp_abs,"
                 "energy_cl,energy_qm\n"
             )
-            for i, t in enumerate(self.times):
-                row = (
-                    t,
-                    self.classical.mean_q[i],
-                    self.quantum.mean_q[i],
-                    self.classical.mean_p[i],
-                    self.quantum.mean_p[i],
-                    self.dq_abs[i],
-                    self.dp_abs[i],
-                    self.classical.mean_energy[i],
-                    self.quantum.mean_energy[i],
-                )
+            cl, qm = self.classical, self.quantum
+            columns = (
+                self.times,
+                cl.mean_q,
+                qm.mean_q,
+                cl.mean_p,
+                qm.mean_p,
+                self.dq_abs,
+                self.dp_abs,
+                cl.mean_energy,
+                qm.mean_energy,
+            )
+            for row in zip(*columns, strict=True):
                 fh.write(",".join(format_float(v) for v in row) + "\n")
 
 

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ncpoly import TensorPoly
+from .ncpoly import TensorPoly, tp_commutator
 
 ORDERING = "flat=(i_q*N_p+i_p)*2+i_r"
 
@@ -262,8 +262,6 @@ def commutator_defect(
     and restricted to the bulk rows and columns (``bulk_defect_norm``), the
     bulk being everything below the top level of each Fock factor.
     """
-    from .ncpoly import tp_commutator
-
     sym = realize(tp_commutator(a, b), bq, bp, lam=lam).data
     ma = realize(a, bq, bp, lam=lam).data
     mb = realize(b, bq, bp, lam=lam).data

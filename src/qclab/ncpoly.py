@@ -11,8 +11,12 @@ Every element is kept in a canonical normal form:
   all P powers); products reorder ``P^b Q^c`` by its closed form in the swap
   constant ``s`` of ``P Q = Q P + s`` (``s = -i*hbar``), and the word
   rewriter ``P Q -> Q P + s`` stays as the independent confluence oracle;
-* the third factor is a dense 2x2 matrix of scalar coefficients;
+* the third factor enters through its matrix units ``E_ij``, so one term
+  ``(m_q, n_q, m_p, n_p, i, j)`` is ``Q^m_q P^n_q (x) Q^m_p P^n_p (x) E_ij``;
 * term maps are sparse, with zero coefficients pruned.
+
+:class:`TensorPoly` is the only element type.  A single-factor normal form
+is a plain map ``(m, n) -> coefficient`` of ``Q^m P^n``.
 
 Two elements are equal as operators exactly when their canonical term maps
 coincide, which makes equality a decision procedure rather than a
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .expr import fold
 from .scalars import ComplexRational, ScalarCoeff
@@ -40,8 +44,8 @@ P = "P"
 #             p-factor Q power, p-factor P power, r-row, r-col)
 TensorKey = tuple[int, int, int, int, int, int]
 
-# r-factor index values, in the ordered basis (|r_q>, |r_p>).
-R_INDEX = {"q": 0, "p": 1}
+# Single-factor normal form: (Q power, P power) -> coefficient.
+FactorTerms = dict[tuple[int, int], ScalarCoeff]
 
 _MINUS_I_HBAR = ScalarCoeff({(1, 0): ComplexRational.of(0, -1)})
 
@@ -67,98 +71,7 @@ def rewrite_fault(term: ScalarCoeff) -> Iterator[None]:
         _swap_term = saved
 
 
-class FactorPoly:
-    """Normal-ordered polynomial in Q, P on a single factor.
-
-    Terms map ``(m, n)`` to the coefficient of ``Q^m P^n``.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], ScalarCoeff] = ()):
-        pruned = {k: v for k, v in dict(terms).items() if not v.is_zero()}
-        for m, n in pruned:
-            if m < 0 or n < 0:
-                raise ValueError("monomial powers must be nonnegative")
-        self._terms = pruned
-
-    @staticmethod
-    def zero() -> "FactorPoly":
-        return FactorPoly()
-
-    @staticmethod
-    def one() -> "FactorPoly":
-        return FactorPoly({(0, 0): ScalarCoeff.one()})
-
-    @staticmethod
-    def monomial(m: int, n: int, coeff: ScalarCoeff | None = None) -> "FactorPoly":
-        return FactorPoly({(m, n): coeff if coeff is not None else ScalarCoeff.one()})
-
-    @property
-    def terms(self) -> dict[tuple[int, int], ScalarCoeff]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "FactorPoly") -> "FactorPoly":
-        merged = dict(self._terms)
-        for k, v in other._terms.items():
-            merged[k] = merged[k] + v if k in merged else v
-        return FactorPoly(merged)
-
-    def __neg__(self) -> "FactorPoly":
-        return FactorPoly({k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other: "FactorPoly") -> "FactorPoly":
-        return self + (-other)
-
-    def scale(self, c: ScalarCoeff) -> "FactorPoly":
-        return FactorPoly({k: c * v for k, v in self._terms.items()})
-
-    def __mul__(self, other: "FactorPoly") -> "FactorPoly":
-        out: dict[tuple[int, int], ScalarCoeff] = {}
-        for (m1, n1), c1 in self._terms.items():
-            for (m2, n2), c2 in other._terms.items():
-                c = c1 * c2
-                for (m, n), s in ordered_product(m1, n1, m2, n2)._terms.items():
-                    key = (m, n)
-                    add = c * s
-                    out[key] = out[key] + add if key in out else add
-        return FactorPoly(out)
-
-    def adjoint(self) -> "FactorPoly":
-        """Conjugate coefficients and reverse each monomial word, renormalizing."""
-        out = FactorPoly.zero()
-        for (m, n), c in self._terms.items():
-            # (Q^m P^n)^dagger = P^n Q^m, which is ordered_product(0, n, m, 0)
-            out = out + ordered_product(0, n, m, 0).scale(c.conjugate())
-        return out
-
-    def substitute_lambda(self, value) -> "FactorPoly":
-        return FactorPoly(
-            {k: v.substitute_lambda(value) for k, v in self._terms.items()}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FactorPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted((k, hash(v)) for k, v in self._terms.items())))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "FactorPoly(0)"
-        bits = []
-        for (m, n), c in sorted(self._terms.items()):
-            mono = "".join(["Q^%d" % m if m else "", "P^%d" % n if n else ""]) or "1"
-            bits.append(f"({c})*{mono}")
-        return "FactorPoly(" + " + ".join(bits) + ")"
-
-
-def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorPoly:
+def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorTerms:
     """Normal-order a word over the alphabet {Q, P}.
 
     ``strategy`` picks which misordered adjacent pair (a P immediately left
@@ -176,7 +89,7 @@ def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorP
     # P Q at position i branches into the swapped word and the contracted
     # word carrying the swap term.
     pending: dict[tuple[str, ...], ScalarCoeff] = {letters: ScalarCoeff.one()}
-    done: dict[tuple[int, int], ScalarCoeff] = {}
+    done: FactorTerms = {}
     while pending:
         word, coeff = pending.popitem()
         pos = _misordered_position(word, strategy)
@@ -191,7 +104,7 @@ def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorP
         pending[contracted] = (
             pending[contracted] + extra if contracted in pending else extra
         )
-    return FactorPoly(done)
+    return {k: v for k, v in done.items() if not v.is_zero()}
 
 
 def _misordered_position(word: tuple[str, ...], strategy: str) -> int | None:
@@ -204,7 +117,7 @@ def _misordered_position(word: tuple[str, ...], strategy: str) -> int | None:
     return None
 
 
-def ordered_product(m1: int, n1: int, m2: int, n2: int) -> FactorPoly:
+def ordered_product(m1: int, n1: int, m2: int, n2: int) -> FactorTerms:
     """Normal form of the concatenated monomial word Q^m1 P^n1 Q^m2 P^n2.
 
     With ``P Q = Q P + s`` the middle pair reorders in closed form,
@@ -213,6 +126,8 @@ def ordered_product(m1: int, n1: int, m2: int, n2: int) -> FactorPoly:
     # s itself serves k = 1 and a unit weight is not applied, so the common
     # single contraction P Q costs no scalar arithmetic
     terms = {(m1 + m2, n1 + n2): ScalarCoeff.one()}
+    if _swap_term.is_zero():  # a fault may zero s; keep the map pruned
+        return terms
     power, weight = _swap_term, 1
     for k in range(1, min(n1, m2) + 1):
         if k > 1:
@@ -221,97 +136,7 @@ def ordered_product(m1: int, n1: int, m2: int, n2: int) -> FactorPoly:
         weight = weight * (n1 - k + 1) * (m2 - k + 1) // k
         key = (m1 + m2 - k, n1 + n2 - k)
         terms[key] = power if weight == 1 else power.scale_int(weight)
-    return FactorPoly(terms)
-
-
-class ROperator:
-    """Element of the 2x2 third-factor algebra, rows and columns over (q, p)."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Sequence[Sequence[ScalarCoeff]]):
-        rows = tuple(tuple(row) for row in entries)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("entries must form a 2x2 array")
-        self._entries = rows
-
-    @staticmethod
-    def zero() -> "ROperator":
-        z = ScalarCoeff.zero()
-        return ROperator([[z, z], [z, z]])
-
-    @staticmethod
-    def identity() -> "ROperator":
-        o, z = ScalarCoeff.one(), ScalarCoeff.zero()
-        return ROperator([[o, z], [z, o]])
-
-    @staticmethod
-    def r_q() -> "ROperator":
-        o, z = ScalarCoeff.one(), ScalarCoeff.zero()
-        return ROperator([[o, z], [z, z]])
-
-    @staticmethod
-    def r_p() -> "ROperator":
-        o, z = ScalarCoeff.one(), ScalarCoeff.zero()
-        return ROperator([[z, z], [z, o]])
-
-    @staticmethod
-    def unit(i: int, j: int) -> "ROperator":
-        z = ScalarCoeff.zero()
-        rows = [[z, z], [z, z]]
-        rows[i][j] = ScalarCoeff.one()
-        return ROperator(rows)
-
-    def entry(self, i: int, j: int) -> ScalarCoeff:
-        return self._entries[i][j]
-
-    def __add__(self, other: "ROperator") -> "ROperator":
-        return ROperator(
-            [
-                [self._entries[i][j] + other._entries[i][j] for j in range(2)]
-                for i in range(2)
-            ]
-        )
-
-    def __sub__(self, other: "ROperator") -> "ROperator":
-        return ROperator(
-            [
-                [self._entries[i][j] - other._entries[i][j] for j in range(2)]
-                for i in range(2)
-            ]
-        )
-
-    def __mul__(self, other: "ROperator") -> "ROperator":
-        out = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                acc = ScalarCoeff.zero()
-                for k in range(2):
-                    acc = acc + self._entries[i][k] * other._entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ROperator(out)
-
-    def scale(self, c: ScalarCoeff) -> "ROperator":
-        return ROperator([[c * e for e in row] for row in self._entries])
-
-    def adjoint(self) -> "ROperator":
-        return ROperator(
-            [[self._entries[j][i].conjugate() for j in range(2)] for i in range(2)]
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ROperator):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        e = self._entries
-        return f"ROperator([[{e[0][0]}, {e[0][1]}], [{e[1][0]}, {e[1][1]}]])"
+    return terms
 
 
 class TensorPoly:
@@ -344,22 +169,6 @@ class TensorPoly:
     def identity() -> "TensorPoly":
         one = ScalarCoeff.one()
         return TensorPoly({(0, 0, 0, 0, 0, 0): one, (0, 0, 0, 0, 1, 1): one})
-
-    @staticmethod
-    def from_parts(fq: FactorPoly, fp: FactorPoly, r: ROperator) -> "TensorPoly":
-        """Tensor product of single-factor polynomials with an r-factor element."""
-        out: dict[TensorKey, ScalarCoeff] = {}
-        for (mq, nq), cq in fq.terms.items():
-            for (mp, np_), cp in fp.terms.items():
-                base = cq * cp
-                for i in range(2):
-                    for j in range(2):
-                        c = base * r.entry(i, j)
-                        if c.is_zero():
-                            continue
-                        key = (mq, nq, mp, np_, i, j)
-                        out[key] = out[key] + c if key in out else c
-        return TensorPoly(out)
 
     @staticmethod
     def scalar(c: ScalarCoeff) -> "TensorPoly":
@@ -399,36 +208,32 @@ class TensorPoly:
         return TensorPoly({k: c * v for k, v in self._terms.items()})
 
     def __mul__(self, other: "TensorPoly") -> "TensorPoly":
-        out: dict[TensorKey, ScalarCoeff] = {}
-        for (mq1, nq1, mp1, np1, i1, j1), c1 in self._terms.items():
-            for (mq2, nq2, mp2, np2, i2, j2), c2 in other._terms.items():
-                if j1 != i2:
-                    continue
-                c = c1 * c2
-                qpart = ordered_product(mq1, nq1, mq2, nq2)
-                ppart = ordered_product(mp1, np1, mp2, np2)
-                for (mq, nq), sq in qpart.terms.items():
-                    cq = c * sq
-                    for (mp, np_), sp in ppart.terms.items():
-                        key = (mq, nq, mp, np_, i1, j2)
-                        add = cq * sp
-                        out[key] = out[key] + add if key in out else add
-        return TensorPoly(out)
+        return _sum_products(
+            (
+                c1 * c2,
+                ordered_product(mq1, nq1, mq2, nq2),
+                ordered_product(mp1, np1, mp2, np2),
+                i1,
+                j2,
+            )
+            for (mq1, nq1, mp1, np1, i1, j1), c1 in self._terms.items()
+            for (mq2, nq2, mp2, np2, i2, j2), c2 in other._terms.items()
+            if j1 == i2
+        )
 
     def adjoint(self) -> "TensorPoly":
-        out = TensorPoly.zero()
-        for (mq, nq, mp, np_, i, j), c in self._terms.items():
-            qpart = ordered_product(0, nq, mq, 0)
-            ppart = ordered_product(0, np_, mp, 0)
-            piece: dict[TensorKey, ScalarCoeff] = {}
-            cc = c.conjugate()
-            for (m1, n1), sq in qpart.terms.items():
-                for (m2, n2), sp in ppart.terms.items():
-                    key = (m1, n1, m2, n2, j, i)
-                    add = cc * sq * sp
-                    piece[key] = piece[key] + add if key in piece else add
-            out = out + TensorPoly(piece)
-        return out
+        # (Q^m P^n)^dagger = P^n Q^m, the product term (0, n, m, 0), and
+        # E_ij^dagger = E_ji
+        return _sum_products(
+            (
+                c.conjugate(),
+                ordered_product(0, nq, mq, 0),
+                ordered_product(0, np_, mp, 0),
+                j,
+                i,
+            )
+            for (mq, nq, mp, np_, i, j), c in self._terms.items()
+        )
 
     def substitute_lambda(self, value) -> "TensorPoly":
         val = Fraction(value)
@@ -460,12 +265,22 @@ class TensorPoly:
         return "TensorPoly(" + " + ".join(bits) + ")"
 
 
+def _sum_products(
+    products: Iterable[tuple[ScalarCoeff, FactorTerms, FactorTerms, int, int]],
+) -> TensorPoly:
+    """Sum ``c * (qpart (x) ppart (x) E_ij)`` over ``(c, qpart, ppart, i, j)``."""
+    out: dict[TensorKey, ScalarCoeff] = {}
+    for c, qpart, ppart, i, j in products:
+        for (mq, nq), sq in qpart.items():
+            cq = c * sq
+            for (mp, np_), sp in ppart.items():
+                key = (mq, nq, mp, np_, i, j)
+                add = cq * sp
+                out[key] = out[key] + add if key in out else add
+    return TensorPoly(out)
+
+
 # -- module-level operation names ------------------------------------------
-
-
-def tp_mul(a: TensorPoly, b: TensorPoly) -> TensorPoly:
-    """Product in the algebra: factorwise normal-ordered, r-factor as 2x2."""
-    return a * b
 
 
 def tp_commutator(a: TensorPoly, b: TensorPoly) -> TensorPoly:
@@ -519,64 +334,40 @@ class GeneratorSet:
 
 
 def make_generators() -> GeneratorSet:
-    one = FactorPoly.one()
-    q = FactorPoly.monomial(1, 0)
-    p = FactorPoly.monomial(0, 1)
-    rq, rp, rid = ROperator.r_q(), ROperator.r_p(), ROperator.identity()
-    lam = ScalarCoeff.lam()
-
-    q_tilde = TensorPoly.from_parts(q, one, rq + rp.scale(lam)) + TensorPoly.from_parts(
-        one, q, rp
-    )
-    p_tilde = TensorPoly.from_parts(p, one, rq) + TensorPoly.from_parts(
-        one, p, rq.scale(lam) + rp
-    )
-    q_qm = TensorPoly.from_parts(q, one, rq) + TensorPoly.from_parts(one, q, rp)
-    p_qm = TensorPoly.from_parts(p, one, rq) + TensorPoly.from_parts(one, p, rp)
-    q_cm = TensorPoly.from_parts(q, one, rid)
-    p_cm = TensorPoly.from_parts(one, p, rid)
+    one, lam = ScalarCoeff.one(), ScalarCoeff.lam()
+    # a term key is a two-factor word followed by an r-slot
+    q1, q2 = (1, 0, 0, 0), (0, 0, 1, 0)  # Q (x) 1, 1 (x) Q
+    p1, p2 = (0, 1, 0, 0), (0, 0, 0, 1)  # P (x) 1, 1 (x) P
+    unit, e_qq, e_pp = (0, 0, 0, 0), (0, 0), (1, 1)  # 1 (x) 1, E_qq, E_pp
     return GeneratorSet(
-        q_tilde=q_tilde,
-        p_tilde=p_tilde,
-        q_qm=q_qm,
-        p_qm=p_qm,
-        q_cm=q_cm,
-        p_cm=p_cm,
+        # Q (x) 1 (x) (E_qq + lam E_pp) + 1 (x) Q (x) E_pp
+        q_tilde=TensorPoly({q1 + e_qq: one, q1 + e_pp: lam, q2 + e_pp: one}),
+        # P (x) 1 (x) E_qq + 1 (x) P (x) (lam E_qq + E_pp)
+        p_tilde=TensorPoly({p1 + e_qq: one, p2 + e_qq: lam, p2 + e_pp: one}),
+        q_qm=TensorPoly({q1 + e_qq: one, q2 + e_pp: one}),
+        p_qm=TensorPoly({p1 + e_qq: one, p2 + e_pp: one}),
+        q_cm=TensorPoly({q1 + e_qq: one, q1 + e_pp: one}),
+        p_cm=TensorPoly({p2 + e_qq: one, p2 + e_pp: one}),
         identity=TensorPoly.identity(),
-        r_q=TensorPoly.from_parts(one, one, rq),
-        r_p=TensorPoly.from_parts(one, one, rp),
+        r_q=TensorPoly({unit + e_qq: one}),
+        r_p=TensorPoly({unit + e_pp: one}),
     )
 
 
-def qm_embedding(f: FactorPoly) -> TensorPoly:
-    """Two-sector diagonal lift: f on factor q against R_q plus f on factor p
-    against R_p.  Applying a polynomial expression to the qm generator pair
-    lands exactly here."""
-    one = FactorPoly.one()
-    return TensorPoly.from_parts(f, one, ROperator.r_q()) + TensorPoly.from_parts(
-        one, f, ROperator.r_p()
-    )
+def qm_embedding(corner: TensorPoly) -> TensorPoly:
+    """Two-sector diagonal lift of a q-sector corner ``f(Q, P) (x) 1 (x) E_qq``.
 
-
-def _power(unit):
-    """The power reading: ``exponent`` factors of the base multiplied onto ``unit``."""
-    return lambda base, exponent: reduce(operator.mul, repeat(base, exponent), unit)
-
-
-def eval_factor_poly(expr) -> FactorPoly:
-    """Evaluate a polynomial expression at the single-factor pair (Q, P).
-
-    Gives the plain one-factor normal form f(Q, P), the ingredient of the
-    two-sector diagonal lift in :func:`qm_embedding`.
+    Adds the same ``f`` on factor p against ``E_pp``.  Applying a polynomial
+    expression to the qm generator pair lands exactly here.  Raises
+    ValueError on a term outside the corner.
     """
-    return fold(
-        expr,
-        lambda value: FactorPoly.one().scale(ScalarCoeff.from_rational(value)),
-        lambda name: (
-            FactorPoly.monomial(1, 0) if name == "Q" else FactorPoly.monomial(0, 1)
-        ),
-        power=_power(FactorPoly.one()),
-    )
+    lifted = corner.terms
+    for key, c in corner.terms.items():
+        m, n, *rest = key
+        if rest != [0, 0, 0, 0]:
+            raise ValueError(f"term {key} is outside the q-sector corner")
+        lifted[(0, 0, m, n, 1, 1)] = c
+    return TensorPoly(lifted)
 
 
 def eval_ncpoly(expr, x: TensorPoly, y: TensorPoly) -> TensorPoly:
@@ -589,5 +380,7 @@ def eval_ncpoly(expr, x: TensorPoly, y: TensorPoly) -> TensorPoly:
         expr,
         lambda value: TensorPoly.scalar(ScalarCoeff.from_rational(value)),
         lambda name: x if name == "Q" else y,
-        power=_power(TensorPoly.identity()),
+        power=lambda base, exponent: reduce(
+            operator.mul, repeat(base, exponent), TensorPoly.identity()
+        ),
     )

@@ -30,6 +30,14 @@ _E_Q = np.array([1.0, 0.0], dtype=complex)
 _E_P = np.array([0.0, 1.0], dtype=complex)
 
 
+def _check_weights(c_q: complex, c_p: complex) -> None:
+    weight = abs(c_q) ** 2 + abs(c_p) ** 2
+    if abs(weight - 1.0) > _NORM_TOL:
+        raise ValueError(
+            f"weights must satisfy |c_q|^2 + |c_p|^2 = 1, got {weight!r}"
+        )
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """The fixed lifting data: r-factor weights and padding vectors.
@@ -44,11 +52,7 @@ class WeightSpec:
     b_vec: np.ndarray
 
     def validate(self) -> None:
-        weight = abs(self.c_q) ** 2 + abs(self.c_p) ** 2
-        if abs(weight - 1.0) > _NORM_TOL:
-            raise ValueError(
-                f"weights must satisfy |c_q|^2 + |c_p|^2 = 1, got {weight!r}"
-            )
+        _check_weights(self.c_q, self.c_p)
         for name, vec in (("a_vec", self.a_vec), ("b_vec", self.b_vec)):
             norm = float(np.linalg.norm(vec))
             if abs(norm - 1.0) > _NORM_TOL:
@@ -160,11 +164,7 @@ def cm_point_state(
         raise ValueError(f"grid index k={k} out of range for dim {bq.dim}")
     if not 0 <= l < bp.dim:
         raise ValueError(f"grid index l={l} out of range for dim {bp.dim}")
-    weight = abs(c_q) ** 2 + abs(c_p) ** 2
-    if abs(weight - 1.0) > _NORM_TOL:
-        raise ValueError(
-            f"weights must satisfy |c_q|^2 + |c_p|^2 = 1, got {weight!r}"
-        )
+    _check_weights(c_q, c_p)
     eq = np.zeros(bq.dim, dtype=complex)
     ep = np.zeros(bp.dim, dtype=complex)
     eq[k] = 1.0
@@ -196,11 +196,7 @@ def cm_mixed_density(rho_grid, c_q: complex, c_p: complex) -> HybridDensity:
     mass = float(grid.sum() * dq * dp)
     if abs(mass - 1.0) > _NORM_TOL:
         raise ValueError(f"rho grid must have unit mass, got {mass!r}")
-    weight = abs(c_q) ** 2 + abs(c_p) ** 2
-    if abs(weight - 1.0) > _NORM_TOL:
-        raise ValueError(
-            f"weights must satisfy |c_q|^2 + |c_p|^2 = 1, got {weight!r}"
-        )
+    _check_weights(c_q, c_p)
     r_vec = c_q * _E_Q + c_p * _E_P
     projector = np.outer(r_vec, r_vec.conj())
     data = np.kron(np.diag(grid.reshape(-1).astype(complex)), projector)

@@ -36,10 +36,8 @@ from .matrep import (
 )
 from .ncpoly import (
     GeneratorSet,
-    ROperator,
     TensorPoly,
     canonical_eq,
-    eval_factor_poly,
     eval_ncpoly,
     factor_normalize,
     make_generators,
@@ -48,7 +46,6 @@ from .ncpoly import (
     substitute_lambda,
     tp_adjoint,
     tp_commutator,
-    tp_mul,
 )
 from .scalars import ScalarCoeff
 from .states import (
@@ -153,11 +150,15 @@ def _check_cm_commutativity(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 
 def _check_translation_identity(ctx: _Ctx, index: int) -> tuple[bool, str]:
+    g = ctx.gens
+    # the q-sector corner Q (x) 1 (x) E_qq, P (x) 1 (x) E_qq of the qm pair;
+    # r_q drops the E_pp part of constant terms, leaving f(Q, P) (x) 1 (x) E_qq
+    q_corner, p_corner = g.q_qm * g.r_q, g.p_qm * g.r_q
     rng = _rng(ctx, index)
     for trial in range(100):
         f = expr_mod.random_expr(rng, max_degree=4, max_terms=4)
-        lhs = eval_ncpoly(f, ctx.gens.q_qm, ctx.gens.p_qm)
-        rhs = qm_embedding(eval_factor_poly(f))
+        lhs = eval_ncpoly(f, g.q_qm, g.p_qm)
+        rhs = qm_embedding(g.r_q * eval_ncpoly(f, q_corner, p_corner))
         if not canonical_eq(lhs, rhs):
             return False, f"trial {trial}: " + _diff_witness(lhs, rhs)
     return True, "100 random polynomials map to the two-sector diagonal form"
@@ -172,8 +173,8 @@ def _check_endpoint_qm(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 
 def _check_projector_relations(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    rq, rp = ROperator.r_q(), ROperator.r_p()
-    ident, zero = ROperator.identity(), ROperator.zero()
+    rq, rp = ctx.gens.r_q, ctx.gens.r_p
+    ident, zero = ctx.gens.identity, TensorPoly.zero()
     relations = [
         ("r_q*r_p=0", rq * rp == zero),
         ("r_q^2=r_q", rq * rq == rq),
@@ -327,7 +328,7 @@ def _check_homomorphism_bulk(ctx: _Ctx, index: int) -> tuple[bool, str]:
         g = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
         a = eval_ncpoly(f, ctx.gens.q_qm, ctx.gens.p_qm)
         b = eval_ncpoly(g, ctx.gens.q_qm, ctx.gens.p_qm)
-        lhs = realize(tp_mul(a, b), bq, bp).data
+        lhs = realize(a * b, bq, bp).data
         rhs = realize(a, bq, bp).data @ realize(b, bq, bp).data
         defect = (lhs - rhs)[np.ix_(keep, keep)]
         worst = max(worst, float(np.max(np.abs(defect))))

@@ -7,7 +7,8 @@ import pytest
 from qclab import dynamics as dyn
 from qclab.expr import parse_expr
 from qclab.matrep import build_backend, qm_factors, realize
-from qclab.ncpoly import FactorPoly, ROperator, TensorPoly, eval_ncpoly, make_generators
+from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
+from qclab.scalars import ScalarCoeff
 from qclab.states import (
     HybridDensity,
     HybridVector,
@@ -297,8 +298,9 @@ def random_states(n_q, n_p, seed):
     return HybridVector(vecs[0], n_q, n_p), HybridDensity(rho)
 
 
-R_COUPLING = TensorPoly.from_parts(
-    FactorPoly.one(), FactorPoly.one(), ROperator.unit(0, 1) + ROperator.unit(1, 0)
+# 1 (x) 1 (x) (E_qp + E_pq)
+R_COUPLING = TensorPoly(
+    {(0, 0, 0, 0, 0, 1): ScalarCoeff.one(), (0, 0, 0, 0, 1, 0): ScalarCoeff.one()}
 )
 QUARTIC = eval_ncpoly(parse_expr(OSC + " + (1/10)*Q^4"), GENS.q_qm, GENS.p_qm)
 
@@ -310,9 +312,10 @@ def test_von_neumann_matches_dense_stepping_oracle(coupled):
     if coupled:
         # no polynomial in q_qm, p_qm couples the r-sectors; such an H is refused
         b = build_backend("fock", 6, 1.0)
-        h_poly = QUARTIC + R_COUPLING * TensorPoly.from_parts(
-            FactorPoly.monomial(1, 0), FactorPoly.one(), ROperator.identity()
+        q_ident = TensorPoly(  # Q (x) 1 (x) 1
+            {(1, 0, 0, 0, 0, 0): ScalarCoeff.one(), (1, 0, 0, 0, 1, 1): ScalarCoeff.one()}
         )
+        h_poly = QUARTIC + R_COUPLING * q_ident
         assert np.abs(np.asarray(realize(h_poly, b, b).data)[0::2, 1::2]).max() > 0
         state, _ = random_states(6, 6, seed=7)
         with pytest.raises(ValueError, match="couples the two r-sectors"):
@@ -354,9 +357,8 @@ def test_qm_factors_rebuild_the_dense_realization():
     )
     assert np.array_equal(dense, rebuilt)
     with pytest.raises(ValueError, match="acts on the other factor"):
-        qm_factors(TensorPoly.from_parts(
-            FactorPoly.monomial(1, 0), FactorPoly.monomial(1, 0), ROperator.r_q()
-        ), bq, bp)
+        # Q (x) Q (x) E_qq
+        qm_factors(TensorPoly({(1, 0, 1, 0, 0, 0): ScalarCoeff.one()}), bq, bp)
 
 
 def test_record_times_keep_the_trailing_partial_stride():

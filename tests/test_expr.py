@@ -25,7 +25,7 @@ from qclab.expr import (
     parse_expr,
     random_expr,
 )
-from qclab.ncpoly import eval_factor_poly, eval_ncpoly, make_generators
+from qclab.ncpoly import eval_ncpoly, make_generators
 from matrix_oracle import evaluate_matrix
 
 GENS = make_generators()
@@ -198,10 +198,9 @@ class Unknown:
         lambda node: evaluate_matrix(node, np.eye(2), np.eye(2)),
         lambda node: differentiate(node, "Q"),
         format_expr,
-        eval_factor_poly,
         lambda node: eval_ncpoly(node, GENS.q_tilde, GENS.p_tilde),
     ],
-    ids=["numeric", "matrix", "differentiate", "format", "factor-poly", "ncpoly"],
+    ids=["numeric", "matrix", "differentiate", "format", "ncpoly"],
 )
 def test_unknown_node_is_a_type_error_in_every_reading(read):
     with pytest.raises(TypeError, match="unsupported expression node Unknown"):

@@ -20,13 +20,10 @@ from hypothesis import given, settings, strategies as st
 from qclab.expr import parse_expr, random_expr
 from qclab.matrep import build_backend
 from qclab.ncpoly import (
-    FactorPoly,
     P,
     Q,
-    ROperator,
     TensorPoly,
     canonical_eq,
-    eval_factor_poly,
     eval_ncpoly,
     factor_normalize,
     lambda_coefficients,
@@ -37,10 +34,10 @@ from qclab.ncpoly import (
     substitute_lambda,
     tp_adjoint,
     tp_commutator,
-    tp_mul,
 )
 from qclab.scalars import CR_ONE, ComplexRational, ScalarCoeff
 
+ONE = ScalarCoeff.one()
 I_HBAR = ScalarCoeff.i() * ScalarCoeff.hbar()
 
 
@@ -49,28 +46,37 @@ def from_complex_rational(c: ComplexRational) -> ScalarCoeff:
     return ScalarCoeff({(0, 0): c})
 
 
-def reorder_oracle(m: int, n: int) -> FactorPoly:
+def corner(f: dict) -> TensorPoly:
+    """A one-factor normal form on factor q in the q-sector: f (x) 1 (x) E_qq."""
+    return TensorPoly({(m, n, 0, 0, 0, 0): c for (m, n), c in f.items()})
+
+
+def e_unit(i: int, j: int) -> TensorPoly:
+    """The matrix unit 1 (x) 1 (x) E_ij of the third factor."""
+    return TensorPoly({(0, 0, 0, 0, i, j): ONE})
+
+
+def reorder_oracle(m: int, n: int) -> dict:
     """Closed form for the normal ordering of P^m Q^n."""
-    total = FactorPoly.zero()
+    total = {}
     for k in range(min(m, n) + 1):
         z = (-ComplexRational.of(0, 1)) ** k * ComplexRational.of(
             factorial(k) * comb(m, k) * comb(n, k)
         )
-        coeff = ScalarCoeff.hbar(k) * from_complex_rational(z)
-        total = total + FactorPoly.monomial(n - k, m - k, coeff)
+        total[(n - k, m - k)] = ScalarCoeff.hbar(k) * from_complex_rational(z)
     return total
 
 
 def test_single_swap():
     out = factor_normalize([P, Q])
-    assert out.terms == {(1, 1): ScalarCoeff.one(), (0, 0): -I_HBAR}
+    assert out == {(1, 1): ScalarCoeff.one(), (0, 0): -I_HBAR}
 
 
 def test_frozen_word_ppqq():
     out = factor_normalize([P, P, Q, Q])
     minus_4i = from_complex_rational(ComplexRational.of(0, -4))
     minus_2 = from_complex_rational(ComplexRational.of(-2))
-    assert out.terms == {
+    assert out == {
         (2, 2): ScalarCoeff.one(),
         (1, 1): ScalarCoeff.hbar() * minus_4i,
         (0, 0): ScalarCoeff.hbar(2) * minus_2,
@@ -79,11 +85,11 @@ def test_frozen_word_ppqq():
 
 def test_already_ordered_word_is_untouched():
     out = factor_normalize([Q, Q, P])
-    assert out.terms == {(2, 1): ScalarCoeff.one()}
+    assert out == {(2, 1): ScalarCoeff.one()}
 
 
 def test_empty_word_is_one():
-    assert factor_normalize([]) == FactorPoly.one()
+    assert factor_normalize([]) == {(0, 0): ONE}
 
 
 def test_reorder_matches_closed_form():
@@ -118,8 +124,8 @@ def test_rewrite_confluence(word):
 @given(words, words)
 @settings(max_examples=100, deadline=None)
 def test_normalization_is_multiplicative(u, v):
-    whole = factor_normalize(list(u) + list(v))
-    parts = factor_normalize(u) * factor_normalize(v)
+    whole = corner(factor_normalize(list(u) + list(v)))
+    parts = corner(factor_normalize(u)) * corner(factor_normalize(v))
     assert whole == parts
 
 
@@ -138,7 +144,7 @@ def test_word_normal_forms_match_fock_matrices():
         for letter in word:
             direct = direct @ mats[letter]
         normal = np.zeros((n, n), dtype=complex)
-        for (m, k), coeff in factor_normalize(word).terms.items():
+        for (m, k), coeff in factor_normalize(word).items():
             normal += coeff.evaluate(1.0) * (powers_q[m] @ powers_p[k])
         np.testing.assert_allclose(
             direct[:keep, :keep], normal[:keep, :keep], atol=1e-10
@@ -147,8 +153,8 @@ def test_word_normal_forms_match_fock_matrices():
 
 def test_ordered_product_examples():
     assert ordered_product(0, 1, 1, 0) == factor_normalize([P, Q])
-    assert ordered_product(1, 0, 0, 1) == FactorPoly.monomial(1, 1)
-    assert ordered_product(0, 0, 2, 3) == FactorPoly.monomial(2, 3)
+    assert ordered_product(1, 0, 0, 1) == {(1, 1): ONE}
+    assert ordered_product(0, 0, 2, 3) == {(2, 3): ONE}
 
     def agrees_with_rewriter():
         for a, b, c, d in product(range(5), repeat=4):
@@ -159,26 +165,30 @@ def test_ordered_product_examples():
     # a fault corrupts the closed form exactly as it corrupts the rewriter
     bad = ScalarCoeff.from_rational(Fraction(3, 2)) * ScalarCoeff.hbar() + ScalarCoeff.lam()
     with rewrite_fault(bad):
-        assert ordered_product(0, 1, 1, 0).terms[(0, 0)] == bad
+        assert ordered_product(0, 1, 1, 0)[(0, 0)] == bad
+        agrees_with_rewriter()
+    # a zero s keeps only the reordered word, with no zero entries left over
+    with rewrite_fault(ScalarCoeff.zero()):
+        assert ordered_product(2, 3, 4, 1) == {(6, 4): ONE}
         agrees_with_rewriter()
 
 
 def test_factor_adjoint_reverses_products():
-    f = factor_normalize([P, Q, Q])
-    g = factor_normalize([Q, P])
+    f = corner(factor_normalize([P, Q, Q]))
+    g = corner(factor_normalize([Q, P]))
     assert (f * g).adjoint() == g.adjoint() * f.adjoint()
     assert f.adjoint().adjoint() == f
 
 
 def test_factor_adjoint_monomial():
     # (Q P)^dagger = P Q = Q P - i hbar
-    f = FactorPoly.monomial(1, 1)
-    assert f.adjoint() == factor_normalize([P, Q])
+    f = corner({(1, 1): ONE})
+    assert f.adjoint() == corner(factor_normalize([P, Q]))
 
 
 def test_factor_scale_by_i_flips_under_adjoint():
-    f = FactorPoly.monomial(2, 0, ScalarCoeff.i())
-    assert f.adjoint() == FactorPoly.monomial(2, 0, -ScalarCoeff.i())
+    f = corner({(2, 0): ScalarCoeff.i()})
+    assert f.adjoint() == corner({(2, 0): -ScalarCoeff.i()})
 
 
 def test_r_operator_unit_table():
@@ -186,20 +196,21 @@ def test_r_operator_unit_table():
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    prod = ROperator.unit(i, j) * ROperator.unit(k, l)
+                    prod = e_unit(i, j) * e_unit(k, l)
                     if j == k:
-                        assert prod == ROperator.unit(i, l)
+                        assert prod == e_unit(i, l)
                     else:
-                        assert prod == ROperator.zero()
+                        assert prod == TensorPoly.zero()
 
 
 def test_r_projectors():
-    rq, rp = ROperator.r_q(), ROperator.r_p()
+    g = make_generators()
+    rq, rp = g.r_q, g.r_p
     assert rq * rq == rq
     assert rp * rp == rp
-    assert rq * rp == ROperator.zero()
-    assert rp * rq == ROperator.zero()
-    assert rq + rp == ROperator.identity()
+    assert rq * rp == TensorPoly.zero()
+    assert rp * rq == TensorPoly.zero()
+    assert rq + rp == g.identity
     assert rq.adjoint() == rq
 
 
@@ -213,36 +224,23 @@ def test_tensor_identity_is_unit():
 
 def test_tensor_product_r_chain():
     # E_qp * E_pq = E_qq on the selector factor; Q and P multiply factorwise
-    a = TensorPoly.from_parts(
-        FactorPoly.monomial(1, 0), FactorPoly.one(), ROperator.unit(0, 1)
-    )
-    b = TensorPoly.from_parts(
-        FactorPoly.one(), FactorPoly.monomial(0, 1), ROperator.unit(1, 0)
-    )
+    a = TensorPoly({(1, 0, 0, 0, 0, 1): ONE})  # Q (x) 1 (x) E_qp
+    b = TensorPoly({(0, 0, 0, 1, 1, 0): ONE})  # 1 (x) P (x) E_pq
     out = a * b
-    expected = TensorPoly.from_parts(
-        FactorPoly.monomial(1, 0), FactorPoly.monomial(0, 1), ROperator.unit(0, 0)
-    )
+    expected = TensorPoly({(1, 0, 0, 1, 0, 0): ONE})  # Q (x) P (x) E_qq
     assert out == expected
     # mismatched chain annihilates
-    c = TensorPoly.from_parts(
-        FactorPoly.one(), FactorPoly.one(), ROperator.unit(0, 1)
-    )
+    c = e_unit(0, 1)
     assert (c * c).is_zero()
 
 
 def test_tensor_product_reorders_within_factors():
-    a = TensorPoly.from_parts(
-        FactorPoly.monomial(0, 1), FactorPoly.one(), ROperator.identity()
-    )
-    b = TensorPoly.from_parts(
-        FactorPoly.monomial(1, 0), FactorPoly.one(), ROperator.identity()
-    )
+    a = TensorPoly({(0, 1, 0, 0, i, i): ONE for i in (0, 1)})  # P (x) 1 (x) 1
+    b = TensorPoly({(1, 0, 0, 0, i, i): ONE for i in (0, 1)})  # Q (x) 1 (x) 1
     # P*Q on the first factor picks up the -i hbar contraction in both sectors
     out = a * b
-    expected = TensorPoly.from_parts(
-        factor_normalize([P, Q]), FactorPoly.one(), ROperator.identity()
-    )
+    pq = factor_normalize([P, Q]).items()
+    expected = TensorPoly({(m, n, 0, 0, i, i): c for (m, n), c in pq for i in (0, 1)})
     assert out == expected
 
 
@@ -259,7 +257,7 @@ def test_tensor_adjoint_transports_to_matrix_dagger():
 
     g = make_generators()
     backend = build_backend("fock", 12, 1.0)
-    a = tp_mul(g.q_tilde, g.p_tilde)
+    a = g.q_tilde * g.p_tilde
     lhs = realize(tp_adjoint(a), backend, backend, lam=Fraction(1, 3)).data
     rhs = realize(a, backend, backend, lam=Fraction(1, 3)).data.conj().T
     keep = np.array(
@@ -304,12 +302,8 @@ def test_weight_zero_endpoint_is_qm_pair():
 def test_interpolating_offsets_from_qm_pair():
     g = make_generators()
     lam = ScalarCoeff.lam()
-    q_off = TensorPoly.from_parts(
-        FactorPoly.monomial(1, 0), FactorPoly.one(), ROperator.r_p()
-    ).scale(lam)
-    p_off = TensorPoly.from_parts(
-        FactorPoly.one(), FactorPoly.monomial(0, 1), ROperator.r_q()
-    ).scale(lam)
+    q_off = TensorPoly({(1, 0, 0, 0, 1, 1): lam})  # lam Q (x) 1 (x) E_pp
+    p_off = TensorPoly({(0, 0, 0, 1, 0, 0): lam})  # lam 1 (x) P (x) E_qq
     assert g.q_tilde - g.q_qm == q_off
     assert g.p_tilde - g.p_qm == p_off
 
@@ -319,12 +313,8 @@ def test_weight_one_endpoint_differs_from_cm_pair():
     g = make_generators()
     q_gap = substitute_lambda(g.q_tilde, 1) - g.q_cm
     p_gap = substitute_lambda(g.p_tilde, 1) - g.p_cm
-    assert q_gap == TensorPoly.from_parts(
-        FactorPoly.one(), FactorPoly.monomial(1, 0), ROperator.r_p()
-    )
-    assert p_gap == TensorPoly.from_parts(
-        FactorPoly.monomial(0, 1), FactorPoly.one(), ROperator.r_q()
-    )
+    assert q_gap == TensorPoly({(0, 0, 1, 0, 1, 1): ONE})  # 1 (x) Q (x) E_pp
+    assert p_gap == TensorPoly({(0, 1, 0, 0, 0, 0): ONE})  # P (x) 1 (x) E_qq
 
 
 def test_substitute_lambda_examples():
@@ -343,12 +333,18 @@ def test_substitute_lambda_rejects_outside_unit_interval():
 
 
 def test_qm_embedding_of_square():
-    f = FactorPoly.monomial(2, 0)
-    out = qm_embedding(f)
-    expected = TensorPoly.from_parts(
-        f, FactorPoly.one(), ROperator.r_q()
-    ) + TensorPoly.from_parts(FactorPoly.one(), f, ROperator.r_p())
+    out = qm_embedding(corner({(2, 0): ONE}))
+    # Q^2 (x) 1 (x) E_qq + 1 (x) Q^2 (x) E_pp
+    expected = TensorPoly({(2, 0, 0, 0, 0, 0): ONE, (0, 0, 2, 0, 1, 1): ONE})
     assert out == expected
+
+
+@pytest.mark.parametrize(
+    "key", [(0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 0, 1), (1, 0, 1, 0, 0, 0)]
+)
+def test_qm_embedding_rejects_terms_outside_the_corner(key):
+    with pytest.raises(ValueError, match="outside the q-sector corner"):
+        qm_embedding(corner({(1, 0): ONE}) + TensorPoly({key: ONE}))
 
 
 def test_translation_identity_for_products():
@@ -356,10 +352,11 @@ def test_translation_identity_for_products():
     from qclab.expr import parse_expr
 
     g = make_generators()
+    q_corner, p_corner = g.q_qm * g.r_q, g.p_qm * g.r_q
     for src in ("Q*P", "P*Q*Q + 2*P", "(Q + P)^3", "Q^2*P^2 - 1/2"):
         node = parse_expr(src)
         direct = eval_ncpoly(node, g.q_qm, g.p_qm)
-        embedded = qm_embedding(eval_factor_poly(node))
+        embedded = qm_embedding(g.r_q * eval_ncpoly(node, q_corner, p_corner))
         assert canonical_eq(direct, embedded), src
 
 
@@ -419,11 +416,9 @@ def test_cm_evaluation_matches_commutative_expansion():
         oracle = commutative_oracle(node)
         expected = TensorPoly.zero()
         for (m, n), z in oracle.items():
-            expected = expected + TensorPoly.from_parts(
-                FactorPoly.monomial(m, 0),
-                FactorPoly.monomial(0, n),
-                ROperator.identity(),
-            ).scale(from_complex_rational(z))
+            # z Q^m (x) P^n (x) 1
+            c = from_complex_rational(z)
+            expected = expected + TensorPoly({(m, 0, 0, n, i, i): c for i in (0, 1)})
         assert canonical_eq(out, expected)
 
 
@@ -438,7 +433,7 @@ def test_eval_ncpoly_respects_noncommutativity():
 def test_max_degree():
     g = make_generators()
     assert g.q_tilde.max_degree() == 1
-    assert tp_mul(g.q_qm, g.q_qm).max_degree() == 2
+    assert (g.q_qm * g.q_qm).max_degree() == 2
     assert TensorPoly.identity().max_degree() == 0
 
 
@@ -446,9 +441,9 @@ def test_rewrite_fault_changes_contraction_and_restores():
     bad = ScalarCoeff.from_rational(Fraction(1, 2)) * (-I_HBAR)
     with rewrite_fault(bad):
         out = factor_normalize([P, Q])
-        assert out.terms[(0, 0)] == bad
+        assert out[(0, 0)] == bad
     out = factor_normalize([P, Q])
-    assert out.terms[(0, 0)] == -I_HBAR
+    assert out[(0, 0)] == -I_HBAR
 
 
 def test_rewrite_fault_breaks_ccr():
@@ -501,9 +496,7 @@ def test_lambda_coefficients_of_the_swept_elements():
     )
     q0, q1 = lambda_coefficients(gens.q_tilde)
     assert q0 == gens.q_qm  # the lam^0 part is the quantum pair
-    assert q1 == TensorPoly.from_parts(
-        FactorPoly.monomial(1, 0), FactorPoly.one(), ROperator.r_p()
-    )
+    assert q1 == TensorPoly({(1, 0, 0, 0, 1, 1): ONE})  # Q (x) 1 (x) E_pp
     assert len(lambda_coefficients(gens.p_tilde)) == 2
     assert len(lambda_coefficients(quartic)) == 5
     (ccr,) = lambda_coefficients(tp_commutator(gens.q_tilde, gens.p_tilde))

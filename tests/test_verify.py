@@ -62,7 +62,7 @@ def test_fault_injection_fails_ccr_and_restores_state():
     comm = tp_commutator(g.q_qm, g.p_qm)
     expected = TensorPoly.identity().scale(ScalarCoeff.i() * ScalarCoeff.hbar())
     assert comm == expected
-    assert factor_normalize(["P", "Q"]).terms[(0, 0)] == -(
+    assert factor_normalize(["P", "Q"])[(0, 0)] == -(
         ScalarCoeff.i() * ScalarCoeff.hbar()
     )
 
@@ -91,3 +91,46 @@ def test_seed_determinism_of_witnesses():
 def test_elapsed_is_tracked_per_check():
     report = run_verify(names=("qm-ccr",))
     assert report.checks[0].elapsed >= 0.0
+
+
+# Exact witnesses of the ten symbolic checks.  They are canonical forms and
+# reprs of exact elements, so they repeat on every platform.
+_SYMBOLIC_WITNESSES = {
+    "qm-ccr": "exact: [q_qm, p_qm] = i*hbar*identity",
+    "cm-commutativity": "100 random pairs commute exactly",
+    "translation-identity": "100 random polynomials map to the two-sector diagonal form",
+    "endpoint-qm": "exact: interpolating pair at weight 0 equals the qm pair",
+    "projector-relations": "all six projector relations hold exactly",
+    "rewrite-confluence": "200 random words: leftmost and rightmost strategies agree",
+    "generator-hermiticity": "all six generators are adjoint-fixed",
+    "adjoint-involution": "adjoint is an involution on 10 random elements",
+    "tilde-ccr-symbolic": (
+        "[q_tilde, p_tilde] = i*hbar*identity for every interpolation weight,"
+        " including the classical endpoint"
+    ),
+    "classical-endpoint-gap": (
+        "q-gap TensorPoly((1)*[1|Q^1|E_pp]); p-gap TensorPoly((1)*[P^1|1|E_qq])"
+        " (nonzero as operators; equivalence at the endpoint is basis-level,"
+        " not canonical)"
+    ),
+}
+
+# The CCR checks are the ones a corrupted swap constant s' = factor * s
+# breaks: [Q, P] becomes -s' = factor * i*hbar, leaving (factor - 1) i*hbar.
+_CCR_DIFF = {
+    0.5: "(-1/2i*hbar)",
+    -1.0: "(-2i*hbar)",
+    0.0: "(-1i*hbar)",
+}
+
+
+@pytest.mark.parametrize("fault", [None, 0.5, -1.0, 0.0])
+def test_symbolic_witnesses_are_pinned(fault):
+    report = run_verify(names=tuple(_SYMBOLIC_WITNESSES), fault_injection=fault)
+    expected = {name: ("pass", w) for name, w in _SYMBOLIC_WITNESSES.items()}
+    if fault is not None:
+        c = _CCR_DIFF[fault]
+        diff = f"canonical-diff=TensorPoly({c}*[1|1|E_qq] + {c}*[1|1|E_pp])"
+        expected["qm-ccr"] = expected["tilde-ccr-symbolic"] = ("fail", diff)
+    got = {c.name: (c.status, c.witness) for c in report.checks}
+    assert got == expected
