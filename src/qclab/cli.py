@@ -40,6 +40,7 @@ from .matrep import (
     hermitian_defect,
     kernel_block,
     realize,
+    realize_product,
 )
 from .ncpoly import (
     eval_ncpoly,
@@ -454,8 +455,9 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
     obs_parts = [
         numer_and_defect(realize(c, bq, bp).data) for c in lambda_coefficients(obs)
     ]
-    q_mats = [realize(c, bq, bp).data for c in lambda_coefficients(q_t)]
-    p_mats = [realize(c, bq, bp).data for c in lambda_coefficients(p_t)]
+    q_coeffs, p_coeffs = lambda_coefficients(q_t), lambda_coefficients(p_t)
+    q_mats = [realize(c, bq, bp).data for c in q_coeffs]
+    p_mats = [realize(c, bq, bp).data for c in p_coeffs]
     q_parts = [numer_and_defect(m) for m in q_mats]
     p_parts = [numer_and_defect(m) for m in p_mats]
     denom = mean_parts(state, q_mats[0])[1]
@@ -469,23 +471,23 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
                 float(np.max(np.abs(_horner(mats, x) - realize(ref, bq, bp).data)))
                 for mats, ref in ((q_mats, q_ref), (p_mats, p_ref))
             )
+    del q_mats, p_mats
 
     # bulk defect D(lam) = sum lam^k D_k, with D_k the realized lam^k part of
-    # the symbolic commutator minus sum_{i+j=k} [Q_i, P_j]
+    # the symbolic commutator minus sum_{i+j=k} [Q_i, P_j]; the products are
+    # added straight into D_k from factor-sized products
     sym = lambda_coefficients(tp_commutator(q_t, p_t))
-    dim = q_mats[0].shape[0]
+    dim = bq.dim * bp.dim * 2
     defects = [
         np.zeros((dim, dim), dtype=complex)
-        for _ in range(max(len(sym), len(q_mats) + len(p_mats) - 1))
+        for _ in range(max(len(sym), len(q_coeffs) + len(p_coeffs) - 1))
     ]
     for d, c in zip(defects, sym):
         d += realize(c, bq, bp).data
-    scratch = np.empty((dim, dim), dtype=complex)
-    for i, q_i in enumerate(q_mats):
-        for j, p_j in enumerate(p_mats):
-            defects[i + j] -= np.matmul(q_i, p_j, out=scratch)
-            defects[i + j] += np.matmul(p_j, q_i, out=scratch)
-    del q_mats, p_mats, scratch
+    for i, q_i in enumerate(q_coeffs):
+        for j, p_j in enumerate(p_coeffs):
+            realize_product(-q_i, p_j, bq, bp, out=defects[i + j])
+            realize_product(p_j, q_i, bq, bp, out=defects[i + j])
 
     def mean(element, parts, lam: Fraction, x: float) -> float:
         if denom != 0 and sum(x**k * hd for k, (_, hd) in enumerate(parts)) <= 1e-10:

@@ -159,14 +159,14 @@ def _matrix_powers(mat: np.ndarray, max_power: int) -> list[np.ndarray]:
     return powers
 
 
-def _factor_words(a: TensorPoly, bq: Backend, bp: Backend):
-    """Check that ``a`` can be realized on ``bq``, ``bp``; return its hbar and
-    ``word(k, m, n)``, the matrix ``Q^m P^n`` on factor k (0: q, 1: p).
+def _factor_words(bq: Backend, bp: Backend, *elements: TensorPoly):
+    """Check that ``elements`` can be realized on ``bq``, ``bp``; return their
+    hbar and ``word(k, m, n)``, the matrix ``Q^m P^n`` on factor k (0: q, 1: p).
 
     Words are read from power tables of each factor's Q and P, built once up
-    to the largest exponent ``a`` uses.
+    to the largest exponent the elements use.
     """
-    if a.has_lambda:
+    if any(a.has_lambda for a in elements):
         raise ValueError(
             "element still depends on the symbolic interpolation weight;"
             " call substitute_lambda first or pass lam="
@@ -175,7 +175,7 @@ def _factor_words(a: TensorPoly, bq: Backend, bp: Backend):
         raise ValueError(
             f"backends disagree on hbar ({bq.hbar} vs {bp.hbar})"
         )
-    keys = a.terms.keys()
+    keys = [k for a in elements for k in a.terms]
     tables = [
         (
             _matrix_powers(np.asarray(b.qmat), max((k[2 * f] for k in keys), default=0)),
@@ -189,6 +189,14 @@ def _factor_words(a: TensorPoly, bq: Backend, bp: Backend):
         return qpow[m] @ ppow[n]
 
     return bq.hbar, word
+
+
+def _add_term(out: np.ndarray, c: complex, x: np.ndarray, y: np.ndarray, i: int, j: int) -> None:
+    """Add ``c * (x (x) y (x) E_ij)`` into the product-space matrix ``out``."""
+    block = np.kron(x, y)
+    block *= c
+    # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
+    out[i::2, j::2] += block
 
 
 def realize(
@@ -205,14 +213,53 @@ def realize(
     """
     if lam is not None:
         a = a.substitute_lambda(Fraction(lam))
-    hbar, word = _factor_words(a, bq, bp)
+    hbar, word = _factor_words(bq, bp, a)
     dim = bq.dim * bp.dim * 2
     data = np.zeros((dim, dim), dtype=complex)
     for (mq, nq, mp, np_, i, j), coeff in sorted(a.terms.items()):
-        c = coeff.evaluate(hbar)
-        # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
-        data[i::2, j::2] += c * np.kron(word(0, mq, nq), word(1, mp, np_))
+        _add_term(data, coeff.evaluate(hbar), word(0, mq, nq), word(1, mp, np_), i, j)
     return TensorMatrix(bq.dim, bp.dim, _freeze(data))
+
+
+def realize_product(
+    a: TensorPoly,
+    b: TensorPoly,
+    bq: Backend,
+    bp: Backend,
+    lam: float | Fraction | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``realize(a).data @ realize(b).data``, built from factor-sized products.
+
+    Every realized term is ``X (x) Y (x) E_ij``, and
+    ``(X (x) Y (x) E_ij)(X' (x) Y' (x) E_kl) = delta_jk XX' (x) YY' (x) E_il``
+    (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
+    123 (2000)).  So each pair of terms with matching inner r-index costs two
+    N x N products and one ``kron``, and no two product-space matrices are
+    multiplied.  The product is added into ``out`` when it is given (a
+    writable complex array of the product-space shape) and into a new zero
+    matrix otherwise; the array is returned.
+    """
+    if lam is not None:
+        a = a.substitute_lambda(Fraction(lam))
+        b = b.substitute_lambda(Fraction(lam))
+    hbar, word = _factor_words(bq, bp, a, b)
+    if out is None:
+        dim = bq.dim * bp.dim * 2
+        out = np.zeros((dim, dim), dtype=complex)
+
+    def factored(element: TensorPoly):
+        return [
+            (i, j, coeff.evaluate(hbar), word(0, mq, nq), word(1, mp, np_))
+            for (mq, nq, mp, np_, i, j), coeff in sorted(element.terms.items())
+        ]
+
+    right = factored(b)
+    for i, j, c, x, y in factored(a):
+        for k, l, c2, x2, y2 in right:
+            if j == k:
+                _add_term(out, c * c2, x @ x2, y @ y2, i, l)
+    return out
 
 
 def qm_factors(a: TensorPoly, bq: Backend, bp: Backend) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +271,7 @@ def qm_factors(a: TensorPoly, bq: Backend, bp: Backend) -> tuple[np.ndarray, np.
     matching blocks.  Raises ValueError on a term that couples the two
     r-sectors or acts on the other factor of its sector.
     """
-    hbar, word = _factor_words(a, bq, bp)
+    hbar, word = _factor_words(bq, bp, a)
     factors = [np.zeros((b.dim, b.dim), dtype=complex) for b in (bq, bp)]
     for key, coeff in sorted(a.terms.items()):
         mq, nq, mp, np_, i, j = key
@@ -262,10 +309,10 @@ def commutator_defect(
     and restricted to the bulk rows and columns (``bulk_defect_norm``), the
     bulk being everything below the top level of each Fock factor.
     """
-    sym = realize(tp_commutator(a, b), bq, bp, lam=lam).data
-    ma = realize(a, bq, bp, lam=lam).data
-    mb = realize(b, bq, bp, lam=lam).data
-    defect = sym - (ma @ mb - mb @ ma)
+    # sym - (AB - BA), accumulated as BA - AB + sym from factor products
+    defect = realize_product(b, a, bq, bp, lam=lam)
+    realize_product(-a, b, bq, bp, lam=lam, out=defect)
+    defect += realize(tp_commutator(a, b), bq, bp, lam=lam).data
     return {
         "defect_norm": float(np.max(np.abs(defect))) if defect.size else 0.0,
         "bulk_defect_norm": bulk_max(defect, bq, bp),

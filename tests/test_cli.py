@@ -490,10 +490,26 @@ def test_format_flag_is_only_on_report_commands(tmp_path, capsys):
 STEEP = {"dt": 0.2, "n_grid": 16, "n_fock": 8}
 
 
+# runs that overflow to NaN between two records: the mass test must still
+# catch them, since no comparison with NaN is true
+OVERFLOW_AUTO = {
+    "h_values": [0.0],
+    "dynamics": {"mode": "auto", "dt": 0.2, "n_grid": 16, "steps": 5000, "record_stride": 5000},
+}
+OVERFLOW_COMPARE = {
+    "dynamics": {"dt": 0.2, "n_grid": 16, "n_fock": 8, "period_count": 50, "record_stride": 100000},
+}
+
+
 @pytest.mark.parametrize(
     "config",
-    [{"dynamics": STEEP}, {"h_values": [0.0], "dynamics": {**STEEP, "mode": "auto"}}],
-    ids=["compare", "auto"],
+    [
+        {"dynamics": STEEP},
+        {"h_values": [0.0], "dynamics": {**STEEP, "mode": "auto"}},
+        OVERFLOW_COMPARE,
+        OVERFLOW_AUTO,
+    ],
+    ids=["compare", "auto", "compare-nan", "auto-nan"],
 )
 def test_main_diverging_liouville_run_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "steep.json"

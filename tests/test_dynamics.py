@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qclab import dynamics as dyn
-from qclab.expr import parse_expr
+from qclab.expr import differentiate, parse_expr
 from qclab.matrep import build_backend, qm_factors, realize
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.scalars import ScalarCoeff
@@ -186,6 +186,76 @@ def test_liouville_warns_when_flow_reaches_boundary():
         dyn.liouville_evolve(
             rho0, OSC + " + (1/10)*Q^4", 1e-3, 600, record_stride=600
         )
+
+
+def four_stage_liouville(rho0, h_text, dt, steps, record_stride):
+    """The classic four-stage RK4 loop with its own recording, the oracle
+    for the stepper's Horner form."""
+    node = parse_expr(h_text)
+    qm, pm = np.meshgrid(rho0.q_values, rho0.p_values, indexing="ij")
+    hvals = dyn._mesh_eval(node, qm, pm)
+    dh_dq = dyn._mesh_eval(differentiate(node, "Q"), qm, pm)
+    dh_dp = dyn._mesh_eval(differentiate(node, "P"), qm, pm)
+    d_q, d_p_t = dyn._differentiation_matrices(rho0)
+    cell = rho0.dq * rho0.dp
+    grid = rho0.grid.copy()
+    traj = dyn.Trajectory(extras={"min_entry": [], "boundary_mass": []})
+
+    def bracket(g):
+        return dh_dq * (g @ d_p_t) - dh_dp * (d_q @ g)
+
+    def record(step):
+        mass = float(grid.sum() * cell)
+        traj.append(
+            step * dt,
+            float((qm * grid).sum() * cell / mass),
+            float((pm * grid).sum() * cell / mass),
+            float((hvals * grid).sum() * cell / mass),
+            mass,
+        )
+        traj.extras["min_entry"].append(float(grid.min()))
+        traj.extras["boundary_mass"].append(
+            dyn._boundary_mass(grid, rho0.dq, rho0.dp)
+        )
+
+    record(0)
+    for step in range(1, steps + 1):
+        k1 = bracket(grid)
+        k2 = bracket(grid + 0.5 * dt * k1)
+        k3 = bracket(grid + 0.5 * dt * k2)
+        k4 = bracket(grid + dt * k3)
+        grid += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % record_stride == 0 or step == steps:
+            record(step)
+    return traj
+
+
+@pytest.mark.filterwarnings("ignore:boundary ring:RuntimeWarning")
+@pytest.mark.parametrize(
+    "rho0, h_text, dt, steps, stride",
+    [
+        (centered_gaussian(), OSC, 1e-3, 400, 100),
+        (
+            dyn.PhaseSpaceDensity.gaussian(12, 17, 9.0, 11.0, 0.4, -0.3, 0.8, 0.9),
+            OSC + " + (1/10)*Q^4",
+            2e-3,
+            300,
+            60,
+        ),
+        (centered_gaussian(n=32), OSC, 1e-2, 333, 40),
+    ],
+    ids=["oscillator-64", "quartic-12x17", "partial-stride"],
+)
+def test_horner_stepper_matches_the_four_stage_loop(rho0, h_text, dt, steps, stride):
+    got = dyn.liouville_evolve(rho0, h_text, dt, steps, record_stride=stride)
+    want = four_stage_liouville(rho0, h_text, dt, steps, stride)
+    assert got.times == want.times
+    columns = ("mean_q", "mean_p", "mean_energy", "norm_or_trace")
+    for name in columns:
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
+    assert sorted(got.extras) == sorted(want.extras)
+    for name, values in want.extras.items():
+        np.testing.assert_allclose(got.extras[name], values, rtol=0, atol=1e-12)
 
 
 def quantum_setup(n_fock=24, q0=1.0, p0=0.0, expr=OSC):

@@ -18,12 +18,13 @@ from qclab.matrep import (
     import_matrix,
     kernel_block,
     realize,
+    realize_product,
     spectrum,
     unflatten,
 )
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.expr import parse_expr
-from qclab.scalars import ScalarCoeff
+from qclab.scalars import ComplexRational, ScalarCoeff
 
 
 def test_fock_commutator_anomaly():
@@ -182,6 +183,15 @@ def test_realize_is_linear():
     np.testing.assert_allclose(lhs.data, rhs, atol=1e-13)
 
 
+def _pair(kind, hbar=1.0):
+    if kind == "fock":
+        return build_backend("fock", 5, hbar), build_backend("fock", 7, hbar)
+    return (
+        build_backend("grid-position", 5, hbar, 6.0),
+        build_backend("grid-momentum", 7, hbar, 7.0),
+    )
+
+
 def test_commutator_defect_qm_bulk_small():
     g = make_generators()
     b = build_backend("fock", 8, 1.0)
@@ -192,11 +202,60 @@ def test_commutator_defect_qm_bulk_small():
 
 def test_commutator_defect_cm_exactly_zero():
     g = make_generators()
-    bq = build_backend("grid-position", 8, 1.0, 8.0)
-    bp = build_backend("grid-momentum", 8, 1.0, 8.0)
-    d = commutator_defect(bq, bp, g.q_cm, g.p_cm)
-    assert d["defect_norm"] == 0.0
-    assert d["bulk_defect_norm"] == 0.0
+    pairs = [
+        (build_backend("grid-position", 8, 1.0, 8.0), build_backend("grid-momentum", 8, 1.0, 8.0)),
+        _pair("grid", 0.7),
+    ]
+    for bq, bp in pairs:
+        d = commutator_defect(bq, bp, g.q_cm, g.p_cm)
+        assert d["defect_norm"] == 0.0
+        assert d["bulk_defect_norm"] == 0.0
+
+
+def _product_cases():
+    g = make_generators()
+    one = ScalarCoeff.one()
+    half_i = ScalarCoeff({(0, 0): ComplexRational.of(Fraction(1, 2), Fraction(-3, 4))})
+    qpq = eval_ncpoly(parse_expr("Q*P*Q"), g.q_qm, g.p_qm)
+    # Q P^2 (x) P (x) E_qp and 1 (x) Q^2 (x) E_pq couple the r-sectors
+    coupling = TensorPoly({(1, 2, 0, 1, 0, 1): half_i, (0, 0, 2, 0, 1, 0): one})
+    return {
+        "qm-pair": (g.q_qm, g.p_qm, None),
+        "mixed-word": (qpq, g.p_qm + g.q_qm, None),
+        "r-coupling": (coupling, g.q_tilde * g.p_tilde, Fraction(2, 5)),
+        "coupling-squared": (coupling, coupling.adjoint(), None),
+        "tilde-lam": (g.q_tilde, g.p_tilde, Fraction(1, 3)),
+        "tilde-cm-end": (g.p_tilde * g.p_tilde, g.q_tilde, Fraction(1)),
+    }
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("kind", ["fock", "grid"])
+@pytest.mark.parametrize("case", sorted(_product_cases()))
+def test_realize_product_matches_the_dense_product(kind, hbar, case):
+    a, b, lam = _product_cases()[case]
+    bq, bp = _pair(kind, hbar)
+    want = realize(a, bq, bp, lam=lam).data @ realize(b, bq, bp, lam=lam).data
+    got = realize_product(a, b, bq, bp, lam=lam)
+    assert got.shape == (70, 70)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_realize_product_adds_into_out():
+    g = make_generators()
+    bq, bp = _pair("fock")
+    base = realize(g.identity, bq, bp).data
+    out = np.array(base)
+    assert realize_product(g.q_qm, g.p_qm, bq, bp, out=out) is out
+    want = base + realize(g.q_qm, bq, bp).data @ realize(g.p_qm, bq, bp).data
+    assert np.max(np.abs(out - want)) <= 1e-12
+
+
+def test_realize_product_needs_the_weight():
+    g = make_generators()
+    bq, bp = _pair("grid")
+    with pytest.raises(ValueError, match="symbolic interpolation weight"):
+        realize_product(g.q_qm, g.p_tilde, bq, bp)
 
 
 def test_kernel_block_selects_r_entries():

@@ -3,7 +3,8 @@
 ``sweep_rows`` realizes each lam-coefficient of the swept elements once and
 evaluates every h from the coefficients.  The oracle below is the direct
 path: at each h it substitutes the weight, realizes the pair and the
-observable, takes the dense commutator defect and the mean values.
+observable, takes the commutator defect from dense products of the realized
+pair, and the mean values.
 """
 
 import csv
@@ -24,9 +25,11 @@ from qclab.cli import (
     sweep_rows,
 )
 from qclab.expr import parse_expr
-from qclab.matrep import commutator_defect, realize
+from qclab.matrep import realize
 from qclab.ncpoly import eval_ncpoly, make_generators, substitute_lambda
 from qclab.states import mean_value
+
+from matrix_oracle import dense_bulk_commutator_defect
 
 QUARTIC = "(1/2)*(P^2 + Q^2) + (1/10)*Q^4"
 COLUMNS = [
@@ -50,7 +53,6 @@ def oracle_rows(config, bq, bp, state):
         q_mat = realize(qt, bq, bp)
         p_mat = realize(pt, bq, bp)
         obs_mat = realize(eval_ncpoly(node, qt, pt), bq, bp)
-        defect = commutator_defect(bq, bp, qt, pt)
         try:
             row = {
                 "h": h,
@@ -58,7 +60,7 @@ def oracle_rows(config, bq, bp, state):
                 "mean_q_tilde": mean_value(state, q_mat),
                 "mean_p_tilde": mean_value(state, p_mat),
                 "mean_observable": mean_value(state, obs_mat),
-                "bulk_commutator_defect": defect["bulk_defect_norm"],
+                "bulk_commutator_defect": dense_bulk_commutator_defect(bq, bp, qt, pt),
                 "endpoint_q_diff": None,
                 "endpoint_p_diff": None,
             }
@@ -104,6 +106,19 @@ CONFIGS = {
         observable=QUARTIC,
         h_values=(0.0, 0.3, 0.45, 1.0),
         state=StateSpec(kind="cm-point", k=3, l=5),
+    ),
+    # the two pair kinds of the sweep benchmark, N = 16 (dimension 512)
+    "grid-n16": RunConfig(
+        observable=QUARTIC,
+        backend_q=BackendSpec(kind="grid-position", n=16, length=8.0),
+        backend_p=BackendSpec(kind="grid-momentum", n=16, length=8.0),
+        state=StateSpec(q0=0.312, p0=-0.571),
+    ),
+    "fock-n16": RunConfig(
+        observable=QUARTIC,
+        backend_q=BackendSpec(kind="fock", n=16, length=None),
+        backend_p=BackendSpec(kind="fock", n=16, length=None),
+        state=StateSpec(q0=-0.44, p0=0.83),
     ),
 }
 
