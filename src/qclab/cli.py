@@ -32,22 +32,20 @@ from .expr import ExprError, parse_expr
 from .matrep import (
     Backend,
     build_backend,
-    bulk_max,
     check_backend,
+    commutator_defect,
     export_kernel_csv,
     export_matrix,
     format_float,
     hermitian_defect,
     kernel_block,
     realize,
-    realize_product,
 )
 from .ncpoly import (
     eval_ncpoly,
     lambda_coefficients,
     make_generators,
     substitute_lambda,
-    tp_commutator,
 )
 from .states import (
     WeightSpec,
@@ -425,7 +423,7 @@ def _write_verify_csv(report: VerifyReport, path: str) -> None:
 
 
 def _horner(coeffs: list, x: float):
-    """``sum(x**k * coeffs[k])`` by Horner's rule, for scalars or arrays."""
+    """``sum(x**k * coeffs[k])`` by Horner's rule."""
     acc = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = acc * x + c
@@ -435,67 +433,43 @@ def _horner(coeffs: list, x: float):
 def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]:
     """The sweep table, one row per h value.
 
-    Every swept element is a polynomial in lam, so each lam-coefficient is
-    realized once.  A mean is linear in the matrix: the numerators of the
-    coefficients combine per h by Horner's rule in lam, as do the
-    coefficients of the bulk commutator defect.  The Hermitian test of a
-    row is bounded by the defects of the coefficients; a row whose bound
-    exceeds 1e-10, or whose mean is not real to 1e-10, is evaluated on the
-    realized element at that h, which reports the error.
+    Every swept element is a polynomial in lam, so each lam-coefficient of
+    the pair and the observable is realized once, reduced to its mean
+    numerator and Hermitian defect, and dropped.  A mean is linear in the
+    matrix: the numerators combine per h by Horner's rule in lam.  The
+    Hermitian test of a row is bounded by the defects of the coefficients;
+    a row whose bound exceeds 1e-10, or whose mean is not real to 1e-10, is
+    evaluated on the realized element at that h, which reports the error.
+    The bulk defect of each row is ``commutator_defect`` of the pair at
+    that h, and an endpoint gap is the largest entry of the realized exact
+    difference between the pair at that h and the reference pair.
     """
     gens = make_generators()
     q_t, p_t = gens.q_tilde, gens.p_tilde
     obs = eval_ncpoly(parse_expr(config.observable), q_t, p_t)
 
-    def numer_and_defect(mat: np.ndarray) -> tuple[complex, float]:
-        return mean_parts(state, mat)[0], hermitian_defect(mat)
+    def parts(element) -> list[tuple[complex, complex, float]]:
+        """Per lam-coefficient: mean numerator, denominator, Hermitian defect."""
+        return [
+            (*mean_parts(state, m), hermitian_defect(m))
+            for m in (realize(c, bq, bp).data for c in lambda_coefficients(element))
+        ]
 
-    # each observable coefficient is reduced to scalars before the next is
-    # realized, so only the pair's coefficient matrices stay alive
-    obs_parts = [
-        numer_and_defect(realize(c, bq, bp).data) for c in lambda_coefficients(obs)
-    ]
-    q_coeffs, p_coeffs = lambda_coefficients(q_t), lambda_coefficients(p_t)
-    q_mats = [realize(c, bq, bp).data for c in q_coeffs]
-    p_mats = [realize(c, bq, bp).data for c in p_coeffs]
-    q_parts = [numer_and_defect(m) for m in q_mats]
-    p_parts = [numer_and_defect(m) for m in p_mats]
-    denom = mean_parts(state, q_mats[0])[1]
-
-    endpoint = {}
-    refs = ((config.h_o, gens.q_qm, gens.p_qm), (0.0, gens.q_cm, gens.p_cm))
-    for h, q_ref, p_ref in refs:
-        if h in config.h_values:
-            x = float(_lambda_of(h, config.h_o))
-            endpoint[h] = tuple(
-                float(np.max(np.abs(_horner(mats, x) - realize(ref, bq, bp).data)))
-                for mats, ref in ((q_mats, q_ref), (p_mats, p_ref))
-            )
-    del q_mats, p_mats
-
-    # bulk defect D(lam) = sum lam^k D_k, with D_k the realized lam^k part of
-    # the symbolic commutator minus sum_{i+j=k} [Q_i, P_j]; the products are
-    # added straight into D_k from factor-sized products
-    sym = lambda_coefficients(tp_commutator(q_t, p_t))
-    dim = bq.dim * bp.dim * 2
-    defects = [
-        np.zeros((dim, dim), dtype=complex)
-        for _ in range(max(len(sym), len(q_coeffs) + len(p_coeffs) - 1))
-    ]
-    for d, c in zip(defects, sym):
-        d += realize(c, bq, bp).data
-    for i, q_i in enumerate(q_coeffs):
-        for j, p_j in enumerate(p_coeffs):
-            realize_product(-q_i, p_j, bq, bp, out=defects[i + j])
-            realize_product(p_j, q_i, bq, bp, out=defects[i + j])
+    obs_parts, q_parts, p_parts = parts(obs), parts(q_t), parts(p_t)
+    denom = q_parts[0][1]
 
     def mean(element, parts, lam: Fraction, x: float) -> float:
-        if denom != 0 and sum(x**k * hd for k, (_, hd) in enumerate(parts)) <= 1e-10:
-            ratio = _horner([numer for numer, _ in parts], x) / denom
+        if denom != 0 and sum(x**k * hd for k, (_, _, hd) in enumerate(parts)) <= 1e-10:
+            ratio = _horner([numer for numer, _, _ in parts], x) / denom
             if abs(ratio.imag) <= 1e-10:
                 return float(ratio.real)
         return mean_value(state, realize(element, bq, bp, lam=lam))
 
+    def gap(element, ref, lam: Fraction) -> float:
+        diff = realize(substitute_lambda(element, lam) - ref, bq, bp).data
+        return float(np.max(np.abs(diff)))
+
+    refs = {config.h_o: (gens.q_qm, gens.p_qm), 0.0: (gens.q_cm, gens.p_cm)}
     rows = []
     for h in config.h_values:
         lam = _lambda_of(h, config.h_o)
@@ -507,18 +481,28 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
                 "mean_q_tilde": mean(q_t, q_parts, lam, x),
                 "mean_p_tilde": mean(p_t, p_parts, lam, x),
                 "mean_observable": mean(obs, obs_parts, lam, x),
-                "bulk_commutator_defect": bulk_max(_horner(defects, x), bq, bp),
             }
         except ValueError as exc:
             raise ConfigError(
                 f"cannot evaluate means at h={h!r}: {exc}"
             ) from exc
-        row["endpoint_q_diff"], row["endpoint_p_diff"] = endpoint.get(h, (None, None))
+        row["bulk_commutator_defect"] = commutator_defect(
+            bq, bp, q_t, p_t, lam=lam
+        )["bulk_defect_norm"]
+        row["endpoint_q_diff"], row["endpoint_p_diff"] = (
+            (gap(q_t, refs[h][0], lam), gap(p_t, refs[h][1], lam))
+            if h in refs else (None, None)
+        )
         rows.append(row)
     return rows
 
 
 def cmd_sweep(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
+    if config.family != "tilde":
+        raise ConfigError(
+            "sweep tabulates the interpolating pair only (family tilde),"
+            f" got family {config.family!r}"
+        )
     bq, bp = build_backends(config)
     rows = sweep_rows(config, bq, bp, build_state(config, bq, bp))
 

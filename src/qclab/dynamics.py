@@ -299,14 +299,17 @@ def liouville_evolve(
     stages = [((dt / k) * dh_dq, (dt / k) * dh_dp) for k in (4, 3, 2, 1)]
     partial, bracket, work = (np.empty_like(grid) for _ in range(3))
     record(0)
-    for step in range(1, steps + 1):
-        _bracket(*stages[0], grid, d_q, d_p_t, out=bracket, work=work)
-        for a, b in stages[1:]:
-            np.add(grid, bracket, out=partial)
-            _bracket(a, b, partial, d_q, d_p_t, out=bracket, work=work)
-        grid += bracket
-        if step % record_stride == 0 or step == steps:
-            record(step)
+    # a diverging run overflows to inf and NaN between records; the mass
+    # test at the next record reports it, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            _bracket(*stages[0], grid, d_q, d_p_t, out=bracket, work=work)
+            for a, b in stages[1:]:
+                np.add(grid, bracket, out=partial)
+                _bracket(a, b, partial, d_q, d_p_t, out=bracket, work=work)
+            grid += bracket
+            if step % record_stride == 0 or step == steps:
+                record(step)
     return traj
 
 

@@ -159,13 +159,34 @@ def _matrix_powers(mat: np.ndarray, max_power: int) -> list[np.ndarray]:
     return powers
 
 
-def _factor_words(bq: Backend, bp: Backend, *elements: TensorPoly):
-    """Check that ``elements`` can be realized on ``bq``, ``bp``; return their
-    hbar and ``word(k, m, n)``, the matrix ``Q^m P^n`` on factor k (0: q, 1: p).
+def _word(qpow: list, ppow: list, m: int, n: int) -> np.ndarray:
+    """``Q^m P^n`` from the power tables; a product with the identity is
+    skipped, since it changes no entry."""
+    if n == 0:
+        return qpow[m]
+    if m == 0:
+        return ppow[n]
+    return qpow[m] @ ppow[n]
 
-    Words are read from power tables of each factor's Q and P, built once up
-    to the largest exponent the elements use.
+
+def _factored(
+    bq: Backend,
+    bp: Backend,
+    *elements: TensorPoly,
+    lam: float | Fraction | None = None,
+) -> list:
+    """One iterator per element over its terms ``(i, j, c, X, Y)``, each
+    meaning ``c * X (x) Y (x) E_ij``, in sorted key order.
+
+    ``lam`` is substituted first; the elements must then be free of the
+    symbolic weight, and the backends must share hbar, at which the
+    coefficients are evaluated.  X is the word ``Q^m P^n`` on the q factor
+    and Y the word on the p factor, read from power tables of each factor's
+    Q and P.  The checks and the tables run before any term is read; a
+    term's matrices are built only when its iterator reaches it.
     """
+    if lam is not None:
+        elements = tuple(a.substitute_lambda(Fraction(lam)) for a in elements)
     if any(a.has_lambda for a in elements):
         raise ValueError(
             "element still depends on the symbolic interpolation weight;"
@@ -184,19 +205,35 @@ def _factor_words(bq: Backend, bp: Backend, *elements: TensorPoly):
         for f, b in enumerate((bq, bp))
     ]
 
-    def word(k: int, m: int, n: int) -> np.ndarray:
-        qpow, ppow = tables[k]
-        return qpow[m] @ ppow[n]
+    def terms(a: TensorPoly):
+        for (mq, nq, mp, np_, i, j), coeff in sorted(a.terms.items()):
+            x, y = _word(*tables[0], mq, nq), _word(*tables[1], mp, np_)
+            yield i, j, coeff.evaluate(bq.hbar), x, y
 
-    return bq.hbar, word
+    return [terms(a) for a in elements]
 
 
-def _add_term(out: np.ndarray, c: complex, x: np.ndarray, y: np.ndarray, i: int, j: int) -> None:
-    """Add ``c * (x (x) y (x) E_ij)`` into the product-space matrix ``out``."""
-    block = np.kron(x, y)
-    block *= c
-    # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
-    out[i::2, j::2] += block
+def _products(left, right):
+    """The terms of the product of two factored elements.
+
+    ``(X (x) Y (x) E_ij)(X' (x) Y' (x) E_kl) = delta_jk XX' (x) YY' (x) E_il``
+    (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
+    123 (2000)), so each pair of terms with matching inner r-index costs two
+    N x N products, and no two product-space matrices are multiplied.
+    """
+    right = list(right)
+    for i, j, c, x, y in left:
+        for k, l, c2, x2, y2 in right:
+            if j == k:
+                yield i, l, c * c2, x @ x2, y @ y2
+
+
+def _add_term(block: np.ndarray, c: complex, x: np.ndarray, y: np.ndarray) -> None:
+    """Add ``c * (x (x) y)`` into ``block``, an r-block of a product-space matrix."""
+    # the outer product indexed (row_x, row_y, col_x, col_y) is kron(x, y)
+    term = x[:, None, :, None] * y[None, :, None, :]
+    term *= c
+    block += term.reshape(block.shape)
 
 
 def realize(
@@ -211,13 +248,12 @@ def realize(
     substitute it first.  Both backends must share the same hbar, at which
     the polynomial hbar-dependence of the coefficients is evaluated.
     """
-    if lam is not None:
-        a = a.substitute_lambda(Fraction(lam))
-    hbar, word = _factor_words(bq, bp, a)
+    (terms,) = _factored(bq, bp, a, lam=lam)
     dim = bq.dim * bp.dim * 2
     data = np.zeros((dim, dim), dtype=complex)
-    for (mq, nq, mp, np_, i, j), coeff in sorted(a.terms.items()):
-        _add_term(data, coeff.evaluate(hbar), word(0, mq, nq), word(1, mp, np_), i, j)
+    for i, j, c, x, y in terms:
+        # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
+        _add_term(data[i::2, j::2], c, x, y)
     return TensorMatrix(bq.dim, bp.dim, _freeze(data))
 
 
@@ -227,38 +263,13 @@ def realize_product(
     bq: Backend,
     bp: Backend,
     lam: float | Fraction | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``realize(a).data @ realize(b).data``, built from factor-sized products.
-
-    Every realized term is ``X (x) Y (x) E_ij``, and
-    ``(X (x) Y (x) E_ij)(X' (x) Y' (x) E_kl) = delta_jk XX' (x) YY' (x) E_il``
-    (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
-    123 (2000)).  So each pair of terms with matching inner r-index costs two
-    N x N products and one ``kron``, and no two product-space matrices are
-    multiplied.  The product is added into ``out`` when it is given (a
-    writable complex array of the product-space shape) and into a new zero
-    matrix otherwise; the array is returned.
-    """
-    if lam is not None:
-        a = a.substitute_lambda(Fraction(lam))
-        b = b.substitute_lambda(Fraction(lam))
-    hbar, word = _factor_words(bq, bp, a, b)
-    if out is None:
-        dim = bq.dim * bp.dim * 2
-        out = np.zeros((dim, dim), dtype=complex)
-
-    def factored(element: TensorPoly):
-        return [
-            (i, j, coeff.evaluate(hbar), word(0, mq, nq), word(1, mp, np_))
-            for (mq, nq, mp, np_, i, j), coeff in sorted(element.terms.items())
-        ]
-
-    right = factored(b)
-    for i, j, c, x, y in factored(a):
-        for k, l, c2, x2, y2 in right:
-            if j == k:
-                _add_term(out, c * c2, x @ x2, y @ y2, i, l)
+    """``realize(a).data @ realize(b).data``, built from factor-sized products."""
+    left, right = _factored(bq, bp, a, b, lam=lam)
+    dim = bq.dim * bp.dim * 2
+    out = np.zeros((dim, dim), dtype=complex)
+    for i, l, c, x, y in _products(left, right):
+        _add_term(out[i::2, l::2], c, x, y)
     return out
 
 
@@ -271,29 +282,17 @@ def qm_factors(a: TensorPoly, bq: Backend, bp: Backend) -> tuple[np.ndarray, np.
     matching blocks.  Raises ValueError on a term that couples the two
     r-sectors or acts on the other factor of its sector.
     """
-    hbar, word = _factor_words(bq, bp, a)
-    factors = [np.zeros((b.dim, b.dim), dtype=complex) for b in (bq, bp)]
-    for key, coeff in sorted(a.terms.items()):
+    for key in sorted(a.terms):
         mq, nq, mp, np_, i, j = key
         if i != j:
             raise ValueError(f"term {key} couples the two r-sectors")
-        own, other = ((mq, nq), (mp, np_)) if i == 0 else ((mp, np_), (mq, nq))
-        if other != (0, 0):
+        if ((mp, np_) if i == 0 else (mq, nq)) != (0, 0):
             raise ValueError(f"term {key} acts on the other factor of its r-sector")
-        factors[i] += coeff.evaluate(hbar) * word(i, *own)
+    (terms,) = _factored(bq, bp, a)
+    factors = [np.zeros((b.dim, b.dim), dtype=complex) for b in (bq, bp)]
+    for i, _, c, x, y in terms:
+        factors[i] += c * (x, y)[i]
     return factors[0], factors[1]
-
-
-def _bulk_mask(bq: Backend, bp: Backend) -> np.ndarray:
-    """Flat-index mask excluding the top Fock level of each Fock factor."""
-    keep_q = np.ones(bq.dim, dtype=bool)
-    keep_p = np.ones(bp.dim, dtype=bool)
-    if bq.kind == "fock":
-        keep_q[-1] = False
-    if bp.kind == "fock":
-        keep_p[-1] = False
-    keep = np.kron(np.kron(keep_q, keep_p), np.ones(2, dtype=bool))
-    return keep.astype(bool)
 
 
 def commutator_defect(
@@ -309,21 +308,26 @@ def commutator_defect(
     and restricted to the bulk rows and columns (``bulk_defect_norm``), the
     bulk being everything below the top level of each Fock factor.
     """
-    # sym - (AB - BA), accumulated as BA - AB + sym from factor products
-    defect = realize_product(b, a, bq, bp, lam=lam)
-    realize_product(-a, b, bq, bp, lam=lam, out=defect)
-    defect += realize(tp_commutator(a, b), bq, bp, lam=lam).data
+    fa, fb, fsym = _factored(bq, bp, a, b, tp_commutator(a, b), lam=lam)
+    fa, fb = list(fa), list(fb)
+    # sym - (AB - BA), accumulated as BA - AB + sym into r-blocks:
+    # defect[i, j] is the M x M kernel of E_ij
+    m = bq.dim * bp.dim
+    defect = np.zeros((2, 2, m, m), dtype=complex)
+    for i, l, c, x, y in _products(fb, fa):
+        _add_term(defect[i, l], c, x, y)
+    for i, l, c, x, y in _products(fa, fb):
+        _add_term(defect[i, l], -c, x, y)
+    for i, j, c, x, y in fsym:
+        _add_term(defect[i, j], c, x, y)
+    # the bulk of a factor is a leading run of its levels (all but the top
+    # Fock level), so it is a leading slice of each factor axis of a view
+    kq, kp = (f.dim - (f.kind == "fock") for f in (bq, bp))
+    bulk = defect.reshape(2, 2, bq.dim, bp.dim, bq.dim, bp.dim)[:, :, :kq, :kp, :kq, :kp]
     return {
-        "defect_norm": float(np.max(np.abs(defect))) if defect.size else 0.0,
-        "bulk_defect_norm": bulk_max(defect, bq, bp),
+        "defect_norm": float(np.max(np.abs(defect))),
+        "bulk_defect_norm": float(np.max(np.abs(bulk))),
     }
-
-
-def bulk_max(m: np.ndarray, bq: Backend, bp: Backend) -> float:
-    """Largest entry modulus of ``m`` over the bulk rows and columns."""
-    keep = _bulk_mask(bq, bp)
-    bulk = m if keep.all() else m[np.ix_(keep, keep)]
-    return float(np.max(np.abs(bulk))) if bulk.size else 0.0
 
 
 def kernel_block(m: TensorMatrix, i: str | int, j: str | int) -> np.ndarray:

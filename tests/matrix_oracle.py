@@ -2,15 +2,16 @@
 
 ``evaluate_matrix`` is a hand-written recursion over the node classes,
 deliberately not built on :func:`qclab.expr.fold`, so tests that use it do
-not check the fold against itself.  ``dense_bulk_commutator_defect``
+not check the fold against itself.  ``dense_commutator_defect``
 multiplies realized product-space matrices with ``@``, where the library
-builds products from factor-sized ones.
+builds products from factor-sized ones, and selects the bulk with a flat
+index mask, where the library slices each factor axis of a reshaped view.
 """
 
 import numpy as np
 
 from qclab.expr import Add, Const, Mul, Neg, Node, Pow, Sub, Var
-from qclab.matrep import Backend, bulk_max, realize
+from qclab.matrep import Backend, realize
 from qclab.ncpoly import TensorPoly, tp_commutator
 
 
@@ -34,9 +35,33 @@ def evaluate_matrix(node: Node, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported expression node {type(node).__name__}")
 
 
+def _bulk_mask(bq: Backend, bp: Backend) -> np.ndarray:
+    """Flat-index mask excluding the top Fock level of each Fock factor."""
+    keep_q = np.ones(bq.dim, dtype=bool)
+    keep_p = np.ones(bp.dim, dtype=bool)
+    if bq.kind == "fock":
+        keep_q[-1] = False
+    if bp.kind == "fock":
+        keep_p[-1] = False
+    return np.kron(np.kron(keep_q, keep_p), np.ones(2, dtype=bool)).astype(bool)
+
+
+def dense_commutator_defect(
+    bq: Backend, bp: Backend, a: TensorPoly, b: TensorPoly, lam=None
+) -> dict[str, float]:
+    """Max entry of ``realize([a, b]) - (AB - BA)``, with A, B the dense
+    images, over the whole space and over the bulk rows and columns."""
+    sym = realize(tp_commutator(a, b), bq, bp, lam=lam).data
+    ma = realize(a, bq, bp, lam=lam).data
+    mb = realize(b, bq, bp, lam=lam).data
+    defect = sym - (ma @ mb - mb @ ma)
+    keep = _bulk_mask(bq, bp)
+    return {
+        "defect_norm": float(np.max(np.abs(defect))),
+        "bulk_defect_norm": float(np.max(np.abs(defect[np.ix_(keep, keep)]))),
+    }
+
+
 def dense_bulk_commutator_defect(bq: Backend, bp: Backend, a: TensorPoly, b: TensorPoly) -> float:
-    """Bulk max of ``realize([a, b]) - (AB - BA)``, with A, B the dense images."""
-    sym = realize(tp_commutator(a, b), bq, bp).data
-    ma = realize(a, bq, bp).data
-    mb = realize(b, bq, bp).data
-    return bulk_max(sym - (ma @ mb - mb @ ma), bq, bp)
+    """The bulk part of :func:`dense_commutator_defect`."""
+    return dense_commutator_defect(bq, bp, a, b)["bulk_defect_norm"]

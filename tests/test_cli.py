@@ -28,6 +28,8 @@ from qclab.cli import (
     main,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def test_default_config_is_valid():
     cfg = RunConfig()
@@ -113,18 +115,22 @@ def test_readme_default_config_reads_to_defaults():
     assert RunConfig.from_dict(json.loads(block)) == RunConfig()
 
 
-def test_readme_quick_start_runs():
-    root = Path(__file__).resolve().parents[1]
-    section = (root / "README.md").read_text().split("## Quick start (library)", 1)[1]
-    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+def _run_python(*argv, timeout):
+    """Run ``python argv`` in a child process with this checkout's ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    run = subprocess.run(
-        [sys.executable, "-c", block], env=env, capture_output=True, text=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True,
+        timeout=timeout,
     )
+
+
+def test_readme_quick_start_runs():
+    section = (ROOT / "README.md").read_text().split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    run = _run_python("-c", block, timeout=120)
     assert run.returncode == 0, run.stderr
     defect, group = run.stdout.splitlines()
     assert float(defect) < 1e-14
@@ -245,6 +251,20 @@ def test_cmd_sweep_cm_point_state(tmp_path):
     )
     code = cmd_sweep(cfg, str(tmp_path))
     assert code == 0
+
+
+@pytest.mark.parametrize("family", ["qm", "cm"])
+def test_sweep_refuses_a_fixed_family(tmp_path, capsys, family):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": family}))
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "error: sweep tabulates the interpolating pair only (family tilde),"
+        f" got family {family!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_kernels_writes_blocks(tmp_path):
@@ -502,22 +522,32 @@ OVERFLOW_COMPARE = {
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, one_line",
     [
-        {"dynamics": STEEP},
-        {"h_values": [0.0], "dynamics": {**STEEP, "mode": "auto"}},
-        OVERFLOW_COMPARE,
-        OVERFLOW_AUTO,
+        ({"dynamics": STEEP}, False),
+        ({"h_values": [0.0], "dynamics": {**STEEP, "mode": "auto"}}, False),
+        # the overflowing runs never reach the boundary ring's warning
+        (OVERFLOW_COMPARE, True),
+        (OVERFLOW_AUTO, True),
     ],
     ids=["compare", "auto", "compare-nan", "auto-nan"],
 )
-def test_main_diverging_liouville_run_is_usage_error(tmp_path, capsys, config):
+def test_main_diverging_liouville_run_is_usage_error(tmp_path, config, one_line):
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(config))
-    code = main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "error: Liouville integration unstable" in err
+    # a child process, so that the test sees the warnings a user's terminal
+    # shows rather than the ones pytest records
+    run = _run_python(
+        "-c", "import sys; from qclab.cli import main; sys.exit(main(sys.argv[1:]))",
+        "evolve", "--config", str(path), "--out", str(tmp_path / "out"),
+        timeout=300,
+    )
+    assert run.returncode == 2
+    assert "error: Liouville integration unstable" in run.stderr
+    assert "encountered in" not in run.stderr
+    if one_line:
+        assert run.stderr.startswith("error: Liouville integration unstable")
+        assert run.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -26,6 +26,8 @@ from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.expr import parse_expr
 from qclab.scalars import ComplexRational, ScalarCoeff
 
+from matrix_oracle import dense_commutator_defect
+
 
 def test_fock_commutator_anomaly():
     b = build_backend("fock", 4, 1.0)
@@ -186,6 +188,8 @@ def test_realize_is_linear():
 def _pair(kind, hbar=1.0):
     if kind == "fock":
         return build_backend("fock", 5, hbar), build_backend("fock", 7, hbar)
+    if kind == "fock-grid":
+        return build_backend("fock", 5, hbar), build_backend("grid-momentum", 7, hbar, 7.0)
     return (
         build_backend("grid-position", 5, hbar, 6.0),
         build_backend("grid-momentum", 7, hbar, 7.0),
@@ -241,14 +245,16 @@ def test_realize_product_matches_the_dense_product(kind, hbar, case):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_realize_product_adds_into_out():
-    g = make_generators()
-    bq, bp = _pair("fock")
-    base = realize(g.identity, bq, bp).data
-    out = np.array(base)
-    assert realize_product(g.q_qm, g.p_qm, bq, bp, out=out) is out
-    want = base + realize(g.q_qm, bq, bp).data @ realize(g.p_qm, bq, bp).data
-    assert np.max(np.abs(out - want)) <= 1e-12
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("kind", ["fock", "grid", "fock-grid"])
+@pytest.mark.parametrize("case", sorted(_product_cases()))
+def test_commutator_defect_matches_the_dense_oracle(kind, hbar, case):
+    a, b, lam = _product_cases()[case]
+    bq, bp = _pair(kind, hbar)
+    got = commutator_defect(bq, bp, a, b, lam=lam)
+    want = dense_commutator_defect(bq, bp, a, b, lam=lam)
+    for key in ("defect_norm", "bulk_defect_norm"):
+        assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
 
 
 def test_realize_product_needs_the_weight():
