@@ -37,23 +37,22 @@ from .matrep import (
     export_kernel_csv,
     export_matrix,
     format_float,
-    hermitian_defect,
     kernel_block,
+    quadratic_form,
     realize,
 )
 from .ncpoly import (
     eval_ncpoly,
-    lambda_coefficients,
     make_generators,
     substitute_lambda,
 )
 from .states import (
+    HybridVector,
     WeightSpec,
     cm_point_state,
     coherent_state,
     gaussian_grid_state,
     lift_qm_eigenstate,
-    mean_parts,
     mean_value,
 )
 from .verify import VerifyReport, run_verify
@@ -136,12 +135,14 @@ class DynamicsSpec:
                 )
 
 
-def _read_section(cls, d: dict, section: str = ""):
-    """Build the dataclass ``cls`` from a JSON object.
+def _read_section(default, d: dict, section: str = ""):
+    """``default``, a config dataclass, with the fields a JSON object gives.
 
-    Keys are the field names; an absent key takes the declared default and
-    every given value must match the field's declared type.
+    Keys are the field names; an absent key keeps its value in ``default``
+    (so a partial ``backend_p`` stays a momentum grid) and every given value
+    must match the field's declared type.
     """
+    cls = type(default)
     hints = get_type_hints(cls)
     types = {f.name: hints[f.name] for f in fields(cls)}
     unknown = sorted(set(d) - set(types))
@@ -152,7 +153,7 @@ def _read_section(cls, d: dict, section: str = ""):
     for name, value in d.items():
         label = f"{section} {name}".lstrip()
         if is_dataclass(types[name]) and isinstance(value, dict):
-            values[name] = _read_section(types[name], value, label)
+            values[name] = _read_section(getattr(default, name), value, label)
             continue
         try:
             values[name] = _read_value(types[name], value)
@@ -160,7 +161,7 @@ def _read_section(cls, d: dict, section: str = ""):
             raise ConfigError(
                 f"{label} must be {_expected(types[name])}, got {value!r}"
             ) from None
-    return cls(**values)
+    return replace(default, **values)
 
 
 def _read_value(tp, value):
@@ -268,7 +269,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        cfg = _read_section(RunConfig, d)
+        cfg = _read_section(RunConfig(), d)
         cfg.validate()
         return cfg
 
@@ -422,48 +423,33 @@ def _write_verify_csv(report: VerifyReport, path: str) -> None:
             )
 
 
-def _horner(coeffs: list, x: float):
-    """``sum(x**k * coeffs[k])`` by Horner's rule."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
-    return acc
-
-
 def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]:
     """The sweep table, one row per h value.
 
-    Every swept element is a polynomial in lam, so each lam-coefficient of
-    the pair and the observable is realized once, reduced to its mean
-    numerator and Hermitian defect, and dropped.  A mean is linear in the
-    matrix: the numerators combine per h by Horner's rule in lam.  The
-    Hermitian test of a row is bounded by the defects of the coefficients;
-    a row whose bound exceeds 1e-10, or whose mean is not real to 1e-10, is
-    evaluated on the realized element at that h, which reports the error.
-    The bulk defect of each row is ``commutator_defect`` of the pair at
-    that h, and an endpoint gap is the largest entry of the realized exact
-    difference between the pair at that h and the reference pair.
+    Each mean substitutes lam exactly and reads the element term by term
+    (``quadratic_form``), with no product-space matrix, when three things
+    hold: the state is a vector, the exact engine finds the element
+    self-adjoint, and every factor word is a pure power ``Q^m`` or ``P^n``
+    (the image of a mixed word's adjoint is not the adjoint of its image on
+    a finite pair).  A mean that fails a condition, or whose imaginary part
+    exceeds 1e-10, is ``mean_value`` of the realized element, which reports
+    the error.  The bulk defect of each row is ``commutator_defect`` of the
+    pair at that h, and an endpoint gap is the largest entry of the realized
+    exact difference between the pair at that h and the reference pair.
     """
     gens = make_generators()
     q_t, p_t = gens.q_tilde, gens.p_tilde
     obs = eval_ncpoly(parse_expr(config.observable), q_t, p_t)
+    vec = state.data if isinstance(state, HybridVector) else None
 
-    def parts(element) -> list[tuple[complex, complex, float]]:
-        """Per lam-coefficient: mean numerator, denominator, Hermitian defect."""
-        return [
-            (*mean_parts(state, m), hermitian_defect(m))
-            for m in (realize(c, bq, bp).data for c in lambda_coefficients(element))
-        ]
-
-    obs_parts, q_parts, p_parts = parts(obs), parts(q_t), parts(p_t)
-    denom = q_parts[0][1]
-
-    def mean(element, parts, lam: Fraction, x: float) -> float:
-        if denom != 0 and sum(x**k * hd for k, (_, _, hd) in enumerate(parts)) <= 1e-10:
-            ratio = _horner([numer for numer, _, _ in parts], x) / denom
+    def mean(element, lam: Fraction) -> float:
+        a = substitute_lambda(element, lam)
+        mixed = any((mq and nq) or (mp and np_) for mq, nq, mp, np_, _, _ in a.terms)
+        if vec is not None and not mixed and a == a.adjoint():
+            ratio = quadratic_form(a, bq, bp, vec) / np.vdot(vec, vec)
             if abs(ratio.imag) <= 1e-10:
                 return float(ratio.real)
-        return mean_value(state, realize(element, bq, bp, lam=lam))
+        return mean_value(state, realize(a, bq, bp))
 
     def gap(element, ref, lam: Fraction) -> float:
         diff = realize(substitute_lambda(element, lam) - ref, bq, bp).data
@@ -473,14 +459,13 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
     rows = []
     for h in config.h_values:
         lam = _lambda_of(h, config.h_o)
-        x = float(lam)
         try:
             row = {
                 "h": h,
-                "lambda": x,
-                "mean_q_tilde": mean(q_t, q_parts, lam, x),
-                "mean_p_tilde": mean(p_t, p_parts, lam, x),
-                "mean_observable": mean(obs, obs_parts, lam, x),
+                "lambda": float(lam),
+                "mean_q_tilde": mean(q_t, lam),
+                "mean_p_tilde": mean(p_t, lam),
+                "mean_observable": mean(obs, lam),
             }
         except ValueError as exc:
             raise ConfigError(

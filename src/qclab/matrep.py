@@ -257,20 +257,20 @@ def realize(
     return TensorMatrix(bq.dim, bp.dim, _freeze(data))
 
 
-def realize_product(
-    a: TensorPoly,
-    b: TensorPoly,
-    bq: Backend,
-    bp: Backend,
-    lam: float | Fraction | None = None,
-) -> np.ndarray:
-    """``realize(a).data @ realize(b).data``, built from factor-sized products."""
-    left, right = _factored(bq, bp, a, b, lam=lam)
-    dim = bq.dim * bp.dim * 2
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, l, c, x, y in _products(left, right):
-        _add_term(out[i::2, l::2], c, x, y)
-    return out
+def quadratic_form(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> complex:
+    """``<v|A|v>`` for the realization A of ``a``, with no product-space matrix.
+
+    In the flat ordering, ``v`` reshaped to ``(N_q, N_p, 2)`` holds one
+    N_q x N_p matrix ``psi_i`` per r-slot, and ``(X (x) Y) vec(M) =
+    vec(X M Y^T)`` for row-major ``vec`` (Van Loan, "The ubiquitous Kronecker
+    product", J. Comput. Appl. Math. 123 (2000)).  So a term
+    ``c X (x) Y (x) E_ij`` adds ``c <psi_i, X psi_j Y^T>``: N x N work.
+    """
+    (terms,) = _factored(bq, bp, a)
+    psi = np.moveaxis(np.asarray(vec).reshape(bq.dim, bp.dim, 2), 2, 0)
+    return complex(
+        sum(c * np.vdot(psi[i], x @ psi[j] @ y.T) for i, j, c, x, y in terms)
+    )
 
 
 def qm_factors(a: TensorPoly, bq: Backend, bp: Backend) -> tuple[np.ndarray, np.ndarray]:

@@ -296,23 +296,6 @@ def substitute_lambda(a: TensorPoly, value) -> TensorPoly:
     return a.substitute_lambda(value)
 
 
-def lambda_coefficients(a: TensorPoly) -> list[TensorPoly]:
-    """Split ``a`` by powers of the interpolation weight.
-
-    Entry k is the lam^k part of ``a`` with lam removed and the hbar powers
-    kept, so ``substitute_lambda(a, v)`` equals ``sum(v**k * c_k)`` exactly.
-    The list has one entry per power up to the highest; a lam-free element
-    gives a one-entry list.
-    """
-    parts: list[dict[TensorKey, ScalarCoeff]] = []
-    for key, coeff in a.terms.items():
-        for l_pow, c in coeff.lambda_parts().items():
-            while len(parts) <= l_pow:
-                parts.append({})
-            parts[l_pow][key] = c
-    return [TensorPoly(part) for part in parts or [{}]]
-
-
 def canonical_eq(a: TensorPoly, b: TensorPoly) -> bool:
     """Decision procedure for operator equality (canonical term maps)."""
     return a == b

@@ -246,13 +246,6 @@ class ScalarCoeff:
 
     # -- substitution and evaluation ---------------------------------------
 
-    def lambda_parts(self) -> dict[int, "ScalarCoeff"]:
-        """Split by powers of lam: power b maps to the lam^b part with lam removed."""
-        parts: dict[int, Numerators] = {}
-        for (a, b), v in self._num.items():
-            parts.setdefault(b, {})[(a, 0)] = v
-        return {b: ScalarCoeff._reduced(num, self._den) for b, num in parts.items()}
-
     def substitute_lambda(self, value: RationalLike | float) -> "ScalarCoeff":
         """Replace ``lam`` by an exact rational; the result has no lam powers.
 

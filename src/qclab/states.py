@@ -203,30 +203,6 @@ def cm_mixed_density(rho_grid, c_q: complex, c_p: complex) -> HybridDensity:
     return HybridDensity(data=data, trace_norm_convention=1.0 / (dq * dp))
 
 
-def mean_parts(
-    state: HybridVector | HybridDensity, mat: np.ndarray
-) -> tuple[complex, complex]:
-    """Numerator and denominator of a mean: ``(<v|A|v>, <v|v>)`` for a vector,
-    ``(Tr(rho A), Tr(rho))`` for a density.
-
-    Both are linear in their matrix argument, so the numerator of a sum of
-    matrices is the sum of the numerators.
-    """
-    if isinstance(state, HybridVector):
-        vec = state.data
-        if vec.size != mat.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: state {vec.size}, observable {mat.shape[0]}"
-            )
-        return np.vdot(vec, mat @ vec), np.vdot(vec, vec)
-    rho = state.data
-    if rho.shape != mat.shape:
-        raise ValueError(
-            f"dimension mismatch: state {rho.shape}, observable {mat.shape}"
-        )
-    return np.einsum("ij,ji->", rho, mat), np.trace(rho)
-
-
 def mean_value(state: HybridVector | HybridDensity, a: TensorMatrix) -> float:
     """Normalized expectation Tr(rho A)/Tr(rho), or <v|A|v>/<v|v> for vectors.
 
@@ -237,7 +213,20 @@ def mean_value(state: HybridVector | HybridDensity, a: TensorMatrix) -> float:
     tol = hermitian_tolerance(mat)
     if hermitian_defect(mat) > tol:
         raise ValueError("observable is not Hermitian within 1e-10")
-    numer, denom = mean_parts(state, mat)
+    if isinstance(state, HybridVector):
+        vec = state.data
+        if vec.size != mat.shape[0]:
+            raise ValueError(
+                f"dimension mismatch: state {vec.size}, observable {mat.shape[0]}"
+            )
+        numer, denom = np.vdot(vec, mat @ vec), np.vdot(vec, vec)
+    else:
+        rho = state.data
+        if rho.shape != mat.shape:
+            raise ValueError(
+                f"dimension mismatch: state {rho.shape}, observable {mat.shape}"
+            )
+        numer, denom = np.einsum("ij,ji->", rho, mat), np.trace(rho)
     if denom == 0:
         raise ValueError("state has zero norm/trace")
     ratio = numer / denom

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -106,6 +107,12 @@ def test_backend_spec_default_length_rule():
 
 def test_empty_config_reads_to_defaults():
     assert RunConfig.from_dict({}) == RunConfig()
+
+
+def test_partial_section_keeps_the_section_defaults():
+    # the default p backend is a momentum grid, not BackendSpec's own default
+    cfg = RunConfig.from_dict({"backend_p": {"n": 5}})
+    assert cfg.backend_p == BackendSpec(kind="grid-momentum", n=5, length=8.0)
 
 
 def test_readme_default_config_reads_to_defaults():
@@ -689,3 +696,112 @@ def test_evolve_is_byte_deterministic(tmp_path, capsys, h, dynamics, artifacts):
     capsys.readouterr()
     assert runs[0] == runs[1]
     assert all(runs[0])
+
+
+# -- config keys of `sweep` ------------------------------------------------
+
+_CM_POINT = {"state.kind": "cm-point"}
+
+# For every leaf key of the configuration: the overrides of the run it is
+# compared against, and the overrides of the perturbed run, which give the
+# key a valid non-default value.  A key read under one state kind only is
+# perturbed under that kind.  c_q and c_p are tied by
+# |c_q|^2 + |c_p|^2 = 1, so each moves with its partner.
+_SWEEP_PERTURBATIONS = {
+    "hbar": ({}, {"hbar": 0.7}),
+    "h_o": ({}, {"h_o": 2.0}),
+    "h_values": ({}, {"h_values": [0.0, 0.5]}),
+    "seed": ({}, {"seed": 7}),
+    "observable": ({}, {"observable": "Q^2"}),
+    "family": ({}, {"family": "qm"}),
+    "fault_injection": ({}, {"fault_injection": -1.0}),
+    "export_matrix": ({}, {"export_matrix": True}),
+    "backend_q.kind": ({}, {"backend_q.kind": "fock"}),
+    "backend_q.n": ({}, {"backend_q.n": 5}),
+    "backend_q.length": ({}, {"backend_q.length": 6.0}),
+    "backend_p.kind": ({}, {"backend_p.kind": "fock"}),
+    "backend_p.n": ({}, {"backend_p.n": 4}),
+    "backend_p.length": ({}, {"backend_p.length": 6.0}),
+    "weights.c_q": ({}, {"weights.c_q": [0.6, 0.0], "weights.c_p": [0.8, 0.0]}),
+    "weights.c_p": ({}, {"weights.c_p": [0.6, 0.0], "weights.c_q": [0.8, 0.0]}),
+    "weights.a_vec": ({}, {"weights.a_vec": [0.0, 1.0, 0.0, 0.0, 0.0]}),
+    "weights.b_vec": ({}, {"weights.b_vec": [0.0, 1.0, 0.0, 0.0]}),
+    "state.kind": ({}, _CM_POINT),
+    "state.q0": ({}, {"state.q0": 0.3}),
+    "state.p0": ({}, {"state.p0": -0.3}),
+    "state.sigma": ({}, {"state.sigma": 0.5}),
+    "state.k": (_CM_POINT, {**_CM_POINT, "state.k": 1}),
+    "state.l": (_CM_POINT, {**_CM_POINT, "state.l": 2}),
+    "dynamics.mode": ({}, {"dynamics.mode": "auto"}),
+    "dynamics.q0": ({}, {"dynamics.q0": 0.5}),
+    "dynamics.p0": ({}, {"dynamics.p0": 0.5}),
+    "dynamics.sigma": ({}, {"dynamics.sigma": 0.5}),
+    "dynamics.dt": ({}, {"dynamics.dt": 0.002}),
+    "dynamics.steps": ({}, {"dynamics.steps": 10}),
+    "dynamics.period_count": ({}, {"dynamics.period_count": 2}),
+    "dynamics.record_stride": ({}, {"dynamics.record_stride": 10}),
+    "dynamics.n_grid": ({}, {"dynamics.n_grid": 32}),
+    "dynamics.n_fock": ({}, {"dynamics.n_fock": 16}),
+    "dynamics.length": ({}, {"dynamics.length": 12.0}),
+}
+
+
+def _leaf_keys(section, prefix=""):
+    for name, value in section.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+def _readme_sweep_keys():
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("Keys that `qclab sweep` reads", 1)[1].split("\n\n", 1)[0]
+    listed = paragraph.split("The sweep ignores", 1)[0]
+    return set(re.findall(r"`([a-z_.0-9]+)`", listed)) & set(_SWEEP_PERTURBATIONS)
+
+
+def _sweep_output(tmp_path, capsys, overrides):
+    """Exit code and ``sweep.csv`` bytes of a sweep on 4- and 5-point grids."""
+    config = {"backend_q": {"n": 4}, "backend_p": {"n": 5}}
+    for dotted, value in overrides.items():
+        *path, leaf = dotted.split(".")
+        section = config
+        for name in path:
+            section = section.setdefault(name, {})
+        section[leaf] = value
+    run_dir = tmp_path / str(len(list(tmp_path.iterdir())))
+    run_dir.mkdir()
+    (run_dir / "cfg.json").write_text(json.dumps(config))
+    code = main(["sweep", "--config", str(run_dir / "cfg.json"), "--out", str(run_dir / "out")])
+    capsys.readouterr()
+    table = run_dir / "out" / "sweep.csv"
+    return code, table.read_bytes() if table.exists() else None
+
+
+def test_every_config_key_has_a_sweep_perturbation():
+    assert set(_SWEEP_PERTURBATIONS) == set(_leaf_keys(asdict(RunConfig())))
+    assert _readme_sweep_keys()  # the README paragraph is found
+
+
+@pytest.mark.parametrize("key", sorted(_SWEEP_PERTURBATIONS))
+def test_sweep_output_changes_exactly_when_the_key_is_listed(tmp_path, capsys, key):
+    base, perturbed = _SWEEP_PERTURBATIONS[key]
+    code, table = _sweep_output(tmp_path, capsys, base)
+    assert code == 0
+    changed = _sweep_output(tmp_path, capsys, perturbed) != (code, table)
+    assert changed == (key in _readme_sweep_keys())
+
+
+def test_sweep_ignores_the_phase_of_a_weight(tmp_path, capsys):
+    # the swept elements keep the r-sector, so only |c_q|^2 and |c_p|^2 count
+    base = _sweep_output(tmp_path, capsys, {})
+    assert base[0] == 0
+    turned = {"weights.c_q": [0.0, 0.5**0.5], "weights.c_p": [-(0.5**0.5), 0.0]}
+    code, table = _sweep_output(tmp_path, capsys, turned)
+    assert code == 0
+    want, got = (t.decode().splitlines() for t in (base[1], table))
+    assert want[0] == got[0] and len(want) == len(got)
+    for want_row, got_row in zip(want[1:], got[1:]):
+        for w, g in zip(want_row.split(","), got_row.split(",")):
+            assert w == g or abs(float(w) - float(g)) <= 1e-12 * max(1.0, abs(float(w)))

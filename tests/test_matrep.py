@@ -17,14 +17,15 @@ from qclab.matrep import (
     hermitian_defect,
     import_matrix,
     kernel_block,
+    quadratic_form,
     realize,
-    realize_product,
     spectrum,
     unflatten,
 )
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.expr import parse_expr
 from qclab.scalars import ComplexRational, ScalarCoeff
+from qclab.states import WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value
 
 from matrix_oracle import dense_commutator_defect
 
@@ -234,18 +235,6 @@ def _product_cases():
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
-@pytest.mark.parametrize("kind", ["fock", "grid"])
-@pytest.mark.parametrize("case", sorted(_product_cases()))
-def test_realize_product_matches_the_dense_product(kind, hbar, case):
-    a, b, lam = _product_cases()[case]
-    bq, bp = _pair(kind, hbar)
-    want = realize(a, bq, bp, lam=lam).data @ realize(b, bq, bp, lam=lam).data
-    got = realize_product(a, b, bq, bp, lam=lam)
-    assert got.shape == (70, 70)
-    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-
-
-@pytest.mark.parametrize("hbar", [1.0, 0.7])
 @pytest.mark.parametrize("kind", ["fock", "grid", "fock-grid"])
 @pytest.mark.parametrize("case", sorted(_product_cases()))
 def test_commutator_defect_matches_the_dense_oracle(kind, hbar, case):
@@ -261,7 +250,62 @@ def test_realize_product_needs_the_weight():
     g = make_generators()
     bq, bp = _pair("grid")
     with pytest.raises(ValueError, match="symbolic interpolation weight"):
-        realize_product(g.q_qm, g.p_tilde, bq, bp)
+        realize(g.q_qm * g.p_tilde, bq, bp)
+
+
+def _unit(rng, n):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def _mean_states(bq, bp, seed):
+    """Two lifted states with random weights, and a point state on grid pairs."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(2):
+        c_q, c_p = _unit(rng, 2)
+        w = WeightSpec(c_q, c_p, a_vec=_unit(rng, bp.dim), b_vec=_unit(rng, bq.dim))
+        states.append(lift_qm_eigenstate(_unit(rng, bq.dim), w, psi_p=_unit(rng, bp.dim)))
+    if bq.kind == "grid-position" and bp.kind == "grid-momentum":
+        c_q, c_p = _unit(rng, 2)
+        states.append(cm_point_state(bq, bp, 3, 2, c_q, c_p))
+    return states
+
+
+def _mean_elements():
+    g = make_generators()
+    obs = {
+        text: eval_ncpoly(parse_expr(text), g.q_tilde, g.p_tilde)
+        for text in ("(1/2)*(P^2 + Q^2) + (1/10)*Q^4", "Q^8")
+    }
+    out = {}
+    for lam in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        for name, a in [("q~", g.q_tilde), ("p~", g.p_tilde), *obs.items()]:
+            out[f"{name} at lam {lam}"] = a.substitute_lambda(lam)
+    # Q^2 (x) P (x) E_qp and P^3 (x) Q^3 (x) E_pq couple the r-sectors
+    c = ScalarCoeff({(0, 0): ComplexRational.of(Fraction(1, 2), Fraction(-3, 4))})
+    t = TensorPoly({(2, 0, 0, 1, 0, 1): c, (0, 3, 3, 0, 1, 0): ScalarCoeff.one()})
+    out["coupling"] = t + t.adjoint()
+    return out
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("kind", ["fock", "grid", "fock-grid"])
+def test_quadratic_form_mean_matches_the_realized_mean(kind, hbar):
+    bq, bp = _pair(kind, hbar)
+    elements = _mean_elements()
+    g = make_generators()
+    qp = eval_ncpoly(parse_expr("Q*P"), g.q_qm, g.p_qm)
+    for state in _mean_states(bq, bp, seed=round(10 * hbar)):
+        v = state.data
+        for name, a in elements.items():
+            assert a == a.adjoint(), name
+            got = quadratic_form(a, bq, bp, v) / np.vdot(v, v)
+            want = mean_value(state, realize(a, bq, bp))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, got, want)
+        # the reading is <v|A|v> for any element, mixed words included
+        want = np.vdot(v, realize(qp, bq, bp).data @ v)
+        assert abs(quadratic_form(qp, bq, bp, v) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_kernel_block_selects_r_entries():

@@ -26,7 +26,6 @@ from qclab.ncpoly import (
     canonical_eq,
     eval_ncpoly,
     factor_normalize,
-    lambda_coefficients,
     make_generators,
     ordered_product,
     qm_embedding,
@@ -466,39 +465,3 @@ def test_tensor_poly_validates_keys():
 def test_repr_round_trip_stability():
     g = make_generators()
     assert repr(g.q_tilde) == repr(make_generators().q_tilde)
-
-
-def _lambda_sum(coeffs: list[TensorPoly], value: Fraction) -> TensorPoly:
-    total = TensorPoly.zero()
-    for k, c in enumerate(coeffs):
-        total = total + c.scale(ScalarCoeff.from_rational(value**k))
-    return total
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.fractions(min_value=0, max_value=1, max_denominator=50),
-)
-def test_lambda_coefficients_resum_exactly(seed, value):
-    gens = make_generators()
-    node = random_expr(np.random.default_rng(seed), max_degree=4, max_terms=4)
-    a = eval_ncpoly(node, gens.q_tilde, gens.p_tilde)
-    coeffs = lambda_coefficients(a)
-    assert not any(c.has_lambda for c in coeffs)
-    assert canonical_eq(substitute_lambda(a, value), _lambda_sum(coeffs, value))
-
-
-def test_lambda_coefficients_of_the_swept_elements():
-    gens = make_generators()
-    quartic = eval_ncpoly(
-        parse_expr("(1/2)*(P^2 + Q^2) + (1/10)*Q^4"), gens.q_tilde, gens.p_tilde
-    )
-    q0, q1 = lambda_coefficients(gens.q_tilde)
-    assert q0 == gens.q_qm  # the lam^0 part is the quantum pair
-    assert q1 == TensorPoly({(1, 0, 0, 0, 1, 1): ONE})  # Q (x) 1 (x) E_pp
-    assert len(lambda_coefficients(gens.p_tilde)) == 2
-    assert len(lambda_coefficients(quartic)) == 5
-    (ccr,) = lambda_coefficients(tp_commutator(gens.q_tilde, gens.p_tilde))
-    assert ccr == TensorPoly.scalar(I_HBAR)
-    assert lambda_coefficients(TensorPoly.zero()) == [TensorPoly.zero()]

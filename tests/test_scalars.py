@@ -331,13 +331,3 @@ def test_constructor_rejects_negative_powers_only_on_nonzero_terms():
         ScalarCoeff({(-1, 0): CR_ONE})
     with pytest.raises(ValueError, match="nonnegative"):
         ScalarCoeff({(0, -1): CR_I})
-
-
-def test_lambda_parts_split_by_lam_power():
-    half = ScalarCoeff.from_rational(Fraction(1, 2))
-    three_halves = ScalarCoeff.from_rational(Fraction(3, 2))
-    c = half * ScalarCoeff.hbar() + three_halves * ScalarCoeff.lam(2)
-    parts = c.lambda_parts()
-    assert parts == {0: half * ScalarCoeff.hbar(), 2: three_halves}
-    for part in parts.values():
-        _assert_canonical(part)

@@ -1,10 +1,11 @@
 """The sweep table against a per-h oracle.
 
-``sweep_rows`` realizes each lam-coefficient of the swept elements once and
-evaluates every h from the coefficients.  The oracle below is the direct
-path: at each h it substitutes the weight, realizes the pair and the
-observable, takes the commutator defect from dense products of the realized
-pair, and the mean values.
+``sweep_rows`` reads each mean of a vector state term by term from the
+factors of the element (``quadratic_form``) when the element is
+self-adjoint with pure-power words, and from the realized element
+otherwise.  The oracle below is the direct path: at each h it substitutes
+the weight, realizes the pair and the observable, takes the commutator
+defect from dense products of the realized pair, and the mean values.
 """
 
 import csv
@@ -13,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qclab import cli
 from qclab.cli import (
     BackendSpec,
     ConfigError,
@@ -185,3 +187,45 @@ def test_non_hermitian_realization_with_a_real_mean_is_usage_error(tmp_path, cap
         "error: cannot evaluate means at h=0.0: observable is not Hermitian within 1e-10\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def _count_calls(monkeypatch, name):
+    """Record the first argument of every call of ``cli.<name>``."""
+    calls, original = [], getattr(cli, name)
+
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config",
+    [RunConfig(), RunConfig(observable="Q^8"), *(CONFIGS[k] for k in sorted(CONFIGS))],
+    ids=["default", "Q^8", *sorted(CONFIGS)],
+)
+def test_means_of_vector_states_realize_no_element(monkeypatch, config):
+    bq, bp = build_backends(config)
+    state = build_state(config, bq, bp)
+    means = _count_calls(monkeypatch, "mean_value")
+    realized = _count_calls(monkeypatch, "realize")
+    rows = sweep_rows(config, bq, bp, state)
+    assert means == []
+    # the only realized elements are the exact endpoint differences
+    assert len(realized) == 2 * sum(r["endpoint_q_diff"] is not None for r in rows)
+
+
+@pytest.mark.parametrize("expr, fock", [("Q*P", False), ("Q*P", True), ("Q*P*Q", True)])
+def test_means_that_fail_the_fast_path_rules_take_the_realized_mean(monkeypatch, expr, fock):
+    spec = BackendSpec(kind="fock", n=8, length=None)
+    config = RunConfig(observable=expr, **({"backend_q": spec, "backend_p": spec} if fock else {}))
+    bq, bp = build_backends(config)
+    means = _count_calls(monkeypatch, "mean_value")
+    with pytest.raises(ConfigError) as info:
+        sweep_rows(config, bq, bp, build_state(config, bq, bp))
+    assert str(info.value) == (
+        "cannot evaluate means at h=0.0: observable is not Hermitian within 1e-10"
+    )
+    assert len(means) == 1  # q~ and p~ took the fast path, the observable did not
