@@ -34,10 +34,12 @@ from .matrep import (
     build_backend,
     check_backend,
     commutator_defect,
+    defect_terms,
     export_kernel_csv,
     export_matrix,
     format_float,
     kernel_block,
+    max_entry,
     quadratic_form,
     realize,
 )
@@ -433,9 +435,12 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
     (the image of a mixed word's adjoint is not the adjoint of its image on
     a finite pair).  A mean that fails a condition, or whose imaginary part
     exceeds 1e-10, is ``mean_value`` of the realized element, which reports
-    the error.  The bulk defect of each row is ``commutator_defect`` of the
-    pair at that h, and an endpoint gap is the largest entry of the realized
-    exact difference between the pair at that h and the reference pair.
+    the error.  The bulk defect is ``commutator_defect`` of the pair, read
+    once when the exact defect terms (``defect_terms``) are free of lam, as
+    they are for the tilde pair, and at each h otherwise.  An endpoint gap
+    is the largest entry of the exact difference between the pair at that h
+    and the reference pair (``max_entry``).  Neither forms a product-space
+    matrix when its r-blocks act on one factor per term.
     """
     gens = make_generators()
     q_t, p_t = gens.q_tilde, gens.p_tilde
@@ -452,8 +457,13 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
         return mean_value(state, realize(a, bq, bp))
 
     def gap(element, ref, lam: Fraction) -> float:
-        diff = realize(substitute_lambda(element, lam) - ref, bq, bp).data
-        return float(np.max(np.abs(diff)))
+        return max_entry(substitute_lambda(element, lam) - ref, bq, bp)
+
+    def bulk_defect(lam: Fraction | None) -> float:
+        return commutator_defect(bq, bp, q_t, p_t, lam=lam)["bulk_defect_norm"]
+
+    lam_free = not any(c.has_lambda for c in defect_terms(q_t, p_t).values())
+    fixed_defect = bulk_defect(None) if lam_free else None
 
     refs = {config.h_o: (gens.q_qm, gens.p_qm), 0.0: (gens.q_cm, gens.p_cm)}
     rows = []
@@ -471,9 +481,9 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
             raise ConfigError(
                 f"cannot evaluate means at h={h!r}: {exc}"
             ) from exc
-        row["bulk_commutator_defect"] = commutator_defect(
-            bq, bp, q_t, p_t, lam=lam
-        )["bulk_defect_norm"]
+        row["bulk_commutator_defect"] = (
+            fixed_defect if lam_free else bulk_defect(lam)
+        )
         row["endpoint_q_diff"], row["endpoint_p_diff"] = (
             (gap(q_t, refs[h][0], lam), gap(p_t, refs[h][1], lam))
             if h in refs else (None, None)
@@ -522,7 +532,10 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
     bq, bp = build_backends(config)
     x, y = _generator_pair(config, config.family, h)
     node = parse_expr(config.observable)
-    mat = realize(eval_ncpoly(node, x, y), bq, bp)
+    try:
+        mat = realize(eval_ncpoly(node, x, y), bq, bp)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for i in "qp":

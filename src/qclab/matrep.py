@@ -159,35 +159,44 @@ def _matrix_powers(mat: np.ndarray, max_power: int) -> list[np.ndarray]:
     return powers
 
 
-def _word(qpow: list, ppow: list, m: int, n: int) -> np.ndarray:
-    """``Q^m P^n`` from the power tables; a product with the identity is
-    skipped, since it changes no entry."""
-    if n == 0:
-        return qpow[m]
-    if m == 0:
-        return ppow[n]
-    return qpow[m] @ ppow[n]
+def _word(qpow: list, ppow: list, word: tuple) -> np.ndarray:
+    """The matrix of a factor word from the power tables.
 
-
-def _factored(
-    bq: Backend,
-    bp: Backend,
-    *elements: TensorPoly,
-    lam: float | Fraction | None = None,
-) -> list:
-    """One iterator per element over its terms ``(i, j, c, X, Y)``, each
-    meaning ``c * X (x) Y (x) E_ij``, in sorted key order.
-
-    ``lam`` is substituted first; the elements must then be free of the
-    symbolic weight, and the backends must share hbar, at which the
-    coefficients are evaluated.  X is the word ``Q^m P^n`` on the q factor
-    and Y the word on the p factor, read from power tables of each factor's
-    Q and P.  The checks and the tables run before any term is read; a
-    term's matrices are built only when its iterator reaches it.
+    ``word`` is ``(m, n)`` for ``Q^m P^n`` or ``(m, n, m', n')`` for the
+    unreduced ``Q^m P^n Q^m' P^n'``, multiplied as written.  A product with
+    the identity is skipped, since it changes no entry.
     """
+    m, n, *rest = word
+    x = qpow[m] if n == 0 else ppow[n] if m == 0 else qpow[m] @ ppow[n]
+    return x @ _word(qpow, ppow, rest) if rest else x
+
+
+# A term map sends (i, j, q-word, p-word) to a coefficient c, meaning the
+# term c * X (x) Y (x) E_ij, where X and Y are the words' matrices (see
+# ``_word``) on the q and p factor.
+
+
+def _term_map(a: TensorPoly, lam: float | Fraction | None = None) -> dict:
+    """The terms of ``a``, with ``lam`` substituted first, in sorted key order."""
     if lam is not None:
-        elements = tuple(a.substitute_lambda(Fraction(lam)) for a in elements)
-    if any(a.has_lambda for a in elements):
+        a = a.substitute_lambda(Fraction(lam))
+    return {
+        (i, j, (mq, nq), (mp, np_)): c
+        for (mq, nq, mp, np_, i, j), c in sorted(a.terms.items())
+    }
+
+
+def _factored(bq: Backend, bp: Backend, *maps: dict) -> list:
+    """One iterator per term map over its terms ``(i, j, c, X, Y)``, each
+    meaning ``c * X (x) Y (x) E_ij``, in the map's order.
+
+    The coefficients must be free of the symbolic weight, and the backends
+    must share hbar, at which the coefficients are evaluated.  X and Y are
+    read from power tables of each factor's Q and P.  The checks and the
+    tables run before any term is read; a term's matrices are built only
+    when its iterator reaches it.
+    """
+    if any(c.has_lambda for m in maps for c in m.values()):
         raise ValueError(
             "element still depends on the symbolic interpolation weight;"
             " call substitute_lambda first or pass lam="
@@ -196,36 +205,36 @@ def _factored(
         raise ValueError(
             f"backends disagree on hbar ({bq.hbar} vs {bp.hbar})"
         )
-    keys = [k for a in elements for k in a.terms]
-    tables = [
-        (
-            _matrix_powers(np.asarray(b.qmat), max((k[2 * f] for k in keys), default=0)),
-            _matrix_powers(np.asarray(b.pmat), max((k[2 * f + 1] for k in keys), default=0)),
+    tables = []
+    for f, b in enumerate((bq, bp)):
+        words = [key[2 + f] for m in maps for key in m]
+        tables.append((
+            _matrix_powers(np.asarray(b.qmat), max((max(w[0::2]) for w in words), default=0)),
+            _matrix_powers(np.asarray(b.pmat), max((max(w[1::2]) for w in words), default=0)),
+        ))
+
+    def terms(m: dict):
+        for (i, j, wq, wp), coeff in m.items():
+            yield i, j, coeff.evaluate(bq.hbar), _word(*tables[0], wq), _word(*tables[1], wp)
+
+    return [terms(m) for m in maps]
+
+
+# Largest product-space matrix a reading allocates: 1 GiB of complex
+# entries, dimension 8192 (the verify suite peaks at 2048).
+MAX_DENSE_BYTES = 1 << 30
+
+
+def _dense_zeros(dim: int) -> np.ndarray:
+    """A complex ``dim x dim`` zero matrix, refused (ValueError) before it is
+    allocated when its ``16 * dim^2`` bytes exceed ``MAX_DENSE_BYTES``."""
+    size = 16 * dim * dim
+    if size > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a dense {dim} x {dim} matrix needs {size / 2**30:.1f} GiB,"
+            f" above the {MAX_DENSE_BYTES / 2**30:g} GiB bound"
         )
-        for f, b in enumerate((bq, bp))
-    ]
-
-    def terms(a: TensorPoly):
-        for (mq, nq, mp, np_, i, j), coeff in sorted(a.terms.items()):
-            x, y = _word(*tables[0], mq, nq), _word(*tables[1], mp, np_)
-            yield i, j, coeff.evaluate(bq.hbar), x, y
-
-    return [terms(a) for a in elements]
-
-
-def _products(left, right):
-    """The terms of the product of two factored elements.
-
-    ``(X (x) Y (x) E_ij)(X' (x) Y' (x) E_kl) = delta_jk XX' (x) YY' (x) E_il``
-    (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
-    123 (2000)), so each pair of terms with matching inner r-index costs two
-    N x N products, and no two product-space matrices are multiplied.
-    """
-    right = list(right)
-    for i, j, c, x, y in left:
-        for k, l, c2, x2, y2 in right:
-            if j == k:
-                yield i, l, c * c2, x @ x2, y @ y2
+    return np.zeros((dim, dim), dtype=complex)
 
 
 def _add_term(block: np.ndarray, c: complex, x: np.ndarray, y: np.ndarray) -> None:
@@ -246,11 +255,11 @@ def realize(
 
     ``a`` must be free of the symbolic interpolation weight; pass ``lam`` to
     substitute it first.  Both backends must share the same hbar, at which
-    the polynomial hbar-dependence of the coefficients is evaluated.
+    the polynomial hbar-dependence of the coefficients is evaluated.  A
+    matrix above ``MAX_DENSE_BYTES`` is refused with ValueError.
     """
-    (terms,) = _factored(bq, bp, a, lam=lam)
-    dim = bq.dim * bp.dim * 2
-    data = np.zeros((dim, dim), dtype=complex)
+    (terms,) = _factored(bq, bp, _term_map(a, lam))
+    data = _dense_zeros(bq.dim * bp.dim * 2)
     for i, j, c, x, y in terms:
         # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
         _add_term(data[i::2, j::2], c, x, y)
@@ -266,7 +275,7 @@ def quadratic_form(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> 
     product", J. Comput. Appl. Math. 123 (2000)).  So a term
     ``c X (x) Y (x) E_ij`` adds ``c <psi_i, X psi_j Y^T>``: N x N work.
     """
-    (terms,) = _factored(bq, bp, a)
+    (terms,) = _factored(bq, bp, _term_map(a))
     psi = np.moveaxis(np.asarray(vec).reshape(bq.dim, bp.dim, 2), 2, 0)
     return complex(
         sum(c * np.vdot(psi[i], x @ psi[j] @ y.T) for i, j, c, x, y in terms)
@@ -288,11 +297,104 @@ def qm_factors(a: TensorPoly, bq: Backend, bp: Backend) -> tuple[np.ndarray, np.
             raise ValueError(f"term {key} couples the two r-sectors")
         if ((mp, np_) if i == 0 else (mq, nq)) != (0, 0):
             raise ValueError(f"term {key} acts on the other factor of its r-sector")
-    (terms,) = _factored(bq, bp, a)
+    (terms,) = _factored(bq, bp, _term_map(a))
     factors = [np.zeros((b.dim, b.dim), dtype=complex) for b in (bq, bp)]
     for i, _, c, x, y in terms:
         factors[i] += c * (x, y)[i]
     return factors[0], factors[1]
+
+
+def _word_product(m: int, n: int, m2: int, n2: int) -> tuple:
+    """The factor word of ``Q^m P^n Q^m2 P^n2`` as realized matrices multiply.
+
+    With no P before a Q (``n = 0`` or ``m2 = 0``) the matrices multiply to
+    the normal word ``Q^(m+m2) P^(n+n2)``.  Otherwise the word stays
+    unreduced: normal ordering it uses ``[Q, P] = i hbar``, which a finite
+    pair breaks.
+    """
+    return (m, n, m2, n2) if n and m2 else (m + m2, n + n2)
+
+
+def defect_terms(a: TensorPoly, b: TensorPoly) -> dict:
+    """The exact term map of ``BA - AB + [a, b]``, with A, B the images of a, b.
+
+    The image of a product of two terms is ``delta_jk XX' (x) YY' (x) E_il``
+    (Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math.
+    123 (2000)), with each factor's word from ``_word_product``.  Terms with
+    one r-block, q-word and p-word are summed exactly and zero terms are
+    dropped, so whatever cancels as operators, ``lam`` included, leaves no
+    term.  The map is ordered as the terms first appear: BA, then AB, then
+    the symbolic commutator.
+    """
+    out: dict = {}
+
+    def add(key, c) -> None:
+        out[key] = out[key] + c if key in out else c
+
+    for left, right, negate in ((b, a, False), (a, b, True)):
+        right_terms = sorted(right.terms.items())
+        for (mq, nq, mp, np_, i, j), c in sorted(left.terms.items()):
+            for (mq2, nq2, mp2, np2, k, l), c2 in right_terms:
+                if j == k:
+                    key = (i, l, _word_product(mq, nq, mq2, nq2), _word_product(mp, np_, mp2, np2))
+                    add(key, -(c * c2) if negate else c * c2)
+    for key, c in _term_map(tp_commutator(a, b)).items():
+        add(key, c)
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _outer_sum_max(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Largest entry modulus of ``xs (x) 1 + 1 (x) ys``.
+
+    An entry is an off-diagonal entry of one summand, a diagonal sum
+    ``xs_aa + ys_bb``, or zero.
+    """
+    off = [np.abs(m[~np.eye(len(m), dtype=bool)]) for m in (xs, ys)]
+    diag = np.abs(np.add.outer(np.diag(xs), np.diag(ys)))
+    return float(np.max(np.concatenate([*off, diag.ravel()])))
+
+
+def _max_entries(bq: Backend, bp: Backend, terms: dict) -> tuple[float, float]:
+    """Largest entry modulus of the realized term map, over the whole space
+    and over the bulk (everything below the top level of each Fock factor).
+
+    An r-block whose terms are all ``c X (x) 1`` or ``c 1 (x) Y`` is
+    ``Xs (x) 1 + 1 (x) Ys`` with N x N sums Xs and Ys, and the bulk is the
+    same form on their leading slices, so no product-space matrix is
+    formed.  Only a block with a term on both factors is accumulated as an
+    (N_q N_p) x (N_q N_p) matrix, refused past ``MAX_DENSE_BYTES``.
+    """
+    kq, kp = (f.dim - (f.kind == "fock") for f in (bq, bp))
+    blocks: dict = {}
+    for key, c in terms.items():
+        blocks.setdefault(key[:2], {})[key] = c
+    full, bulk = [0.0], [0.0]
+    for block, read in zip(blocks.values(), _factored(bq, bp, *blocks.values())):
+        if all((0, 0) in key[2:] for key in block):
+            xs = np.zeros((bq.dim, bq.dim), dtype=complex)
+            ys = np.zeros((bp.dim, bp.dim), dtype=complex)
+            for key, (_, _, c, x, y) in zip(block, read):
+                if key[3] == (0, 0):
+                    xs += c * x
+                else:
+                    ys += c * y
+            full.append(_outer_sum_max(xs, ys))
+            bulk.append(_outer_sum_max(xs[:kq, :kq], ys[:kp, :kp]))
+        else:
+            m = _dense_zeros(bq.dim * bp.dim)
+            for _, _, c, x, y in read:
+                _add_term(m, c, x, y)
+            # the bulk is a leading slice of each factor axis of a view
+            view = m.reshape(bq.dim, bp.dim, bq.dim, bp.dim)[:kq, :kp, :kq, :kp]
+            full.append(float(np.max(np.abs(m))))
+            bulk.append(float(np.max(np.abs(view))))
+    return float(np.max(full)), float(np.max(bulk))
+
+
+def max_entry(a: TensorPoly, bq: Backend, bp: Backend) -> float:
+    """Largest entry modulus of ``realize(a, bq, bp)``, read per r-block from
+    factor-sized maxima where the block allows (``_max_entries``)."""
+    return _max_entries(bq, bp, _term_map(a))[0]
 
 
 def commutator_defect(
@@ -306,28 +408,15 @@ def commutator_defect(
 
     Returns the max-entry discrepancy over the whole space (``defect_norm``)
     and restricted to the bulk rows and columns (``bulk_defect_norm``), the
-    bulk being everything below the top level of each Fock factor.
+    bulk being everything below the top level of each Fock factor.  The
+    exact engine forms the terms of ``BA - AB + [a, b]`` first
+    (``defect_terms``), so ``lam`` is needed only when the defect depends
+    on it, and most r-blocks are read from factor-sized maxima.
     """
-    fa, fb, fsym = _factored(bq, bp, a, b, tp_commutator(a, b), lam=lam)
-    fa, fb = list(fa), list(fb)
-    # sym - (AB - BA), accumulated as BA - AB + sym into r-blocks:
-    # defect[i, j] is the M x M kernel of E_ij
-    m = bq.dim * bp.dim
-    defect = np.zeros((2, 2, m, m), dtype=complex)
-    for i, l, c, x, y in _products(fb, fa):
-        _add_term(defect[i, l], c, x, y)
-    for i, l, c, x, y in _products(fa, fb):
-        _add_term(defect[i, l], -c, x, y)
-    for i, j, c, x, y in fsym:
-        _add_term(defect[i, j], c, x, y)
-    # the bulk of a factor is a leading run of its levels (all but the top
-    # Fock level), so it is a leading slice of each factor axis of a view
-    kq, kp = (f.dim - (f.kind == "fock") for f in (bq, bp))
-    bulk = defect.reshape(2, 2, bq.dim, bp.dim, bq.dim, bp.dim)[:, :, :kq, :kp, :kq, :kp]
-    return {
-        "defect_norm": float(np.max(np.abs(defect))),
-        "bulk_defect_norm": float(np.max(np.abs(bulk))),
-    }
+    if lam is not None:
+        a, b = (e.substitute_lambda(Fraction(lam)) for e in (a, b))
+    full, bulk = _max_entries(bq, bp, defect_terms(a, b))
+    return {"defect_norm": full, "bulk_defect_norm": bulk}
 
 
 def kernel_block(m: TensorMatrix, i: str | int, j: str | int) -> np.ndarray:

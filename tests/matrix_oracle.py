@@ -3,9 +3,9 @@
 ``evaluate_matrix`` is a hand-written recursion over the node classes,
 deliberately not built on :func:`qclab.expr.fold`, so tests that use it do
 not check the fold against itself.  ``dense_commutator_defect``
-multiplies realized product-space matrices with ``@``, where the library
-builds products from factor-sized ones, and selects the bulk with a flat
-index mask, where the library slices each factor axis of a reshaped view.
+multiplies realized product-space matrices with ``@`` and selects the bulk
+with a flat index mask, where the library forms the defect's terms in the
+exact engine and reads each r-block from factor-sized maxima.
 """
 
 import numpy as np

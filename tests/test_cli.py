@@ -314,6 +314,15 @@ def test_cmd_kernels_optional_matrix_export(tmp_path):
     assert (tmp_path / "matrix.bin.json").exists()
 
 
+def test_cmd_kernels_past_the_dense_bound_is_usage_error(tmp_path):
+    # a Fock pair at N = 128 realizes at dimension 32768 (16 GiB)
+    fock = BackendSpec(kind="fock", n=128, length=None)
+    cfg = RunConfig(h_values=(1.0,), backend_q=fock, backend_p=fock)
+    with pytest.raises(ConfigError, match="a dense 32768 x 32768 matrix needs 16.0 GiB"):
+        cmd_kernels(cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_evolve_rejects_intermediate_h(tmp_path):
     cfg = RunConfig(h_values=(0.5,))
     with pytest.raises(ConfigError, match="no dynamics defined at intermediate h"):

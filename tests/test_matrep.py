@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qclab import matrep
 from qclab.matrep import (
+    MAX_DENSE_BYTES,
     ORDERING,
     build_backend,
     commutator_defect,
+    defect_terms,
     export_kernel_csv,
     export_matrix,
     flatten,
@@ -17,6 +21,7 @@ from qclab.matrep import (
     hermitian_defect,
     import_matrix,
     kernel_block,
+    max_entry,
     quadratic_form,
     realize,
     spectrum,
@@ -189,6 +194,8 @@ def test_realize_is_linear():
 def _pair(kind, hbar=1.0):
     if kind == "fock":
         return build_backend("fock", 5, hbar), build_backend("fock", 7, hbar)
+    if kind == "fock-2":  # the bulk is one level of each factor: 1 x 1
+        return build_backend("fock", 2, hbar), build_backend("fock", 2, hbar)
     if kind == "fock-grid":
         return build_backend("fock", 5, hbar), build_backend("grid-momentum", 7, hbar, 7.0)
     return (
@@ -224,7 +231,13 @@ def _product_cases():
     qpq = eval_ncpoly(parse_expr("Q*P*Q"), g.q_qm, g.p_qm)
     # Q P^2 (x) P (x) E_qp and 1 (x) Q^2 (x) E_pq couple the r-sectors
     coupling = TensorPoly({(1, 2, 0, 1, 0, 1): half_i, (0, 0, 2, 0, 1, 0): one})
+    # Q (x) 1 + 1 (x) Q and P (x) 1 + 1 (x) P, both in E_qq: the defect block
+    # is Xs (x) 1 + 1 (x) Ys, and on Fock factors the bulk diagonal sums
+    # Xs_aa + Ys_bb cancel where each summand alone has modulus hbar
+    q_sum = TensorPoly({(1, 0, 0, 0, 0, 0): one, (0, 0, 1, 0, 0, 0): one})
+    p_sum = TensorPoly({(0, 1, 0, 0, 0, 0): one, (0, 0, 0, 1, 0, 0): one})
     return {
+        "one-factor-sum": (q_sum, p_sum, None),
         "qm-pair": (g.q_qm, g.p_qm, None),
         "mixed-word": (qpq, g.p_qm + g.q_qm, None),
         "r-coupling": (coupling, g.q_tilde * g.p_tilde, Fraction(2, 5)),
@@ -234,16 +247,122 @@ def _product_cases():
     }
 
 
-@pytest.mark.parametrize("hbar", [1.0, 0.7])
-@pytest.mark.parametrize("kind", ["fock", "grid", "fock-grid"])
-@pytest.mark.parametrize("case", sorted(_product_cases()))
-def test_commutator_defect_matches_the_dense_oracle(kind, hbar, case):
-    a, b, lam = _product_cases()[case]
-    bq, bp = _pair(kind, hbar)
+def _assert_defects_match(bq, bp, a, b, lam=None):
     got = commutator_defect(bq, bp, a, b, lam=lam)
     want = dense_commutator_defect(bq, bp, a, b, lam=lam)
     for key in ("defect_norm", "bulk_defect_norm"):
-        assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
+        assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), (key, got, want)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("kind", ["fock", "grid", "fock-grid", "fock-2"])
+@pytest.mark.parametrize("case", sorted(_product_cases()))
+def test_commutator_defect_matches_the_dense_oracle(kind, hbar, case):
+    a, b, lam = _product_cases()[case]
+    _assert_defects_match(*_pair(kind, hbar), a, b, lam)
+
+
+_KINDS = ("fock", "grid-position", "grid-momentum")
+
+
+@st.composite
+def _elements(draw):
+    """Up to 3 terms of degree at most 2 per factor, random r-slots and
+    complex rational coefficients.  A term acts on the q factor, the p
+    factor or both, so one-factor r-blocks are common."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.sampled_from(["q", "p", "qp"]))
+        word = []
+        for f in "qp":
+            m = draw(st.integers(0, 2)) if f in support else 0
+            word += [m, draw(st.integers(0, 2 - m)) if f in support else 0]
+        key = (*word, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+        re, im = (Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4))) for _ in "ri")
+        terms[key] = ScalarCoeff({(0, 0): ComplexRational.of(re, im)})
+    return TensorPoly(terms)
+
+
+@st.composite
+def _backend_pairs(draw):
+    hbar = draw(st.sampled_from([1.0, 0.7]))
+    n_q = draw(st.integers(2, 6))
+    n_p = draw(st.integers(2, 6).filter(lambda n: n != n_q))
+    return tuple(
+        build_backend(draw(st.sampled_from(_KINDS)), n, hbar, float(n)) for n in (n_q, n_p)
+    )
+
+
+@given(_backend_pairs(), _elements(), _elements())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_commutator_defect_of_random_elements_matches_the_dense_oracle(pair, a, b):
+    _assert_defects_match(*pair, a, b)
+
+
+def test_defect_terms_keep_p_before_q_unreduced():
+    g = make_generators()
+    one, i_hbar = ScalarCoeff.one(), ScalarCoeff({(1, 0): ComplexRational.of(0, 1)})
+    # BA - AB + [a, b] of the quantum pair: PQ - QP + i hbar on each sector's
+    # factor, with P Q kept as the unreduced word (0, 1, 1, 0)
+    assert defect_terms(g.q_qm, g.p_qm) == {
+        (0, 0, (0, 1, 1, 0), (0, 0)): one,
+        (0, 0, (1, 1), (0, 0)): -one,
+        (0, 0, (0, 0), (0, 0)): i_hbar,
+        (1, 1, (0, 0), (0, 1, 1, 0)): one,
+        (1, 1, (0, 0), (1, 1)): -one,
+        (1, 1, (0, 0), (0, 0)): i_hbar,
+    }
+    # the lam Q (x) P terms of the tilde pair cancel exactly
+    assert not any(c.has_lambda for c in defect_terms(g.q_tilde, g.p_tilde).values())
+    # letters on different factors commute exactly
+    assert defect_terms(g.q_cm, g.p_cm) == {}
+
+
+def test_commutator_defect_needs_the_weight_only_where_it_stays():
+    g = make_generators()
+    bq, bp = _pair("fock")
+    free = commutator_defect(bq, bp, g.q_tilde, g.p_tilde)
+    assert free == commutator_defect(bq, bp, g.q_tilde, g.p_tilde, lam=Fraction(1, 3))
+    with pytest.raises(ValueError, match="symbolic interpolation weight"):
+        commutator_defect(bq, bp, g.q_tilde * g.q_tilde, g.p_tilde)
+
+
+@pytest.mark.parametrize("kind", ["fock", "grid", "fock-grid", "fock-2"])
+def test_max_entry_matches_the_realized_matrix(kind):
+    g = make_generators()
+    bq, bp = _pair(kind)
+    half_i = ScalarCoeff({(0, 0): ComplexRational.of(Fraction(1, 2), Fraction(-3, 4))})
+    coupling = TensorPoly({(1, 2, 0, 1, 0, 1): half_i, (0, 0, 2, 0, 1, 0): half_i})
+    lam = Fraction(2, 5)
+    for a in (
+        g.q_tilde.substitute_lambda(lam) - g.q_qm,
+        g.p_tilde.substitute_lambda(lam) - g.p_cm,
+        g.q_qm + g.p_qm,
+        coupling,
+        TensorPoly.zero(),
+    ):
+        assert max_entry(a, bq, bp) == float(np.max(np.abs(realize(a, bq, bp).data)))
+
+
+def test_dense_matrices_are_bounded_before_allocation(monkeypatch):
+    assert MAX_DENSE_BYTES == 16 * 8192**2  # 1 GiB of complex entries
+    g = make_generators()
+    b = build_backend("fock", 5, 1.0)  # realizations of dimension 50, blocks of 25
+    # a bound of exactly one 50 x 50 complex matrix admits it, and no larger
+    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 16 * 50**2)
+    assert realize(g.q_qm, b, b).data.shape == (50, 50)
+    big = build_backend("fock", 6, 1.0)
+    with pytest.raises(ValueError, match="a dense 72 x 72 matrix needs"):
+        realize(g.q_qm, big, big)
+    # a defect block with a term on both factors is (N_q N_p) x (N_q N_p)
+    coupled = TensorPoly({(1, 0, 0, 1, 0, 0): ScalarCoeff.one()})
+    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 16 * 25**2)
+    commutator_defect(b, b, coupled, g.p_qm)
+    with pytest.raises(ValueError, match="a dense 36 x 36 matrix needs"):
+        commutator_defect(big, big, coupled, g.p_qm)
+    # one-factor blocks stay N x N, whatever the bound
+    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 0)
+    commutator_defect(big, big, g.q_tilde, g.p_tilde)
 
 
 def test_realize_product_needs_the_weight():

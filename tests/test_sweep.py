@@ -3,12 +3,15 @@
 ``sweep_rows`` reads each mean of a vector state term by term from the
 factors of the element (``quadratic_form``) when the element is
 self-adjoint with pure-power words, and from the realized element
-otherwise.  The oracle below is the direct path: at each h it substitutes
+otherwise; the bulk defect and the endpoint gaps come from factor-sized
+maxima of exact terms.  The oracle below is the direct path: at each h it substitutes
 the weight, realizes the pair and the observable, takes the commutator
 defect from dense products of the realized pair, and the mean values.
 """
 
 import csv
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -211,10 +214,10 @@ def test_means_of_vector_states_realize_no_element(monkeypatch, config):
     state = build_state(config, bq, bp)
     means = _count_calls(monkeypatch, "mean_value")
     realized = _count_calls(monkeypatch, "realize")
-    rows = sweep_rows(config, bq, bp, state)
+    sweep_rows(config, bq, bp, state)
     assert means == []
-    # the only realized elements are the exact endpoint differences
-    assert len(realized) == 2 * sum(r["endpoint_q_diff"] is not None for r in rows)
+    # the endpoint gaps and the bulk defect are read from the factors too
+    assert realized == []
 
 
 @pytest.mark.parametrize("expr, fock", [("Q*P", False), ("Q*P", True), ("Q*P*Q", True)])
@@ -229,3 +232,44 @@ def test_means_that_fail_the_fast_path_rules_take_the_realized_mean(monkeypatch,
         "cannot evaluate means at h=0.0: observable is not Hermitian within 1e-10"
     )
     assert len(means) == 1  # q~ and p~ took the fast path, the observable did not
+
+
+def _fock_128(tmp_path):
+    """The sweep benchmark's quartic on a Fock pair at N = 128: the product
+    space has dimension 32768, one r-block 16384 (4 GiB of complex entries)."""
+    path = tmp_path / "fock128.json"
+    backend = {"kind": "fock", "n": 128}
+    path.write_text(json.dumps({
+        "observable": QUARTIC,
+        "backend_q": backend,
+        "backend_p": backend,
+        "state": {"kind": "lifted-qm", "q0": -0.44, "p0": 0.83},
+    }))
+    return str(path)
+
+
+def test_a_fock_sweep_at_n128_stays_factor_sized(tmp_path, capsys):
+    argv = ["sweep", "--config", _fock_128(tmp_path), "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 64 * 2**20, peak
+    rows = _read_csv(tmp_path / "out" / "sweep.csv")
+    assert len(rows) == 11
+    assert float(rows[-1]["endpoint_q_diff"]) == 0.0
+
+
+def test_a_realized_mean_past_the_dense_bound_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", _fock_128(tmp_path), "--expr", "Q*P", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot evaluate means at h=0.0: a dense 32768 x 32768 matrix"
+        " needs 16.0 GiB, above the 1 GiB bound\n"
+    )
+    assert not out.exists()
