@@ -34,7 +34,6 @@ from .matrep import (
     build_backend,
     check_backend,
     commutator_defect,
-    defect_terms,
     export_kernel_csv,
     export_matrix,
     format_float,
@@ -435,9 +434,10 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
     (the image of a mixed word's adjoint is not the adjoint of its image on
     a finite pair).  A mean that fails a condition, or whose imaginary part
     exceeds 1e-10, is ``mean_value`` of the realized element, which reports
-    the error.  The bulk defect is ``commutator_defect`` of the pair, read
-    once when the exact defect terms (``defect_terms``) are free of lam, as
-    they are for the tilde pair, and at each h otherwise.  An endpoint gap
+    the error.  The bulk defect is ``commutator_defect`` of the symbolic
+    pair, read once for every row: its exact terms are free of lam (the
+    ``lam Q (x) P`` terms cancel), and the exact engine refuses a defect
+    that keeps lam rather than read it at one h.  An endpoint gap
     is the largest entry of the exact difference between the pair at that h
     and the reference pair (``max_entry``).  Neither forms a product-space
     matrix when its r-blocks act on one factor per term.
@@ -459,11 +459,7 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
     def gap(element, ref, lam: Fraction) -> float:
         return max_entry(substitute_lambda(element, lam) - ref, bq, bp)
 
-    def bulk_defect(lam: Fraction | None) -> float:
-        return commutator_defect(bq, bp, q_t, p_t, lam=lam)["bulk_defect_norm"]
-
-    lam_free = not any(c.has_lambda for c in defect_terms(q_t, p_t).values())
-    fixed_defect = bulk_defect(None) if lam_free else None
+    bulk = commutator_defect(bq, bp, q_t, p_t)["bulk_defect_norm"]
 
     refs = {config.h_o: (gens.q_qm, gens.p_qm), 0.0: (gens.q_cm, gens.p_cm)}
     rows = []
@@ -481,9 +477,7 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
             raise ConfigError(
                 f"cannot evaluate means at h={h!r}: {exc}"
             ) from exc
-        row["bulk_commutator_defect"] = (
-            fixed_defect if lam_free else bulk_defect(lam)
-        )
+        row["bulk_commutator_defect"] = bulk
         row["endpoint_q_diff"], row["endpoint_p_diff"] = (
             (gap(q_t, refs[h][0], lam), gap(p_t, refs[h][1], lam))
             if h in refs else (None, None)

@@ -220,19 +220,22 @@ def _factored(bq: Backend, bp: Backend, *maps: dict) -> list:
     return [terms(m) for m in maps]
 
 
-# Largest product-space matrix a reading allocates: 1 GiB of complex
-# entries, dimension 8192 (the verify suite peaks at 2048).
+# Most a dense reading allocates at once: 1 GiB of complex entries, for the
+# product-space matrix together with the term temporary of ``_add_term``
+# (a realization up to dimension 7327; the verify suite peaks at 2048).
 MAX_DENSE_BYTES = 1 << 30
 
 
-def _dense_zeros(dim: int) -> np.ndarray:
-    """A complex ``dim x dim`` zero matrix, refused (ValueError) before it is
-    allocated when its ``16 * dim^2`` bytes exceed ``MAX_DENSE_BYTES``."""
-    size = 16 * dim * dim
+def _dense_zeros(dim: int, term_dim: int) -> np.ndarray:
+    """A complex ``dim x dim`` zero matrix that ``_add_term`` fills with
+    ``term_dim x term_dim`` terms, refused (ValueError) before it is
+    allocated when the two need more than ``MAX_DENSE_BYTES``."""
+    size = 16 * (dim * dim + term_dim * term_dim)
     if size > MAX_DENSE_BYTES:
         raise ValueError(
-            f"a dense {dim} x {dim} matrix needs {size / 2**30:.1f} GiB,"
-            f" above the {MAX_DENSE_BYTES / 2**30:g} GiB bound"
+            f"a dense {dim} x {dim} matrix and its {term_dim} x {term_dim} term"
+            f" need {size / 2**30:.1f} GiB, above the"
+            f" {MAX_DENSE_BYTES / 2**30:g} GiB bound"
         )
     return np.zeros((dim, dim), dtype=complex)
 
@@ -256,10 +259,11 @@ def realize(
     ``a`` must be free of the symbolic interpolation weight; pass ``lam`` to
     substitute it first.  Both backends must share the same hbar, at which
     the polynomial hbar-dependence of the coefficients is evaluated.  A
-    matrix above ``MAX_DENSE_BYTES`` is refused with ValueError.
+    matrix that needs more than ``MAX_DENSE_BYTES`` with its term temporary
+    is refused with ValueError.
     """
     (terms,) = _factored(bq, bp, _term_map(a, lam))
-    data = _dense_zeros(bq.dim * bp.dim * 2)
+    data = _dense_zeros(bq.dim * bp.dim * 2, bq.dim * bp.dim)
     for i, j, c, x, y in terms:
         # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
         _add_term(data[i::2, j::2], c, x, y)
@@ -362,7 +366,8 @@ def _max_entries(bq: Backend, bp: Backend, terms: dict) -> tuple[float, float]:
     ``Xs (x) 1 + 1 (x) Ys`` with N x N sums Xs and Ys, and the bulk is the
     same form on their leading slices, so no product-space matrix is
     formed.  Only a block with a term on both factors is accumulated as an
-    (N_q N_p) x (N_q N_p) matrix, refused past ``MAX_DENSE_BYTES``.
+    (N_q N_p) x (N_q N_p) matrix, refused past ``MAX_DENSE_BYTES`` with its
+    term temporary (``_dense_zeros``).
     """
     kq, kp = (f.dim - (f.kind == "fock") for f in (bq, bp))
     blocks: dict = {}
@@ -381,7 +386,7 @@ def _max_entries(bq: Backend, bp: Backend, terms: dict) -> tuple[float, float]:
             full.append(_outer_sum_max(xs, ys))
             bulk.append(_outer_sum_max(xs[:kq, :kq], ys[:kp, :kp]))
         else:
-            m = _dense_zeros(bq.dim * bp.dim)
+            m = _dense_zeros(bq.dim * bp.dim, bq.dim * bp.dim)
             for _, _, c, x, y in read:
                 _add_term(m, c, x, y)
             # the bulk is a leading slice of each factor axis of a view

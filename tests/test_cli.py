@@ -315,10 +315,14 @@ def test_cmd_kernels_optional_matrix_export(tmp_path):
 
 
 def test_cmd_kernels_past_the_dense_bound_is_usage_error(tmp_path):
-    # a Fock pair at N = 128 realizes at dimension 32768 (16 GiB)
+    # a Fock pair at N = 128 realizes at dimension 32768 (16 GiB), and its
+    # 16384 x 16384 term temporary takes 4 GiB more
     fock = BackendSpec(kind="fock", n=128, length=None)
     cfg = RunConfig(h_values=(1.0,), backend_q=fock, backend_p=fock)
-    with pytest.raises(ConfigError, match="a dense 32768 x 32768 matrix needs 16.0 GiB"):
+    with pytest.raises(
+        ConfigError,
+        match="a dense 32768 x 32768 matrix and its 16384 x 16384 term need 20.0 GiB",
+    ):
         cmd_kernels(cfg, str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
 

@@ -345,21 +345,29 @@ def test_max_entry_matches_the_realized_matrix(kind):
 
 
 def test_dense_matrices_are_bounded_before_allocation(monkeypatch):
-    assert MAX_DENSE_BYTES == 16 * 8192**2  # 1 GiB of complex entries
+    assert MAX_DENSE_BYTES == 1 << 30  # 1 GiB of complex entries
     g = make_generators()
     b = build_backend("fock", 5, 1.0)  # realizations of dimension 50, blocks of 25
-    # a bound of exactly one 50 x 50 complex matrix admits it, and no larger
-    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 16 * 50**2)
+    # the bound counts the 50 x 50 matrix and its 25 x 25 term temporary:
+    # exactly their bytes admit the realization, one byte less refuses it
+    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 16 * (50**2 + 25**2))
     assert realize(g.q_qm, b, b).data.shape == (50, 50)
     big = build_backend("fock", 6, 1.0)
-    with pytest.raises(ValueError, match="a dense 72 x 72 matrix needs"):
+    with pytest.raises(ValueError, match="a dense 72 x 72 matrix and its 36 x 36 term need"):
         realize(g.q_qm, big, big)
-    # a defect block with a term on both factors is (N_q N_p) x (N_q N_p)
+    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 16 * (50**2 + 25**2) - 1)
+    with pytest.raises(ValueError, match="a dense 50 x 50 matrix and its 25 x 25 term need"):
+        realize(g.q_qm, b, b)
+    # a defect block with a term on both factors is (N_q N_p) x (N_q N_p),
+    # and so is its term temporary
     coupled = TensorPoly({(1, 0, 0, 1, 0, 0): ScalarCoeff.one()})
-    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 16 * 25**2)
+    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 16 * 2 * 25**2)
     commutator_defect(b, b, coupled, g.p_qm)
-    with pytest.raises(ValueError, match="a dense 36 x 36 matrix needs"):
+    with pytest.raises(ValueError, match="a dense 36 x 36 matrix and its 36 x 36 term need"):
         commutator_defect(big, big, coupled, g.p_qm)
+    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 16 * 2 * 25**2 - 1)
+    with pytest.raises(ValueError, match="a dense 25 x 25 matrix and its 25 x 25 term need"):
+        commutator_defect(b, b, coupled, g.p_qm)
     # one-factor blocks stay N x N, whatever the bound
     monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 0)
     commutator_defect(big, big, g.q_tilde, g.p_tilde)

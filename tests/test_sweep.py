@@ -270,6 +270,6 @@ def test_a_realized_mean_past_the_dense_bound_is_usage_error(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "error: cannot evaluate means at h=0.0: a dense 32768 x 32768 matrix"
-        " needs 16.0 GiB, above the 1 GiB bound\n"
+        " and its 16384 x 16384 term need 20.0 GiB, above the 1 GiB bound\n"
     )
     assert not out.exists()
