@@ -7,15 +7,15 @@ Four subcommands over a JSON run configuration:
 * ``kernels`` - dump the four r-factor blocks of a realized observable
 * ``evolve``  - run endpoint dynamics or the two-sided oscillator comparison
 
-All writers are deterministic: identical config and seed produce
-byte-identical files.  Exit codes: 0 success, 1 verification failure,
-2 usage or configuration error.
+Every artifact is written by ``matrep.write_csv`` or ``matrep.write_json``,
+so identical config and seed produce byte-identical files.  Exit codes:
+0 success, 1 verification failure, 2 usage or configuration error, which
+``main`` alone reports.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -36,11 +36,12 @@ from .matrep import (
     commutator_defect,
     export_kernel_csv,
     export_matrix,
-    format_float,
     kernel_block,
     max_entry,
     quadratic_form,
     realize,
+    write_csv,
+    write_json,
 )
 from .ncpoly import (
     eval_ncpoly,
@@ -292,17 +293,14 @@ class RunConfig:
 
 
 def build_backends(config: RunConfig) -> tuple[Backend, Backend]:
-    try:
-        bq = build_backend(
-            config.backend_q.kind, config.backend_q.n, config.hbar,
-            config.backend_q.length,
-        )
-        bp = build_backend(
-            config.backend_p.kind, config.backend_p.n, config.hbar,
-            config.backend_p.length,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    bq = build_backend(
+        config.backend_q.kind, config.backend_q.n, config.hbar,
+        config.backend_q.length,
+    )
+    bp = build_backend(
+        config.backend_p.kind, config.backend_p.n, config.hbar,
+        config.backend_p.length,
+    )
     return bq, bp
 
 
@@ -326,10 +324,7 @@ def build_weights(config: RunConfig, n_q: int, n_p: int) -> WeightSpec:
     a_vec = base.a_vec if wc.a_vec is None else _vector_to_array(wc.a_vec, n_p, "a_vec")
     b_vec = base.b_vec if wc.b_vec is None else _vector_to_array(wc.b_vec, n_q, "b_vec")
     spec = WeightSpec(c_q=c_q, c_p=c_p, a_vec=a_vec, b_vec=b_vec)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec.validate()
     return spec
 
 
@@ -343,16 +338,13 @@ def _factor_state(backend: Backend, spec: StateSpec) -> np.ndarray:
 def build_state(config: RunConfig, bq: Backend, bp: Backend):
     spec = config.state
     weights = build_weights(config, bq.dim, bp.dim)
-    try:
-        if spec.kind == "cm-point":
-            return cm_point_state(
-                bq, bp, spec.k, spec.l, weights.c_q, weights.c_p
-            )
-        psi_q = _factor_state(bq, spec)
-        psi_p = _factor_state(bp, spec)
-        return lift_qm_eigenstate(psi_q, weights, psi_p=psi_p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if spec.kind == "cm-point":
+        return cm_point_state(
+            bq, bp, spec.k, spec.l, weights.c_q, weights.c_p
+        )
+    psi_q = _factor_state(bq, spec)
+    psi_p = _factor_state(bp, spec)
+    return lift_qm_eigenstate(psi_q, weights, psi_p=psi_p)
 
 
 def _lambda_of(h: float, h_o: float) -> Fraction:
@@ -375,12 +367,6 @@ def _generator_pair(config: RunConfig, family: str, h: float):
     )
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -395,10 +381,17 @@ def cmd_verify(config: RunConfig, out_dir: str, fmt: str = "json") -> int:
     os.makedirs(out_dir, exist_ok=True)
     if fmt == "csv":
         path = os.path.join(out_dir, "verify_report.csv")
-        _write_verify_csv(report, path)
+        write_csv(
+            path,
+            ["name", "status", "informational", "witness", "note"],
+            (
+                [c.name, c.status, str(c.informational).lower(), c.witness, c.note]
+                for c in report.checks
+            ),
+        )
     else:
         path = os.path.join(out_dir, "verify_report.json")
-        _write_json(path, report.to_payload())
+        write_json(path, report.to_payload())
     print(f"report written to {path}")
     return 0 if report.all_passed else 1
 
@@ -412,16 +405,6 @@ def _print_verify(report: VerifyReport) -> None:
         print(line)
     verdict = "all checks passed" if report.all_passed else "FAILURES present"
     print(f"verify: {verdict}")
-
-
-def _write_verify_csv(report: VerifyReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "status", "informational", "witness", "note"])
-        for c in report.checks:
-            writer.writerow(
-                [c.name, c.status, str(c.informational).lower(), c.witness, c.note or ""]
-            )
 
 
 def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]:
@@ -502,16 +485,10 @@ def cmd_sweep(config: RunConfig, out_dir: str, fmt: str = "csv") -> int:
     ]
     if fmt == "json":
         path = os.path.join(out_dir, "sweep.json")
-        _write_json(path, {"columns": columns, "rows": rows})
+        write_json(path, {"columns": columns, "rows": rows})
     else:
         path = os.path.join(out_dir, "sweep.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                rendered = [
-                    "" if row[c] is None else format_float(row[c]) for c in columns
-                ]
-                fh.write(",".join(rendered) + "\n")
+        write_csv(path, columns, ([row[c] for c in columns] for row in rows))
     print(f"sweep written to {path}")
     return 0
 
@@ -526,10 +503,7 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
     bq, bp = build_backends(config)
     x, y = _generator_pair(config, config.family, h)
     node = parse_expr(config.observable)
-    try:
-        mat = realize(eval_ncpoly(node, x, y), bq, bp)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    mat = realize(eval_ncpoly(node, x, y), bq, bp)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for i in "qp":
@@ -550,7 +524,7 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
         "backend_p": config.backend_p.kind,
     }
     meta_path = os.path.join(out_dir, "kernels_meta.json")
-    _write_json(meta_path, meta)
+    write_json(meta_path, meta)
     written.append(meta_path)
     if config.export_matrix:
         matrix_path = os.path.join(out_dir, "matrix.bin")
@@ -598,14 +572,11 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
             period_count=ds.period_count,
             record_stride=ds.record_stride,
         )
-        try:
-            table = dyn.oscillator_compare(params)
-        except dyn.LiouvilleUnstable as exc:
-            raise ConfigError(str(exc)) from exc
+        table = dyn.oscillator_compare(params)
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "comparison.csv")
         table.to_csv(path)
-        _write_json(
+        write_json(
             os.path.join(out_dir, "evolve_meta.json"),
             {
                 **asdict(params),
@@ -635,29 +606,23 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
             ds.n_grid, ds.n_grid, ds.length, ds.length,
             ds.q0, ds.p0, sigma, sigma,
         )
-        try:
-            traj = dyn.liouville_evolve(
-                rho0, config.observable, ds.dt, steps, record_stride=ds.record_stride
-            )
-        except dyn.LiouvilleUnstable as exc:
-            raise ConfigError(str(exc)) from exc
+        traj = dyn.liouville_evolve(
+            rho0, config.observable, ds.dt, steps, record_stride=ds.record_stride
+        )
         label = "liouville"
     else:  # h == h_o, the only other endpoint the opening check lets through
         bq, bp = build_backends(config)
         state = build_state(config, bq, bp)
         gens = make_generators()
         h_poly = eval_ncpoly(parse_expr(config.observable), gens.q_qm, gens.p_qm)
-        try:
-            traj = dyn.von_neumann_evolve(
-                state, h_poly, bq, bp, ds.dt, steps, record_stride=ds.record_stride
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        traj = dyn.von_neumann_evolve(
+            state, h_poly, bq, bp, ds.dt, steps, record_stride=ds.record_stride
+        )
         label = "von-neumann"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "trajectory.csv")
     traj.to_csv(path)
-    _write_json(
+    write_json(
         os.path.join(out_dir, "evolve_meta.json"),
         {
             "mode": label,
@@ -726,6 +691,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; every refusal exits 2 with a single ``error:`` line.
+
+    A refusal is a ``ValueError`` (``ConfigError`` and ``ExprError`` among
+    them) from the configuration or the library, an aborted Liouville run,
+    or an ``OSError`` such as an ``--out`` that cannot be a directory.
+    """
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
@@ -736,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "kernels":
             return cmd_kernels(config, args.out)
         return cmd_evolve(config, args.out)
-    except (ConfigError, ExprError) as exc:
+    except (ValueError, dyn.LiouvilleUnstable, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

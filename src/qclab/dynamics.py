@@ -52,6 +52,7 @@ from .matrep import (
     hermitian_defect,
     hermitian_tolerance,
     qm_factors,
+    write_csv,
 )
 from .ncpoly import TensorPoly, eval_ncpoly, make_generators
 from .states import HybridDensity, HybridVector, WeightSpec, coherent_state, lift_qm_eigenstate
@@ -158,14 +159,11 @@ class Trajectory:
         return max(abs(v - base) for v in self.norm_or_trace)
 
     def to_csv(self, path: str) -> None:
-        from .matrep import format_float
-
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,mean_q,mean_p,mean_energy,norm_or_trace\n")
-            for row in zip(
-                self.times, self.mean_q, self.mean_p, self.mean_energy, self.norm_or_trace
-            ):
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+        write_csv(
+            path,
+            ["t", "mean_q", "mean_p", "mean_energy", "norm_or_trace"],
+            zip(self.times, self.mean_q, self.mean_p, self.mean_energy, self.norm_or_trace),
+        )
 
 
 def spectral_derivative(arr: np.ndarray, spacing: float, axis: int) -> np.ndarray:
@@ -445,27 +443,23 @@ class ComparisonTable:
         return self.quantum.drift()
 
     def to_csv(self, path: str) -> None:
-        from .matrep import format_float
-
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(
-                "t,mean_q_cl,mean_q_qm,mean_p_cl,mean_p_qm,dq_abs,dp_abs,"
-                "energy_cl,energy_qm\n"
-            )
-            cl, qm = self.classical, self.quantum
-            columns = (
-                self.times,
-                cl.mean_q,
-                qm.mean_q,
-                cl.mean_p,
-                qm.mean_p,
-                self.dq_abs,
-                self.dp_abs,
-                cl.mean_energy,
-                qm.mean_energy,
-            )
-            for row in zip(*columns, strict=True):
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+        cl, qm = self.classical, self.quantum
+        columns = (
+            self.times,
+            cl.mean_q,
+            qm.mean_q,
+            cl.mean_p,
+            qm.mean_p,
+            self.dq_abs,
+            self.dp_abs,
+            cl.mean_energy,
+            qm.mean_energy,
+        )
+        header = [
+            "t", "mean_q_cl", "mean_q_qm", "mean_p_cl", "mean_p_qm",
+            "dq_abs", "dp_abs", "energy_cl", "energy_qm",
+        ]
+        write_csv(path, header, zip(*columns, strict=True))
 
 
 def oscillator_compare(params: OscillatorParams) -> ComparisonTable:

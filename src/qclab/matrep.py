@@ -22,6 +22,7 @@ i.e. the 2-dimensional factor varies fastest, matching
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -502,9 +503,7 @@ def export_matrix(
         "hbar": hbar,
         "ordering": m.ordering,
     }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path + ".json", sidecar)
 
 
 def import_matrix(path: str) -> TensorMatrix:
@@ -522,15 +521,35 @@ def import_matrix(path: str) -> TensorMatrix:
 
 def export_kernel_csv(block: np.ndarray, path: str) -> None:
     """Write one r-block as CSV rows (row, col, re, im)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("row,col,re,im\n")
-        n_rows, n_cols = block.shape
-        for r in range(n_rows):
-            for c in range(n_cols):
-                v = block[r, c]
-                fh.write(f"{r},{c},{format_float(v.real)},{format_float(v.imag)}\n")
+    rows = (
+        (r, c, v.real, v.imag)
+        for r, line in enumerate(block.tolist())
+        for c, v in enumerate(line)
+    )
+    write_csv(path, ["row", "col", "re", "im"], rows)
 
 
 def format_float(x: float) -> str:
     """Deterministic, round-trip float rendering shared by all writers."""
     return repr(float(x))
+
+
+def _csv_field(value):
+    return value if value is None or isinstance(value, (str, int)) else format_float(value)
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write a CSV artifact: strings as given (quoted where CSV needs it),
+    ints as written, ``None`` as an empty field, other values by
+    ``format_float``; one ``\\n`` per line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_csv_field(v) for v in row] for row in rows)
+
+
+def write_json(path: str, payload) -> None:
+    """Write a JSON artifact: sorted keys, two-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")

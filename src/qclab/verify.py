@@ -108,7 +108,6 @@ class VerifyReport:
 @dataclass(frozen=True)
 class _Ctx:
     hbar: float
-    h_o: float
     seed: int
     gens: GeneratorSet
 
@@ -651,7 +650,7 @@ def run_verify(
         unknown = wanted - {check.name for check in CHECKS}
         if unknown:
             raise ValueError(f"unknown check names: {', '.join(sorted(unknown))}")
-    ctx = _Ctx(hbar=hbar, h_o=h_o, seed=seed, gens=make_generators())
+    ctx = _Ctx(hbar=hbar, seed=seed, gens=make_generators())
     results: list[CheckResult] = []
     with guard:
         for idx, check in enumerate(CHECKS):

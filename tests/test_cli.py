@@ -314,17 +314,43 @@ def test_cmd_kernels_optional_matrix_export(tmp_path):
     assert (tmp_path / "matrix.bin.json").exists()
 
 
-def test_cmd_kernels_past_the_dense_bound_is_usage_error(tmp_path):
+def test_cmd_kernels_past_the_dense_bound_is_usage_error(tmp_path, capsys):
     # a Fock pair at N = 128 realizes at dimension 32768 (16 GiB), and its
     # 16384 x 16384 term temporary takes 4 GiB more
-    fock = BackendSpec(kind="fock", n=128, length=None)
-    cfg = RunConfig(h_values=(1.0,), backend_q=fock, backend_p=fock)
-    with pytest.raises(
-        ConfigError,
-        match="a dense 32768 x 32768 matrix and its 16384 x 16384 term need 20.0 GiB",
-    ):
-        cmd_kernels(cfg, str(tmp_path / "out"))
-    assert not (tmp_path / "out").exists()
+    path = tmp_path / "fock128.json"
+    fock = {"kind": "fock", "n": 128}
+    path.write_text(json.dumps({"backend_q": fock, "backend_p": fock}))
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", str(path), "--h", "1.0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: a dense 32768 x 32768 matrix and its 16384 x 16384 term need"
+        " 20.0 GiB, above the 1 GiB bound\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["sweep"], ["kernels", "--h", "1.0"], ["evolve"]],
+    ids=["verify", "sweep", "kernels", "evolve"],
+)
+def test_an_unusable_out_is_usage_error(tmp_path, capsys, argv, below):
+    # --out names an existing regular file, or a path below one
+    (tmp_path / "taken").write_text("kept\n")
+    out = tmp_path / "taken" / "sub" if below else tmp_path / "taken"
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(
+        {"dynamics": {"n_grid": 16, "n_fock": 8, "dt": 0.01}}
+    ))
+    with warnings.catch_warnings():
+        # the small compare grid reports its boundary ring; not under test
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv + ["--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.json", "taken"]
+    assert (tmp_path / "taken").read_text() == "kept\n"
 
 
 def test_cmd_evolve_rejects_intermediate_h(tmp_path):
@@ -767,15 +793,28 @@ def _leaf_keys(section, prefix=""):
             yield prefix + name
 
 
-def _readme_sweep_keys():
+def _readme_keys(opening):
+    """The keys the README paragraph that starts with ``opening`` lists
+    before the word "ignores"."""
     readme = (ROOT / "README.md").read_text()
-    paragraph = readme.split("Keys that `qclab sweep` reads", 1)[1].split("\n\n", 1)[0]
-    listed = paragraph.split("The sweep ignores", 1)[0]
+    paragraph = readme.split(opening, 1)[1].split("\n\n", 1)[0]
+    listed = paragraph.split("ignores", 1)[0]
     return set(re.findall(r"`([a-z_.0-9]+)`", listed)) & set(_SWEEP_PERTURBATIONS)
+
+
+def _readme_sweep_keys():
+    return _readme_keys("Keys that `qclab sweep` reads")
 
 
 def _sweep_output(tmp_path, capsys, overrides):
     """Exit code and ``sweep.csv`` bytes of a sweep on 4- and 5-point grids."""
+    code, artifacts = _output(tmp_path, capsys, ["sweep"], overrides)
+    return code, artifacts and artifacts["sweep.csv"]
+
+
+def _output(tmp_path, capsys, argv, overrides):
+    """Exit code and artifact bytes (None if nothing is written) of one run
+    on 4- and 5-point grids."""
     config = {"backend_q": {"n": 4}, "backend_p": {"n": 5}}
     for dotted, value in overrides.items():
         *path, leaf = dotted.split(".")
@@ -786,10 +825,15 @@ def _sweep_output(tmp_path, capsys, overrides):
     run_dir = tmp_path / str(len(list(tmp_path.iterdir())))
     run_dir.mkdir()
     (run_dir / "cfg.json").write_text(json.dumps(config))
-    code = main(["sweep", "--config", str(run_dir / "cfg.json"), "--out", str(run_dir / "out")])
+    out = run_dir / "out"
+    with warnings.catch_warnings():
+        # a small compare grid reports its boundary ring; not under test
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv + ["--config", str(run_dir / "cfg.json"), "--out", str(out)])
     capsys.readouterr()
-    table = run_dir / "out" / "sweep.csv"
-    return code, table.read_bytes() if table.exists() else None
+    if not out.exists():
+        return code, None
+    return code, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 def test_every_config_key_has_a_sweep_perturbation():
@@ -818,3 +862,42 @@ def test_sweep_ignores_the_phase_of_a_weight(tmp_path, capsys):
     for want_row, got_row in zip(want[1:], got[1:]):
         for w, g in zip(want_row.split(","), got_row.split(",")):
             assert w == g or abs(float(w) - float(g)) <= 1e-12 * max(1.0, abs(float(w)))
+
+
+# -- config keys of `kernels` and `evolve` ---------------------------------
+
+_SMALL_DYNAMICS = {"dynamics.n_grid": 16, "dynamics.n_fock": 8, "dynamics.dt": 0.01}
+_AUTO = {**_SMALL_DYNAMICS, "dynamics.mode": "auto"}
+
+# Each guarded run: its arguments, the overrides of the run every
+# perturbation is compared against, and the opening of the README paragraph
+# that lists its keys.  The perturbations are the sweep's, except that an
+# auto-mode run perturbs the mode to compare.
+_GUARDED_RUNS = {
+    "kernels": (["kernels"], {"h_values": [0.5]}, "Keys that `qclab kernels` reads"),
+    "evolve-compare": (
+        ["evolve"], _SMALL_DYNAMICS, "Keys that `qclab evolve` reads in compare mode"
+    ),
+    "evolve-auto-0": (
+        ["evolve"], {**_AUTO, "h_values": [0.0]},
+        "Keys that `qclab evolve` reads in auto mode at `h = 0`",
+    ),
+    "evolve-auto-h_o": (
+        ["evolve"], {**_AUTO, "h_values": [1.0]},
+        "Keys that `qclab evolve` reads in auto mode at `h = h_o`",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_SWEEP_PERTURBATIONS))
+@pytest.mark.parametrize("run", sorted(_GUARDED_RUNS))
+def test_output_changes_exactly_when_the_key_is_listed(tmp_path, capsys, run, key):
+    # a refusal counts as a change
+    argv, run_base, opening = _GUARDED_RUNS[run]
+    base, perturbed = _SWEEP_PERTURBATIONS[key]
+    if key == "dynamics.mode" and run_base.get(key) == "auto":
+        perturbed = {key: "compare"}
+    want = _output(tmp_path, capsys, argv, {**run_base, **base})
+    assert want[0] == 0
+    changed = _output(tmp_path, capsys, argv, {**run_base, **base, **perturbed}) != want
+    assert changed == (key in _readme_keys(opening))

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qclab import cli
 from qclab.cli import (
@@ -23,6 +24,7 @@ from qclab.cli import (
     ConfigError,
     RunConfig,
     StateSpec,
+    WeightsConfig,
     build_backends,
     build_state,
     cmd_sweep,
@@ -273,3 +275,88 @@ def test_a_realized_mean_past_the_dense_bound_is_usage_error(tmp_path, capsys):
         " and its 16384 x 16384 term need 20.0 GiB, above the 1 GiB bound\n"
     )
     assert not out.exists()
+
+
+# -- random observables, states and pairs against the oracle ---------------
+
+
+@st.composite
+def _self_adjoint_sums(draw):
+    """``c1*(w1 + rev(w1)) + c2*(w2 + rev(w2))``: each ``w`` a word over
+    {Q, P} of length at most 4, each ``c`` a rational.  Mixed words take the
+    realized branch of the sweep, pure powers the factored one."""
+    terms = []
+    for _ in range(2):
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        w = draw(st.lists(st.sampled_from("QP"), min_size=1, max_size=4))
+        terms.append(f"({c.numerator}/{c.denominator})*({'*'.join(w)} + {'*'.join(reversed(w))})")
+    return " + ".join(terms)
+
+
+@st.composite
+def _sweep_configs(draw):
+    """A grid or Fock pair with ``N_q != N_p`` from 2 to 6, and a lifted
+    state with random centre and weights, or a point state on the grid pair."""
+    n_q = draw(st.integers(2, 6))
+    n_p = draw(st.integers(2, 6).filter(lambda n: n != n_q))
+    if draw(st.booleans()):
+        backends = {
+            "backend_q": BackendSpec(kind="fock", n=n_q, length=None),
+            "backend_p": BackendSpec(kind="fock", n=n_p, length=None),
+        }
+        point = False
+    else:
+        length = draw(st.sampled_from([4.0, 8.0]))
+        backends = {
+            "backend_q": BackendSpec(kind="grid-position", n=n_q, length=length),
+            "backend_p": BackendSpec(kind="grid-momentum", n=n_p, length=length),
+        }
+        point = draw(st.booleans())
+    if point:
+        k, l = draw(st.integers(0, n_q - 1)), draw(st.integers(0, n_p - 1))
+        state = StateSpec(kind="cm-point", k=k, l=l)
+        weights = WeightsConfig()
+    else:
+        centre = st.floats(-1.0, 1.0)
+        state = StateSpec(q0=draw(centre), p0=draw(centre))
+        turn, phase = draw(st.floats(0.1, 1.4)), draw(st.floats(-3.0, 3.0))
+        c_q = complex(np.cos(turn)) * np.exp(1j * phase)
+
+        def padding(n):
+            v = np.array([complex(*draw(st.tuples(centre, centre))) for _ in range(n)])
+            if np.linalg.norm(v) < 0.1:  # keep clear of the zero vector
+                v[0] = 1.0
+            return tuple((z.real, z.imag) for z in v / np.linalg.norm(v))
+
+        weights = WeightsConfig(
+            c_q=(c_q.real, c_q.imag), c_p=(float(np.sin(turn)), 0.0),
+            a_vec=padding(n_p), b_vec=padding(n_q),
+        )
+    return RunConfig(
+        hbar=draw(st.sampled_from([1.0, 0.7])),
+        h_values=(0.0, 0.4, 1.0),
+        observable=draw(_self_adjoint_sums()),
+        state=state,
+        weights=weights,
+        **backends,
+    )
+
+
+def _rows_or_refusal(reading, config, bq, bp, state):
+    try:
+        return reading(config, bq, bp, state)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(_sweep_configs())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_sweep_rows_of_random_sums_match_the_oracle(config):
+    bq, bp = build_backends(config)
+    state = build_state(config, bq, bp)
+    got = _rows_or_refusal(sweep_rows, config, bq, bp, state)
+    want = _rows_or_refusal(oracle_rows, config, bq, bp, state)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_rows_match(got, want, rtol=1e-12)
