@@ -34,8 +34,10 @@ from .matrep import (
     build_backend,
     check_backend,
     commutator_defect,
+    entry_bound,
     export_kernel_csv,
     export_matrix,
+    has_hermitian_image,
     kernel_block,
     max_entry,
     quadratic_form,
@@ -49,13 +51,11 @@ from .ncpoly import (
     substitute_lambda,
 )
 from .states import (
-    HybridVector,
     WeightSpec,
     cm_point_state,
     coherent_state,
     gaussian_grid_state,
     lift_qm_eigenstate,
-    mean_value,
 )
 from .verify import VerifyReport, run_verify
 
@@ -293,15 +293,8 @@ class RunConfig:
 
 
 def build_backends(config: RunConfig) -> tuple[Backend, Backend]:
-    bq = build_backend(
-        config.backend_q.kind, config.backend_q.n, config.hbar,
-        config.backend_q.length,
-    )
-    bp = build_backend(
-        config.backend_p.kind, config.backend_p.n, config.hbar,
-        config.backend_p.length,
-    )
-    return bq, bp
+    specs = (config.backend_q, config.backend_p)
+    return tuple(build_backend(s.kind, s.n, config.hbar, s.length) for s in specs)
 
 
 def _pair_to_complex(p: Pair) -> complex:
@@ -408,36 +401,31 @@ def _print_verify(report: VerifyReport) -> None:
 
 
 def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]:
-    """The sweep table, one row per h value.
+    """The sweep table of a vector state, one row per h value.
 
-    Each mean substitutes lam exactly and reads the element term by term
-    (``quadratic_form``), with no product-space matrix, when three things
-    hold: the state is a vector, the exact engine finds the element
-    self-adjoint, and every factor word is a pure power ``Q^m`` or ``P^n``
-    (the image of a mixed word's adjoint is not the adjoint of its image on
-    a finite pair).  A mean that fails a condition, or whose imaginary part
-    exceeds 1e-10, is ``mean_value`` of the realized element, which reports
-    the error.  The bulk defect is ``commutator_defect`` of the symbolic
-    pair, read once for every row: its exact terms are free of lam (the
-    ``lam Q (x) P`` terms cancel), and the exact engine refuses a defect
-    that keeps lam rather than read it at one h.  An endpoint gap
-    is the largest entry of the exact difference between the pair at that h
-    and the reference pair (``max_entry``).  Neither forms a product-space
-    matrix when its r-blocks act on one factor per term.
+    Each mean substitutes lam exactly, is refused unless the exact engine
+    finds the element's image Hermitian (``has_hermitian_image``), and is
+    read from the factors (``quadratic_form``); its imaginary part must be
+    at most ``1e-10 * max(1, S)``, S the factors' bound on the image's
+    largest entry (``entry_bound``).  The bulk defect is ``commutator_defect``
+    of the symbolic pair, whose exact terms are free of lam, read once for
+    every row.  An endpoint gap is the largest entry of the exact difference
+    between the pair at that h and the reference pair (``max_entry``).
     """
     gens = make_generators()
     q_t, p_t = gens.q_tilde, gens.p_tilde
     obs = eval_ncpoly(parse_expr(config.observable), q_t, p_t)
-    vec = state.data if isinstance(state, HybridVector) else None
+    vec = state.data
 
     def mean(element, lam: Fraction) -> float:
         a = substitute_lambda(element, lam)
-        mixed = any((mq and nq) or (mp and np_) for mq, nq, mp, np_, _, _ in a.terms)
-        if vec is not None and not mixed and a == a.adjoint():
-            ratio = quadratic_form(a, bq, bp, vec) / np.vdot(vec, vec)
-            if abs(ratio.imag) <= 1e-10:
-                return float(ratio.real)
-        return mean_value(state, realize(a, bq, bp))
+        if not has_hermitian_image(a):
+            raise ValueError("observable is not Hermitian on a finite pair")
+        ratio = quadratic_form(a, bq, bp, vec) / np.vdot(vec, vec)
+        # max(1, S) >= 1, so S is read only past 1e-10
+        if abs(ratio.imag) > 1e-10 and abs(ratio.imag) > 1e-10 * entry_bound(a, bq, bp):
+            raise ValueError(f"mean value has non-negligible imaginary part {ratio.imag!r}")
+        return float(ratio.real)
 
     def gap(element, ref, lam: Fraction) -> float:
         return max_entry(substitute_lambda(element, lam) - ref, bq, bp)
@@ -690,15 +678,25 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _check_out(out: str) -> None:
+    """ConfigError unless ``out``, or else its nearest existing ancestor, is a directory."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out}: {path} is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; every refusal exits 2 with a single ``error:`` line.
 
     A refusal is a ``ValueError`` (``ConfigError`` and ``ExprError`` among
     them) from the configuration or the library, an aborted Liouville run,
-    or an ``OSError`` such as an ``--out`` that cannot be a directory.
+    or an ``OSError``.  An ``--out`` under a file is refused before any work.
     """
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         config = load_config(args)
         if args.command == "verify":
             return cmd_verify(config, args.out, args.format)

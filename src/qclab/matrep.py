@@ -22,10 +22,9 @@ i.e. the 2-dimensional factor varies fastest, matching
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -177,10 +176,8 @@ def _word(qpow: list, ppow: list, word: tuple) -> np.ndarray:
 # ``_word``) on the q and p factor.
 
 
-def _term_map(a: TensorPoly, lam: float | Fraction | None = None) -> dict:
-    """The terms of ``a``, with ``lam`` substituted first, in sorted key order."""
-    if lam is not None:
-        a = a.substitute_lambda(Fraction(lam))
+def _term_map(a: TensorPoly) -> dict:
+    """The terms of ``a`` in sorted key order."""
     return {
         (i, j, (mq, nq), (mp, np_)): c
         for (mq, nq, mp, np_, i, j), c in sorted(a.terms.items())
@@ -200,7 +197,7 @@ def _factored(bq: Backend, bp: Backend, *maps: dict) -> list:
     if any(c.has_lambda for m in maps for c in m.values()):
         raise ValueError(
             "element still depends on the symbolic interpolation weight;"
-            " call substitute_lambda first or pass lam="
+            " call substitute_lambda first"
         )
     if bq.hbar != bp.hbar:
         raise ValueError(
@@ -249,21 +246,16 @@ def _add_term(block: np.ndarray, c: complex, x: np.ndarray, y: np.ndarray) -> No
     block += term.reshape(block.shape)
 
 
-def realize(
-    a: TensorPoly,
-    bq: Backend,
-    bp: Backend,
-    lam: float | Fraction | None = None,
-) -> TensorMatrix:
+def realize(a: TensorPoly, bq: Backend, bp: Backend) -> TensorMatrix:
     """Evaluate a TensorPoly as a dense matrix on the product space.
 
-    ``a`` must be free of the symbolic interpolation weight; pass ``lam`` to
-    substitute it first.  Both backends must share the same hbar, at which
-    the polynomial hbar-dependence of the coefficients is evaluated.  A
-    matrix that needs more than ``MAX_DENSE_BYTES`` with its term temporary
-    is refused with ValueError.
+    ``a`` must be free of the symbolic interpolation weight (substitute it
+    first).  Both backends must share the same hbar, at which the
+    polynomial hbar-dependence of the coefficients is evaluated.  A matrix
+    that needs more than ``MAX_DENSE_BYTES`` with its term temporary is
+    refused with ValueError.
     """
-    (terms,) = _factored(bq, bp, _term_map(a, lam))
+    (terms,) = _factored(bq, bp, _term_map(a))
     data = _dense_zeros(bq.dim * bp.dim * 2, bq.dim * bp.dim)
     for i, j, c, x, y in terms:
         # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
@@ -285,6 +277,13 @@ def quadratic_form(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> 
     return complex(
         sum(c * np.vdot(psi[i], x @ psi[j] @ y.T) for i, j, c, x, y in terms)
     )
+
+
+def entry_bound(a: TensorPoly, bq: Backend, bp: Backend) -> float:
+    """``sum |c| max|X| max|Y|`` over the terms ``c X (x) Y (x) E_ij`` of ``a``:
+    a bound on the largest entry modulus of ``realize(a)``, from the factors."""
+    (terms,) = _factored(bq, bp, _term_map(a))
+    return float(sum(abs(c) * np.abs(x).max() * np.abs(y).max() for _, _, c, x, y in terms))
 
 
 def qm_factors(a: TensorPoly, bq: Backend, bp: Backend) -> tuple[np.ndarray, np.ndarray]:
@@ -348,6 +347,19 @@ def defect_terms(a: TensorPoly, b: TensorPoly) -> dict:
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
+def has_hermitian_image(a: TensorPoly) -> bool:
+    """Whether ``realize(a)`` is Hermitian for every pair of Hermitian Q, P:
+    ``a`` must equal its realized adjoint term by term, the adjoint of
+    ``c Q^m P^n (x) Q^m' P^n' (x) E_ij`` being ``conj(c) P^n Q^m (x) P^n' Q^m' (x) E_ji``
+    with its words unreduced when ``m, n > 0`` (``_word_product``).  So ``a``
+    is self-adjoint and has no mixed factor word."""
+    terms = _term_map(a)
+    return terms == {
+        (j, i, _word_product(0, nq, mq, 0), _word_product(0, np_, mp, 0)): c.conjugate()
+        for (i, j, (mq, nq), (mp, np_)), c in terms.items()
+    }
+
+
 def _outer_sum_max(xs: np.ndarray, ys: np.ndarray) -> float:
     """Largest entry modulus of ``xs (x) 1 + 1 (x) ys``.
 
@@ -404,11 +416,7 @@ def max_entry(a: TensorPoly, bq: Backend, bp: Backend) -> float:
 
 
 def commutator_defect(
-    bq: Backend,
-    bp: Backend,
-    a: TensorPoly,
-    b: TensorPoly,
-    lam: float | Fraction | None = None,
+    bq: Backend, bp: Backend, a: TensorPoly, b: TensorPoly
 ) -> dict[str, float]:
     """Compare the symbolic commutator against the matrix commutator.
 
@@ -416,11 +424,9 @@ def commutator_defect(
     and restricted to the bulk rows and columns (``bulk_defect_norm``), the
     bulk being everything below the top level of each Fock factor.  The
     exact engine forms the terms of ``BA - AB + [a, b]`` first
-    (``defect_terms``), so ``lam`` is needed only when the defect depends
-    on it, and most r-blocks are read from factor-sized maxima.
+    (``defect_terms``), so ``a`` and ``b`` may keep lam where the defect
+    does not, and most r-blocks are read from factor-sized maxima.
     """
-    if lam is not None:
-        a, b = (e.substitute_lambda(Fraction(lam)) for e in (a, b))
     full, bulk = _max_entries(bq, bp, defect_terms(a, b))
     return {"defect_norm": full, "bulk_defect_norm": bulk}
 
@@ -521,10 +527,9 @@ def import_matrix(path: str) -> TensorMatrix:
 
 def export_kernel_csv(block: np.ndarray, path: str) -> None:
     """Write one r-block as CSV rows (row, col, re, im)."""
-    rows = (
-        (r, c, v.real, v.imag)
-        for r, line in enumerate(block.tolist())
-        for c, v in enumerate(line)
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(r), range(len(line)), line.real.tolist(), line.imag.tolist())
+        for r, line in enumerate(block)
     )
     write_csv(path, ["row", "col", "re", "im"], rows)
 
@@ -534,18 +539,31 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_field(value):
-    return value if value is None or isinstance(value, (str, int)) else format_float(value)
+def _csv_field(value) -> str:
+    if isinstance(value, str):
+        quoted = any(ch in value for ch in ',"\r\n')
+        return '"' + value.replace('"', '""') + '"' if quoted else value
+    return "" if value is None else str(value) if isinstance(value, int) else format_float(value)
+
+
+def _csv_column(values: tuple) -> list[str]:
+    """A column's fields, by one rule for a column of only floats or only ints."""
+    kinds = set(map(type, values))
+    render = format_float if kinds == {float} else str if kinds == {int} else _csv_field
+    return list(map(render, values))
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Write a CSV artifact: strings as given (quoted where CSV needs it),
-    ints as written, ``None`` as an empty field, other values by
-    ``format_float``; one ``\\n`` per line."""
+    """Write a CSV artifact: strings as given (quoted where they hold a
+    comma, a quote or a line break), ints as written, ``None`` as an empty
+    field, other values by ``format_float``; one ``\\n`` per line."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_csv_field(v) for v in row] for row in rows)
+        fh.write(",".join(map(_csv_field, header)) + "\n")
+        # 65536 rows at a time, each column of them rendered in one pass
+        while chunk := list(itertools.islice(rows, 1 << 16)):
+            columns = [_csv_column(column) for column in zip(*chunk)]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_json(path: str, payload) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrep import Backend, TensorMatrix, hermitian_defect, hermitian_tolerance
+from .matrep import Backend, TensorMatrix, _hermitize, hermitian_defect, hermitian_tolerance
 
 _NORM_TOL = 1e-10
 
@@ -256,9 +256,8 @@ class StateReport:
 
 def validate_state(d: HybridDensity) -> StateReport:
     data = np.asarray(d.data)
-    defect = float(np.max(np.abs(data - data.conj().T))) if data.size else 0.0
-    sym = (data + data.conj().T) / 2.0
-    eigenvalues = np.linalg.eigvalsh(sym)
+    defect = hermitian_defect(data) if data.size else 0.0
+    eigenvalues = np.linalg.eigvalsh(_hermitize(data))
     return StateReport(
         hermitian_defect=defect,
         min_eigenvalue=float(eigenvalues.min()) if eigenvalues.size else 0.0,

@@ -278,9 +278,8 @@ def _check_qm_bulk_defect(ctx: _Ctx, index: int) -> tuple[bool, str]:
 def _check_tilde_bulk_defect(ctx: _Ctx, index: int) -> tuple[bool, str]:
     bq = build_backend("fock", 8, ctx.hbar)
     bp = build_backend("fock", 8, ctx.hbar)
-    d = commutator_defect(
-        bq, bp, ctx.gens.q_tilde, ctx.gens.p_tilde, lam=Fraction(1, 2)
-    )
+    half = (substitute_lambda(x, Fraction(1, 2)) for x in (ctx.gens.q_tilde, ctx.gens.p_tilde))
+    d = commutator_defect(bq, bp, *half)
     ok = d["bulk_defect_norm"] < 1e-12
     return ok, (
         f"bulk_defect_norm={d['bulk_defect_norm']!r} at midpoint weight,"
@@ -300,15 +299,14 @@ def _check_realize_linearity(ctx: _Ctx, index: int) -> tuple[bool, str]:
     rng = _rng(ctx, index)
     bq = build_backend("fock", 6, ctx.hbar)
     bp = build_backend("fock", 6, ctx.hbar)
-    lam = Fraction(1, 3)
+    q, p = (substitute_lambda(x, Fraction(1, 3)) for x in (ctx.gens.q_tilde, ctx.gens.p_tilde))
     worst = 0.0
     for _ in range(5):
         f = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
         g = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
-        a = eval_ncpoly(f, ctx.gens.q_tilde, ctx.gens.p_tilde)
-        b = eval_ncpoly(g, ctx.gens.q_tilde, ctx.gens.p_tilde)
-        lhs = realize(a + b, bq, bp, lam=lam).data
-        rhs = realize(a, bq, bp, lam=lam).data + realize(b, bq, bp, lam=lam).data
+        a, b = eval_ncpoly(f, q, p), eval_ncpoly(g, q, p)
+        lhs = realize(a + b, bq, bp).data
+        rhs = realize(a, bq, bp).data + realize(b, bq, bp).data
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst < 1e-12, f"max linearity defect over 5 random pairs: {worst!r}"
 

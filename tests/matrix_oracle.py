@@ -47,13 +47,13 @@ def _bulk_mask(bq: Backend, bp: Backend) -> np.ndarray:
 
 
 def dense_commutator_defect(
-    bq: Backend, bp: Backend, a: TensorPoly, b: TensorPoly, lam=None
+    bq: Backend, bp: Backend, a: TensorPoly, b: TensorPoly
 ) -> dict[str, float]:
     """Max entry of ``realize([a, b]) - (AB - BA)``, with A, B the dense
     images, over the whole space and over the bulk rows and columns."""
-    sym = realize(tp_commutator(a, b), bq, bp, lam=lam).data
-    ma = realize(a, bq, bp, lam=lam).data
-    mb = realize(b, bq, bp, lam=lam).data
+    sym = realize(tp_commutator(a, b), bq, bp).data
+    ma = realize(a, bq, bp).data
+    mb = realize(b, bq, bp).data
     defect = sym - (ma @ mb - mb @ ma)
     keep = _bulk_mask(bq, bp)
     return {

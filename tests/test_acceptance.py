@@ -47,9 +47,8 @@ def test_criterion_2_truncated_ccr():
     for n in (4, 8, 16):
         backend = build_backend("fock", n, 1.0)
         for lam in (0, Fraction(1, 2), 1):
-            d = commutator_defect(
-                backend, backend, GENS.q_tilde, GENS.p_tilde, lam=lam
-            )
+            pair = (x.substitute_lambda(lam) for x in (GENS.q_tilde, GENS.p_tilde))
+            d = commutator_defect(backend, backend, *pair)
             worst = max(worst, d["bulk_defect_norm"])
             assert d["bulk_defect_norm"] <= 1e-12, (n, lam)
     elapsed = time.perf_counter() - t0

@@ -346,8 +346,11 @@ def test_an_unusable_out_is_usage_error(tmp_path, capsys, argv, below):
         # the small compare grid reports its boundary ring; not under test
         warnings.simplefilter("ignore", RuntimeWarning)
         code = main(argv + ["--config", str(config), "--out", str(out)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 2
+    # refused before any work: nothing on stdout
+    assert captured.out == ""
+    err = captured.err
     assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["small.json", "taken"]
     assert (tmp_path / "taken").read_text() == "kept\n"

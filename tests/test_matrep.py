@@ -18,7 +18,9 @@ from qclab.matrep import (
     export_matrix,
     flatten,
     format_float,
+    has_hermitian_image,
     hermitian_defect,
+    hermitian_tolerance,
     import_matrix,
     kernel_block,
     max_entry,
@@ -26,11 +28,14 @@ from qclab.matrep import (
     realize,
     spectrum,
     unflatten,
+    write_csv,
 )
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
-from qclab.expr import parse_expr
+from qclab.expr import parse_expr, random_expr
 from qclab.scalars import ComplexRational, ScalarCoeff
-from qclab.states import WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value
+from qclab.states import (
+    HybridVector, WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value,
+)
 
 from matrix_oracle import dense_commutator_defect
 
@@ -168,7 +173,7 @@ def test_realize_interpolating_pair_needs_weight():
     b = build_backend("fock", 4, 1.0)
     with pytest.raises(ValueError):
         realize(g.q_tilde, b, b)
-    m0 = realize(g.q_tilde, b, b, lam=0)
+    m0 = realize(g.q_tilde.substitute_lambda(0), b, b)
     m_qm = realize(g.q_qm, b, b)
     np.testing.assert_allclose(m0.data, m_qm.data, atol=0)
 
@@ -248,8 +253,10 @@ def _product_cases():
 
 
 def _assert_defects_match(bq, bp, a, b, lam=None):
-    got = commutator_defect(bq, bp, a, b, lam=lam)
-    want = dense_commutator_defect(bq, bp, a, b, lam=lam)
+    if lam is not None:
+        a, b = (x.substitute_lambda(lam) for x in (a, b))
+    got = commutator_defect(bq, bp, a, b)
+    want = dense_commutator_defect(bq, bp, a, b)
     for key in ("defect_norm", "bulk_defect_norm"):
         assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), (key, got, want)
 
@@ -299,6 +306,72 @@ def test_commutator_defect_of_random_elements_matches_the_dense_oracle(pair, a, 
     _assert_defects_match(*pair, a, b)
 
 
+@st.composite
+def _observables(draw):
+    """A tilde-pair element of degree at most 4 from ``random_expr`` at a
+    rational lam, or an element of random terms (``_elements``): tilde-pair
+    elements are r-diagonal, so only these reach ``E_qp`` and ``E_pq``.
+    Taken raw or as ``a + a^dagger``."""
+    if draw(st.booleans()):
+        g = make_generators()
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        node = random_expr(rng, max_degree=4, max_terms=3)
+        lam = draw(st.fractions(0, 1, max_denominator=6))
+        a = eval_ncpoly(node, g.q_tilde, g.p_tilde).substitute_lambda(lam)
+    else:
+        a = draw(_elements())
+    return a + a.adjoint() if draw(st.booleans()) else a
+
+
+@given(_backend_pairs(), _observables(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_an_element_the_rule_accepts_realizes_hermitian(pair, a, seed):
+    bq, bp = pair
+    if not has_hermitian_image(a):
+        return
+    m = realize(a, bq, bp)
+    assert hermitian_defect(m) <= hermitian_tolerance(m)
+    # the sweep's reading of a mean against the dense one
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+    got = quadratic_form(a, bq, bp, v) / np.vdot(v, v)
+    want = mean_value(HybridVector(v, bq.dim, bp.dim), m)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+def test_the_rule_decides_from_the_words():
+    g = make_generators()
+    one = ScalarCoeff.one()
+    i = ScalarCoeff({(0, 0): ComplexRational.of(0, 1)})
+    qpq = eval_ncpoly(parse_expr("Q*P*Q"), g.q_qm, g.p_qm)
+    coupling = TensorPoly({(1, 0, 0, 1, 0, 1): i})  # i Q (x) P (x) E_qp
+    assert has_hermitian_image(eval_ncpoly(parse_expr("Q^8 + P^2*Q^2"), g.q_cm, g.p_cm))
+    assert has_hermitian_image(coupling + coupling.adjoint())
+    assert not has_hermitian_image(coupling)
+    assert not has_hermitian_image(g.q_qm.scale(i))
+    # self-adjoint, but the image of a mixed word is not Hermitian on a finite pair
+    assert qpq == qpq.adjoint() and not has_hermitian_image(qpq)
+    assert not has_hermitian_image(TensorPoly({(1, 1, 0, 0, 0, 0): one}))
+
+
+def test_write_csv_renders_each_column_by_its_values(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [
+        (0, 0.1, None, "plain", True),
+        (12, -0.0, 2.5, 'a, "b"', np.float64(1e-300)),
+        (3, 1e20, 7, "x\ny", -1),
+    ]
+    write_csv(str(path), ["i", "f", "mixed", "text", "any"], rows)
+    assert path.read_text(encoding="utf-8") == (
+        "i,f,mixed,text,any\n"
+        "0,0.1,,plain,True\n"
+        '12,-0.0,2.5,"a, ""b""",1e-300\n'
+        '3,1e+20,7,"x\ny",-1\n'
+    )
+    write_csv(str(path), ["only", "header"], [])
+    assert path.read_text(encoding="utf-8") == "only,header\n"
+
+
 def test_defect_terms_keep_p_before_q_unreduced():
     g = make_generators()
     one, i_hbar = ScalarCoeff.one(), ScalarCoeff({(1, 0): ComplexRational.of(0, 1)})
@@ -322,7 +395,8 @@ def test_commutator_defect_needs_the_weight_only_where_it_stays():
     g = make_generators()
     bq, bp = _pair("fock")
     free = commutator_defect(bq, bp, g.q_tilde, g.p_tilde)
-    assert free == commutator_defect(bq, bp, g.q_tilde, g.p_tilde, lam=Fraction(1, 3))
+    pair = (x.substitute_lambda(Fraction(1, 3)) for x in (g.q_tilde, g.p_tilde))
+    assert free == commutator_defect(bq, bp, *pair)
     with pytest.raises(ValueError, match="symbolic interpolation weight"):
         commutator_defect(bq, bp, g.q_tilde * g.q_tilde, g.p_tilde)
 

@@ -1,16 +1,17 @@
 """The sweep table against a per-h oracle.
 
-``sweep_rows`` reads each mean of a vector state term by term from the
-factors of the element (``quadratic_form``) when the element is
-self-adjoint with pure-power words, and from the realized element
-otherwise; the bulk defect and the endpoint gaps come from factor-sized
-maxima of exact terms.  The oracle below is the direct path: at each h it substitutes
-the weight, realizes the pair and the observable, takes the commutator
-defect from dense products of the realized pair, and the mean values.
+``sweep_rows`` refuses an element whose image the exact engine does not
+find Hermitian and reads every other mean term by term from the factors
+(``quadratic_form``); the bulk defect and the endpoint gaps come from
+factor-sized maxima of exact terms.  The oracle below is the direct path:
+at each h it substitutes the weight, realizes the pair and the observable,
+takes the commutator defect from dense products of the realized pair, and
+the mean values.
 """
 
 import csv
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclab import cli
 from qclab.cli import (
     BackendSpec,
     ConfigError,
@@ -32,7 +32,7 @@ from qclab.cli import (
     sweep_rows,
 )
 from qclab.expr import parse_expr
-from qclab.matrep import realize
+from qclab.matrep import max_entry, realize
 from qclab.ncpoly import eval_ncpoly, make_generators, substitute_lambda
 from qclab.states import mean_value
 
@@ -81,7 +81,7 @@ def oracle_rows(config, bq, bp, state):
     return rows
 
 
-def _assert_rows_match(got, want, rtol=0.0):
+def _assert_rows_match(got, want, rtol=0.0, atol=1e-12):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert repr(float(g["h"])) == repr(float(w["h"]))
@@ -90,7 +90,7 @@ def _assert_rows_match(got, want, rtol=0.0):
             if w[col] is None:
                 assert g[col] is None, col
             else:
-                tol = max(1e-12, rtol * abs(w[col]))
+                tol = max(atol, rtol * abs(w[col]))
                 assert abs(float(g[col]) - w[col]) <= tol, (col, g[col], w[col])
 
 
@@ -143,26 +143,57 @@ def test_sweep_table_matches_the_per_h_oracle(tmp_path, capsys, name):
     assert float(got[-1]["endpoint_p_diff"]) == 0.0
 
 
-def test_sweep_rows_match_the_oracle_on_a_density():
-    config = CONFIGS["cm-point"]
-    bq, bp = build_backends(config)
-    density = build_state(config, bq, bp).outer()
-    _assert_rows_match(
-        sweep_rows(config, bq, bp, density), oracle_rows(config, bq, bp, density)
-    )
+def _count_calls(monkeypatch, name):
+    """Record the first argument of every call of ``realize`` or
+    ``mean_value``, through every qclab module that binds it."""
+    calls, original = [], {"realize": realize, "mean_value": mean_value}[name]
+
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("qclab") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 @pytest.mark.parametrize("expr", ["Q^8", "P^8"])
 def test_high_powers_sweep_on_the_grid_pair(tmp_path, capsys, expr):
     # entries of Q^8 on the default grid reach 1.3e6, so its roundoff
-    # Hermitian defect (2.6e-10) is above 1e-10 but far below 1e-10 * max|M|;
-    # its means reach 1.3e4, so rows are compared to 1e-13 relative
+    # imaginary parts are judged against 1e-10 times the entry bound; its
+    # means reach 1.3e4, so rows are compared to 1e-13 relative
     assert main(["sweep", "--expr", expr, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     config = RunConfig(observable=expr)
     bq, bp = build_backends(config)
     want = oracle_rows(config, bq, bp, build_state(config, bq, bp))
     _assert_rows_match(_read_csv(tmp_path / "sweep.csv"), want, rtol=1e-13)
+
+
+GRID_16 = {
+    "backend_q": BackendSpec(kind="grid-position", n=16, length=8.0),
+    "backend_p": BackendSpec(kind="grid-momentum", n=16, length=8.0),
+}
+
+
+def test_p8_on_a_16_point_grid_pair_reads_its_means_from_the_factors(monkeypatch):
+    # imaginary parts of these means reach 2.3e-10: roundoff, far below
+    # 1e-10 times the entry bound.  Entries reach 1.6e7 while the mean at
+    # h = 0.9 is 11.5, so a mean matches the oracle to 1e-13 relative or to
+    # 1e-16 of the element's largest entry at that h
+    config = RunConfig(observable="P^8", **GRID_16)
+    bq, bp = build_backends(config)
+    state = build_state(config, bq, bp)
+    want = oracle_rows(config, bq, bp, state)
+    realized = _count_calls(monkeypatch, "realize")
+    got = sweep_rows(config, bq, bp, state)
+    assert realized == []
+    gens = make_generators()
+    obs = eval_ncpoly(parse_expr("P^8"), gens.q_tilde, gens.p_tilde)
+    for g, w in zip(got, want):
+        scale = max_entry(substitute_lambda(obs, 1 - Fraction(str(g["h"]))), bq, bp)
+        _assert_rows_match([g], [w], rtol=1e-13, atol=1e-16 * scale)
 
 
 @pytest.mark.parametrize("h, named", [(None, "0.0"), ("0.5", "0.5")])
@@ -173,15 +204,15 @@ def test_non_hermitian_observable_is_usage_error(tmp_path, capsys, h, named):
     assert code == 2
     assert err == (
         f"error: cannot evaluate means at h={named}:"
-        " observable is not Hermitian within 1e-10\n"
+        " observable is not Hermitian on a finite pair\n"
     )
     assert not (tmp_path / "out").exists()
 
 
 def test_non_hermitian_realization_with_a_real_mean_is_usage_error(tmp_path, capsys):
     # Q P Q is symbolically Hermitian, but its Fock realization is not at the
-    # top level, which the vacuum never reaches: the mean comes out real and
-    # only the Hermitian test stops the row
+    # top level, which the vacuum never reaches: the mean would come out
+    # real, and the exact rule refuses the mixed word before any reading
     path = tmp_path / "fock.json"
     path.write_text(
         '{"backend_q": {"kind": "fock", "n": 8}, "backend_p": {"kind": "fock", "n": 8}}'
@@ -189,27 +220,18 @@ def test_non_hermitian_realization_with_a_real_mean_is_usage_error(tmp_path, cap
     argv = ["sweep", "--config", str(path), "--expr", "Q*P*Q", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "error: cannot evaluate means at h=0.0: observable is not Hermitian within 1e-10\n"
+        "error: cannot evaluate means at h=0.0: observable is not Hermitian on a finite pair\n"
     )
     assert not (tmp_path / "out").exists()
 
 
-def _count_calls(monkeypatch, name):
-    """Record the first argument of every call of ``cli.<name>``."""
-    calls, original = [], getattr(cli, name)
-
-    def spy(first, *args, **kwargs):
-        calls.append(first)
-        return original(first, *args, **kwargs)
-
-    monkeypatch.setattr(cli, name, spy)
-    return calls
-
-
 @pytest.mark.parametrize(
     "config",
-    [RunConfig(), RunConfig(observable="Q^8"), *(CONFIGS[k] for k in sorted(CONFIGS))],
-    ids=["default", "Q^8", *sorted(CONFIGS)],
+    [
+        RunConfig(), RunConfig(observable="Q^8"), RunConfig(observable="P^8", **GRID_16),
+        *(CONFIGS[k] for k in sorted(CONFIGS)),
+    ],
+    ids=["default", "Q^8", "P^8-grid16", *sorted(CONFIGS)],
 )
 def test_means_of_vector_states_realize_no_element(monkeypatch, config):
     bq, bp = build_backends(config)
@@ -223,17 +245,17 @@ def test_means_of_vector_states_realize_no_element(monkeypatch, config):
 
 
 @pytest.mark.parametrize("expr, fock", [("Q*P", False), ("Q*P", True), ("Q*P*Q", True)])
-def test_means_that_fail_the_fast_path_rules_take_the_realized_mean(monkeypatch, expr, fock):
+def test_refused_means_realize_no_element(monkeypatch, expr, fock):
     spec = BackendSpec(kind="fock", n=8, length=None)
     config = RunConfig(observable=expr, **({"backend_q": spec, "backend_p": spec} if fock else {}))
     bq, bp = build_backends(config)
-    means = _count_calls(monkeypatch, "mean_value")
+    spied = [_count_calls(monkeypatch, name) for name in ("mean_value", "realize")]
     with pytest.raises(ConfigError) as info:
         sweep_rows(config, bq, bp, build_state(config, bq, bp))
     assert str(info.value) == (
-        "cannot evaluate means at h=0.0: observable is not Hermitian within 1e-10"
+        "cannot evaluate means at h=0.0: observable is not Hermitian on a finite pair"
     )
-    assert len(means) == 1  # q~ and p~ took the fast path, the observable did not
+    assert spied == [[], []]
 
 
 def _fock_128(tmp_path):
@@ -250,14 +272,19 @@ def _fock_128(tmp_path):
     return str(path)
 
 
-def test_a_fock_sweep_at_n128_stays_factor_sized(tmp_path, capsys):
-    argv = ["sweep", "--config", _fock_128(tmp_path), "--out", str(tmp_path / "out")]
+def _main_peak(argv):
+    """Exit code of ``main(argv)`` and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
         code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
+        return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_fock_sweep_at_n128_stays_factor_sized(tmp_path, capsys):
+    argv = ["sweep", "--config", _fock_128(tmp_path), "--out", str(tmp_path / "out")]
+    code, peak = _main_peak(argv)
     capsys.readouterr()
     assert code == 0
     assert peak < 64 * 2**20, peak
@@ -266,15 +293,32 @@ def test_a_fock_sweep_at_n128_stays_factor_sized(tmp_path, capsys):
     assert float(rows[-1]["endpoint_q_diff"]) == 0.0
 
 
-def test_a_realized_mean_past_the_dense_bound_is_usage_error(tmp_path, capsys):
+def test_a_refused_fock_sweep_at_n128_stays_factor_sized(tmp_path, capsys, monkeypatch):
+    # a realized Q*P there would need 20 GiB; the exact rule refuses it first
     out = tmp_path / "out"
     argv = ["sweep", "--config", _fock_128(tmp_path), "--expr", "Q*P", "--out", str(out)]
-    assert main(argv) == 2
+    spied = [_count_calls(monkeypatch, name) for name in ("mean_value", "realize")]
+    code, peak = _main_peak(argv)
+    assert code == 2
+    assert peak < 64 * 2**20, peak
+    assert spied == [[], []]
     assert capsys.readouterr().err == (
-        "error: cannot evaluate means at h=0.0: a dense 32768 x 32768 matrix"
-        " and its 16384 x 16384 term need 20.0 GiB, above the 1 GiB bound\n"
+        "error: cannot evaluate means at h=0.0: observable is not Hermitian on a finite pair\n"
     )
     assert not out.exists()
+
+
+def test_q8_on_a_64_point_grid_pair_stays_factor_sized(tmp_path, capsys):
+    # a realized Q^8 there has dimension 8192 (1 GiB), past the dense bound
+    path = tmp_path / "grid64.json"
+    grid = {"kind": "grid-position", "n": 64, "length": 8.0}
+    path.write_text(json.dumps({"backend_q": grid, "backend_p": {**grid, "kind": "grid-momentum"}}))
+    argv = ["sweep", "--config", str(path), "--expr", "Q^8", "--out", str(tmp_path / "out")]
+    code, peak = _main_peak(argv)
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 64 * 2**20, peak
+    assert len(_read_csv(tmp_path / "out" / "sweep.csv")) == 11
 
 
 # -- random observables, states and pairs against the oracle ---------------
@@ -283,8 +327,8 @@ def test_a_realized_mean_past_the_dense_bound_is_usage_error(tmp_path, capsys):
 @st.composite
 def _self_adjoint_sums(draw):
     """``c1*(w1 + rev(w1)) + c2*(w2 + rev(w2))``: each ``w`` a word over
-    {Q, P} of length at most 4, each ``c`` a rational.  Mixed words take the
-    realized branch of the sweep, pure powers the factored one."""
+    {Q, P} of length at most 4, each ``c`` a rational.  The sweep refuses
+    mixed words and reads pure powers from the factors."""
     terms = []
     for _ in range(2):
         c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
@@ -357,6 +401,6 @@ def test_sweep_rows_of_random_sums_match_the_oracle(config):
     got = _rows_or_refusal(sweep_rows, config, bq, bp, state)
     want = _rows_or_refusal(oracle_rows, config, bq, bp, state)
     if isinstance(want, str):
-        assert got == want
+        assert isinstance(got, str)  # both refuse
     else:
         _assert_rows_match(got, want, rtol=1e-12)
