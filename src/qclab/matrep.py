@@ -220,7 +220,7 @@ def _factored(bq: Backend, bp: Backend, *maps: dict) -> list:
 
 # Most a dense reading allocates at once: 1 GiB of complex entries, for the
 # product-space matrix together with the term temporary of ``_add_term``
-# (a realization up to dimension 7327; the verify suite peaks at 2048).
+# (a realization up to dimension 7327; the verify suite peaks at 512).
 MAX_DENSE_BYTES = 1 << 30
 
 
@@ -263,20 +263,43 @@ def realize(a: TensorPoly, bq: Backend, bp: Backend) -> TensorMatrix:
     return TensorMatrix(bq.dim, bp.dim, _freeze(data))
 
 
-def quadratic_form(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> complex:
-    """``<v|A|v>`` for the realization A of ``a``, with no product-space matrix.
+def _slots(bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
+    """``vec`` in the flat ordering as its two r-slots, each an N_q x N_p
+    matrix ``psi_i`` (a view, shape ``(2, N_q, N_p)``)."""
+    return np.moveaxis(np.asarray(vec).reshape(bq.dim, bp.dim, 2), 2, 0)
 
-    In the flat ordering, ``v`` reshaped to ``(N_q, N_p, 2)`` holds one
-    N_q x N_p matrix ``psi_i`` per r-slot, and ``(X (x) Y) vec(M) =
-    vec(X M Y^T)`` for row-major ``vec`` (Van Loan, "The ubiquitous Kronecker
-    product", J. Comput. Appl. Math. 123 (2000)).  So a term
-    ``c X (x) Y (x) E_ij`` adds ``c <psi_i, X psi_j Y^T>``: N x N work.
+
+def _term_images(a: TensorPoly, bq: Backend, bp: Backend, psi: np.ndarray):
+    """For each term ``c X (x) Y (x) E_ij`` of ``a``, in sorted key order,
+    ``(i, c, X psi_j Y^T)``: the term maps slot j of the vector with r-slots
+    ``psi`` (``_slots``) to ``c X psi_j Y^T`` in slot i.
+
+    ``(X (x) Y) vec(M) = vec(X M Y^T)`` for row-major ``vec`` (Van Loan, "The
+    ubiquitous Kronecker product", J. Comput. Appl. Math. 123 (2000)), so a
+    term costs N x N products and no product-space matrix is formed.
     """
     (terms,) = _factored(bq, bp, _term_map(a))
-    psi = np.moveaxis(np.asarray(vec).reshape(bq.dim, bp.dim, 2), 2, 0)
-    return complex(
-        sum(c * np.vdot(psi[i], x @ psi[j] @ y.T) for i, j, c, x, y in terms)
-    )
+    for i, j, c, x, y in terms:
+        yield i, c, x @ psi[j] @ y.T
+
+
+def quadratic_form(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> complex:
+    """``<v|A|v>`` for the realization A of ``a``, with no product-space matrix:
+    a term ``c X (x) Y (x) E_ij`` adds ``c <psi_i, X psi_j Y^T>``
+    (``_term_images``)."""
+    psi = _slots(bq, bp, vec)
+    return complex(sum(c * np.vdot(psi[i], image) for i, c, image in _term_images(a, bq, bp, psi)))
+
+
+def apply(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
+    """``A v`` in the flat ordering for the realization A of ``a``, with no
+    product-space matrix: a term ``c X (x) Y (x) E_ij`` adds
+    ``c X psi_j Y^T`` into r-slot i (``_term_images``)."""
+    psi = _slots(bq, bp, vec)
+    out = np.zeros(psi.shape, dtype=complex)
+    for i, c, image in _term_images(a, bq, bp, psi):
+        out[i] += c * image
+    return np.moveaxis(out, 0, 2).reshape(-1)
 
 
 def entry_bound(a: TensorPoly, bq: Backend, bp: Backend) -> float:
@@ -467,10 +490,10 @@ def spectrum(m: TensorMatrix, group_tol: float = 1e-8) -> list[tuple[float, int]
     Eigenvalues closer than ``group_tol`` to their predecessor are merged
     into one group reported at the group mean.
     """
-    defect = hermitian_defect(m)
-    if defect > hermitian_tolerance(m):
+    defect, tol = hermitian_defect(m), hermitian_tolerance(m)
+    if defect > tol:
         raise ValueError(
-            f"matrix is not Hermitian (defect {defect:.3e} > 1e-10)"
+            f"matrix is not Hermitian (defect {defect:.3e} > {tol:.3e})"
         )
     values = np.linalg.eigvalsh(_hermitize(np.asarray(m.data)))
     out: list[tuple[float, int]] = []
@@ -510,19 +533,6 @@ def export_matrix(
         "ordering": m.ordering,
     }
     write_json(path + ".json", sidecar)
-
-
-def import_matrix(path: str) -> TensorMatrix:
-    """Read a matrix written by :func:`export_matrix`."""
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    dim_q, dim_p, _ = sidecar["dims"]
-    n = dim_q * dim_p * 2
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size != 2 * n * n:
-        raise ValueError(f"binary payload has {raw.size} floats, expected {2 * n * n}")
-    data = (raw[0::2] + 1j * raw[1::2]).reshape((n, n), order="F")
-    return TensorMatrix(dim_q, dim_p, _freeze(data), sidecar["ordering"])
 
 
 def export_kernel_csv(block: np.ndarray, path: str) -> None:

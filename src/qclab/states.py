@@ -210,9 +210,9 @@ def mean_value(state: HybridVector | HybridDensity, a: TensorMatrix) -> float:
     ``hermitian_tolerance(a)``; the residual imaginary part is then discarded.
     """
     mat = a.data if isinstance(a, TensorMatrix) else np.asarray(a)
-    tol = hermitian_tolerance(mat)
-    if hermitian_defect(mat) > tol:
-        raise ValueError("observable is not Hermitian within 1e-10")
+    defect, tol = hermitian_defect(mat), hermitian_tolerance(mat)
+    if defect > tol:
+        raise ValueError(f"observable is not Hermitian (defect {defect:.3e} > {tol:.3e})")
     if isinstance(state, HybridVector):
         vec = state.data
         if vec.size != mat.shape[0]:
@@ -232,7 +232,7 @@ def mean_value(state: HybridVector | HybridDensity, a: TensorMatrix) -> float:
     ratio = numer / denom
     if abs(ratio.imag) > tol:
         raise ValueError(
-            f"mean value has non-negligible imaginary part {ratio.imag!r}"
+            f"mean value has non-negligible imaginary part {ratio.imag:.3e} (> {tol:.3e})"
         )
     return float(ratio.real)
 

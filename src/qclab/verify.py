@@ -26,6 +26,7 @@ import numpy as np
 from . import expr as expr_mod
 from .matrep import (
     _dft_matrix,
+    apply,
     build_backend,
     commutator_defect,
     flatten,
@@ -433,7 +434,8 @@ def _lifting_residuals(
     bq = build_backend("fock", n, ctx.hbar)
     bp = build_backend("fock", n, ctx.hbar)
     osc = expr_mod.parse_expr("(1/2)*(P^2 + Q^2)")
-    h = realize(eval_ncpoly(osc, ctx.gens.q_qm, ctx.gens.p_qm), bq, bp).data
+    # H v is read from the factors: the realized H would be 2n^2 x 2n^2
+    h = eval_ncpoly(osc, ctx.gens.q_qm, ctx.gens.p_qm)
     worst = 0.0
     for level in range(levels):
         psi = np.zeros(n, dtype=complex)
@@ -442,7 +444,7 @@ def _lifting_residuals(
         for _ in range(draws):
             w = _random_weights(rng, n, n)
             state = lift_qm_eigenstate(psi, w)
-            residual = float(np.linalg.norm(h @ state.data - energy * state.data))
+            residual = float(np.linalg.norm(apply(h, bq, bp, state.data) - energy * state.data))
             worst = max(worst, residual)
     return worst
 

@@ -1,6 +1,7 @@
 """Command-line interface: configuration, subcommands, exit codes."""
 
 import ast
+import functools
 import json
 import os
 import re
@@ -28,6 +29,7 @@ from qclab.cli import (
     cmd_verify,
     main,
 )
+from qclab.verify import run_verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -904,3 +906,34 @@ def test_output_changes_exactly_when_the_key_is_listed(tmp_path, capsys, run, ke
     assert want[0] == 0
     changed = _output(tmp_path, capsys, argv, {**run_base, **base, **perturbed}) != want
     assert changed == (key in _readme_keys(opening))
+
+
+# -- config keys of `verify` -----------------------------------------------
+
+# A cheap subset in which each key the checks use moves a witness:
+# fault_injection the swap constant of qm-ccr, hbar the top-level defect
+# N hbar of qm-bulk-defect, seed the random weights of eigenstate-lifting.
+_VERIFY_SUBSET = ("qm-ccr", "qm-bulk-defect", "eigenstate-lifting")
+
+
+def _verify_payload(tmp_path, capsys, monkeypatch, overrides):
+    monkeypatch.setattr("qclab.cli.run_verify", functools.partial(run_verify, names=_VERIFY_SUBSET))
+    code, artifacts = _output(tmp_path, capsys, ["verify"], overrides)
+    assert code in (0, 1)
+    return json.loads(artifacts["verify_report.json"])
+
+
+@pytest.mark.parametrize("key", sorted(_SWEEP_PERTURBATIONS))
+def test_verify_report_changes_exactly_when_the_key_is_listed(tmp_path, capsys, monkeypatch, key):
+    base, perturbed = _SWEEP_PERTURBATIONS[key]
+    want = _verify_payload(tmp_path, capsys, monkeypatch, base)
+    assert [c["name"] for c in want["checks"]] == list(_VERIFY_SUBSET)
+    got = _verify_payload(tmp_path, capsys, monkeypatch, {**base, **perturbed})
+    changed = {field for field in want if got[field] != want[field]}
+    listed = _readme_keys("Keys that `qclab verify` reads")
+    if key not in listed:
+        assert changed == set()
+    elif key == "h_o":
+        assert changed == {"h_o"}  # echoed into the report only
+    else:
+        assert {key, "checks"} <= changed

@@ -11,6 +11,8 @@ from qclab import matrep
 from qclab.matrep import (
     MAX_DENSE_BYTES,
     ORDERING,
+    TensorMatrix,
+    apply,
     build_backend,
     commutator_defect,
     defect_terms,
@@ -21,7 +23,6 @@ from qclab.matrep import (
     has_hermitian_image,
     hermitian_defect,
     hermitian_tolerance,
-    import_matrix,
     kernel_block,
     max_entry,
     quadratic_form,
@@ -34,7 +35,7 @@ from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.expr import parse_expr, random_expr
 from qclab.scalars import ComplexRational, ScalarCoeff
 from qclab.states import (
-    HybridVector, WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value,
+    HybridDensity, HybridVector, WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value,
 )
 
 from matrix_oracle import dense_commutator_defect
@@ -307,19 +308,27 @@ def test_commutator_defect_of_random_elements_matches_the_dense_oracle(pair, a, 
 
 
 @st.composite
-def _observables(draw):
-    """A tilde-pair element of degree at most 4 from ``random_expr`` at a
-    rational lam, or an element of random terms (``_elements``): tilde-pair
-    elements are r-diagonal, so only these reach ``E_qp`` and ``E_pq``.
-    Taken raw or as ``a + a^dagger``."""
-    if draw(st.booleans()):
-        g = make_generators()
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        node = random_expr(rng, max_degree=4, max_terms=3)
+def _polynomials(draw):
+    """An element of degree at most 4 from ``random_expr`` in the tilde pair
+    at a rational lam, the qm pair or the cm pair, or an element of random
+    terms (``_elements``): the pairs' elements are r-diagonal, so only these
+    reach ``E_qp`` and ``E_pq``."""
+    pair = draw(st.sampled_from(["tilde", "qm", "cm", "terms"]))
+    if pair == "terms":
+        return draw(_elements())
+    g = make_generators()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    node = random_expr(rng, max_degree=4, max_terms=3)
+    if pair == "tilde":
         lam = draw(st.fractions(0, 1, max_denominator=6))
-        a = eval_ncpoly(node, g.q_tilde, g.p_tilde).substitute_lambda(lam)
-    else:
-        a = draw(_elements())
+        return eval_ncpoly(node, g.q_tilde, g.p_tilde).substitute_lambda(lam)
+    return eval_ncpoly(node, getattr(g, f"q_{pair}"), getattr(g, f"p_{pair}"))
+
+
+@st.composite
+def _observables(draw):
+    """A ``_polynomials`` draw, taken raw or as ``a + a^dagger``."""
+    a = draw(_polynomials())
     return a + a.adjoint() if draw(st.booleans()) else a
 
 
@@ -337,6 +346,21 @@ def test_an_element_the_rule_accepts_realizes_hermitian(pair, a, seed):
     got = quadratic_form(a, bq, bp, v) / np.vdot(v, v)
     want = mean_value(HybridVector(v, bq.dim, bp.dim), m)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+@given(_backend_pairs(), _polynomials(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_apply_of_random_elements_matches_the_realized_product(pair, a, seed):
+    bq, bp = pair
+    m = realize(a, bq, bp).data
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
+    v /= np.linalg.norm(v)
+    tol = 1e-12 * max(1.0, np.abs(m).max())
+    av = apply(a, bq, bp, v)
+    assert np.max(np.abs(av - m @ v)) <= tol
+    # the sweep's per-term sum against the product it shares its loop with
+    assert abs(quadratic_form(a, bq, bp, v) - np.vdot(v, av)) <= tol
 
 
 def test_the_rule_decides_from_the_words():
@@ -547,6 +571,22 @@ def test_spectrum_rejects_non_hermitian():
         spectrum(realize(a, b, b))
 
 
+def test_hermitian_refusals_print_the_bound_applied():
+    # entries of 1e7 scale the bound to 1e-10 * 1e7 = 1e-3
+    mat = np.diag([1e7] * 4).astype(complex)
+    mat[0, 1] = 1e-2
+    rho = HybridDensity(np.eye(4, dtype=complex))
+    for refuse in (lambda: spectrum(TensorMatrix(1, 1, mat)), lambda: mean_value(rho, mat)):
+        with pytest.raises(ValueError, match=r"defect 1\.000e-02 > 1\.000e-03"):
+            refuse()
+    # Hermitian, and rho_10 A_01 makes the mean 1e7 + 1e-2 i
+    mat[1, 0] = 1e-2
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0], rho[1, 0] = 1.0, 1j
+    with pytest.raises(ValueError, match=r"imaginary part 1\.000e-02 \(> 1\.000e-03\)"):
+        mean_value(HybridDensity(rho), mat)
+
+
 def test_oscillator_spectrum_ladder():
     """Realized oscillator energy: lowest levels at hbar*(n + 1/2), each with
     one copy per spectator basis state and selector sector."""
@@ -572,13 +612,27 @@ def test_oscillator_spectrum_tracks_hbar():
     assert groups[1][0] == pytest.approx(0.75, abs=1e-10)
 
 
+def _import_matrix(path):
+    """Read ``matrix.bin`` back by its documented layout: column-major
+    entries, each two little-endian float64 (real, imaginary), with dims
+    and ordering from the JSON sidecar."""
+    with open(path + ".json", "r", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    dim_q, dim_p, _ = sidecar["dims"]
+    n = dim_q * dim_p * 2
+    raw = np.fromfile(path, dtype="<f8")
+    assert raw.size == 2 * n * n
+    data = (raw[0::2] + 1j * raw[1::2]).reshape((n, n), order="F")
+    return TensorMatrix(dim_q, dim_p, data, sidecar["ordering"])
+
+
 def test_export_import_round_trip(tmp_path):
     g = make_generators()
     b = build_backend("fock", 4, 1.0)
     m = realize(g.q_qm * g.p_qm, b, b)
     path = str(tmp_path / "matrix.bin")
     export_matrix(m, path, {"q": "fock", "p": "fock"}, 1.0)
-    again = import_matrix(path)
+    again = _import_matrix(path)
     np.testing.assert_allclose(again.data, m.data, atol=0)
     assert again.dim_q == 4 and again.dim_p == 4
     assert again.ordering == ORDERING

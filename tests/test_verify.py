@@ -1,5 +1,7 @@
 """The check-suite runner: reports, subsets, and fault-injection plumbing."""
 
+import tracemalloc
+
 import pytest
 
 from qclab.ncpoly import TensorPoly, factor_normalize, make_generators, tp_commutator
@@ -86,6 +88,19 @@ def test_seed_determinism_of_witnesses():
     r1 = run_verify(seed=42)
     r2 = run_verify(seed=42)
     assert r1.to_payload() == r2.to_payload()
+
+
+def test_eigenstate_lifting_forms_no_product_space_matrix():
+    # H v is read from the factors; the realized oscillator at Fock n = 32
+    # (dimension 2048) and its term temporary would take 80 MiB
+    tracemalloc.start()
+    try:
+        report = run_verify(names=("eigenstate-lifting",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 8 * 2**20, peak
 
 
 def test_elapsed_is_tracked_per_check():
