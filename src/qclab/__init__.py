@@ -15,7 +15,7 @@ dumps, and endpoint dynamics are exposed both as a library and through the
 ``qclab`` command line tool.
 """
 
-from .expr import ExprError, differentiate, evaluate_numeric, format_expr, parse_expr
+from .expr import ExprError, differentiate, evaluate_numeric, parse_expr
 from .matrep import (
     Backend,
     TensorMatrix,
@@ -23,7 +23,6 @@ from .matrep import (
     commutator_defect,
     flatten,
     hermitian_defect,
-    kernel_block,
     realize,
     spectrum,
     unflatten,
@@ -42,7 +41,7 @@ from .ncpoly import (
     tp_adjoint,
     tp_commutator,
 )
-from .scalars import ComplexRational, ScalarCoeff
+from .scalars import ScalarCoeff
 from .states import (
     HybridDensity,
     HybridVector,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Backend",
     "CheckResult",
-    "ComplexRational",
     "ExprError",
     "GeneratorSet",
     "HybridDensity",
@@ -85,10 +83,8 @@ __all__ = [
     "evaluate_numeric",
     "factor_normalize",
     "flatten",
-    "format_expr",
     "gaussian_grid_state",
     "hermitian_defect",
-    "kernel_block",
     "lift_qm_eigenstate",
     "make_generators",
     "mean_value",

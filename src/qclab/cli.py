@@ -38,7 +38,6 @@ from .matrep import (
     export_kernel_csv,
     export_matrix,
     has_hermitian_image,
-    kernel_block,
     max_entry,
     quadratic_form,
     realize,
@@ -421,7 +420,10 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
         a = substitute_lambda(element, lam)
         if not has_hermitian_image(a):
             raise ValueError("observable is not Hermitian on a finite pair")
-        ratio = quadratic_form(a, bq, bp, vec) / np.vdot(vec, vec)
+        with np.errstate(all="ignore"):  # an overflow is refused below
+            ratio = quadratic_form(a, bq, bp, vec) / np.vdot(vec, vec)
+        if not np.isfinite(ratio):
+            raise ValueError(f"mean value is not finite: {complex(ratio)}")
         # max(1, S) >= 1, so S is read only past 1e-10
         if abs(ratio.imag) > 1e-10 and abs(ratio.imag) > 1e-10 * entry_bound(a, bq, bp):
             raise ValueError(f"mean value has non-negligible imaginary part {ratio.imag!r}")
@@ -494,11 +496,11 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
     mat = realize(eval_ncpoly(node, x, y), bq, bp)
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for i in "qp":
-        for j in "qp":
-            block = kernel_block(mat, i, j)
-            path = os.path.join(out_dir, f"kernel_{i}{j}.csv")
-            export_kernel_csv(block, path)
+    for i, row in enumerate("qp"):
+        for j, col in enumerate("qp"):
+            # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
+            path = os.path.join(out_dir, f"kernel_{row}{col}.csv")
+            export_kernel_csv(mat.data[i::2, j::2], path)
             written.append(path)
     meta = {
         "h": h,
@@ -679,7 +681,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_out(out: str) -> None:
-    """ConfigError unless ``out``, or else its nearest existing ancestor, is a directory."""
+    """ConfigError unless ``out`` is nonempty and it, or else its nearest
+    existing ancestor, is a directory."""
+    if not out:
+        raise ConfigError("--out is empty; name an output directory")
     path = os.path.abspath(out)
     while not os.path.exists(path):
         path = os.path.dirname(path)

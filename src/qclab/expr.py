@@ -352,19 +352,3 @@ def random_expr(rng: np.random.Generator, max_degree: int = 3, max_terms: int = 
         node = term if node is None else Add(node, term)
     assert node is not None
     return node
-
-
-def format_expr(node: Node) -> str:
-    """Render a tree back to source, fully parenthesized inside products."""
-    return fold(
-        node,
-        lambda v: (
-            str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        ),
-        lambda name: name,
-        neg=lambda a: f"-({a})",
-        add=lambda a, b: f"{a} + {b}",
-        sub=lambda a, b: f"{a} - ({b})",
-        mul=lambda a, b: f"({a})*({b})",
-        power=lambda a, exponent: f"({a})^{exponent}",
-    )

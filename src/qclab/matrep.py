@@ -133,10 +133,6 @@ class TensorMatrix:
     data: np.ndarray
     ordering: str = ORDERING
 
-    @property
-    def dim(self) -> int:
-        return self.dim_q * self.dim_p * 2
-
 
 def flatten(i_q: int, i_p: int, i_r: int, dim_q: int, dim_p: int) -> int:
     if not (0 <= i_q < dim_q and 0 <= i_p < dim_p and 0 <= i_r < 2):
@@ -452,21 +448,6 @@ def commutator_defect(
     """
     full, bulk = _max_entries(bq, bp, defect_terms(a, b))
     return {"defect_norm": full, "bulk_defect_norm": bulk}
-
-
-def kernel_block(m: TensorMatrix, i: str | int, j: str | int) -> np.ndarray:
-    """Extract the (i, j) r-factor block, an (N_q N_p) x (N_q N_p) kernel."""
-    bi = _r_index(i)
-    bj = _r_index(j)
-    return np.array(m.data[bi::2, bj::2])
-
-
-def _r_index(label: str | int) -> int:
-    if label in (0, 1):
-        return int(label)
-    if isinstance(label, str) and label.lower() in ("q", "p"):
-        return 0 if label.lower() == "q" else 1
-    raise ValueError(f"r-factor index must be 'q', 'p', 0, or 1; got {label!r}")
 
 
 def hermitian_defect(m: TensorMatrix | np.ndarray) -> float:

@@ -34,7 +34,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .expr import fold
-from .scalars import ComplexRational, ScalarCoeff
+from .scalars import ScalarCoeff
 
 # Letters of the single-factor word alphabet.
 Q = "Q"
@@ -47,7 +47,7 @@ TensorKey = tuple[int, int, int, int, int, int]
 # Single-factor normal form: (Q power, P power) -> coefficient.
 FactorTerms = dict[tuple[int, int], ScalarCoeff]
 
-_MINUS_I_HBAR = ScalarCoeff({(1, 0): ComplexRational.of(0, -1)})
+_MINUS_I_HBAR = ScalarCoeff({(1, 0): (0, -1)})
 
 # Swap constant s of P Q = Q P + s, read by ordered_product and by the word
 # rewriter alike.  Mutable only through the fault-injection hook below;
@@ -182,13 +182,6 @@ class TensorPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def has_lambda(self) -> bool:
-        return any(c.has_lambda for c in self._terms.values())
-
-    def max_degree(self) -> int:
-        return max((mq + nq + mp + np_ for mq, nq, mp, np_, _, _ in self._terms), default=0)
 
     # -- algebra -----------------------------------------------------------
 

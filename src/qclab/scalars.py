@@ -9,13 +9,12 @@ until a matrix realization asks for them.
 A coefficient keeps Gaussian-integer numerators over one positive common
 denominator, the layout of FLINT's ``fmpq_poly`` (Hart, "FLINT: Fast Library
 for Number Theory", ICMS 2010), so its arithmetic is integer arithmetic plus
-one gcd pass.  ``ComplexRational`` is the exchange type of the constructor
-and of ``ScalarCoeff.terms``.
+one gcd pass.  The constructor and ``ScalarCoeff.terms`` exchange each
+complex rational as a pair ``(re, im)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
@@ -23,63 +22,6 @@ from typing import Mapping
 
 
 RationalLike = Rational | int
-
-
-@dataclass(frozen=True)
-class ComplexRational:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re: RationalLike = 0, im: RationalLike = 0) -> "ComplexRational":
-        return ComplexRational(Fraction(re), Fraction(im))
-
-    def __add__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
-
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __pow__(self, n: int) -> "ComplexRational":
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        out = CR_ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
-
-
-CR_ZERO = ComplexRational.of(0)
-CR_ONE = ComplexRational.of(1)
-CR_I = ComplexRational.of(0, 1)
 
 
 # Numerators of a coefficient: (hbar power, lam power) -> (re, im).
@@ -99,17 +41,18 @@ class ScalarCoeff:
 
     __slots__ = ("_num", "_den", "_hash")
 
-    def __init__(self, terms: Mapping[tuple[int, int], ComplexRational] = ()):
-        pruned = {k: v for k, v in dict(terms).items() if not v.is_zero()}
+    def __init__(self, terms: Mapping[tuple[int, int], tuple[RationalLike, RationalLike]] = ()):
+        pruned = {
+            k: (Fraction(re), Fraction(im)) for k, (re, im) in dict(terms).items() if re or im
+        }
         for a, b in pruned:
             if a < 0 or b < 0:
                 raise ValueError("powers of hbar and lam must be nonnegative")
         # over the lcm of reduced denominators the gcd is already 1
-        den = lcm(*(x.denominator for v in pruned.values() for x in (v.re, v.im)))
+        den = lcm(*(x.denominator for v in pruned.values() for x in v))
         self._num = {
-            k: (v.re.numerator * (den // v.re.denominator),
-                v.im.numerator * (den // v.im.denominator))
-            for k, v in pruned.items()
+            k: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+            for k, (re, im) in pruned.items()
         }
         self._den = den
         self._hash = None
@@ -149,29 +92,26 @@ class ScalarCoeff:
 
     @staticmethod
     def from_rational(re: RationalLike, im: RationalLike = 0) -> "ScalarCoeff":
-        return ScalarCoeff({(0, 0): ComplexRational.of(re, im)})
+        return ScalarCoeff({(0, 0): (re, im)})
 
     @staticmethod
     def i() -> "ScalarCoeff":
-        return ScalarCoeff({(0, 0): CR_I})
+        return ScalarCoeff({(0, 0): (0, 1)})
 
     @staticmethod
     def hbar(power: int = 1) -> "ScalarCoeff":
-        return ScalarCoeff({(power, 0): CR_ONE})
+        return ScalarCoeff({(power, 0): (1, 0)})
 
     @staticmethod
     def lam(power: int = 1) -> "ScalarCoeff":
-        return ScalarCoeff({(0, power): CR_ONE})
+        return ScalarCoeff({(0, power): (1, 0)})
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> dict[tuple[int, int], ComplexRational]:
+    def terms(self) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
         d = self._den
-        return {
-            k: ComplexRational(Fraction(re, d), Fraction(im, d))
-            for k, (re, im) in self._num.items()
-        }
+        return {k: (Fraction(re, d), Fraction(im, d)) for k, (re, im) in self._num.items()}
 
     def is_zero(self) -> bool:
         return not self._num
@@ -310,7 +250,11 @@ class ScalarCoeff:
         if self.is_zero():
             return "0"
         parts: list[str] = []
-        for (a, b), v in sorted(self.terms.items()):
+        for (a, b), (re, im) in sorted(self.terms.items()):
+            v = (
+                str(re) if not im else f"{im}i" if not re
+                else f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
+            )
             syms = "".join(
                 [f"hbar^{a}" if a > 1 else "hbar" * min(a, 1),
                  f"lam^{b}" if b > 1 else "lam" * min(b, 1)]
@@ -320,4 +264,4 @@ class ScalarCoeff:
 
 
 _ZERO = ScalarCoeff({})
-_ONE = ScalarCoeff({(0, 0): CR_ONE})
+_ONE = ScalarCoeff({(0, 0): (1, 0)})

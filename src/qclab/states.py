@@ -11,9 +11,10 @@ tensored with a unit vector in the 2-dimensional factor.  Mixed classical
 states are diagonal in the grid basis with entries rho(q_k, p_l) against a
 rank-one projector on the third factor.
 
-Means are always the ratio Tr(rho A)/Tr(rho) (or <v|A|v>/<v|v>), which makes
-every construction insensitive to state normalization conventions; the
-discrete normalization constant 1/(dq*dp) is recorded, never relied on.
+Means are always the ratio Tr(rho A)/Tr(rho), which makes every
+construction insensitive to state normalization conventions; the discrete
+normalization constant 1/(dq*dp) is recorded, never relied on.  Each check
+below is written so that a NaN fails it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _E_P = np.array([0.0, 1.0], dtype=complex)
 
 def _check_weights(c_q: complex, c_p: complex) -> None:
     weight = abs(c_q) ** 2 + abs(c_p) ** 2
-    if abs(weight - 1.0) > _NORM_TOL:
+    if not abs(weight - 1.0) <= _NORM_TOL:
         raise ValueError(
             f"weights must satisfy |c_q|^2 + |c_p|^2 = 1, got {weight!r}"
         )
@@ -55,7 +56,7 @@ class WeightSpec:
         _check_weights(self.c_q, self.c_p)
         for name, vec in (("a_vec", self.a_vec), ("b_vec", self.b_vec)):
             norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > _NORM_TOL:
+            if not abs(norm - 1.0) <= _NORM_TOL:
                 raise ValueError(f"{name} must be normalized, got norm {norm!r}")
 
     @staticmethod
@@ -76,9 +77,6 @@ class HybridVector:
     dim_q: int
     dim_p: int
     meta: str = "custom"
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
 
     def outer(self, trace_norm_convention: float = 1.0) -> "HybridDensity":
         return HybridDensity(
@@ -122,7 +120,7 @@ def lift_qm_eigenstate(
     w.validate()
     for name, vec in (("psi", psi), ("psi_p", psi_p)):
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"{name} must be normalized, got norm {norm!r}")
     n_q = psi.size
     n_p = psi_p.size
@@ -203,33 +201,27 @@ def cm_mixed_density(rho_grid, c_q: complex, c_p: complex) -> HybridDensity:
     return HybridDensity(data=data, trace_norm_convention=1.0 / (dq * dp))
 
 
-def mean_value(state: HybridVector | HybridDensity, a: TensorMatrix) -> float:
-    """Normalized expectation Tr(rho A)/Tr(rho), or <v|A|v>/<v|v> for vectors.
+def mean_value(state: HybridDensity, a: TensorMatrix) -> float:
+    """Normalized expectation Tr(rho A)/Tr(rho).
 
-    ``a`` must be Hermitian and the ratio must come out real, both to
-    ``hermitian_tolerance(a)``; the residual imaginary part is then discarded.
+    ``a`` must be Hermitian and the ratio must come out finite and real, both
+    to ``hermitian_tolerance(a)``; the residual imaginary part is then
+    discarded.
     """
     mat = a.data if isinstance(a, TensorMatrix) else np.asarray(a)
     defect, tol = hermitian_defect(mat), hermitian_tolerance(mat)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"observable is not Hermitian (defect {defect:.3e} > {tol:.3e})")
-    if isinstance(state, HybridVector):
-        vec = state.data
-        if vec.size != mat.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: state {vec.size}, observable {mat.shape[0]}"
-            )
-        numer, denom = np.vdot(vec, mat @ vec), np.vdot(vec, vec)
-    else:
-        rho = state.data
-        if rho.shape != mat.shape:
-            raise ValueError(
-                f"dimension mismatch: state {rho.shape}, observable {mat.shape}"
-            )
+    rho = state.data
+    if rho.shape != mat.shape:
+        raise ValueError(f"dimension mismatch: state {rho.shape}, observable {mat.shape}")
+    with np.errstate(all="ignore"):  # an overflow is refused below
         numer, denom = np.einsum("ij,ji->", rho, mat), np.trace(rho)
-    if denom == 0:
-        raise ValueError("state has zero norm/trace")
-    ratio = numer / denom
+        if denom == 0:
+            raise ValueError("state has zero trace")
+        ratio = numer / denom
+    if not np.isfinite(ratio):
+        raise ValueError(f"mean value is not finite: {complex(ratio)}")
     if abs(ratio.imag) > tol:
         raise ValueError(
             f"mean value has non-negligible imaginary part {ratio.imag:.3e} (> {tol:.3e})"
@@ -265,16 +257,25 @@ def validate_state(d: HybridDensity) -> StateReport:
     )
 
 
+def _normalized(amp: np.ndarray, what: str) -> np.ndarray:
+    """``amp`` over its norm; ValueError unless it is finite with a nonzero norm."""
+    norm = np.linalg.norm(amp)
+    if not (np.isfinite(amp).all() and 0 < norm < np.inf):
+        raise ValueError(f"{what} is not finite or has zero norm")
+    amp /= norm
+    return amp
+
+
 def coherent_state(n: int, alpha: complex) -> np.ndarray:
     """Truncated oscillator coherent state, renormalized after truncation."""
     if n < 1:
         raise ValueError("need at least one level")
     amps = np.empty(n, dtype=complex)
     amps[0] = 1.0
-    for level in range(1, n):
-        amps[level] = amps[level - 1] * alpha / np.sqrt(level)
-    amps /= np.linalg.norm(amps)
-    return amps
+    with np.errstate(all="ignore"):  # an overflow is refused by _normalized
+        for level in range(1, n):
+            amps[level] = amps[level - 1] * alpha / np.sqrt(level)
+        return _normalized(amps, f"the coherent state of alpha={alpha:.3g} on {n} levels")
 
 
 def gaussian_grid_state(
@@ -295,11 +296,15 @@ def gaussian_grid_state(
     if sigma is None:
         sigma = float(np.sqrt(hbar / 2.0))
     x = np.asarray(backend.basis_labels, dtype=float)
-    if backend.kind == "grid-position":
-        amp = np.exp(-((x - q0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
-    else:
-        sigma_p = hbar / (2.0 * sigma)
-        amp = np.exp(-((x - p0) ** 2) / (4.0 * sigma_p**2) - 1j * q0 * x / hbar)
-    amp = amp.astype(complex)
-    amp /= np.linalg.norm(amp)
-    return amp
+    what = f"the Gaussian of width sigma={sigma!r} on this grid"
+    # an overflow or a vanishing width is refused here or by _normalized
+    with np.errstate(all="ignore"):
+        try:
+            if backend.kind == "grid-position":
+                amp = np.exp(-((x - q0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
+            else:
+                sigma_p = hbar / (2.0 * sigma)
+                amp = np.exp(-((x - p0) ** 2) / (4.0 * sigma_p**2) - 1j * q0 * x / hbar)
+        except OverflowError:  # a square of Python floats past the float range
+            raise ValueError(f"{what} is not finite or has zero norm") from None
+        return _normalized(amp.astype(complex), what)

@@ -6,12 +6,14 @@ not check the fold against itself.  ``dense_commutator_defect``
 multiplies realized product-space matrices with ``@`` and selects the bulk
 with a flat index mask, where the library forms the defect's terms in the
 exact engine and reads each r-block from factor-sized maxima.
+``vector_mean`` reads a pure state's mean with a dense product, where the
+sweep reads it from the factors and ``mean_value`` takes densities only.
 """
 
 import numpy as np
 
 from qclab.expr import Add, Const, Mul, Neg, Node, Pow, Sub, Var
-from qclab.matrep import Backend, realize
+from qclab.matrep import Backend, hermitian_defect, hermitian_tolerance, realize
 from qclab.ncpoly import TensorPoly, tp_commutator
 
 
@@ -33,6 +35,19 @@ def evaluate_matrix(node: Node, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     if isinstance(node, Pow):
         return np.linalg.matrix_power(evaluate_matrix(node.base, q, p), node.exponent)
     raise TypeError(f"unsupported expression node {type(node).__name__}")
+
+
+def vector_mean(vec: np.ndarray, mat: np.ndarray) -> float:
+    """``<v|A|v>/<v|v>`` by a dense product, refused (ValueError) as
+    ``mean_value`` refuses: unless A is Hermitian and the ratio finite and
+    real, each to ``hermitian_tolerance(A)``."""
+    defect, tol = hermitian_defect(mat), hermitian_tolerance(mat)
+    if not defect <= tol:
+        raise ValueError(f"observable is not Hermitian (defect {defect:.3e} > {tol:.3e})")
+    ratio = np.vdot(vec, mat @ vec) / np.vdot(vec, vec)
+    if not (np.isfinite(ratio) and abs(ratio.imag) <= tol):
+        raise ValueError(f"mean value is not finite and real: {complex(ratio)}")
+    return float(ratio.real)
 
 
 def _bulk_mask(bq: Backend, bp: Backend) -> np.ndarray:

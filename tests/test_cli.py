@@ -153,7 +153,7 @@ def test_build_state_lifted_default():
     bq, bp = build_backends(cfg)
     state = build_state(cfg, bq, bp)
     assert state.meta == "lifted-qm"
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state.data) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_state_cm_point():
@@ -171,7 +171,7 @@ def test_build_state_fock_backends():
     )
     bq, bp = build_backends(cfg)
     state = build_state(cfg, bq, bp)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state.data) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cmd_verify_writes_report_and_passes(tmp_path, capsys):
@@ -331,15 +331,15 @@ def test_cmd_kernels_past_the_dense_bound_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("where", ["file", "below-file", "empty"])
 @pytest.mark.parametrize(
     "argv", [["verify"], ["sweep"], ["kernels", "--h", "1.0"], ["evolve"]],
     ids=["verify", "sweep", "kernels", "evolve"],
 )
-def test_an_unusable_out_is_usage_error(tmp_path, capsys, argv, below):
-    # --out names an existing regular file, or a path below one
+def test_an_unusable_out_is_usage_error(tmp_path, capsys, argv, where):
+    # --out names an existing regular file, a path below one, or nothing
     (tmp_path / "taken").write_text("kept\n")
-    out = tmp_path / "taken" / "sub" if below else tmp_path / "taken"
+    out = {"file": tmp_path / "taken", "below-file": tmp_path / "taken" / "sub", "empty": ""}[where]
     config = tmp_path / "small.json"
     config.write_text(json.dumps(
         {"dynamics": {"n_grid": 16, "n_fock": 8, "dt": 0.01}}
@@ -599,6 +599,49 @@ def test_main_diverging_liouville_run_is_usage_error(tmp_path, config, one_line)
     if one_line:
         assert run.stderr.startswith("error: Liouville integration unstable")
         assert run.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+FOCK_8 = {"kind": "fock", "n": 8}
+NOT_FINITE = "is not finite or has zero norm"
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["sweep"], {"state": {"q0": 1e300}, "backend_q": FOCK_8, "backend_p": FOCK_8},
+         f"the coherent state of alpha=7.07e+299+0j on 8 levels {NOT_FINITE}"),
+        (["evolve", "--h", "1.0"],
+         {"state": {"q0": 1e300}, "backend_q": FOCK_8, "backend_p": FOCK_8,
+          "dynamics": {"mode": "auto"}},
+         f"the coherent state of alpha=7.07e+299+0j on 8 levels {NOT_FINITE}"),
+        (["sweep"], {"hbar": 1e200},
+         "cannot evaluate means at h=0.0: mean value is not finite: (nan+nanj)"),
+        (["sweep"], {"state": {"sigma": 1e-170}},
+         f"the Gaussian of width sigma=1e-170 on this grid {NOT_FINITE}"),
+        (["sweep"], {"state": {"sigma": 1e-300}},
+         f"the Gaussian of width sigma=1e-300 on this grid {NOT_FINITE}"),
+        (["sweep"], {"state": {"sigma": 1e200}},
+         f"the Gaussian of width sigma=1e+200 on this grid {NOT_FINITE}"),
+        (["evolve", "--h", "1.0"], {"state": {"sigma": 1e-170}, "dynamics": {"mode": "auto"}},
+         f"the Gaussian of width sigma=1e-170 on this grid {NOT_FINITE}"),
+    ],
+    ids=[
+        "sweep-q0-1e300", "evolve-q0-1e300", "sweep-hbar-1e200", "sweep-sigma-1e-170",
+        "sweep-sigma-1e-300", "sweep-sigma-1e200", "evolve-sigma-1e-170",
+    ],
+)
+def test_main_non_finite_state_or_mean_is_usage_error(tmp_path, capsys, argv, config, message):
+    # each config passes validate; the state or a mean overflows to inf or NaN
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print before the error line
+        code = main(argv + ["--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

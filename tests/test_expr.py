@@ -21,7 +21,6 @@ from qclab.expr import (
     differentiate,
     evaluate_numeric,
     fold,
-    format_expr,
     parse_expr,
     random_expr,
 )
@@ -29,6 +28,22 @@ from qclab.ncpoly import eval_ncpoly, make_generators
 from matrix_oracle import evaluate_matrix
 
 GENS = make_generators()
+
+
+def format_expr(node) -> str:
+    """Render a tree back to source, fully parenthesized inside products."""
+    return fold(
+        node,
+        lambda v: (
+            str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        ),
+        lambda name: name,
+        neg=lambda a: f"-({a})",
+        add=lambda a, b: f"{a} + {b}",
+        sub=lambda a, b: f"{a} - ({b})",
+        mul=lambda a, b: f"({a})*({b})",
+        power=lambda a, exponent: f"({a})^{exponent}",
+    )
 
 
 def test_parse_atoms():

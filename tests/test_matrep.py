@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qclab import matrep
+from qclab.cli import BackendSpec, RunConfig, cmd_kernels
 from qclab.matrep import (
     MAX_DENSE_BYTES,
     ORDERING,
@@ -23,7 +24,6 @@ from qclab.matrep import (
     has_hermitian_image,
     hermitian_defect,
     hermitian_tolerance,
-    kernel_block,
     max_entry,
     quadratic_form,
     realize,
@@ -33,12 +33,10 @@ from qclab.matrep import (
 )
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.expr import parse_expr, random_expr
-from qclab.scalars import ComplexRational, ScalarCoeff
-from qclab.states import (
-    HybridDensity, HybridVector, WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value,
-)
+from qclab.scalars import ScalarCoeff
+from qclab.states import HybridDensity, WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value
 
-from matrix_oracle import dense_commutator_defect
+from matrix_oracle import dense_commutator_defect, vector_mean
 
 
 def test_fock_commutator_anomaly():
@@ -138,7 +136,7 @@ def test_realize_identity():
     b = build_backend("fock", 3, 1.0)
     m = realize(TensorPoly.identity(), b, b)
     np.testing.assert_allclose(m.data, np.eye(18), atol=0)
-    assert m.dim == 18
+    assert (m.dim_q, m.dim_p) == (3, 3)
     assert m.ordering == ORDERING
 
 
@@ -233,7 +231,7 @@ def test_commutator_defect_cm_exactly_zero():
 def _product_cases():
     g = make_generators()
     one = ScalarCoeff.one()
-    half_i = ScalarCoeff({(0, 0): ComplexRational.of(Fraction(1, 2), Fraction(-3, 4))})
+    half_i = ScalarCoeff({(0, 0): (Fraction(1, 2), Fraction(-3, 4))})
     qpq = eval_ncpoly(parse_expr("Q*P*Q"), g.q_qm, g.p_qm)
     # Q P^2 (x) P (x) E_qp and 1 (x) Q^2 (x) E_pq couple the r-sectors
     coupling = TensorPoly({(1, 2, 0, 1, 0, 1): half_i, (0, 0, 2, 0, 1, 0): one})
@@ -287,7 +285,7 @@ def _elements(draw):
             word += [m, draw(st.integers(0, 2 - m)) if f in support else 0]
         key = (*word, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
         re, im = (Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4))) for _ in "ri")
-        terms[key] = ScalarCoeff({(0, 0): ComplexRational.of(re, im)})
+        terms[key] = ScalarCoeff({(0, 0): (re, im)})
     return TensorPoly(terms)
 
 
@@ -342,9 +340,9 @@ def test_an_element_the_rule_accepts_realizes_hermitian(pair, a, seed):
     assert hermitian_defect(m) <= hermitian_tolerance(m)
     # the sweep's reading of a mean against the dense one
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+    v = rng.standard_normal(len(m.data)) + 1j * rng.standard_normal(len(m.data))
     got = quadratic_form(a, bq, bp, v) / np.vdot(v, v)
-    want = mean_value(HybridVector(v, bq.dim, bp.dim), m)
+    want = vector_mean(v, m.data)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
 
@@ -366,7 +364,7 @@ def test_apply_of_random_elements_matches_the_realized_product(pair, a, seed):
 def test_the_rule_decides_from_the_words():
     g = make_generators()
     one = ScalarCoeff.one()
-    i = ScalarCoeff({(0, 0): ComplexRational.of(0, 1)})
+    i = ScalarCoeff({(0, 0): (0, 1)})
     qpq = eval_ncpoly(parse_expr("Q*P*Q"), g.q_qm, g.p_qm)
     coupling = TensorPoly({(1, 0, 0, 1, 0, 1): i})  # i Q (x) P (x) E_qp
     assert has_hermitian_image(eval_ncpoly(parse_expr("Q^8 + P^2*Q^2"), g.q_cm, g.p_cm))
@@ -398,7 +396,7 @@ def test_write_csv_renders_each_column_by_its_values(tmp_path):
 
 def test_defect_terms_keep_p_before_q_unreduced():
     g = make_generators()
-    one, i_hbar = ScalarCoeff.one(), ScalarCoeff({(1, 0): ComplexRational.of(0, 1)})
+    one, i_hbar = ScalarCoeff.one(), ScalarCoeff({(1, 0): (0, 1)})
     # BA - AB + [a, b] of the quantum pair: PQ - QP + i hbar on each sector's
     # factor, with P Q kept as the unreduced word (0, 1, 1, 0)
     assert defect_terms(g.q_qm, g.p_qm) == {
@@ -429,7 +427,7 @@ def test_commutator_defect_needs_the_weight_only_where_it_stays():
 def test_max_entry_matches_the_realized_matrix(kind):
     g = make_generators()
     bq, bp = _pair(kind)
-    half_i = ScalarCoeff({(0, 0): ComplexRational.of(Fraction(1, 2), Fraction(-3, 4))})
+    half_i = ScalarCoeff({(0, 0): (Fraction(1, 2), Fraction(-3, 4))})
     coupling = TensorPoly({(1, 2, 0, 1, 0, 1): half_i, (0, 0, 2, 0, 1, 0): half_i})
     lam = Fraction(2, 5)
     for a in (
@@ -508,7 +506,7 @@ def _mean_elements():
         for name, a in [("q~", g.q_tilde), ("p~", g.p_tilde), *obs.items()]:
             out[f"{name} at lam {lam}"] = a.substitute_lambda(lam)
     # Q^2 (x) P (x) E_qp and P^3 (x) Q^3 (x) E_pq couple the r-sectors
-    c = ScalarCoeff({(0, 0): ComplexRational.of(Fraction(1, 2), Fraction(-3, 4))})
+    c = ScalarCoeff({(0, 0): (Fraction(1, 2), Fraction(-3, 4))})
     t = TensorPoly({(2, 0, 0, 1, 0, 1): c, (0, 3, 3, 0, 1, 0): ScalarCoeff.one()})
     out["coupling"] = t + t.adjoint()
     return out
@@ -526,30 +524,45 @@ def test_quadratic_form_mean_matches_the_realized_mean(kind, hbar):
         for name, a in elements.items():
             assert a == a.adjoint(), name
             got = quadratic_form(a, bq, bp, v) / np.vdot(v, v)
-            want = mean_value(state, realize(a, bq, bp))
+            want = vector_mean(v, realize(a, bq, bp).data)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, got, want)
         # the reading is <v|A|v> for any element, mixed words included
         want = np.vdot(v, realize(qp, bq, bp).data @ v)
         assert abs(quadratic_form(qp, bq, bp, v) - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_kernel_block_selects_r_entries():
-    b = build_backend("fock", 3, 1.0)
-    a = TensorPoly({(1, 0, 0, 0, 0, 1): ScalarCoeff.one()})  # Q (x) 1 (x) E_qp
-    m = realize(a, b, b)
-    qp = kernel_block(m, "q", "p")
-    np.testing.assert_allclose(qp, np.kron(np.asarray(b.qmat), np.eye(3)), atol=0)
-    assert np.max(np.abs(kernel_block(m, "q", "q"))) == 0.0
-    assert np.max(np.abs(kernel_block(m, "p", "q"))) == 0.0
-    assert np.max(np.abs(kernel_block(m, "p", "p"))) == 0.0
-
-
-def test_kernel_block_accepts_integer_indices():
-    b = build_backend("fock", 2, 1.0)
-    m = realize(TensorPoly.identity(), b, b)
-    np.testing.assert_allclose(kernel_block(m, 0, 0), np.eye(4), atol=0)
-    with pytest.raises(ValueError):
-        kernel_block(m, "x", "q")
+def test_kernel_block_selects_r_entries(tmp_path, capsys):
+    # the kernel CSV of E_ij holds the entries with r-row i and r-column j
+    config = RunConfig(
+        h_values=(0.5,),
+        backend_q=BackendSpec(kind="fock", n=3, length=None),
+        backend_p=BackendSpec(kind="fock", n=2, length=None),
+        observable="Q + 2*P^2 - Q*P*Q",
+    )
+    assert cmd_kernels(config, str(tmp_path)) == 0
+    capsys.readouterr()
+    g = make_generators()
+    q, p = (a.substitute_lambda(Fraction(1, 2)) for a in (g.q_tilde, g.p_tilde))
+    bq, bp = build_backend("fock", 3, 1.0), build_backend("fock", 2, 1.0)
+    m = realize(eval_ncpoly(parse_expr(config.observable), q, p), bq, bp).data
+    blocks = {}
+    for i, row in enumerate("qp"):
+        for j, col in enumerate("qp"):
+            lines = (tmp_path / f"kernel_{row}{col}.csv").read_text().splitlines()
+            assert lines[0] == "row,col,re,im" and len(lines) == 1 + 6 * 6
+            block = np.zeros((6, 6), dtype=complex)
+            for line in lines[1:]:
+                r, c, re, im = line.split(",")
+                block[int(r), int(c)] = complex(float(re), float(im))
+            want = np.array([
+                [m[flatten(*divmod(a, 2), i, 3, 2), flatten(*divmod(b, 2), j, 3, 2)] for b in range(6)]
+                for a in range(6)
+            ])
+            np.testing.assert_array_equal(block, want)
+            blocks[row + col] = block
+    # the tilde pair keeps each r-sector, and lam = 1/2 tells the two apart
+    assert not blocks["qp"].any() and not blocks["pq"].any()
+    assert np.abs(blocks["qq"] - blocks["pp"]).max() > 0.1
 
 
 def test_hermitian_defect_values():
@@ -646,7 +659,7 @@ def test_export_kernel_csv_layout(tmp_path):
     b = build_backend("fock", 2, 1.0)
     a = TensorPoly({(0, 1, 0, 0, 1, 0): ScalarCoeff.one()})  # P (x) 1 (x) E_pq
     m = realize(a, b, b)
-    block = kernel_block(m, "p", "q")
+    block = m.data[1::2, 0::2]  # the (p, q) r-block
     path = str(tmp_path / "block.csv")
     export_kernel_csv(block, path)
     lines = open(path, encoding="utf-8").read().splitlines()

@@ -1,5 +1,7 @@
 """Lifted eigenstates, classical point and mixed states, and mean values."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qclab.expr import parse_expr
 from qclab.matrep import build_backend, flatten, realize
 from qclab.ncpoly import eval_ncpoly, make_generators
 from qclab.states import (
+    HybridDensity,
     WeightSpec,
     cm_mixed_density,
     cm_point_state,
@@ -57,7 +60,7 @@ def test_weight_spec_rejects_unnormalized_padding():
 def test_lift_produces_unit_vector():
     psi = fock_level(8, 2)
     state = lift_qm_eigenstate(psi, WeightSpec.default(8, 8))
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state.data) == pytest.approx(1.0, abs=1e-12)
     assert state.dim_q == 8 and state.dim_p == 8
     assert state.meta == "lifted-qm"
 
@@ -70,7 +73,7 @@ def test_lift_is_hamiltonian_eigenvector():
         state = lift_qm_eigenstate(fock_level(n, level), WeightSpec.default(n, n))
         resid = h_mat.data @ state.data - (level + 0.5) * state.data
         assert np.max(np.abs(resid)) < 1e-12, level
-        assert mean_value(state, h_mat) == pytest.approx(level + 0.5, abs=1e-12)
+        assert mean_value(state.outer(), h_mat) == pytest.approx(level + 0.5, abs=1e-12)
 
 
 def test_lift_pure_q_branch():
@@ -95,8 +98,8 @@ def test_lift_respects_mixed_representations():
     state = lift_qm_eigenstate(psi_q, WeightSpec.default(16, 16), psi_p=psi_p)
     q_mat = realize(GENS.q_qm, bq, bp)
     p_mat = realize(GENS.p_qm, bq, bp)
-    assert mean_value(state, q_mat) == pytest.approx(0.5, abs=1e-3)
-    assert mean_value(state, p_mat) == pytest.approx(-0.25, abs=1e-3)
+    assert mean_value(state.outer(), q_mat) == pytest.approx(0.5, abs=1e-3)
+    assert mean_value(state.outer(), p_mat) == pytest.approx(-0.25, abs=1e-3)
 
 
 def test_lift_rejects_unnormalized_input():
@@ -119,7 +122,7 @@ def test_cm_point_state_is_joint_eigenvector():
     expected = bq.basis_labels[2] ** 2 + bp.basis_labels[5] ** 2
     resid = m.data @ state.data - expected * state.data
     assert np.max(np.abs(resid)) == 0.0
-    assert mean_value(state, m) == pytest.approx(expected, abs=1e-12)
+    assert mean_value(state.outer(), m) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cm_point_state_requires_grid_backends():
@@ -227,7 +230,6 @@ def test_mean_value_identity_is_one():
 
     ident = realize(TensorPoly.identity(), b, b)
     state = lift_qm_eigenstate(fock_level(6, 2), WeightSpec.default(6, 6))
-    assert mean_value(state, ident) == pytest.approx(1.0, abs=1e-14)
     assert mean_value(state.outer(), ident) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -235,18 +237,18 @@ def test_mean_value_rejects_non_hermitian_observable():
     b = build_backend("fock", 4, 1.0)
     m = realize(GENS.q_qm * GENS.p_qm, b, b)
     state = lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4))
-    with pytest.raises(ValueError):
-        mean_value(state, m)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        mean_value(state.outer(), m)
 
 
 def test_mean_value_rejects_zero_state():
     b = build_backend("fock", 4, 1.0)
     from qclab.ncpoly import TensorPoly
-    from qclab.states import HybridVector
+    from qclab.states import HybridDensity
 
     ident = realize(TensorPoly.identity(), b, b)
-    zero = HybridVector(data=np.zeros(32, dtype=complex), dim_q=4, dim_p=4)
-    with pytest.raises(ValueError):
+    zero = HybridDensity(np.zeros((32, 32), dtype=complex))
+    with pytest.raises(ValueError, match="zero trace"):
         mean_value(zero, ident)
 
 
@@ -338,3 +340,68 @@ def test_grid_and_fock_coherent_states_agree_on_energy():
     )
     assert e_grid == pytest.approx(e_fock, abs=1e-6)
     assert e_fock == pytest.approx(1.0, abs=1e-12)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: WeightSpec(NAN, 0.0, np.ones(1), np.ones(1)).validate(),
+        lambda: WeightSpec(1.0, 0.0, np.array([NAN]), np.ones(1)).validate(),
+        lambda: WeightSpec(1.0, 0.0, np.ones(1), np.array([NAN])).validate(),
+        lambda: lift_qm_eigenstate(np.full(4, NAN), WeightSpec.default(4, 4)),
+        lambda: lift_qm_eigenstate(
+            fock_level(4, 0), WeightSpec.default(4, 4), psi_p=np.full(4, NAN)
+        ),
+        lambda: cm_point_state(
+            build_backend("grid-position", 4, 1.0, 4.0),
+            build_backend("grid-momentum", 4, 1.0, 4.0), 0, 0, NAN, 1.0,
+        ),
+    ],
+    ids=["c_q", "a_vec", "b_vec", "psi", "psi_p", "point-weights"],
+)
+def test_a_nan_fails_every_normalization_check(refuse):
+    with pytest.raises(ValueError, match="nan"):
+        refuse()
+
+
+def test_a_nan_mean_is_refused():
+    b = build_backend("fock", 4, 1.0)
+    ident = realize(GENS.identity, b, b)
+    rho = lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4)).outer().data.copy()
+    rho[0, 0] = NAN
+    with pytest.raises(ValueError, match="mean value is not finite"):
+        mean_value(HybridDensity(rho), ident)
+    nan_obs = np.array(ident.data)
+    nan_obs[0, 0] = NAN
+    with pytest.raises(ValueError, match="not Hermitian"):
+        mean_value(lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4)).outer(), nan_obs)
+
+
+@pytest.mark.parametrize(
+    "kind, sigma",
+    [
+        *((kind, sigma) for kind in ("grid-position", "grid-momentum") for sigma in (1e-170, 1e-300, 1e200)),
+        # finite, but a packet this narrow (sigma on the position grid,
+        # 1/(2 sigma) on the momentum grid) underflows to zero off the
+        # grid points; the spacing is 0.5
+        ("grid-position", 1e-3),
+        ("grid-momentum", 1e3),
+    ],
+)
+def test_a_packet_that_samples_to_nothing_finite_is_refused(kind, sigma):
+    b = build_backend(kind, 8, 1.0, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not finite or has zero norm"):
+            gaussian_grid_state(b, 0.2, 0.2, sigma)
+
+
+def test_an_overflowing_coherent_state_is_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="on 8 levels is not finite"):
+            coherent_state(8, 1e300)
+    assert np.linalg.norm(coherent_state(8, 2.0 - 1.0j)) == pytest.approx(1.0, abs=1e-14)

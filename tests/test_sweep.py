@@ -6,7 +6,7 @@ find Hermitian and reads every other mean term by term from the factors
 factor-sized maxima of exact terms.  The oracle below is the direct path:
 at each h it substitutes the weight, realizes the pair and the observable,
 takes the commutator defect from dense products of the realized pair, and
-the mean values.
+the mean values by dense products with the state vector (``vector_mean``).
 """
 
 import csv
@@ -36,7 +36,7 @@ from qclab.matrep import max_entry, realize
 from qclab.ncpoly import eval_ncpoly, make_generators, substitute_lambda
 from qclab.states import mean_value
 
-from matrix_oracle import dense_bulk_commutator_defect
+from matrix_oracle import dense_bulk_commutator_defect, vector_mean
 
 QUARTIC = "(1/2)*(P^2 + Q^2) + (1/10)*Q^4"
 COLUMNS = [
@@ -64,9 +64,9 @@ def oracle_rows(config, bq, bp, state):
             row = {
                 "h": h,
                 "lambda": float(lam),
-                "mean_q_tilde": mean_value(state, q_mat),
-                "mean_p_tilde": mean_value(state, p_mat),
-                "mean_observable": mean_value(state, obs_mat),
+                "mean_q_tilde": vector_mean(state.data, q_mat.data),
+                "mean_p_tilde": vector_mean(state.data, p_mat.data),
+                "mean_observable": vector_mean(state.data, obs_mat.data),
                 "bulk_commutator_defect": dense_bulk_commutator_defect(bq, bp, qt, pt),
                 "endpoint_q_diff": None,
                 "endpoint_p_diff": None,
