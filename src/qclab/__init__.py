@@ -18,7 +18,6 @@ dumps, and endpoint dynamics are exposed both as a library and through the
 from .expr import ExprError, differentiate, evaluate_numeric, parse_expr
 from .matrep import (
     Backend,
-    TensorMatrix,
     build_backend,
     commutator_defect,
     flatten,
@@ -43,8 +42,6 @@ from .ncpoly import (
 )
 from .scalars import ScalarCoeff
 from .states import (
-    HybridDensity,
-    HybridVector,
     StateReport,
     WeightSpec,
     cm_mixed_density,
@@ -64,11 +61,8 @@ __all__ = [
     "CheckResult",
     "ExprError",
     "GeneratorSet",
-    "HybridDensity",
-    "HybridVector",
     "ScalarCoeff",
     "StateReport",
-    "TensorMatrix",
     "TensorPoly",
     "VerifyReport",
     "WeightSpec",

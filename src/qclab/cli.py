@@ -31,6 +31,7 @@ from . import dynamics as dyn
 from .expr import ExprError, parse_expr
 from .matrep import (
     Backend,
+    ORDERING,
     build_backend,
     check_backend,
     commutator_defect,
@@ -399,7 +400,7 @@ def _print_verify(report: VerifyReport) -> None:
     print(f"verify: {verdict}")
 
 
-def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]:
+def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state: np.ndarray) -> list[dict]:
     """The sweep table of a vector state, one row per h value.
 
     Each mean substitutes lam exactly, is refused unless the exact engine
@@ -414,14 +415,13 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state) -> list[dict]
     gens = make_generators()
     q_t, p_t = gens.q_tilde, gens.p_tilde
     obs = eval_ncpoly(parse_expr(config.observable), q_t, p_t)
-    vec = state.data
 
     def mean(element, lam: Fraction) -> float:
         a = substitute_lambda(element, lam)
         if not has_hermitian_image(a):
             raise ValueError("observable is not Hermitian on a finite pair")
         with np.errstate(all="ignore"):  # an overflow is refused below
-            ratio = quadratic_form(a, bq, bp, vec) / np.vdot(vec, vec)
+            ratio = quadratic_form(a, bq, bp, state) / np.vdot(state, state)
         if not np.isfinite(ratio):
             raise ValueError(f"mean value is not finite: {complex(ratio)}")
         # max(1, S) >= 1, so S is read only past 1e-10
@@ -493,14 +493,17 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
     bq, bp = build_backends(config)
     x, y = _generator_pair(config, config.family, h)
     node = parse_expr(config.observable)
-    mat = realize(eval_ncpoly(node, x, y), bq, bp)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mat = realize(eval_ncpoly(node, x, y), bq, bp)
+    if not np.isfinite(mat).all():
+        raise ValueError(f"the realized observable is not finite at hbar={config.hbar!r}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for i, row in enumerate("qp"):
         for j, col in enumerate("qp"):
             # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
             path = os.path.join(out_dir, f"kernel_{row}{col}.csv")
-            export_kernel_csv(mat.data[i::2, j::2], path)
+            export_kernel_csv(mat[i::2, j::2], path)
             written.append(path)
     meta = {
         "h": h,
@@ -509,7 +512,7 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
         "observable": config.observable,
         "hbar": config.hbar,
         "dims": [bq.dim, bp.dim, 2],
-        "ordering": mat.ordering,
+        "ordering": ORDERING,
         "backend_q": config.backend_q.kind,
         "backend_p": config.backend_p.kind,
     }
@@ -522,6 +525,7 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
             mat,
             matrix_path,
             {"q": config.backend_q.kind, "p": config.backend_p.kind},
+            (bq.dim, bp.dim),
             config.hbar,
         )
         written.append(matrix_path)

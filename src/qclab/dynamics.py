@@ -55,7 +55,7 @@ from .matrep import (
     write_csv,
 )
 from .ncpoly import TensorPoly, eval_ncpoly, make_generators
-from .states import HybridDensity, HybridVector, WeightSpec, coherent_state, lift_qm_eigenstate
+from .states import WeightSpec, coherent_state, lift_qm_eigenstate
 
 _MASS_TOL = 1e-10
 _ABORT_DRIFT = 1e-4
@@ -82,10 +82,11 @@ class PhaseSpaceDensity:
             raise ValueError(f"grid must be 2-dimensional, got shape {grid.shape}")
         if self.dq <= 0 or self.dp <= 0:
             raise ValueError("grid spacings must be positive")
-        if grid.min() < -1e-12:
-            raise ValueError(f"density has negative entries (min {grid.min()!r})")
+        # both tests are written so that a NaN, left by a sample that overflowed, fails
+        if not grid.min() >= -1e-12:
+            raise ValueError(f"density has negative or NaN entries (min {float(grid.min())!r})")
         mass = float(grid.sum() * self.dq * self.dp)
-        if abs(mass - 1.0) > _MASS_TOL:
+        if not abs(mass - 1.0) <= _MASS_TOL:
             raise ValueError(f"density must have unit mass, got {mass!r}")
 
     @property
@@ -123,11 +124,12 @@ class PhaseSpaceDensity:
         q = -length_q / 2.0 + dq * np.arange(n_q)
         p = -length_p / 2.0 + dp * np.arange(n_p)
         qm, pm = np.meshgrid(q, p, indexing="ij")
-        grid = np.exp(
-            -((qm - q0) ** 2) / (2.0 * sigma_q**2)
-            - ((pm - p0) ** 2) / (2.0 * sigma_p**2)
-        )
-        grid /= grid.sum() * dq * dp
+        with np.errstate(all="ignore"):  # a width that underflows is refused on construction
+            grid = np.exp(
+                -((qm - q0) ** 2) / (2.0 * sigma_q**2)
+                - ((pm - p0) ** 2) / (2.0 * sigma_p**2)
+            )
+            grid /= grid.sum() * dq * dp
         return PhaseSpaceDensity(grid, dq, dp, (length_q, length_p))
 
 
@@ -311,17 +313,17 @@ def liouville_evolve(
     return traj
 
 
-def _reduced_densities(data: np.ndarray, n_q: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_densities(state: np.ndarray, n_q: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """``rho_q = Tr_p rho_qq`` and ``rho_p = Tr_q rho_pp`` of a vector or density.
 
     For a vector reshaped to ``(N_q, N_p, 2)`` these are ``Psi_q Psi_q^dagger``
     and ``Psi_p^T Psi_p^*`` of its two r-slices.
     """
-    if data.ndim == 1:
-        psi = data.reshape(n_q, n_p, 2)
+    if state.ndim == 1:
+        psi = state.reshape(n_q, n_p, 2)
         psi_q, psi_p = psi[:, :, 0], psi[:, :, 1]
         return psi_q @ psi_q.conj().T, psi_p.T @ psi_p.conj()
-    rho = data.reshape(n_q, n_p, 2, n_q, n_p, 2)
+    rho = state.reshape(n_q, n_p, 2, n_q, n_p, 2)
     return (
         np.einsum("ikjk->ij", rho[:, :, 0, :, :, 0]),
         np.einsum("kikj->ij", rho[:, :, 1, :, :, 1]),
@@ -329,7 +331,7 @@ def _reduced_densities(data: np.ndarray, n_q: int, n_p: int) -> tuple[np.ndarray
 
 
 def von_neumann_evolve(
-    state0: HybridVector | HybridDensity,
+    state0: np.ndarray,
     h: TensorPoly,
     bq: Backend,
     bp: Backend,
@@ -340,10 +342,10 @@ def von_neumann_evolve(
     """Unitary evolution under the quantum-endpoint Hamiltonian ``h``.
 
     ``h`` is a polynomial in ``q_qm``, ``p_qm``, realized on ``bq``, ``bp`` at
-    their hbar as ``H = A (x) 1 (x) E_qq + 1 (x) B (x) E_pp``.  Vectors evolve
-    as psi -> U psi, densities as rho -> U rho U^dagger.  Records the trace
-    and the means of q_qm, p_qm and H every ``record_stride`` steps plus the
-    final step.
+    their hbar as ``H = A (x) 1 (x) E_qq + 1 (x) B (x) E_pp``.  ``state0`` is a
+    flat vector, evolving as psi -> U psi, or a density, evolving as
+    rho -> U rho U^dagger.  Records the trace and the means of q_qm, p_qm and
+    H every ``record_stride`` steps plus the final step.
 
     All four depend only on the reduced densities ``rho_q``, ``rho_p``, and
     ``U`` acts on each as the factor propagator ``e^{-iXt/hbar}`` (X = A, B).
@@ -365,7 +367,7 @@ def von_neumann_evolve(
     if marks[-1] != steps:
         marks.append(steps)
     times = [step * dt for step in marks]
-    reduced = _reduced_densities(np.asarray(state0.data), bq.dim, bp.dim)
+    reduced = _reduced_densities(state0, bq.dim, bp.dim)
 
     # rows: trace, q_qm, p_qm, H; columns: record times
     totals = np.zeros((4, len(times)))

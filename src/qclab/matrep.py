@@ -124,16 +124,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class TensorMatrix:
-    """Dense matrix on C^{N_q} (x) C^{N_p} (x) C^2 with the fixed flat ordering."""
-
-    dim_q: int
-    dim_p: int
-    data: np.ndarray
-    ordering: str = ORDERING
-
-
 def flatten(i_q: int, i_p: int, i_r: int, dim_q: int, dim_p: int) -> int:
     if not (0 <= i_q < dim_q and 0 <= i_p < dim_p and 0 <= i_r < 2):
         raise ValueError(f"index ({i_q}, {i_p}, {i_r}) out of range")
@@ -242,8 +232,9 @@ def _add_term(block: np.ndarray, c: complex, x: np.ndarray, y: np.ndarray) -> No
     block += term.reshape(block.shape)
 
 
-def realize(a: TensorPoly, bq: Backend, bp: Backend) -> TensorMatrix:
-    """Evaluate a TensorPoly as a dense matrix on the product space.
+def realize(a: TensorPoly, bq: Backend, bp: Backend) -> np.ndarray:
+    """Evaluate a TensorPoly as a dense, read-only ``2N_qN_p x 2N_qN_p``
+    matrix on the product space, rows and columns in ``ORDERING``.
 
     ``a`` must be free of the symbolic interpolation weight (substitute it
     first).  Both backends must share the same hbar, at which the
@@ -256,7 +247,7 @@ def realize(a: TensorPoly, bq: Backend, bp: Backend) -> TensorMatrix:
     for i, j, c, x, y in terms:
         # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
         _add_term(data[i::2, j::2], c, x, y)
-    return TensorMatrix(bq.dim, bp.dim, _freeze(data))
+    return _freeze(data)
 
 
 def _slots(bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
@@ -450,23 +441,21 @@ def commutator_defect(
     return {"defect_norm": full, "bulk_defect_norm": bulk}
 
 
-def hermitian_defect(m: TensorMatrix | np.ndarray) -> float:
-    data = m.data if isinstance(m, TensorMatrix) else m
-    return float(np.max(np.abs(data - data.conj().T)))
+def hermitian_defect(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
-def hermitian_tolerance(m: TensorMatrix | np.ndarray) -> float:
+def hermitian_tolerance(m: np.ndarray) -> float:
     """Largest Hermitian defect of ``m`` that is roundoff: ``1e-10 * max(1, max|m|)``.
 
     The defect of a realized Hermitian element grows with its entries (a
     ``Q^8`` on a grid has entries near 1e6), so the bound scales with them.
     """
-    data = m.data if isinstance(m, TensorMatrix) else m
-    return 1e-10 * max(1.0, float(np.max(np.abs(data))))
+    return 1e-10 * max(1.0, float(np.max(np.abs(m))))
 
 
-def spectrum(m: TensorMatrix, group_tol: float = 1e-8) -> list[tuple[float, int]]:
-    """Eigenvalues of a Hermitian TensorMatrix, ascending, with multiplicities.
+def spectrum(m: np.ndarray, group_tol: float = 1e-8) -> list[tuple[float, int]]:
+    """Eigenvalues of a Hermitian matrix, ascending, with multiplicities.
 
     Eigenvalues closer than ``group_tol`` to their predecessor are merged
     into one group reported at the group mean.
@@ -476,7 +465,7 @@ def spectrum(m: TensorMatrix, group_tol: float = 1e-8) -> list[tuple[float, int]
         raise ValueError(
             f"matrix is not Hermitian (defect {defect:.3e} > {tol:.3e})"
         )
-    values = np.linalg.eigvalsh(_hermitize(np.asarray(m.data)))
+    values = np.linalg.eigvalsh(_hermitize(m))
     out: list[tuple[float, int]] = []
     group: list[float] = []
     for v in values:
@@ -490,18 +479,20 @@ def spectrum(m: TensorMatrix, group_tol: float = 1e-8) -> list[tuple[float, int]
 
 
 def export_matrix(
-    m: TensorMatrix,
+    m: np.ndarray,
     path: str,
     kind: Mapping[str, str] | str,
+    dims: tuple[int, int],
     hbar: float,
 ) -> None:
-    """Write the matrix in the documented binary layout plus a JSON sidecar.
+    """Write a product-space matrix on ``dims = (N_q, N_p)`` in the documented
+    binary layout plus a JSON sidecar.
 
     Layout: entries in column-major order, each entry as two consecutive
     little-endian float64 values (real part then imaginary part).  The
     sidecar at ``path + '.json'`` records kind, dims, hbar, and ordering.
     """
-    flat = np.asarray(m.data).flatten(order="F")
+    flat = m.flatten(order="F")
     interleaved = np.empty(2 * flat.size, dtype="<f8")
     interleaved[0::2] = flat.real
     interleaved[1::2] = flat.imag
@@ -509,9 +500,9 @@ def export_matrix(
         fh.write(interleaved.tobytes())
     sidecar = {
         "kind": kind if isinstance(kind, str) else dict(kind),
-        "dims": [m.dim_q, m.dim_p, 2],
+        "dims": [*dims, 2],
         "hbar": hbar,
-        "ordering": m.ordering,
+        "ordering": ORDERING,
     }
     write_json(path + ".json", sidecar)
 

@@ -11,10 +11,12 @@ tensored with a unit vector in the 2-dimensional factor.  Mixed classical
 states are diagonal in the grid basis with entries rho(q_k, p_l) against a
 rank-one projector on the third factor.
 
-Means are always the ratio Tr(rho A)/Tr(rho), which makes every
-construction insensitive to state normalization conventions; the discrete
-normalization constant 1/(dq*dp) is recorded, never relied on.  Each check
-below is written so that a NaN fails it.
+Vectors are flat on C^{N_q} (x) C^{N_p} (x) C^2 in ``matrep.ORDERING`` and
+densities are square arrays on that space.  Means are always the ratio
+Tr(rho A)/Tr(rho), which makes every construction insensitive to state
+normalization conventions; the discrete normalization 1/(dq*dp) of a sharp
+point is never relied on.  Each check below is written so that a NaN fails
+it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrep import Backend, TensorMatrix, _hermitize, hermitian_defect, hermitian_tolerance
+from .matrep import Backend, _hermitize, hermitian_defect, hermitian_tolerance
 
 _NORM_TOL = 1e-10
 
@@ -69,44 +71,13 @@ class WeightSpec:
         return WeightSpec(c_q=c, c_p=c, a_vec=a, b_vec=b)
 
 
-@dataclass(frozen=True)
-class HybridVector:
-    """Vector on C^{N_q} (x) C^{N_p} (x) C^2 in the fixed flat ordering."""
-
-    data: np.ndarray
-    dim_q: int
-    dim_p: int
-    meta: str = "custom"
-
-    def outer(self, trace_norm_convention: float = 1.0) -> "HybridDensity":
-        return HybridDensity(
-            data=np.outer(self.data, self.data.conj()),
-            trace_norm_convention=trace_norm_convention,
-        )
-
-
-@dataclass(frozen=True)
-class HybridDensity:
-    """Density matrix on the product space.
-
-    ``trace_norm_convention`` records the discrete stand-in for the
-    squared-delta normalization of sharp classical states (1/(dq*dp) on a
-    grid); mean values never depend on it.
-    """
-
-    data: np.ndarray
-    trace_norm_convention: float = 1.0
-
-    def scaled(self, c: float) -> "HybridDensity":
-        return HybridDensity(self.data * c, self.trace_norm_convention)
-
-
 def lift_qm_eigenstate(
     psi: np.ndarray,
     w: WeightSpec,
     psi_p: np.ndarray | None = None,
-) -> HybridVector:
-    """Lift a normalized single-factor vector into the product space.
+) -> np.ndarray:
+    """Lift a normalized single-factor vector into the product space, as a
+    flat vector on C^{N_q} (x) C^{N_p} (x) C^2 in ``matrep.ORDERING``.
 
     ``psi`` rides the q-factor in the first term.  When the two factors use
     different representations (say a position grid and a momentum grid), the
@@ -131,12 +102,7 @@ def lift_qm_eigenstate(
         )
     term_q = np.kron(psi, np.kron(np.asarray(w.a_vec, dtype=complex), _E_Q))
     term_p = np.kron(np.asarray(w.b_vec, dtype=complex), np.kron(psi_p, _E_P))
-    return HybridVector(
-        data=w.c_q * term_q + w.c_p * term_p,
-        dim_q=n_q,
-        dim_p=n_p,
-        meta="lifted-qm",
-    )
+    return w.c_q * term_q + w.c_p * term_p
 
 
 def cm_point_state(
@@ -146,8 +112,9 @@ def cm_point_state(
     l: int,
     c_q: complex,
     c_p: complex,
-) -> HybridVector:
-    """Basis vector at grid slot (k, l) with a unit r-factor direction.
+) -> np.ndarray:
+    """Basis vector at grid slot (k, l) with a unit r-factor direction, flat
+    on C^{N_q} (x) C^{N_p} (x) C^2 in ``matrep.ORDERING``.
 
     Requires the factor-q backend to diagonalize Q and the factor-p backend
     to diagonalize P, so the result is a simultaneous eigenvector of every
@@ -168,16 +135,11 @@ def cm_point_state(
     eq[k] = 1.0
     ep[l] = 1.0
     r_part = c_q * _E_Q + c_p * _E_P
-    return HybridVector(
-        data=np.kron(eq, np.kron(ep, r_part)),
-        dim_q=bq.dim,
-        dim_p=bp.dim,
-        meta="cm-point",
-    )
+    return np.kron(eq, np.kron(ep, r_part))
 
 
-def cm_mixed_density(rho_grid, c_q: complex, c_p: complex) -> HybridDensity:
-    """Diagonal density from a phase-space distribution.
+def cm_mixed_density(rho_grid, c_q: complex, c_p: complex) -> np.ndarray:
+    """Diagonal density array from a phase-space distribution.
 
     ``rho_grid`` is any object with ``grid`` (N_q x N_p nonnegative reals),
     ``dq``, and ``dp``.  The result is diagonal in the grid basis with the
@@ -189,34 +151,31 @@ def cm_mixed_density(rho_grid, c_q: complex, c_p: complex) -> HybridDensity:
     dp = float(rho_grid.dp)
     if grid.ndim != 2:
         raise ValueError(f"rho grid must be 2-dimensional, got shape {grid.shape}")
-    if grid.min() < -1e-12:
-        raise ValueError(f"rho grid has negative entries (min {grid.min()!r})")
+    if not grid.min() >= -1e-12:
+        raise ValueError(f"rho grid has negative or NaN entries (min {float(grid.min())!r})")
     mass = float(grid.sum() * dq * dp)
-    if abs(mass - 1.0) > _NORM_TOL:
+    if not abs(mass - 1.0) <= _NORM_TOL:
         raise ValueError(f"rho grid must have unit mass, got {mass!r}")
     _check_weights(c_q, c_p)
     r_vec = c_q * _E_Q + c_p * _E_P
     projector = np.outer(r_vec, r_vec.conj())
-    data = np.kron(np.diag(grid.reshape(-1).astype(complex)), projector)
-    return HybridDensity(data=data, trace_norm_convention=1.0 / (dq * dp))
+    return np.kron(np.diag(grid.reshape(-1).astype(complex)), projector)
 
 
-def mean_value(state: HybridDensity, a: TensorMatrix) -> float:
-    """Normalized expectation Tr(rho A)/Tr(rho).
+def mean_value(rho: np.ndarray, a: np.ndarray) -> float:
+    """Normalized expectation Tr(rho A)/Tr(rho) of a density ``rho``.
 
     ``a`` must be Hermitian and the ratio must come out finite and real, both
     to ``hermitian_tolerance(a)``; the residual imaginary part is then
     discarded.
     """
-    mat = a.data if isinstance(a, TensorMatrix) else np.asarray(a)
-    defect, tol = hermitian_defect(mat), hermitian_tolerance(mat)
+    defect, tol = hermitian_defect(a), hermitian_tolerance(a)
     if not defect <= tol:
         raise ValueError(f"observable is not Hermitian (defect {defect:.3e} > {tol:.3e})")
-    rho = state.data
-    if rho.shape != mat.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, observable {mat.shape}")
+    if rho.shape != a.shape:
+        raise ValueError(f"dimension mismatch: state {rho.shape}, observable {a.shape}")
     with np.errstate(all="ignore"):  # an overflow is refused below
-        numer, denom = np.einsum("ij,ji->", rho, mat), np.trace(rho)
+        numer, denom = np.einsum("ij,ji->", rho, a), np.trace(rho)
         if denom == 0:
             raise ValueError("state has zero trace")
         ratio = numer / denom
@@ -246,14 +205,13 @@ class StateReport:
         )
 
 
-def validate_state(d: HybridDensity) -> StateReport:
-    data = np.asarray(d.data)
-    defect = hermitian_defect(data) if data.size else 0.0
-    eigenvalues = np.linalg.eigvalsh(_hermitize(data))
+def validate_state(rho: np.ndarray) -> StateReport:
+    defect = hermitian_defect(rho) if rho.size else 0.0
+    eigenvalues = np.linalg.eigvalsh(_hermitize(rho))
     return StateReport(
         hermitian_defect=defect,
         min_eigenvalue=float(eigenvalues.min()) if eigenvalues.size else 0.0,
-        trace=float(np.trace(data).real),
+        trace=float(np.trace(rho).real),
     )
 
 

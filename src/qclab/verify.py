@@ -50,7 +50,6 @@ from .ncpoly import (
 )
 from .scalars import ScalarCoeff
 from .states import (
-    HybridDensity,
     WeightSpec,
     cm_mixed_density,
     cm_point_state,
@@ -306,8 +305,8 @@ def _check_realize_linearity(ctx: _Ctx, index: int) -> tuple[bool, str]:
         f = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
         g = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
         a, b = eval_ncpoly(f, q, p), eval_ncpoly(g, q, p)
-        lhs = realize(a + b, bq, bp).data
-        rhs = realize(a, bq, bp).data + realize(b, bq, bp).data
+        lhs = realize(a + b, bq, bp)
+        rhs = realize(a, bq, bp) + realize(b, bq, bp)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst < 1e-12, f"max linearity defect over 5 random pairs: {worst!r}"
 
@@ -326,8 +325,8 @@ def _check_homomorphism_bulk(ctx: _Ctx, index: int) -> tuple[bool, str]:
         g = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
         a = eval_ncpoly(f, ctx.gens.q_qm, ctx.gens.p_qm)
         b = eval_ncpoly(g, ctx.gens.q_qm, ctx.gens.p_qm)
-        lhs = realize(a * b, bq, bp).data
-        rhs = realize(a, bq, bp).data @ realize(b, bq, bp).data
+        lhs = realize(a * b, bq, bp)
+        rhs = realize(a, bq, bp) @ realize(b, bq, bp)
         defect = (lhs - rhs)[np.ix_(keep, keep)]
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst < 1e-9, (
@@ -444,7 +443,7 @@ def _lifting_residuals(
         for _ in range(draws):
             w = _random_weights(rng, n, n)
             state = lift_qm_eigenstate(psi, w)
-            residual = float(np.linalg.norm(apply(h, bq, bp, state.data) - energy * state.data))
+            residual = float(np.linalg.norm(apply(h, bq, bp, state) - energy * state))
             worst = max(worst, residual)
     return worst
 
@@ -493,7 +492,7 @@ def _check_point_universality(ctx: _Ctx, index: int) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(5):
         f = expr_mod.random_expr(rng, max_degree=4, max_terms=4)
-        mat = realize(eval_ncpoly(f, ctx.gens.q_cm, ctx.gens.p_cm), bq, bp).data
+        mat = realize(eval_ncpoly(f, ctx.gens.q_cm, ctx.gens.p_cm), bq, bp)
         for k in range(bq.dim):
             for l in range(bp.dim):
                 state = cm_point_state(bq, bp, k, l, 0.6, 0.8)
@@ -501,7 +500,7 @@ def _check_point_universality(ctx: _Ctx, index: int) -> tuple[bool, str]:
                     f, bq.basis_labels[k], bp.basis_labels[l]
                 )
                 residual = float(
-                    np.max(np.abs(mat @ state.data - expected * state.data))
+                    np.max(np.abs(mat @ state - expected * state))
                 )
                 worst = max(worst, residual)
     return worst < 1e-10, f"max eigen-residual over 5 polys x 64 points: {worst!r}"
@@ -523,7 +522,7 @@ def _check_mean_scale_invariance(ctx: _Ctx, index: int) -> tuple[bool, str]:
     base = mean_value(density, a)
     worst = 0.0
     for c in (1e-6, 1e6):
-        scaled = mean_value(density.scaled(c), a)
+        scaled = mean_value(c * density, a)
         worst = max(worst, abs(scaled - base) / abs(base))
     return worst < 1e-12, f"max relative mean shift under scaling: {worst!r}"
 
@@ -539,10 +538,8 @@ def _check_pure_mixed_consistency(ctx: _Ctx, index: int) -> tuple[bool, str]:
     grid[k, l] = 1.0 / (dq * dp)
     rho = PhaseSpaceDensity(grid, dq, dp, (8.0, 8.0))
     mixed = cm_mixed_density(rho, 0.6, 0.8)
-    pure = cm_point_state(bq, bp, k, l, 0.6, 0.8).outer(
-        trace_norm_convention=1.0 / (dq * dp)
-    )
-    diff = float(np.max(np.abs(mixed.data - pure.data)))
+    point = cm_point_state(bq, bp, k, l, 0.6, 0.8)
+    diff = float(np.max(np.abs(mixed - np.outer(point, point.conj()))))
     return diff < 1e-15, f"max entrywise gap between constructions: {diff!r}"
 
 
@@ -552,12 +549,12 @@ def _check_density_axioms(ctx: _Ctx, index: int) -> tuple[bool, str]:
     report = validate_state(density)
     if not report.passed:
         return False, f"valid density rejected: {report!r}"
-    zero = validate_state(HybridDensity(np.zeros((4, 4), dtype=complex)))
+    zero = validate_state(np.zeros((4, 4), dtype=complex))
     if zero.passed:
         return False, "zero matrix accepted despite nonpositive trace"
-    perturbed = density.data.copy()
+    perturbed = density.copy()
     perturbed[0, 1] += 1e-6
-    measured = validate_state(HybridDensity(perturbed)).hermitian_defect
+    measured = validate_state(perturbed).hermitian_defect
     if not 0.5e-6 < measured < 2e-6:
         return False, f"perturbation of 1e-6 measured as {measured!r}"
     return True, (

@@ -66,9 +66,9 @@ def dense_commutator_defect(
 ) -> dict[str, float]:
     """Max entry of ``realize([a, b]) - (AB - BA)``, with A, B the dense
     images, over the whole space and over the bulk rows and columns."""
-    sym = realize(tp_commutator(a, b), bq, bp).data
-    ma = realize(a, bq, bp).data
-    mb = realize(b, bq, bp).data
+    sym = realize(tp_commutator(a, b), bq, bp)
+    ma = realize(a, bq, bp)
+    mb = realize(b, bq, bp)
     defect = sym - (ma @ mb - mb @ ma)
     keep = _bulk_mask(bq, bp)
     return {

@@ -152,15 +152,15 @@ def test_build_state_lifted_default():
     cfg = RunConfig()
     bq, bp = build_backends(cfg)
     state = build_state(cfg, bq, bp)
-    assert state.meta == "lifted-qm"
-    assert np.linalg.norm(state.data) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_state_cm_point():
     cfg = RunConfig(state=StateSpec(kind="cm-point", k=2, l=5))
     bq, bp = build_backends(cfg)
     state = build_state(cfg, bq, bp)
-    assert state.meta == "cm-point"
+    # the basis vector at grid slot (2, 5), both r-slots weighted
+    assert np.flatnonzero(state).tolist() == [(2 * 8 + 5) * 2, (2 * 8 + 5) * 2 + 1]
 
 
 def test_build_state_fock_backends():
@@ -171,7 +171,7 @@ def test_build_state_fock_backends():
     )
     bq, bp = build_backends(cfg)
     state = build_state(cfg, bq, bp)
-    assert np.linalg.norm(state.data) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cmd_verify_writes_report_and_passes(tmp_path, capsys):
@@ -625,10 +625,17 @@ NOT_FINITE = "is not finite or has zero norm"
          f"the Gaussian of width sigma=1e+200 on this grid {NOT_FINITE}"),
         (["evolve", "--h", "1.0"], {"state": {"sigma": 1e-170}, "dynamics": {"mode": "auto"}},
          f"the Gaussian of width sigma=1e-170 on this grid {NOT_FINITE}"),
+        (["kernels", "--h", "1.0"], {"hbar": 1e200},
+         "the realized observable is not finite at hbar=1e+200"),
+        (["evolve"], {"dynamics": {"sigma": 1e-170}},
+         "density has negative or NaN entries (min nan)"),
+        (["evolve", "--h", "0.0"], {"dynamics": {"mode": "auto", "sigma": 1e-170}},
+         "density has negative or NaN entries (min nan)"),
     ],
     ids=[
         "sweep-q0-1e300", "evolve-q0-1e300", "sweep-hbar-1e200", "sweep-sigma-1e-170",
         "sweep-sigma-1e-300", "sweep-sigma-1e200", "evolve-sigma-1e-170",
+        "kernels-hbar-1e200", "compare-sigma-1e-170", "liouville-sigma-1e-170",
     ],
 )
 def test_main_non_finite_state_or_mean_is_usage_error(tmp_path, capsys, argv, config, message):

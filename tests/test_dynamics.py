@@ -9,13 +9,7 @@ from qclab.expr import differentiate, parse_expr
 from qclab.matrep import build_backend, qm_factors, realize
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.scalars import ScalarCoeff
-from qclab.states import (
-    HybridDensity,
-    HybridVector,
-    WeightSpec,
-    coherent_state,
-    lift_qm_eigenstate,
-)
+from qclab.states import WeightSpec, coherent_state, lift_qm_eigenstate
 
 GENS = make_generators()
 OSC = "(1/2)*(P^2 + Q^2)"
@@ -303,7 +297,7 @@ def test_von_neumann_constant_hamiltonian_freezes_means():
 
 def test_von_neumann_evolves_densities_too():
     state, h_poly, b = quantum_setup(n_fock=16)
-    rho = state.outer()
+    rho = np.outer(state, state.conj())
     traj_v = dyn.von_neumann_evolve(state, h_poly, b, b, 1e-2, 60, record_stride=20)
     traj_d = dyn.von_neumann_evolve(rho, h_poly, b, b, 1e-2, 60, record_stride=20)
     np.testing.assert_allclose(traj_v.mean_q, traj_d.mean_q, atol=1e-11)
@@ -319,7 +313,7 @@ def test_von_neumann_rejects_non_hermitian_hamiltonian():
 
 def dense_stepping_oracle(state0, h_mat, dt, steps, hbar, q_mat, p_mat, record_stride):
     """One eigendecomposition of the whole H; the state steps by U(dt*stride)."""
-    hmat = np.asarray(h_mat.data)
+    hmat = np.asarray(h_mat)
     energies, vectors = np.linalg.eigh((hmat + hmat.conj().T) / 2.0)
 
     def propagator(tau):
@@ -335,12 +329,12 @@ def dense_stepping_oracle(state0, h_mat, dt, steps, hbar, q_mat, p_mat, record_s
     def advance(state, u):
         return u @ state if state.ndim == 1 else u @ state @ u.conj().T
 
-    state = state0.data.astype(complex)
+    state = state0.astype(complex)
     traj = dyn.Trajectory()
 
     def record(step):
-        mq, _ = expect(state, np.asarray(q_mat.data))
-        mp, _ = expect(state, np.asarray(p_mat.data))
+        mq, _ = expect(state, q_mat)
+        mp, _ = expect(state, p_mat)
         me, norm = expect(state, hmat)
         traj.append(step * dt, mq, mp, me, norm)
 
@@ -365,7 +359,7 @@ def random_states(n_q, n_p, seed):
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     weights = np.array([0.5, 0.3, 0.2])
     rho = np.einsum("k,ki,kj->ij", weights, vecs, vecs.conj())
-    return HybridVector(vecs[0], n_q, n_p), HybridDensity(rho)
+    return vecs[0], rho
 
 
 # 1 (x) 1 (x) (E_qp + E_pq)
@@ -386,7 +380,7 @@ def test_von_neumann_matches_dense_stepping_oracle(coupled):
             {(1, 0, 0, 0, 0, 0): ScalarCoeff.one(), (1, 0, 0, 0, 1, 1): ScalarCoeff.one()}
         )
         h_poly = QUARTIC + R_COUPLING * q_ident
-        assert np.abs(np.asarray(realize(h_poly, b, b).data)[0::2, 1::2]).max() > 0
+        assert np.abs(realize(h_poly, b, b)[0::2, 1::2]).max() > 0
         state, _ = random_states(6, 6, seed=7)
         with pytest.raises(ValueError, match="couples the two r-sectors"):
             dyn.von_neumann_evolve(state, h_poly, b, b, 1e-2, 333, record_stride=40)
@@ -421,7 +415,7 @@ def test_qm_factors_rebuild_the_dense_realization():
     bq = build_backend("grid-position", 5, 0.7, 6.0)
     bp = build_backend("fock", 4, 0.7)
     a, b = qm_factors(QUARTIC, bq, bp)
-    dense = np.asarray(realize(QUARTIC, bq, bp).data)
+    dense = realize(QUARTIC, bq, bp)
     rebuilt = np.kron(np.kron(a, np.eye(4)), np.diag([1, 0])) + np.kron(
         np.kron(np.eye(5), b), np.diag([0, 1])
     )
@@ -435,7 +429,7 @@ def test_record_times_keep_the_trailing_partial_stride():
     dt, steps, stride = 1e-2, 333, 40
     expected = [s * dt for s in (0, 40, 80, 120, 160, 200, 240, 280, 320, 333)]
     state, h_poly, b = quantum_setup(n_fock=6)
-    for st in (state, state.outer()):
+    for st in (state, np.outer(state, state.conj())):
         traj = dyn.von_neumann_evolve(st, h_poly, b, b, dt, steps, record_stride=stride)
         assert traj.times == expected
     traj = dyn.liouville_evolve(

@@ -12,7 +12,6 @@ from qclab.cli import BackendSpec, RunConfig, cmd_kernels
 from qclab.matrep import (
     MAX_DENSE_BYTES,
     ORDERING,
-    TensorMatrix,
     apply,
     build_backend,
     commutator_defect,
@@ -34,7 +33,7 @@ from qclab.matrep import (
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.expr import parse_expr, random_expr
 from qclab.scalars import ScalarCoeff
-from qclab.states import HybridDensity, WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value
+from qclab.states import WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value
 
 from matrix_oracle import dense_commutator_defect, vector_mean
 
@@ -135,9 +134,9 @@ def test_flat_index_range_checks():
 def test_realize_identity():
     b = build_backend("fock", 3, 1.0)
     m = realize(TensorPoly.identity(), b, b)
-    np.testing.assert_allclose(m.data, np.eye(18), atol=0)
-    assert (m.dim_q, m.dim_p) == (3, 3)
-    assert m.ordering == ORDERING
+    # a plain array, read-only: callers share it and may not write to it
+    assert type(m) is np.ndarray and not m.flags.writeable
+    np.testing.assert_allclose(m, np.eye(18), atol=0)
 
 
 def test_realize_commuting_pair_is_diagonal_on_grids():
@@ -146,15 +145,15 @@ def test_realize_commuting_pair_is_diagonal_on_grids():
     bp = build_backend("grid-momentum", 4, 1.0, 4.0)
     mq = realize(g.q_cm, bq, bp)
     mp = realize(g.p_cm, bq, bp)
-    assert np.max(np.abs(mq.data - np.diag(np.diag(mq.data)))) == 0.0
-    assert np.max(np.abs(mp.data - np.diag(np.diag(mp.data)))) == 0.0
+    assert np.max(np.abs(mq - np.diag(np.diag(mq)))) == 0.0
+    assert np.max(np.abs(mp - np.diag(np.diag(mp)))) == 0.0
     # entry for (i_q, i_p, i_r) holds q_{i_q} and p_{i_p} respectively
     for iq in range(4):
         for ip in range(4):
             for ir in range(2):
                 flat = flatten(iq, ip, ir, 4, 4)
-                assert mq.data[flat, flat] == bq.basis_labels[iq]
-                assert mp.data[flat, flat] == bp.basis_labels[ip]
+                assert mq[flat, flat] == bq.basis_labels[iq]
+                assert mp[flat, flat] == bp.basis_labels[ip]
 
 
 def test_realize_respects_kron_order():
@@ -164,7 +163,7 @@ def test_realize_respects_kron_order():
     m = realize(a, b, b)
     e_qq = np.array([[1.0, 0.0], [0.0, 0.0]])
     expected = np.kron(np.asarray(b.qmat), np.kron(np.eye(3), e_qq))
-    np.testing.assert_allclose(m.data, expected, atol=0)
+    np.testing.assert_allclose(m, expected, atol=0)
 
 
 def test_realize_interpolating_pair_needs_weight():
@@ -174,7 +173,7 @@ def test_realize_interpolating_pair_needs_weight():
         realize(g.q_tilde, b, b)
     m0 = realize(g.q_tilde.substitute_lambda(0), b, b)
     m_qm = realize(g.q_qm, b, b)
-    np.testing.assert_allclose(m0.data, m_qm.data, atol=0)
+    np.testing.assert_allclose(m0, m_qm, atol=0)
 
 
 def test_realize_rejects_mismatched_hbar():
@@ -191,8 +190,8 @@ def test_realize_is_linear():
     a1 = g.q_qm * g.q_qm
     a2 = g.p_qm
     lhs = realize(a1 + a2.scale(ScalarCoeff.from_rational(Fraction(3))), b, b)
-    rhs = realize(a1, b, b).data + 3 * realize(a2, b, b).data
-    np.testing.assert_allclose(lhs.data, rhs, atol=1e-13)
+    rhs = realize(a1, b, b) + 3 * realize(a2, b, b)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
 def _pair(kind, hbar=1.0):
@@ -340,9 +339,9 @@ def test_an_element_the_rule_accepts_realizes_hermitian(pair, a, seed):
     assert hermitian_defect(m) <= hermitian_tolerance(m)
     # the sweep's reading of a mean against the dense one
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(len(m.data)) + 1j * rng.standard_normal(len(m.data))
+    v = rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
     got = quadratic_form(a, bq, bp, v) / np.vdot(v, v)
-    want = vector_mean(v, m.data)
+    want = vector_mean(v, m)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
 
@@ -350,7 +349,7 @@ def test_an_element_the_rule_accepts_realizes_hermitian(pair, a, seed):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_apply_of_random_elements_matches_the_realized_product(pair, a, seed):
     bq, bp = pair
-    m = realize(a, bq, bp).data
+    m = realize(a, bq, bp)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
     v /= np.linalg.norm(v)
@@ -437,7 +436,7 @@ def test_max_entry_matches_the_realized_matrix(kind):
         coupling,
         TensorPoly.zero(),
     ):
-        assert max_entry(a, bq, bp) == float(np.max(np.abs(realize(a, bq, bp).data)))
+        assert max_entry(a, bq, bp) == float(np.max(np.abs(realize(a, bq, bp))))
 
 
 def test_dense_matrices_are_bounded_before_allocation(monkeypatch):
@@ -447,7 +446,7 @@ def test_dense_matrices_are_bounded_before_allocation(monkeypatch):
     # the bound counts the 50 x 50 matrix and its 25 x 25 term temporary:
     # exactly their bytes admit the realization, one byte less refuses it
     monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 16 * (50**2 + 25**2))
-    assert realize(g.q_qm, b, b).data.shape == (50, 50)
+    assert realize(g.q_qm, b, b).shape == (50, 50)
     big = build_backend("fock", 6, 1.0)
     with pytest.raises(ValueError, match="a dense 72 x 72 matrix and its 36 x 36 term need"):
         realize(g.q_qm, big, big)
@@ -519,15 +518,14 @@ def test_quadratic_form_mean_matches_the_realized_mean(kind, hbar):
     elements = _mean_elements()
     g = make_generators()
     qp = eval_ncpoly(parse_expr("Q*P"), g.q_qm, g.p_qm)
-    for state in _mean_states(bq, bp, seed=round(10 * hbar)):
-        v = state.data
+    for v in _mean_states(bq, bp, seed=round(10 * hbar)):
         for name, a in elements.items():
             assert a == a.adjoint(), name
             got = quadratic_form(a, bq, bp, v) / np.vdot(v, v)
-            want = vector_mean(v, realize(a, bq, bp).data)
+            want = vector_mean(v, realize(a, bq, bp))
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, got, want)
         # the reading is <v|A|v> for any element, mixed words included
-        want = np.vdot(v, realize(qp, bq, bp).data @ v)
+        want = np.vdot(v, realize(qp, bq, bp) @ v)
         assert abs(quadratic_form(qp, bq, bp, v) - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -544,7 +542,7 @@ def test_kernel_block_selects_r_entries(tmp_path, capsys):
     g = make_generators()
     q, p = (a.substitute_lambda(Fraction(1, 2)) for a in (g.q_tilde, g.p_tilde))
     bq, bp = build_backend("fock", 3, 1.0), build_backend("fock", 2, 1.0)
-    m = realize(eval_ncpoly(parse_expr(config.observable), q, p), bq, bp).data
+    m = realize(eval_ncpoly(parse_expr(config.observable), q, p), bq, bp)
     blocks = {}
     for i, row in enumerate("qp"):
         for j, col in enumerate("qp"):
@@ -588,8 +586,8 @@ def test_hermitian_refusals_print_the_bound_applied():
     # entries of 1e7 scale the bound to 1e-10 * 1e7 = 1e-3
     mat = np.diag([1e7] * 4).astype(complex)
     mat[0, 1] = 1e-2
-    rho = HybridDensity(np.eye(4, dtype=complex))
-    for refuse in (lambda: spectrum(TensorMatrix(1, 1, mat)), lambda: mean_value(rho, mat)):
+    rho = np.eye(4, dtype=complex)
+    for refuse in (lambda: spectrum(mat), lambda: mean_value(rho, mat)):
         with pytest.raises(ValueError, match=r"defect 1\.000e-02 > 1\.000e-03"):
             refuse()
     # Hermitian, and rho_10 A_01 makes the mean 1e7 + 1e-2 i
@@ -597,7 +595,7 @@ def test_hermitian_refusals_print_the_bound_applied():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0], rho[1, 0] = 1.0, 1j
     with pytest.raises(ValueError, match=r"imaginary part 1\.000e-02 \(> 1\.000e-03\)"):
-        mean_value(HybridDensity(rho), mat)
+        mean_value(rho, mat)
 
 
 def test_oscillator_spectrum_ladder():
@@ -628,15 +626,14 @@ def test_oscillator_spectrum_tracks_hbar():
 def _import_matrix(path):
     """Read ``matrix.bin`` back by its documented layout: column-major
     entries, each two little-endian float64 (real, imaginary), with dims
-    and ordering from the JSON sidecar."""
+    from the JSON sidecar.  Returns the matrix and the sidecar."""
     with open(path + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     dim_q, dim_p, _ = sidecar["dims"]
     n = dim_q * dim_p * 2
     raw = np.fromfile(path, dtype="<f8")
     assert raw.size == 2 * n * n
-    data = (raw[0::2] + 1j * raw[1::2]).reshape((n, n), order="F")
-    return TensorMatrix(dim_q, dim_p, data, sidecar["ordering"])
+    return (raw[0::2] + 1j * raw[1::2]).reshape((n, n), order="F"), sidecar
 
 
 def test_export_import_round_trip(tmp_path):
@@ -644,13 +641,10 @@ def test_export_import_round_trip(tmp_path):
     b = build_backend("fock", 4, 1.0)
     m = realize(g.q_qm * g.p_qm, b, b)
     path = str(tmp_path / "matrix.bin")
-    export_matrix(m, path, {"q": "fock", "p": "fock"}, 1.0)
-    again = _import_matrix(path)
-    np.testing.assert_allclose(again.data, m.data, atol=0)
-    assert again.dim_q == 4 and again.dim_p == 4
-    assert again.ordering == ORDERING
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    export_matrix(m, path, {"q": "fock", "p": "fock"}, (4, 4), 1.0)
+    again, sidecar = _import_matrix(path)
+    np.testing.assert_allclose(again, m, atol=0)
+    assert sidecar["ordering"] == ORDERING
     assert sidecar["hbar"] == 1.0
     assert sidecar["dims"] == [4, 4, 2]
 
@@ -659,7 +653,7 @@ def test_export_kernel_csv_layout(tmp_path):
     b = build_backend("fock", 2, 1.0)
     a = TensorPoly({(0, 1, 0, 0, 1, 0): ScalarCoeff.one()})  # P (x) 1 (x) E_pq
     m = realize(a, b, b)
-    block = m.data[1::2, 0::2]  # the (p, q) r-block
+    block = m[1::2, 0::2]  # the (p, q) r-block
     path = str(tmp_path / "block.csv")
     export_kernel_csv(block, path)
     lines = open(path, encoding="utf-8").read().splitlines()
@@ -682,4 +676,4 @@ def test_realized_matrix_is_frozen():
     b = build_backend("fock", 3, 1.0)
     m = realize(TensorPoly.identity(), b, b)
     with pytest.raises(ValueError):
-        m.data[0, 0] = 2.0
+        m[0, 0] = 2.0

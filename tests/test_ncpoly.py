@@ -258,8 +258,8 @@ def test_tensor_adjoint_transports_to_matrix_dagger():
     g = make_generators()
     backend = build_backend("fock", 12, 1.0)
     a = g.q_tilde * g.p_tilde
-    lhs = realize(tp_adjoint(a).substitute_lambda(Fraction(1, 3)), backend, backend).data
-    rhs = realize(a.substitute_lambda(Fraction(1, 3)), backend, backend).data.conj().T
+    lhs = realize(tp_adjoint(a).substitute_lambda(Fraction(1, 3)), backend, backend)
+    rhs = realize(a.substitute_lambda(Fraction(1, 3)), backend, backend).conj().T
     keep = np.array(
         [(iq * 12 + ip) * 2 + ir
          for iq in range(8) for ip in range(8) for ir in range(2)]

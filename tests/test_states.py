@@ -1,6 +1,7 @@
 """Lifted eigenstates, classical point and mixed states, and mean values."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from qclab.expr import parse_expr
 from qclab.matrep import build_backend, flatten, realize
 from qclab.ncpoly import eval_ncpoly, make_generators
 from qclab.states import (
-    HybridDensity,
     WeightSpec,
     cm_mixed_density,
     cm_point_state,
@@ -29,6 +29,11 @@ def fock_level(n: int, level: int) -> np.ndarray:
     vec = np.zeros(n, dtype=complex)
     vec[level] = 1.0
     return vec
+
+
+def outer(vec: np.ndarray) -> np.ndarray:
+    """The pure density of a vector state."""
+    return np.outer(vec, vec.conj())
 
 
 def test_weight_spec_default_is_valid():
@@ -60,9 +65,8 @@ def test_weight_spec_rejects_unnormalized_padding():
 def test_lift_produces_unit_vector():
     psi = fock_level(8, 2)
     state = lift_qm_eigenstate(psi, WeightSpec.default(8, 8))
-    assert np.linalg.norm(state.data) == pytest.approx(1.0, abs=1e-12)
-    assert state.dim_q == 8 and state.dim_p == 8
-    assert state.meta == "lifted-qm"
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+    assert state.shape == (8 * 8 * 2,)
 
 
 def test_lift_is_hamiltonian_eigenvector():
@@ -71,9 +75,9 @@ def test_lift_is_hamiltonian_eigenvector():
     h_mat = realize(eval_ncpoly(OSC, GENS.q_qm, GENS.p_qm), b, b)
     for level in (0, 1, 4):
         state = lift_qm_eigenstate(fock_level(n, level), WeightSpec.default(n, n))
-        resid = h_mat.data @ state.data - (level + 0.5) * state.data
+        resid = h_mat @ state - (level + 0.5) * state
         assert np.max(np.abs(resid)) < 1e-12, level
-        assert mean_value(state.outer(), h_mat) == pytest.approx(level + 0.5, abs=1e-12)
+        assert mean_value(outer(state), h_mat) == pytest.approx(level + 0.5, abs=1e-12)
 
 
 def test_lift_pure_q_branch():
@@ -86,8 +90,8 @@ def test_lift_pure_q_branch():
     state = lift_qm_eigenstate(fock_level(n, 1), w)
     for iq in range(n):
         for ip in range(n):
-            assert state.data[flatten(iq, ip, 1, n, n)] == 0.0
-    assert state.data[flatten(1, 0, 0, n, n)] == 1.0
+            assert state[flatten(iq, ip, 1, n, n)] == 0.0
+    assert state[flatten(1, 0, 0, n, n)] == 1.0
 
 
 def test_lift_respects_mixed_representations():
@@ -98,8 +102,8 @@ def test_lift_respects_mixed_representations():
     state = lift_qm_eigenstate(psi_q, WeightSpec.default(16, 16), psi_p=psi_p)
     q_mat = realize(GENS.q_qm, bq, bp)
     p_mat = realize(GENS.p_qm, bq, bp)
-    assert mean_value(state.outer(), q_mat) == pytest.approx(0.5, abs=1e-3)
-    assert mean_value(state.outer(), p_mat) == pytest.approx(-0.25, abs=1e-3)
+    assert mean_value(outer(state), q_mat) == pytest.approx(0.5, abs=1e-3)
+    assert mean_value(outer(state), p_mat) == pytest.approx(-0.25, abs=1e-3)
 
 
 def test_lift_rejects_unnormalized_input():
@@ -116,13 +120,12 @@ def test_cm_point_state_is_joint_eigenvector():
     bq = build_backend("grid-position", 8, 1.0, 8.0)
     bp = build_backend("grid-momentum", 8, 1.0, 8.0)
     state = cm_point_state(bq, bp, 2, 5, 0.6, 0.8)
-    assert state.meta == "cm-point"
     f = parse_expr("Q^2 + P^2")
     m = realize(eval_ncpoly(f, GENS.q_cm, GENS.p_cm), bq, bp)
     expected = bq.basis_labels[2] ** 2 + bp.basis_labels[5] ** 2
-    resid = m.data @ state.data - expected * state.data
+    resid = m @ state - expected * state
     assert np.max(np.abs(resid)) == 0.0
-    assert mean_value(state.outer(), m) == pytest.approx(expected, abs=1e-12)
+    assert mean_value(outer(state), m) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cm_point_state_requires_grid_backends():
@@ -179,9 +182,8 @@ def test_cm_mixed_density_point_mass_matches_pure_state():
         grid=grid, dq=d, dp=d, extent=(-4.0, 4.0, -4.0, 4.0)
     )
     mixed = cm_mixed_density(rho_cl, 0.6, 0.8)
-    pure = cm_point_state(bq, bp, 2, 5, 0.6, 0.8).outer(1.0 / (d * d))
-    assert mixed.trace_norm_convention == pure.trace_norm_convention
-    assert np.max(np.abs(mixed.data - pure.data)) < 1e-15
+    pure = outer(cm_point_state(bq, bp, 2, 5, 0.6, 0.8))
+    assert np.max(np.abs(mixed - pure)) < 1e-15
     f = parse_expr("Q*P")
     m = realize(eval_ncpoly(f, GENS.q_cm, GENS.p_cm), bq, bp)
     assert mean_value(mixed, m) == pytest.approx(
@@ -221,7 +223,7 @@ def test_mean_value_scale_invariance():
     m = realize(eval_ncpoly(OSC, GENS.q_cm, GENS.p_cm), bq, bp)
     base = mean_value(rho, m)
     for c in (1e-6, 7.0, 1e6):
-        assert mean_value(rho.scaled(c), m) == pytest.approx(base, rel=1e-12)
+        assert mean_value(c * rho, m) == pytest.approx(base, rel=1e-12)
 
 
 def test_mean_value_identity_is_one():
@@ -230,7 +232,7 @@ def test_mean_value_identity_is_one():
 
     ident = realize(TensorPoly.identity(), b, b)
     state = lift_qm_eigenstate(fock_level(6, 2), WeightSpec.default(6, 6))
-    assert mean_value(state.outer(), ident) == pytest.approx(1.0, abs=1e-14)
+    assert mean_value(outer(state), ident) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_mean_value_rejects_non_hermitian_observable():
@@ -238,23 +240,22 @@ def test_mean_value_rejects_non_hermitian_observable():
     m = realize(GENS.q_qm * GENS.p_qm, b, b)
     state = lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4))
     with pytest.raises(ValueError, match="not Hermitian"):
-        mean_value(state.outer(), m)
+        mean_value(outer(state), m)
 
 
 def test_mean_value_rejects_zero_state():
     b = build_backend("fock", 4, 1.0)
     from qclab.ncpoly import TensorPoly
-    from qclab.states import HybridDensity
 
     ident = realize(TensorPoly.identity(), b, b)
-    zero = HybridDensity(np.zeros((32, 32), dtype=complex))
+    zero = np.zeros((32, 32), dtype=complex)
     with pytest.raises(ValueError, match="zero trace"):
         mean_value(zero, ident)
 
 
 def test_validate_state_accepts_physical_density():
     state = lift_qm_eigenstate(fock_level(6, 1), WeightSpec.default(6, 6))
-    report = validate_state(state.outer())
+    report = validate_state(outer(state))
     assert report.passed
     assert report.hermitian_defect < 1e-14
     assert report.trace == pytest.approx(1.0)
@@ -262,14 +263,8 @@ def test_validate_state_accepts_physical_density():
 
 def test_validate_state_flags_negative_eigenvalue():
     state = lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4))
-    rho = state.outer()
-    from qclab.states import HybridDensity
-
-    bad = HybridDensity(
-        data=rho.data - 1e-4 * np.eye(rho.data.shape[0]),
-        trace_norm_convention=rho.trace_norm_convention,
-    )
-    report = validate_state(bad)
+    rho = outer(state)
+    report = validate_state(rho - 1e-4 * np.eye(rho.shape[0]))
     assert not report.passed
     assert report.min_eigenvalue < -1e-5
 
@@ -367,17 +362,31 @@ def test_a_nan_fails_every_normalization_check(refuse):
         refuse()
 
 
+@pytest.mark.parametrize(
+    "entry, dq, message",
+    [(NAN, 1.0, "negative or NaN entries"), (1.0 / 64, NAN, "unit mass")],
+    ids=["nan-entry", "nan-spacing"],
+)
+def test_a_nan_grid_fails_both_density_checks(entry, dq, message):
+    grid = np.full((8, 8), 1.0 / 64)
+    grid[0, 0] = entry
+    with pytest.raises(ValueError, match=message):
+        PhaseSpaceDensity(grid, dq, 1.0, (8.0, 8.0))
+    with pytest.raises(ValueError, match=message):
+        cm_mixed_density(SimpleNamespace(grid=grid, dq=dq, dp=1.0), 1.0, 0.0)
+
+
 def test_a_nan_mean_is_refused():
     b = build_backend("fock", 4, 1.0)
     ident = realize(GENS.identity, b, b)
-    rho = lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4)).outer().data.copy()
+    rho = outer(lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4)))
     rho[0, 0] = NAN
     with pytest.raises(ValueError, match="mean value is not finite"):
-        mean_value(HybridDensity(rho), ident)
-    nan_obs = np.array(ident.data)
+        mean_value(rho, ident)
+    nan_obs = np.array(ident)
     nan_obs[0, 0] = NAN
     with pytest.raises(ValueError, match="not Hermitian"):
-        mean_value(lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4)).outer(), nan_obs)
+        mean_value(outer(lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4))), nan_obs)
 
 
 @pytest.mark.parametrize(

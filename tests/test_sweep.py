@@ -64,9 +64,9 @@ def oracle_rows(config, bq, bp, state):
             row = {
                 "h": h,
                 "lambda": float(lam),
-                "mean_q_tilde": vector_mean(state.data, q_mat.data),
-                "mean_p_tilde": vector_mean(state.data, p_mat.data),
-                "mean_observable": vector_mean(state.data, obs_mat.data),
+                "mean_q_tilde": vector_mean(state, q_mat),
+                "mean_p_tilde": vector_mean(state, p_mat),
+                "mean_observable": vector_mean(state, obs_mat),
                 "bulk_commutator_defect": dense_bulk_commutator_defect(bq, bp, qt, pt),
                 "endpoint_q_diff": None,
                 "endpoint_p_diff": None,
@@ -75,8 +75,8 @@ def oracle_rows(config, bq, bp, state):
             raise ConfigError(f"cannot evaluate means at h={h!r}: {exc}") from exc
         if h in refs:
             q_ref, p_ref = refs[h]
-            row["endpoint_q_diff"] = float(np.max(np.abs(q_mat.data - q_ref.data)))
-            row["endpoint_p_diff"] = float(np.max(np.abs(p_mat.data - p_ref.data)))
+            row["endpoint_q_diff"] = float(np.max(np.abs(q_mat - q_ref)))
+            row["endpoint_p_diff"] = float(np.max(np.abs(p_mat - p_ref)))
         rows.append(row)
     return rows
 
