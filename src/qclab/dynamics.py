@@ -3,25 +3,32 @@
 The classical side evolves a phase-space density on a periodic N_q x N_p
 grid by the bracket transport equation
 
-    d rho / dt = dh/dq * drho/dp - dh/dp * drho/dq
+    d rho / dt = L rho = dh/dq * drho/dp - dh/dp * drho/dq.
 
-with classic fourth-order Runge-Kutta stepping.  Density derivatives are
-spectral and periodic: ``spectral_derivative`` defines them through the
-DFT, and the stepper applies them as the equivalent Fourier differentiation
-matrices (Trefethen, Spectral Methods in MATLAB, ch. 3), built once per run,
-so each bracket costs two small matrix products.  The Hamiltonian partials
-are evaluated from the exact formal derivative of the polynomial expression
-on the mesh, since a polynomial is not periodic and differentiating it
-spectrally would poison the bracket with wrap-around artifacts.
+Density derivatives are spectral and periodic: ``spectral_derivative``
+defines them through the DFT, and the bracket applies them as the
+equivalent Fourier differentiation matrices (Trefethen, Spectral Methods in
+MATLAB, ch. 3), built once per run, so each bracket costs two small matrix
+products.  The Hamiltonian partials are evaluated from the exact formal
+derivative of the polynomial expression on the mesh, since a polynomial is
+not periodic and differentiating it spectrally would poison the bracket
+with wrap-around artifacts.
 
-The bracket L is linear and does not depend on time, so one classic RK4 step
-is exactly the degree-4 Taylor polynomial of exp(dt L), which the stepper
-evaluates in Horner form:
+L is linear and does not depend on time, so the density at the next record
+is exp(tau L) g, with tau the time between the two records.  It is computed
+directly by the truncated Taylor action of Al-Mohy and Higham ("Computing
+the action of the matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011)):
+tau is split into s substeps, and each substep sums the terms
+(tau/s)^k L^k g / k! until one falls below the unit roundoff of g.  The
+differentiation matrices are circulant and skew, so their 2-norm is their
+largest retained wavenumber, and
 
-    g <- g + dt L (g + dt/2 L (g + dt/3 L (g + dt/4 L g)))
+    B = max|dh/dq| k_p,max + max|dh/dp| k_q,max
 
-Each ``(dt/k) L`` is the bracket with its partials scaled once per run, and
-the four brackets of a step write into preallocated buffers.
+bounds ||L||_2 before any work.  ``s = ceil(tau B / theta)`` with theta and
+the degree cap taken from the paper's table for double precision, so each
+record interval costs at most s times the cap brackets, whatever the
+values, and the time step only sets the record grid.
 
 The quantum side applies the exact propagator exp(-i H t / hbar).  Every
 Hamiltonian of the quantum endpoint is a polynomial in q_qm, p_qm, so it
@@ -60,6 +67,13 @@ from .states import WeightSpec, coherent_state, lift_qm_eigenstate
 _MASS_TOL = 1e-10
 _ABORT_DRIFT = 1e-4
 _BOUNDARY_WARN = 1e-8
+# Al-Mohy and Higham (2011), Table 3.1 for u = 2^-53: the degree cap m_max
+# and theta_m_max, the largest ||(tau/s) L|| at which that degree meets u
+_DEGREE_CAP = 55
+_THETA = 9.9
+_UNIT_ROUNDOFF = 2.0**-53
+# multiply-adds of the bracket products a Liouville run may predict
+_MAX_WORK = 2.0**40
 
 
 class LiouvilleUnstable(RuntimeError):
@@ -168,17 +182,22 @@ class Trajectory:
         )
 
 
-def spectral_derivative(arr: np.ndarray, spacing: float, axis: int) -> np.ndarray:
-    """Periodic derivative along one axis via the DFT.
+def _wavenumbers(n: int, spacing: float) -> np.ndarray:
+    """The angular wavenumbers that periodic differentiation keeps, in DFT order.
 
-    The unpaired Nyquist mode (even lengths) is dropped from the derivative:
-    it carries no sign information and would otherwise leak an imaginary
-    component.
+    The unpaired Nyquist mode (even lengths) is dropped: it carries no sign
+    information and would otherwise leak an imaginary component.
     """
-    n = arr.shape[axis]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
     if n % 2 == 0:
         k[n // 2] = 0.0
+    return k
+
+
+def spectral_derivative(arr: np.ndarray, spacing: float, axis: int) -> np.ndarray:
+    """Periodic derivative along one axis via the DFT, on ``_wavenumbers``."""
+    n = arr.shape[axis]
+    k = _wavenumbers(n, spacing)
     shape = [1] * arr.ndim
     shape[axis] = n
     transformed = np.fft.fft(arr, axis=axis)
@@ -231,6 +250,20 @@ def _boundary_mass(grid: np.ndarray, dq: float, dp: float) -> float:
     return float(ring * dq * dp)
 
 
+def _record_steps(dt: float, steps: int, record_stride: int) -> list[int]:
+    """The recorded step indices: every ``record_stride`` steps plus the final step."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if record_stride < 1:
+        raise ValueError(f"record_stride must be at least 1, got {record_stride}")
+    marks = list(range(0, steps + 1, record_stride))
+    if marks[-1] != steps:
+        marks.append(steps)
+    return marks
+
+
 def liouville_evolve(
     rho0: PhaseSpaceDensity,
     h_expr,
@@ -238,20 +271,20 @@ def liouville_evolve(
     steps: int,
     record_stride: int = 1,
 ) -> Trajectory:
-    """Integrate the bracket transport equation with RK4.
+    """Transport a density by the bracket flow of ``h_expr``, record by record.
 
     ``h_expr`` is a polynomial expression tree (or its source text) in Q, P.
-    Records are taken every ``record_stride`` steps plus the final step.
-    Aborts with a diagnostic if the total mass drifts beyond 1e-4; warns
-    once if the boundary ring ever carries mass above 1e-8 (the periodic
-    box is then too small for the flow).
+    Records are taken at ``step * dt`` every ``record_stride`` steps plus the
+    final step; ``dt`` sets only that grid.  Between two records the density
+    moves by exp(tau L), summed as a truncated Taylor series in
+    ``ceil(tau B / theta)`` substeps (see the module docstring).  A run whose
+    predicted multiply-adds exceed ``_MAX_WORK`` (an infinite or NaN bound
+    included) is refused before any bracket.  Aborts with a diagnostic if
+    the total mass drifts beyond 1e-4; warns once if the boundary ring ever
+    carries mass above 1e-8 (the periodic box is then too small for the
+    flow).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    if record_stride < 1:
-        raise ValueError(f"record_stride must be at least 1, got {record_stride}")
+    marks = _record_steps(dt, steps, record_stride)
     node = expr_mod.parse_expr(h_expr) if isinstance(h_expr, str) else h_expr
     qm, pm = np.meshgrid(rho0.q_values, rho0.p_values, indexing="ij")
     hvals = _mesh_eval(node, qm, pm)
@@ -260,6 +293,23 @@ def liouville_evolve(
     dq, dp = rho0.dq, rho0.dp
     cell = dq * dp
     d_q, d_p_t = _differentiation_matrices(rho0)
+
+    # ||L||_2 <= B, since ||D||_2 is the largest retained wavenumber; plain
+    # floats from here, so that an overflow gives inf without a warning
+    k_q = float(np.abs(_wavenumbers(rho0.n_q, dq)).max())
+    k_p = float(np.abs(_wavenumbers(rho0.n_p, dp)).max())
+    bound = float(np.abs(dh_dq).max()) * k_p + float(np.abs(dh_dp).max()) * k_q
+    taus = [(stop - start) * dt for start, stop in zip(marks, marks[1:])]
+    substeps = [float(np.ceil(tau * bound / _THETA)) for tau in taus]
+    brackets = sum(substeps) * _DEGREE_CAP
+    cost = brackets * rho0.n_q * rho0.n_p * (rho0.n_q + rho0.n_p)
+    # written so that an infinite or NaN bound is refused too
+    if not cost <= _MAX_WORK:
+        raise ValueError(
+            f"Liouville transport would take up to {cost:.3g} multiply-adds"
+            f" ({brackets:.3g} brackets on the {rho0.n_q}x{rho0.n_p} grid,"
+            f" ||L|| <= {bound:.3g}), above the budget of {_MAX_WORK:.3g}"
+        )
 
     grid = rho0.grid.astype(float).copy()
     traj = Trajectory()
@@ -295,21 +345,27 @@ def liouville_evolve(
         traj.extras["min_entry"].append(float(grid.min()))
         traj.extras["boundary_mass"].append(boundary)
 
-    # the Horner stages (dt/k) L, k = 4, 3, 2, 1, each as its scaled partials
-    stages = [((dt / k) * dh_dq, (dt / k) * dh_dp) for k in (4, 3, 2, 1)]
-    partial, bracket, work = (np.empty_like(grid) for _ in range(3))
+    term, nxt, work = (np.empty_like(grid) for _ in range(3))
     record(0)
-    # a diverging run overflows to inf and NaN between records; the mass
-    # test at the next record reports it, so numpy need not warn on the way
+    # values that overflow to inf or NaN reach the mass test at the next
+    # record, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
-            _bracket(*stages[0], grid, d_q, d_p_t, out=bracket, work=work)
-            for a, b in stages[1:]:
-                np.add(grid, bracket, out=partial)
-                _bracket(a, b, partial, d_q, d_p_t, out=bracket, work=work)
-            grid += bracket
-            if step % record_stride == 0 or step == steps:
-                record(step)
+        for stop, tau, count in zip(marks[1:], taus, substeps):
+            count = max(1, int(count))  # 0 when h is constant
+            sub = tau / count
+            for _ in range(count):
+                # ||term||_F <= u ||g||_F, compared squared
+                tol = _UNIT_ROUNDOFF**2 * np.vdot(grid, grid)
+                term[...] = grid
+                # term_k = (sub/k) L term_{k-1}, added as it is formed
+                for k in range(1, _DEGREE_CAP + 1):
+                    _bracket(dh_dq, dh_dp, term, d_q, d_p_t, out=nxt, work=work)
+                    nxt *= sub / k
+                    grid += nxt
+                    term, nxt = nxt, term
+                    if np.vdot(term, term) <= tol:
+                        break
+            record(stop)
     return traj
 
 
@@ -354,18 +410,10 @@ def von_neumann_evolve(
     ``Tr(O rho(t)) = sum_ab O~_ba rho~_ab e^{-i(E_a - E_b)t/hbar}``, evaluated
     directly, so no error accumulates from step to step.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    if record_stride < 1:
-        raise ValueError(f"record_stride must be at least 1, got {record_stride}")
+    marks = _record_steps(dt, steps, record_stride)
     factors = qm_factors(h, bq, bp)
     if not has_hermitian_image(h):
         raise ValueError("Hamiltonian is not Hermitian on a finite pair")
-    marks = list(range(0, steps + 1, record_stride))
-    if marks[-1] != steps:
-        marks.append(steps)
     times = [step * dt for step in marks]
     reduced = _reduced_densities(state0, bq.dim, bp.dim)
 

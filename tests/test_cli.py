@@ -561,8 +561,8 @@ def test_format_flag_is_only_on_report_commands(tmp_path, capsys):
 STEEP = {"dt": 0.2, "n_grid": 16, "n_fock": 8}
 
 
-# runs that overflow to NaN between two records: the mass test must still
-# catch them, since no comparison with NaN is true
+# configs whose dt lies beyond the stability bound of a fixed-step RK4; the
+# last two overflowed it to NaN between two records
 OVERFLOW_AUTO = {
     "h_values": [0.0],
     "dynamics": {"mode": "auto", "dt": 0.2, "n_grid": 16, "steps": 5000, "record_stride": 5000},
@@ -572,33 +572,65 @@ OVERFLOW_COMPARE = {
 }
 
 
+@pytest.mark.filterwarnings("ignore:boundary ring:RuntimeWarning")
 @pytest.mark.parametrize(
-    "config, one_line",
+    "config, drift_key",
     [
-        ({"dynamics": STEEP}, False),
-        ({"h_values": [0.0], "dynamics": {**STEEP, "mode": "auto"}}, False),
-        # the overflowing runs never reach the boundary ring's warning
-        (OVERFLOW_COMPARE, True),
-        (OVERFLOW_AUTO, True),
+        ({"dynamics": STEEP}, "classical_mass_drift"),
+        ({"h_values": [0.0], "dynamics": {**STEEP, "mode": "auto"}}, "final_drift"),
+        (OVERFLOW_COMPARE, "classical_mass_drift"),
+        (OVERFLOW_AUTO, "final_drift"),
     ],
     ids=["compare", "auto", "compare-nan", "auto-nan"],
 )
-def test_main_diverging_liouville_run_is_usage_error(tmp_path, config, one_line):
+def test_main_coarse_dt_liouville_run_conserves_mass(tmp_path, capsys, config, drift_key):
+    # dt sets only the record grid: exp(tau L) is summed in substeps that
+    # its norm bound sets, whatever the record spacing
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    meta = json.loads((out / "evolve_meta.json").read_text())
+    assert meta[drift_key] < 1e-12
+
+
+# a child process whose bracket returns inf, so that the mass test at the
+# first record after t = 0 must abort the run
+INF_BRACKET_MAIN = """
+import sys
+import numpy as np
+import qclab.dynamics
+
+def inf_bracket(*args, out, work):
+    out.fill(np.inf)
+    return out
+
+qclab.dynamics._bracket = inf_bracket
+from qclab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"dynamics": STEEP}, {"h_values": [0.0], "dynamics": {**STEEP, "mode": "auto"}}],
+    ids=["compare", "auto"],
+)
+def test_main_diverging_liouville_run_is_usage_error(tmp_path, config):
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(config))
     # a child process, so that the test sees the warnings a user's terminal
     # shows rather than the ones pytest records
     run = _run_python(
-        "-c", "import sys; from qclab.cli import main; sys.exit(main(sys.argv[1:]))",
+        "-c", INF_BRACKET_MAIN,
         "evolve", "--config", str(path), "--out", str(tmp_path / "out"),
         timeout=300,
     )
     assert run.returncode == 2
-    assert "error: Liouville integration unstable" in run.stderr
+    assert run.stderr.startswith("error: Liouville integration unstable")
+    assert run.stderr.count("\n") == 1
     assert "encountered in" not in run.stderr
-    if one_line:
-        assert run.stderr.startswith("error: Liouville integration unstable")
-        assert run.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -659,8 +691,11 @@ def test_main_non_finite_state_or_mean_is_usage_error(tmp_path, capsys, argv, co
         (["--h", "1.0", "--expr", "Q*P"], {"dynamics": {"mode": "auto"}},
          "Hamiltonian is not Hermitian"),
         ([], {"dynamics": {"mode": "auto"}}, "evolve needs exactly one h value"),
+        # ||L|| <= 3.9e30 on the default grid: refused before any bracket
+        (["--h", "0.0", "--expr", "Q^32"], {"dynamics": {"mode": "auto"}},
+         "Liouville transport would take up to"),
     ],
-    ids=["compare-QP", "auto-QP", "auto-no-single-h"],
+    ids=["compare-QP", "auto-QP", "auto-no-single-h", "auto-steep-flow"],
 )
 def test_main_evolve_refusal_is_usage_error(tmp_path, capsys, argv, config, message):
     path = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@ oscillator comparison harness."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qclab import dynamics as dyn
 from qclab.expr import differentiate, parse_expr
@@ -49,7 +50,7 @@ def test_spectral_derivative_kills_nyquist():
 
 
 def poisson_bracket(hgrid, rho, dh_dq=None, dh_dp=None):
-    """Bracket {h, rho} on the periodic grid, as the stepper applies it.
+    """Bracket {h, rho} on the periodic grid, as ``liouville_evolve`` applies it.
 
     By default both partials of h are spectral, like the density's.
     """
@@ -184,7 +185,7 @@ def test_liouville_warns_when_flow_reaches_boundary():
 
 def four_stage_liouville(rho0, h_text, dt, steps, record_stride):
     """The classic four-stage RK4 loop with its own recording, the oracle
-    for the stepper's Horner form."""
+    for the Taylor action of exp(tau L) when run at a refined step."""
     node = parse_expr(h_text)
     qm, pm = np.meshgrid(rho0.q_values, rho0.p_values, indexing="ij")
     hvals = dyn._mesh_eval(node, qm, pm)
@@ -240,9 +241,10 @@ def four_stage_liouville(rho0, h_text, dt, steps, record_stride):
     ],
     ids=["oscillator-64", "quartic-12x17", "partial-stride"],
 )
-def test_horner_stepper_matches_the_four_stage_loop(rho0, h_text, dt, steps, stride):
+def test_taylor_action_matches_the_refined_four_stage_loop(rho0, h_text, dt, steps, stride):
     got = dyn.liouville_evolve(rho0, h_text, dt, steps, record_stride=stride)
-    want = four_stage_liouville(rho0, h_text, dt, steps, stride)
+    # RK4 at dt/8 records at the same times, exactly: 8k * (dt/8) == k * dt
+    want = four_stage_liouville(rho0, h_text, dt / 8, 8 * steps, 8 * stride)
     assert got.times == want.times
     columns = ("mean_q", "mean_p", "mean_energy", "norm_or_trace")
     for name in columns:
@@ -250,6 +252,96 @@ def test_horner_stepper_matches_the_four_stage_loop(rho0, h_text, dt, steps, str
     assert sorted(got.extras) == sorted(want.extras)
     for name, values in want.extras.items():
         np.testing.assert_allclose(got.extras[name], values, rtol=0, atol=1e-12)
+
+
+def test_taylor_action_rotates_the_oscillator_in_closed_form():
+    q0, p0 = 1.0, 0.5
+    steps = 628
+    traj = dyn.liouville_evolve(
+        centered_gaussian(q0=q0, p0=p0), OSC, 2.0 * np.pi / steps, steps, record_stride=20
+    )
+    t = np.array(traj.times)
+    np.testing.assert_allclose(traj.mean_q, q0 * np.cos(t) + p0 * np.sin(t), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(traj.mean_p, p0 * np.cos(t) - q0 * np.sin(t), rtol=0, atol=1e-13)
+    assert traj.drift() < 1e-14
+
+
+_COEFFICIENTS = st.sampled_from(["-1", "-1/2", "0", "0", "1/3", "1"])
+
+
+@st.composite
+def _separable_flows(draw):
+    """A Gaussian on a grid with N_q != N_p, and h = T(P) + V(Q) of degree
+    at most 4, as its source text."""
+    n_q = draw(st.integers(6, 16))
+    n_p = draw(st.integers(6, 16).filter(lambda n: n != n_q))
+    h_text = " + ".join(
+        f"({draw(_COEFFICIENTS)})*{x}^{k}" for x in "PQ" for k in range(1, 5)
+    )
+    length_q, length_p = (draw(st.sampled_from([6.0, 8.0])) for _ in range(2))
+    q0, p0 = (draw(st.sampled_from([-0.5, 0.0, 0.5])) for _ in range(2))
+    rho0 = dyn.PhaseSpaceDensity.gaussian(
+        n_q, n_p, length_q, length_p, q0, p0, 0.15 * length_q, 0.15 * length_p
+    )
+    return rho0, h_text
+
+
+@pytest.mark.filterwarnings("ignore:boundary ring:RuntimeWarning")
+@given(
+    _separable_flows(),
+    st.sampled_from([8, 40, 176]),
+    st.integers(1, 352),
+)
+@example((centered_gaussian(n=8, length=6.0), "0"), 8, 20)  # B = 0: one bracket per interval
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_taylor_action_of_random_separable_flows_matches_the_refined_loop(
+    flow, stride, steps
+):
+    rho0, h_text = flow
+    node = parse_expr(h_text)
+    qm, pm = np.meshgrid(rho0.q_values, rho0.p_values, indexing="ij")
+    h_max, dh_dq_max, dh_dp_max = (
+        np.abs(dyn._mesh_eval(n, qm, pm)).max()
+        for n in (node, differentiate(node, "Q"), differentiate(node, "P"))
+    )
+    # a time scale from pi / spacing, the wavenumber no grid exceeds: RK4 at
+    # dt/8 then meets the tolerance, and a 176-step record interval takes
+    # up to 3 substeps
+    rate = dh_dq_max * np.pi / rho0.dp + dh_dp_max * np.pi / rho0.dq
+    dt = 1.0 / (8.0 * rate) if rate > 0 else 0.1
+    got = dyn.liouville_evolve(rho0, h_text, dt, steps, record_stride=stride)
+    want = four_stage_liouville(rho0, h_text, dt / 8, 8 * steps, 8 * stride)
+    assert got.times == want.times
+    # 1e-12 of each column's largest possible magnitude on the grid
+    scales = {
+        "mean_q": rho0.extent[0] / 2, "mean_p": rho0.extent[1] / 2,
+        "mean_energy": max(1.0, h_max), "norm_or_trace": 1.0,
+    }
+    for name, scale in scales.items():
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=0, atol=1e-12 * scale
+        )
+
+
+def test_a_non_finite_bracket_costs_the_degree_cap_per_substep(monkeypatch):
+    # a NaN term never meets the stopping test, so every substep runs to the
+    # cap; the mass test then aborts at the record
+    limit = 5 * dyn._DEGREE_CAP
+    calls = []
+
+    def nan_bracket(*args, out, work):
+        calls.append(1)
+        if len(calls) > limit:
+            raise AssertionError("a substep ran past the degree cap")
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(dyn, "_bracket", nan_bracket)
+    # on 16 points of spacing 1, B = 2 * 8 * (2 pi * 7/16) = 43.98, so a
+    # record interval of tau = 1 takes ceil(tau B / 9.9) = 5 substeps
+    with pytest.raises(dyn.LiouvilleUnstable, match="mass nan at step 100"):
+        dyn.liouville_evolve(centered_gaussian(n=16), OSC, 0.01, 100, record_stride=100)
+    assert len(calls) == limit
 
 
 def quantum_setup(n_fock=24, q0=1.0, p0=0.0, expr=OSC):
