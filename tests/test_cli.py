@@ -693,7 +693,7 @@ def test_main_non_finite_state_or_mean_is_usage_error(tmp_path, capsys, argv, co
         ([], {"dynamics": {"mode": "auto"}}, "evolve needs exactly one h value"),
         # ||L|| <= 3.9e30 on the default grid: refused before any bracket
         (["--h", "0.0", "--expr", "Q^32"], {"dynamics": {"mode": "auto"}},
-         "Liouville transport would take up to"),
+         "Liouville transport would take at least"),
     ],
     ids=["compare-QP", "auto-QP", "auto-no-single-h", "auto-steep-flow"],
 )

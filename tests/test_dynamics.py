@@ -344,6 +344,24 @@ def test_a_non_finite_bracket_costs_the_degree_cap_per_substep(monkeypatch):
     assert len(calls) == limit
 
 
+@pytest.mark.parametrize(
+    "params",
+    [dyn.OscillatorParams(n_grid=256), dyn.OscillatorParams(n_grid=128, record_stride=1)],
+    ids=["default-256", "128-stride-1"],
+)
+def test_the_work_budget_admits_runs_the_four_stage_loop_finished(monkeypatch, params):
+    # RK4 ran both in 25,132 brackets; a bracket that returns zero ends each
+    # substep after two terms, so the run costs little more than its records
+    def zero_bracket(*args, out, work):
+        out.fill(0.0)
+        return out
+
+    monkeypatch.setattr(dyn, "_bracket", zero_bracket)
+    table = dyn.oscillator_compare(params)
+    assert table.times[-1] == pytest.approx(2.0 * np.pi, rel=1e-15)
+    assert table.classical_mass_drift() == 0.0
+
+
 def quantum_setup(n_fock=24, q0=1.0, p0=0.0, expr=OSC):
     hbar = 1.0
     b = build_backend("fock", n_fock, hbar)
