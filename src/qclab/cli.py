@@ -226,7 +226,7 @@ class RunConfig:
         default_factory=lambda: BackendSpec(kind="grid-momentum")
     )
     weights: WeightsConfig = field(default_factory=WeightsConfig)
-    observable: str = "(1/2)*(P^2 + Q^2)"
+    observable: str = dyn.OSCILLATOR_EXPR
     family: str = "tilde"
     state: StateSpec = field(default_factory=StateSpec)
     dynamics: DynamicsSpec = field(default_factory=DynamicsSpec)
@@ -543,29 +543,15 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
                 f"no dynamics defined at intermediate h (h={h!r},"
                 f" h_o={config.h_o!r}); only the endpoints evolve"
             )
+    # every field of the oscillator run but hbar is a dynamics key of the same name
+    shared = {f.name for f in fields(dyn.OscillatorParams)} & {f.name for f in fields(ds)}
+    params = dyn.OscillatorParams(hbar=config.hbar, **{n: getattr(ds, n) for n in shared})
     if ds.mode == "compare":
-        gens = make_generators()
-        observable, oscillator = (
-            eval_ncpoly(parse_expr(text), gens.q_qm, gens.p_qm)
-            for text in (config.observable, dyn.OSCILLATOR_EXPR)
-        )
-        if observable != oscillator:
+        if dyn.qm_hamiltonian(config.observable) != dyn.qm_hamiltonian(dyn.OSCILLATOR_EXPR):
             raise ConfigError(
                 f"compare mode evolves the oscillator {dyn.OSCILLATOR_EXPR} only,"
                 f" got observable {config.observable!r}"
             )
-        params = dyn.OscillatorParams(
-            q0=ds.q0,
-            p0=ds.p0,
-            hbar=config.hbar,
-            sigma=ds.sigma,
-            n_grid=ds.n_grid,
-            n_fock=ds.n_fock,
-            length=ds.length,
-            dt=ds.dt,
-            period_count=ds.period_count,
-            record_stride=ds.record_stride,
-        )
         table = dyn.oscillator_compare(params)
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "comparison.csv")
@@ -591,26 +577,19 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
             " h_values)"
         )
     h = config.h_values[0]
-    steps = ds.steps
-    if steps is None:
-        steps = max(1, round(2.0 * np.pi * ds.period_count / ds.dt))
+    steps = params.steps() if ds.steps is None else ds.steps
     if h == 0.0:
-        sigma = ds.sigma if ds.sigma is not None else float(np.sqrt(config.hbar / 2.0))
-        rho0 = dyn.PhaseSpaceDensity.gaussian(
-            ds.n_grid, ds.n_grid, ds.length, ds.length,
-            ds.q0, ds.p0, sigma, sigma,
-        )
         traj = dyn.liouville_evolve(
-            rho0, config.observable, ds.dt, steps, record_stride=ds.record_stride
+            params.density(), config.observable, params.dt, steps,
+            record_stride=params.record_stride,
         )
         label = "liouville"
     else:  # h == h_o, the only other endpoint the opening check lets through
         bq, bp = build_backends(config)
         state = build_state(config, bq, bp)
-        gens = make_generators()
-        h_poly = eval_ncpoly(parse_expr(config.observable), gens.q_qm, gens.p_qm)
         traj = dyn.von_neumann_evolve(
-            state, h_poly, bq, bp, ds.dt, steps, record_stride=ds.record_stride
+            state, dyn.qm_hamiltonian(config.observable), bq, bp, params.dt, steps,
+            record_stride=params.record_stride,
         )
         label = "von-neumann"
     os.makedirs(out_dir, exist_ok=True)
@@ -622,9 +601,9 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
             "mode": label,
             "h": h,
             "hbar": config.hbar,
-            "dt": ds.dt,
+            "dt": params.dt,
             "steps": steps,
-            "record_stride": ds.record_stride,
+            "record_stride": params.record_stride,
             "final_drift": traj.drift(),
         },
     )

@@ -441,6 +441,15 @@ def von_neumann_evolve(
     return traj
 
 
+OSCILLATOR_EXPR = "(1/2)*(P^2 + Q^2)"
+
+
+def qm_hamiltonian(text: str) -> TensorPoly:
+    """The quantum-endpoint element of the expression ``text`` in Q, P."""
+    gens = make_generators()
+    return eval_ncpoly(expr_mod.parse_expr(text), gens.q_qm, gens.p_qm)
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Discretization and initial data for the two-sided oscillator run."""
@@ -459,8 +468,16 @@ class OscillatorParams:
     def width(self) -> float:
         return self.sigma if self.sigma is not None else float(np.sqrt(self.hbar / 2.0))
 
+    def steps(self) -> int:
+        """The whole number of ``dt`` steps nearest ``period_count`` periods 2 pi, at least 1."""
+        return max(1, round(2.0 * np.pi * self.period_count / self.dt))
 
-OSCILLATOR_EXPR = "(1/2)*(P^2 + Q^2)"
+    def density(self) -> PhaseSpaceDensity:
+        """The Gaussian of width ``width()`` at (q0, p0) on the n_grid^2 box of side ``length``."""
+        s = self.width()
+        return PhaseSpaceDensity.gaussian(
+            self.n_grid, self.n_grid, self.length, self.length, self.q0, self.p0, s, s
+        )
 
 
 @dataclass
@@ -514,37 +531,18 @@ def oscillator_compare(params: OscillatorParams) -> ComparisonTable:
     the same time grid; the step count is rounded so the run lands exactly
     on the requested number of periods.
     """
-    period = 2.0 * np.pi
-    total = period * params.period_count
-    steps = max(1, round(total / params.dt))
-    dt = total / steps
-    sigma = params.width()
-
-    rho0 = PhaseSpaceDensity.gaussian(
-        params.n_grid,
-        params.n_grid,
-        params.length,
-        params.length,
-        params.q0,
-        params.p0,
-        sigma,
-        sigma,
-    )
+    steps = params.steps()
+    dt = 2.0 * np.pi * params.period_count / steps
     classical = liouville_evolve(
-        rho0, OSCILLATOR_EXPR, dt, steps, record_stride=params.record_stride
+        params.density(), OSCILLATOR_EXPR, dt, steps, record_stride=params.record_stride
     )
 
-    bq = build_backend("fock", params.n_fock, params.hbar)
-    bp = build_backend("fock", params.n_fock, params.hbar)
+    fock = build_backend("fock", params.n_fock, params.hbar)
     alpha = (params.q0 + 1j * params.p0) / np.sqrt(2.0 * params.hbar)
     psi = coherent_state(params.n_fock, alpha)
     state = lift_qm_eigenstate(psi, WeightSpec.default(params.n_fock, params.n_fock))
-    gens = make_generators()
-    h = eval_ncpoly(expr_mod.parse_expr(OSCILLATOR_EXPR), gens.q_qm, gens.p_qm)
     quantum = von_neumann_evolve(
-        state, h, bq, bp, dt, steps, record_stride=params.record_stride
+        state, qm_hamiltonian(OSCILLATOR_EXPR), fock, fock, dt, steps,
+        record_stride=params.record_stride,
     )
-
-    if classical.times != quantum.times:
-        raise RuntimeError("recording grids of the two runs diverged")
     return ComparisonTable(times=list(classical.times), classical=classical, quantum=quantum)

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as expr_mod
+from .dynamics import OSCILLATOR_EXPR, PhaseSpaceDensity, qm_hamiltonian
 from .matrep import (
     _dft_matrix,
     apply,
@@ -337,11 +338,11 @@ def _check_homomorphism_bulk(ctx: _Ctx, index: int) -> tuple[bool, str]:
 def _check_hermiticity_transport(ctx: _Ctx, index: int) -> tuple[bool, str]:
     bq = build_backend("fock", 8, ctx.hbar)
     bp = build_backend("fock", 8, ctx.hbar)
-    osc = expr_mod.parse_expr("(1/2)*(P^2 + Q^2)")
+    osc = expr_mod.parse_expr(OSCILLATOR_EXPR)
     candidates = [
         ("q_tilde@1/3", ctx.gens.q_tilde.substitute_lambda(Fraction(1, 3))),
         ("p_tilde@1/3", ctx.gens.p_tilde.substitute_lambda(Fraction(1, 3))),
-        ("oscillator-qm", eval_ncpoly(osc, ctx.gens.q_qm, ctx.gens.p_qm)),
+        ("oscillator-qm", qm_hamiltonian(OSCILLATOR_EXPR)),
         ("oscillator-cm", eval_ncpoly(osc, ctx.gens.q_cm, ctx.gens.p_cm)),
     ]
     worst = 0.0
@@ -395,8 +396,7 @@ def _check_oscillator_spectrum(ctx: _Ctx, index: int) -> tuple[bool, str]:
     n = 16
     bq = build_backend("fock", n, ctx.hbar)
     bp = build_backend("fock", n, ctx.hbar)
-    osc = expr_mod.parse_expr("(1/2)*(P^2 + Q^2)")
-    h = realize(eval_ncpoly(osc, ctx.gens.q_qm, ctx.gens.p_qm), bq, bp)
+    h = realize(qm_hamiltonian(OSCILLATOR_EXPR), bq, bp)
     groups = spectrum(h)
     worst = 0.0
     for level in range(6):
@@ -432,9 +432,8 @@ def _lifting_residuals(
 ) -> float:
     bq = build_backend("fock", n, ctx.hbar)
     bp = build_backend("fock", n, ctx.hbar)
-    osc = expr_mod.parse_expr("(1/2)*(P^2 + Q^2)")
     # H v is read from the factors: the realized H would be 2n^2 x 2n^2
-    h = eval_ncpoly(osc, ctx.gens.q_qm, ctx.gens.p_qm)
+    h = qm_hamiltonian(OSCILLATOR_EXPR)
     worst = 0.0
     for level in range(levels):
         psi = np.zeros(n, dtype=complex)
@@ -507,8 +506,6 @@ def _check_point_universality(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 
 def _default_grid_density(ctx: _Ctx):
-    from .dynamics import PhaseSpaceDensity
-
     return PhaseSpaceDensity.gaussian(8, 8, 8.0, 8.0, 0.0, 0.0, 1.2, 1.2)
 
 
@@ -517,7 +514,7 @@ def _check_mean_scale_invariance(ctx: _Ctx, index: int) -> tuple[bool, str]:
     bp = build_backend("grid-momentum", 8, ctx.hbar, 8.0)
     rho = _default_grid_density(ctx)
     density = cm_mixed_density(rho, 1 / np.sqrt(2.0), 1 / np.sqrt(2.0))
-    osc = expr_mod.parse_expr("(1/2)*(P^2 + Q^2)")
+    osc = expr_mod.parse_expr(OSCILLATOR_EXPR)
     a = realize(eval_ncpoly(osc, ctx.gens.q_cm, ctx.gens.p_cm), bq, bp)
     base = mean_value(density, a)
     worst = 0.0
@@ -528,8 +525,6 @@ def _check_mean_scale_invariance(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 
 def _check_pure_mixed_consistency(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    from .dynamics import PhaseSpaceDensity
-
     bq = build_backend("grid-position", 8, ctx.hbar, 8.0)
     bp = build_backend("grid-momentum", 8, ctx.hbar, 8.0)
     k, l = 2, 5
