@@ -142,11 +142,17 @@ class PhaseSpaceDensity:
         q = -length_q / 2.0 + dq * np.arange(n_q)
         p = -length_p / 2.0 + dp * np.arange(n_p)
         qm, pm = np.meshgrid(q, p, indexing="ij")
-        with np.errstate(all="ignore"):  # a width that underflows is refused on construction
-            grid = np.exp(
-                -((qm - q0) ** 2) / (2.0 * sigma_q**2)
-                - ((pm - p0) ** 2) / (2.0 * sigma_p**2)
+        try:
+            spread_q, spread_p = 2.0 * sigma_q**2, 2.0 * sigma_p**2
+        except OverflowError:  # a square of Python floats past the float range
+            spread_q = spread_p = np.inf
+        if not np.isfinite(spread_q + spread_p):
+            raise ValueError(
+                f"the phase-space Gaussian of widths ({sigma_q!r}, {sigma_p!r})"
+                " has a squared width past the float range"
             )
+        with np.errstate(all="ignore"):  # a width that underflows is refused on construction
+            grid = np.exp(-((qm - q0) ** 2) / spread_q - ((pm - p0) ** 2) / spread_p)
             grid /= grid.sum() * dq * dp
         return PhaseSpaceDensity(grid, dq, dp, (length_q, length_p))
 
@@ -418,25 +424,32 @@ def von_neumann_evolve(
     directly, so no error accumulates from step to step.
     """
     marks = _record_steps(dt, steps, record_stride)
-    factors = qm_factors(h, bq, bp)
+    with np.errstate(all="ignore"):  # a factor that overflows is refused below
+        factors = qm_factors(h, bq, bp)
     if not has_hermitian_image(h):
         raise ValueError("Hamiltonian is not Hermitian on a finite pair")
+    for name, x in zip("qp", factors):
+        if not np.isfinite(x).all():
+            raise ValueError(f"the Hamiltonian's {name}-factor matrix is not finite on this pair")
     times = [step * dt for step in marks]
     reduced = _reduced_densities(state0, bq.dim, bp.dim)
 
     # rows: trace, q_qm, p_qm, H; columns: record times
     totals = np.zeros((4, len(times)))
-    for rho, x, backend in zip(reduced, factors, (bq, bp)):
-        energies, vectors = np.linalg.eigh(_hermitize(x))
-        phases = np.exp(np.outer(-1j * np.array(times) / backend.hbar, energies))
-        rotated = vectors.conj().T @ rho @ vectors
-        for row, mat in zip(totals, (np.eye(backend.dim), backend.qmat, backend.pmat, x)):
-            weights = (vectors.conj().T @ mat @ vectors).T * rotated
-            row += np.einsum("ta,ta->t", phases @ weights, phases.conj()).real
+    with np.errstate(all="ignore"):  # a record that overflows is refused below
+        for rho, x, backend in zip(reduced, factors, (bq, bp)):
+            energies, vectors = np.linalg.eigh(_hermitize(x))
+            phases = np.exp(np.outer(-1j * np.array(times) / backend.hbar, energies))
+            rotated = vectors.conj().T @ rho @ vectors
+            for row, mat in zip(totals, (np.eye(backend.dim), backend.qmat, backend.pmat, x)):
+                weights = (vectors.conj().T @ mat @ vectors).T * rotated
+                row += np.einsum("ta,ta->t", phases @ weights, phases.conj()).real
+        totals[1:] /= totals[0]
+    if not np.isfinite(totals).all():
+        raise ValueError(f"the quantum records are not finite (dt={dt!r}, steps={steps})")
 
     traj = Trajectory()
-    trace = totals[0]
-    for row in zip(times, *(totals[1:] / trace), trace):
+    for row in zip(times, *totals[1:], totals[0]):
         traj.append(*(float(v) for v in row))
     return traj
 

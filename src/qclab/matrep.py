@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -105,16 +104,22 @@ def build_backend(kind: str, n: int, hbar: float, length: float | None = None) -
         return Backend("fock", n, float(hbar), None, _freeze(qmat), _freeze(pmat), _freeze(labels))
     spacing = length / n
     points = -length / 2.0 + spacing * np.arange(n)
-    conjugate = 2.0 * np.pi * hbar * np.fft.fftfreq(n, d=spacing)
     f = _dft_matrix(n)
-    if kind == "grid-position":
-        qmat = np.diag(points.astype(complex))
-        pmat = _hermitize(f.conj().T @ np.diag(conjugate.astype(complex)) @ f)
-    else:
-        # momentum grid: P diagonal on the grid, Q = F diag(conjugate) F^dagger
-        # (the sign follows from Q acting as +i*hbar d/dp in this representation)
-        pmat = np.diag(points.astype(complex))
-        qmat = _hermitize(f @ np.diag(conjugate.astype(complex)) @ f.conj().T)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        conjugate = 2.0 * np.pi * hbar * np.fft.fftfreq(n, d=spacing)
+        if kind == "grid-position":
+            qmat = np.diag(points.astype(complex))
+            pmat = _hermitize(f.conj().T @ np.diag(conjugate.astype(complex)) @ f)
+        else:
+            # momentum grid: P diagonal on the grid, Q = F diag(conjugate) F^dagger
+            # (the sign follows from Q acting as +i*hbar d/dp in this representation)
+            pmat = np.diag(points.astype(complex))
+            qmat = _hermitize(f @ np.diag(conjugate.astype(complex)) @ f.conj().T)
+    if not (np.isfinite(qmat).all() and np.isfinite(pmat).all()):
+        raise ValueError(
+            f"the {kind} backend of {n} points on length {length!r} at hbar={hbar!r}"
+            " has a Q or P that is not finite"
+        )
     return Backend(kind, n, float(hbar), float(length), _freeze(qmat), _freeze(pmat), _freeze(points))
 
 
@@ -481,7 +486,7 @@ def spectrum(m: np.ndarray, group_tol: float = 1e-8) -> list[tuple[float, int]]:
 def export_matrix(
     m: np.ndarray,
     path: str,
-    kind: Mapping[str, str] | str,
+    kind: dict[str, str],
     dims: tuple[int, int],
     hbar: float,
 ) -> None:
@@ -490,7 +495,8 @@ def export_matrix(
 
     Layout: entries in column-major order, each entry as two consecutive
     little-endian float64 values (real part then imaginary part).  The
-    sidecar at ``path + '.json'`` records kind, dims, hbar, and ordering.
+    sidecar at ``path + '.json'`` records the factor kinds ``kind``, dims, hbar,
+    and ordering.
     """
     flat = m.flatten(order="F")
     interleaved = np.empty(2 * flat.size, dtype="<f8")
@@ -499,7 +505,7 @@ def export_matrix(
     with open(path, "wb") as fh:
         fh.write(interleaved.tobytes())
     sidecar = {
-        "kind": kind if isinstance(kind, str) else dict(kind),
+        "kind": kind,
         "dims": [*dims, 2],
         "hbar": hbar,
         "ordering": ORDERING,

@@ -16,7 +16,7 @@ complex rational as a pair ``(re, im)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import copysign, gcd, inf, lcm
 from numbers import Rational
 from typing import Mapping
 
@@ -223,8 +223,12 @@ class ScalarCoeff:
         d = self._den
         total = 0j
         for (a, _), (re, im) in self._num.items():
+            try:
+                power = hbar**a
+            except OverflowError:  # past the float range: inf, for the caller to refuse
+                power = copysign(inf, hbar) if a % 2 else inf
             # int / int is correctly rounded, as float(Fraction) is
-            total += (complex(re / d) + 1j * complex(im / d)) * hbar**a
+            total += (complex(re / d) + 1j * complex(im / d)) * power
         return total
 
     # -- canonical identity ------------------------------------------------

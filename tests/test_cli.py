@@ -635,7 +635,11 @@ def test_main_diverging_liouville_run_is_usage_error(tmp_path, config):
 
 
 FOCK_8 = {"kind": "fock", "n": 8}
+FOCK_2 = {"kind": "fock", "n": 2}
 NOT_FINITE = "is not finite or has zero norm"
+WIDE_DENSITY = (
+    "the phase-space Gaussian of widths (1e+200, 1e+200) has a squared width past the float range"
+)
 
 
 @pytest.mark.parametrize(
@@ -663,11 +667,33 @@ NOT_FINITE = "is not finite or has zero norm"
          "density has negative or NaN entries (min nan)"),
         (["evolve", "--h", "0.0"], {"dynamics": {"mode": "auto", "sigma": 1e-170}},
          "density has negative or NaN entries (min nan)"),
+        # hbar^2 of a coefficient is past the float range
+        (["kernels", "--h", "0.5"], {"hbar": 1e200, "observable": "Q^2*P^2 + P^2*Q^2"},
+         "the realized observable is not finite at hbar=1e+200"),
+        (["evolve"], {"dynamics": {"sigma": 1e200}}, WIDE_DENSITY),
+        (["evolve"], {"h_values": [0.0], "dynamics": {"mode": "auto", "sigma": 1e200}},
+         WIDE_DENSITY),
+        # P^2 on a momentum grid of length 1e300
+        (["evolve", "--h", "1.0"],
+         {"backend_p": {"kind": "grid-momentum", "n": 2, "length": 1e300},
+          "dynamics": {"mode": "auto", "steps": 20}},
+         "the Hamiltonian's p-factor matrix is not finite on this pair"),
+        # finite factors, but the phases E t / hbar overflow
+        (["evolve", "--h", "1.0", "--expr", "Q^8"],
+         {"backend_q": FOCK_2, "backend_p": {"kind": "grid-position", "n": 2, "length": 1e8},
+          "dynamics": {"mode": "auto", "steps": 1, "dt": 1e300}},
+         "the quantum records are not finite (dt=1e+300, steps=1)"),
+        (["sweep", "--expr", "Q^4 + P^4"],
+         {"hbar": 1e30, "backend_q": {"kind": "grid-position", "n": 6, "length": 1e-300}},
+         "the grid-position backend of 6 points on length 1e-300 at hbar=1e+30"
+         " has a Q or P that is not finite"),
     ],
     ids=[
         "sweep-q0-1e300", "evolve-q0-1e300", "sweep-hbar-1e200", "sweep-sigma-1e-170",
         "sweep-sigma-1e-300", "sweep-sigma-1e200", "evolve-sigma-1e-170",
         "kernels-hbar-1e200", "compare-sigma-1e-170", "liouville-sigma-1e-170",
+        "kernels-hbar-power-overflow", "compare-sigma-1e200", "liouville-sigma-1e200",
+        "von-neumann-factor-overflow", "von-neumann-record-overflow", "sweep-backend-overflow",
     ],
 )
 def test_main_non_finite_state_or_mean_is_usage_error(tmp_path, capsys, argv, config, message):

@@ -618,3 +618,12 @@ def test_comparison_table_csv(tmp_path):
 def test_oscillator_params_width_default():
     assert dyn.OscillatorParams().width() == pytest.approx(np.sqrt(0.5))
     assert dyn.OscillatorParams(sigma=0.3).width() == 0.3
+    assert dyn.OscillatorParams(dt=1e-3).steps() == 6283
+    assert dyn.OscillatorParams(dt=10.0).steps() == 1
+    params = dyn.OscillatorParams(q0=0.7, p0=-0.4, n_grid=32)
+    rho = params.density()
+    assert rho.mass() == pytest.approx(1.0, abs=1e-12)
+    qm, pm = np.meshgrid(rho.q_values, rho.p_values, indexing="ij")
+    cell = rho.dq * rho.dp
+    assert (qm * rho.grid).sum() * cell == pytest.approx(0.7, abs=1e-9)
+    assert (pm * rho.grid).sum() * cell == pytest.approx(-0.4, abs=1e-9)

@@ -2,7 +2,7 @@
 Gaussian rationals (``exact_oracle``)."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +126,12 @@ def test_scalar_coeff_substitute_leaves_hbar_alone():
 def test_scalar_coeff_evaluate():
     s = ScalarCoeff.hbar(2) * from_complex_rational(CR_I)
     assert s.evaluate(2.0) == 4j
+
+
+def test_scalar_coeff_evaluate_overflowing_power_is_inf():
+    # a float power past the float range raises in Python; evaluate gives inf
+    assert ScalarCoeff.hbar(2).evaluate(1e200).real == inf
+    assert ScalarCoeff.hbar(3).evaluate(-1e200).real == -inf
 
 
 def test_scalar_coeff_evaluate_rejects_free_lambda():
