@@ -211,7 +211,8 @@ def _factored(bq: Backend, bp: Backend, *maps: dict) -> list:
 
 # Most a dense reading allocates at once: 1 GiB of complex entries, for the
 # product-space matrix together with the term temporary of ``_add_term``
-# (a realization up to dimension 7327; the verify suite peaks at 512).
+# (a realization up to dimension 7327; the verify suite peaks at 128, since
+# homomorphism-bulk and oscillator-spectrum read the quantum pair's factors).
 MAX_DENSE_BYTES = 1 << 30
 
 
@@ -321,6 +322,25 @@ def qm_factors(a: TensorPoly, bq: Backend, bp: Backend) -> tuple[np.ndarray, np.
     for i, _, c, x, y in terms:
         factors[i] += c * (x, y)[i]
     return factors[0], factors[1]
+
+
+def qm_product_defect(
+    a: TensorPoly, b: TensorPoly, bq: Backend, bp: Backend, levels: int
+) -> float:
+    """Largest entry modulus of ``realize(a*b) - realize(a) @ realize(b)`` on
+    the bottom ``levels`` levels of each factor, for polynomials in the
+    quantum generators, read from their factors (``qm_factors``).
+
+    ``(X (x) 1)(X' (x) 1) = XX' (x) 1`` (Van Loan, "The ubiquitous Kronecker
+    product", 2000), so each r-sector's block of the defect is ``D (x) 1``
+    with ``D = F_ab - F_a F_b`` for that sector's factors, whose kept part is
+    ``D[:levels, :levels]``; the blocks that couple the sectors are zero.
+    """
+    sectors = zip(*(qm_factors(x, bq, bp) for x in (a * b, a, b)))
+    return max(
+        float(np.max(np.abs((f_ab - f_a @ f_b)[:levels, :levels])))
+        for f_ab, f_a, f_b in sectors
+    )
 
 
 def _word_product(m: int, n: int, m2: int, n2: int) -> tuple:
@@ -459,18 +479,20 @@ def hermitian_tolerance(m: np.ndarray) -> float:
     return 1e-10 * max(1.0, float(np.max(np.abs(m))))
 
 
-def spectrum(m: np.ndarray, group_tol: float = 1e-8) -> list[tuple[float, int]]:
-    """Eigenvalues of a Hermitian matrix, ascending, with multiplicities.
-
-    Eigenvalues closer than ``group_tol`` to their predecessor are merged
-    into one group reported at the group mean.
-    """
+def _hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``m``, ascending, refused (ValueError) unless ``m`` is
+    Hermitian to ``hermitian_tolerance``."""
     defect, tol = hermitian_defect(m), hermitian_tolerance(m)
     if defect > tol:
         raise ValueError(
             f"matrix is not Hermitian (defect {defect:.3e} > {tol:.3e})"
         )
-    values = np.linalg.eigvalsh(_hermitize(m))
+    return np.linalg.eigvalsh(_hermitize(m))
+
+
+def _group(values: np.ndarray, group_tol: float) -> list[tuple[float, int]]:
+    """Ascending ``values`` as ``(group mean, size)`` pairs: a value closer than
+    ``group_tol`` to its predecessor joins that value's group."""
     out: list[tuple[float, int]] = []
     group: list[float] = []
     for v in values:
@@ -481,6 +503,31 @@ def spectrum(m: np.ndarray, group_tol: float = 1e-8) -> list[tuple[float, int]]:
     if group:
         out.append((float(np.mean(group)), len(group)))
     return out
+
+
+def spectrum(m: np.ndarray, group_tol: float = 1e-8) -> list[tuple[float, int]]:
+    """Eigenvalues of a Hermitian matrix, ascending, with multiplicities.
+
+    Eigenvalues closer than ``group_tol`` to their predecessor are merged
+    into one group reported at the group mean.
+    """
+    return _group(_hermitian_eigvalsh(m), group_tol)
+
+
+def qm_spectrum(
+    a: TensorPoly, bq: Backend, bp: Backend, group_tol: float = 1e-8
+) -> list[tuple[float, int]]:
+    """``spectrum(realize(a, bq, bp), group_tol)`` for a polynomial in the
+    quantum generators, read from its factors (``qm_factors``).
+
+    The realization is ``A (x) 1`` on E_qq and ``1 (x) B`` on E_pp, so its
+    eigenvalues are those of A, each N_p times, and those of B, each N_q
+    times (Horn and Johnson, *Topics in Matrix Analysis*, 4.4).  Each factor
+    must be Hermitian to its ``hermitian_tolerance``.
+    """
+    fa, fb = qm_factors(a, bq, bp)
+    values = [np.repeat(_hermitian_eigvalsh(f), n) for f, n in ((fa, bp.dim), (fb, bq.dim))]
+    return _group(np.sort(np.concatenate(values)), group_tol)
 
 
 def export_matrix(

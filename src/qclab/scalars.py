@@ -259,10 +259,10 @@ class ScalarCoeff:
                 str(re) if not im else f"{im}i" if not re
                 else f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
             )
-            syms = "".join(
-                [f"hbar^{a}" if a > 1 else "hbar" * min(a, 1),
-                 f"lam^{b}" if b > 1 else "lam" * min(b, 1)]
-            )
+            syms = "*".join(filter(None, [
+                f"hbar^{a}" if a > 1 else "hbar" * min(a, 1),
+                f"lam^{b}" if b > 1 else "lam" * min(b, 1),
+            ]))
             parts.append(f"{v}{'*' if syms else ''}{syms}")
         return " + ".join(parts)
 

@@ -8,12 +8,15 @@ with a flat index mask, where the library forms the defect's terms in the
 exact engine and reads each r-block from factor-sized maxima.
 ``vector_mean`` reads a pure state's mean with a dense product, where the
 sweep reads it from the factors and ``mean_value`` takes densities only.
+``dense_product_defect`` and ``dense_spectrum`` read the product-space
+matrices that ``qm_product_defect`` and ``qm_spectrum`` read from the
+quantum pair's factors.
 """
 
 import numpy as np
 
 from qclab.expr import Add, Const, Mul, Neg, Node, Pow, Sub, Var
-from qclab.matrep import Backend, hermitian_defect, hermitian_tolerance, realize
+from qclab.matrep import Backend, hermitian_defect, hermitian_tolerance, realize, spectrum
 from qclab.ncpoly import TensorPoly, tp_commutator
 
 
@@ -80,3 +83,22 @@ def dense_commutator_defect(
 def dense_bulk_commutator_defect(bq: Backend, bp: Backend, a: TensorPoly, b: TensorPoly) -> float:
     """The bulk part of :func:`dense_commutator_defect`."""
     return dense_commutator_defect(bq, bp, a, b)["bulk_defect_norm"]
+
+
+def dense_product_defect(
+    a: TensorPoly, b: TensorPoly, bq: Backend, bp: Backend, levels: int
+) -> float:
+    """Max entry of ``realize(a*b) - realize(a) @ realize(b)`` over the rows
+    and columns of the bottom ``levels`` levels of each factor, selected with
+    a flat index mask."""
+    defect = realize(a * b, bq, bp) - realize(a, bq, bp) @ realize(b, bq, bp)
+    keep_q, keep_p = (np.arange(f.dim) < levels for f in (bq, bp))
+    keep = np.kron(np.kron(keep_q, keep_p), np.ones(2, dtype=bool)).astype(bool)
+    return float(np.max(np.abs(defect[np.ix_(keep, keep)])))
+
+
+def dense_spectrum(
+    h: TensorPoly, bq: Backend, bp: Backend, group_tol: float = 1e-8
+) -> list[tuple[float, int]]:
+    """The grouped spectrum of the dense realization of ``h``."""
+    return spectrum(realize(h, bq, bp), group_tol)

@@ -24,6 +24,8 @@ from qclab.matrep import (
     hermitian_defect,
     hermitian_tolerance,
     max_entry,
+    qm_product_defect,
+    qm_spectrum,
     quadratic_form,
     realize,
     spectrum,
@@ -35,7 +37,12 @@ from qclab.expr import parse_expr, random_expr
 from qclab.scalars import ScalarCoeff
 from qclab.states import WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value
 
-from matrix_oracle import dense_commutator_defect, vector_mean
+from matrix_oracle import (
+    dense_commutator_defect,
+    dense_product_defect,
+    dense_spectrum,
+    vector_mean,
+)
 
 
 def test_fock_commutator_anomaly():
@@ -621,6 +628,52 @@ def test_oscillator_spectrum_tracks_hbar():
     groups = spectrum(m, group_tol=1e-6)
     assert groups[0][0] == pytest.approx(0.25, abs=1e-10)
     assert groups[1][0] == pytest.approx(0.75, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_qm_product_defect_matches_the_dense_product(n):
+    """The bulk product defect read from the factors is the masked defect of
+    the dense product, on 20 random pairs of degree at most 3."""
+    g = make_generators()
+    b = build_backend("fock", n, 1.0)
+    rng = np.random.default_rng([22, n])
+    for _ in range(20):
+        a, c = (
+            eval_ncpoly(random_expr(rng, max_degree=3, max_terms=3), g.q_qm, g.p_qm)
+            for _ in range(2)
+        )
+        assert qm_product_defect(a, c, b, b, n - 4) == pytest.approx(
+            dense_product_defect(a, c, b, b, n - 4), rel=0, abs=1e-12
+        )
+
+
+_FACTOR_PAIRS = {
+    "fock": (("fock", 12, None), ("fock", 12, None)),
+    "grid": (("grid-position", 7, 6.0), ("grid-momentum", 5, 6.0)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_FACTOR_PAIRS))
+@pytest.mark.parametrize(
+    "text", ["(1/2)*(P^2 + Q^2)", "(1/2)*(P^2 + Q^2) + (1/10)*Q^4"]
+)
+def test_qm_spectrum_matches_the_dense_spectrum(pair, text):
+    g = make_generators()
+    bq, bp = (build_backend(kind, n, 0.7, length) for kind, n, length in _FACTOR_PAIRS[pair])
+    h = eval_ncpoly(parse_expr(text), g.q_qm, g.p_qm)
+    groups, oracle = qm_spectrum(h, bq, bp), dense_spectrum(h, bq, bp)
+    assert [m for _, m in groups] == [m for _, m in oracle]
+    assert sum(m for _, m in groups) == 2 * bq.dim * bp.dim
+    np.testing.assert_allclose(
+        [v for v, _ in groups], [v for v, _ in oracle], rtol=0, atol=1e-12
+    )
+
+
+def test_qm_spectrum_refuses_a_non_hermitian_factor():
+    b = build_backend("fock", 3, 1.0)
+    a = TensorPoly({(1, 1, 0, 0, 0, 0): ScalarCoeff.one()})  # QP (x) 1 (x) E_qq
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qm_spectrum(a, b, b)
 
 
 def _import_matrix(path):

@@ -170,9 +170,9 @@ def test_scalar_coeff_str_is_stable():
         ({(0, 0): (Fraction(-3, 4), -2)}, "(-3/4-2i)"),
         ({(1, 0): (0, -1)}, "-1i*hbar"),
         ({(2, 0): (5, 0), (0, 1): (1, -1)}, "(1-1i)*lam + 5*hbar^2"),
-        # a power of hbar and a power of lam are written side by side
-        ({(1, 3): (Fraction(1, 6), 0), (0, 0): (1, 0)}, "1 + 1/6*hbarlam^3"),
-        ({(2, 1): (0, Fraction(7, 5)), (3, 2): (-1, 2)}, "7/5i*hbar^2lam + (-1+2i)*hbar^3lam^2"),
+        # a power of hbar and a power of lam are joined by *
+        ({(1, 3): (Fraction(1, 6), 0), (0, 0): (1, 0)}, "1 + 1/6*hbar*lam^3"),
+        ({(2, 1): (0, Fraction(7, 5)), (3, 2): (-1, 2)}, "7/5i*hbar^2*lam + (-1+2i)*hbar^3*lam^2"),
     ],
 )
 def test_scalar_coeff_str_renders_each_part(pairs, text):

@@ -1,12 +1,25 @@
 """The check-suite runner: reports, subsets, and fault-injection plumbing."""
 
 import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qclab.ncpoly import TensorPoly, factor_normalize, make_generators, tp_commutator
+from qclab.expr import random_expr
+from qclab.matrep import build_backend
+from qclab.ncpoly import (
+    TensorPoly,
+    eval_ncpoly,
+    factor_normalize,
+    make_generators,
+    rewrite_fault,
+    tp_commutator,
+)
 from qclab.scalars import ScalarCoeff
 from qclab.verify import CHECKS, SYMBOLIC_SUITE, run_verify
+
+from matrix_oracle import dense_product_defect
 
 
 def test_full_suite_passes():
@@ -101,6 +114,53 @@ def test_eigenstate_lifting_forms_no_product_space_matrix():
         tracemalloc.stop()
     assert report.all_passed
     assert peak < 8 * 2**20, peak
+
+
+def test_verify_forms_no_dense_matrix_past_dimension_128():
+    # homomorphism-bulk and oscillator-spectrum read the Fock 16 pair's
+    # factors; their dimension-512 matrices took 22 MiB
+    tracemalloc.start()
+    try:
+        report = run_verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 4 * 2**20, peak
+
+
+def _dense_homomorphism_defect(fault: float) -> float:
+    """The homomorphism-bulk defect read from dense products, on the check's
+    own random pairs at the default seed, with the swap constant scaled by
+    ``fault``."""
+    index = [c.name for c in CHECKS].index("homomorphism-bulk")
+    rng = np.random.default_rng([1234, index])
+    g = make_generators()
+    b = build_backend("fock", 16, 1.0)
+    swap = ScalarCoeff.from_rational(0, -Fraction(str(fault))) * ScalarCoeff.hbar()
+    worst = 0.0
+    with rewrite_fault(swap):
+        for _ in range(5):
+            a, c = (
+                eval_ncpoly(random_expr(rng, max_degree=3, max_terms=3), g.q_qm, g.p_qm)
+                for _ in range(2)
+            )
+            worst = max(worst, dense_product_defect(a, c, b, b, 12))
+    return worst
+
+
+@pytest.mark.parametrize("fault, approx_defect", [(0.5, 6.992), (-1.0, 27.968)])
+def test_fault_injection_breaks_the_factor_product_as_the_dense_one(fault, approx_defect):
+    report = run_verify(
+        fault_injection=fault, names=("homomorphism-bulk", "oscillator-spectrum")
+    )
+    product, osc = report.checks
+    assert product.status == "fail"
+    defect = float(product.witness.rsplit(" ", 1)[1])
+    assert defect == pytest.approx(_dense_homomorphism_defect(fault), rel=0, abs=1e-9)
+    assert defect == pytest.approx(approx_defect, abs=1e-3)
+    # the oscillator Hamiltonian has no product to reorder
+    assert osc.status == "pass"
 
 
 def test_elapsed_is_tracked_per_check():
