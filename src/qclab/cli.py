@@ -50,13 +50,7 @@ from .ncpoly import (
     make_generators,
     substitute_lambda,
 )
-from .states import (
-    WeightSpec,
-    cm_point_state,
-    coherent_state,
-    gaussian_grid_state,
-    lift_qm_eigenstate,
-)
+from .states import WeightSpec, cm_point_state, factor_packet, lift_qm_eigenstate
 from .verify import VerifyReport, run_verify
 
 _FAMILIES = ("tilde", "qm", "cm")
@@ -103,18 +97,11 @@ def _check_positive(label: str, value: float | None) -> None:
 
 
 @dataclass(frozen=True)
-class DynamicsSpec:
+class DynamicsSpec(dyn.OscillatorParams):
+    """The oscillator run's fields, the mode, and the auto-mode step count."""
+
     mode: str = "compare"
-    q0: float = 1.0
-    p0: float = 0.0
-    sigma: float | None = None
-    dt: float = 1e-3
     steps: int | None = None
-    period_count: int = 1
-    record_stride: int = 50
-    n_grid: int = 64
-    n_fock: int = 32
-    length: float = 16.0
 
     def validate(self) -> None:
         if self.mode not in _MODES:
@@ -321,13 +308,6 @@ def build_weights(config: RunConfig, n_q: int, n_p: int) -> WeightSpec:
     return spec
 
 
-def _factor_state(backend: Backend, spec: StateSpec) -> np.ndarray:
-    if backend.is_grid:
-        return gaussian_grid_state(backend, spec.q0, spec.p0, spec.sigma)
-    alpha = (spec.q0 + 1j * spec.p0) / np.sqrt(2.0 * backend.hbar)
-    return coherent_state(backend.dim, alpha)
-
-
 def build_state(config: RunConfig, bq: Backend, bp: Backend):
     spec = config.state
     weights = build_weights(config, bq.dim, bp.dim)
@@ -335,8 +315,7 @@ def build_state(config: RunConfig, bq: Backend, bp: Backend):
         return cm_point_state(
             bq, bp, spec.k, spec.l, weights.c_q, weights.c_p
         )
-    psi_q = _factor_state(bq, spec)
-    psi_p = _factor_state(bp, spec)
+    psi_q, psi_p = (factor_packet(b, spec.q0, spec.p0, spec.sigma) for b in (bq, bp))
     return lift_qm_eigenstate(psi_q, weights, psi_p=psi_p)
 
 
@@ -543,25 +522,24 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
                 f"no dynamics defined at intermediate h (h={h!r},"
                 f" h_o={config.h_o!r}); only the endpoints evolve"
             )
-    # every field of the oscillator run but hbar is a dynamics key of the same name
-    shared = {f.name for f in fields(dyn.OscillatorParams)} & {f.name for f in fields(ds)}
-    params = dyn.OscillatorParams(hbar=config.hbar, **{n: getattr(ds, n) for n in shared})
     if ds.mode == "compare":
         if dyn.qm_hamiltonian(config.observable) != dyn.qm_hamiltonian(dyn.OSCILLATOR_EXPR):
             raise ConfigError(
                 f"compare mode evolves the oscillator {dyn.OSCILLATOR_EXPR} only,"
                 f" got observable {config.observable!r}"
             )
-        table = dyn.oscillator_compare(params)
+        table = dyn.oscillator_compare(ds, config.hbar)
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "comparison.csv")
         table.to_csv(path)
+        meta = asdict(ds)
+        del meta["steps"]  # compare mode runs whole periods
         write_json(
             os.path.join(out_dir, "evolve_meta.json"),
             {
-                **asdict(params),
-                "mode": "compare",
-                "sigma": params.width(),
+                **meta,
+                "hbar": config.hbar,
+                "sigma": ds.width(config.hbar),
                 "max_dq_abs": table.max_dq_abs(),
                 "max_dp_abs": table.max_dp_abs(),
                 "classical_mass_drift": table.classical_mass_drift(),
@@ -577,19 +555,19 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
             " h_values)"
         )
     h = config.h_values[0]
-    steps = params.steps() if ds.steps is None else ds.steps
+    steps = ds.period_steps() if ds.steps is None else ds.steps
     if h == 0.0:
         traj = dyn.liouville_evolve(
-            params.density(), config.observable, params.dt, steps,
-            record_stride=params.record_stride,
+            ds.density(config.hbar), config.observable, ds.dt, steps,
+            record_stride=ds.record_stride,
         )
         label = "liouville"
     else:  # h == h_o, the only other endpoint the opening check lets through
         bq, bp = build_backends(config)
         state = build_state(config, bq, bp)
         traj = dyn.von_neumann_evolve(
-            state, dyn.qm_hamiltonian(config.observable), bq, bp, params.dt, steps,
-            record_stride=params.record_stride,
+            state, dyn.qm_hamiltonian(config.observable), bq, bp, ds.dt, steps,
+            record_stride=ds.record_stride,
         )
         label = "von-neumann"
     os.makedirs(out_dir, exist_ok=True)
@@ -601,9 +579,9 @@ def cmd_evolve(config: RunConfig, out_dir: str) -> int:
             "mode": label,
             "h": h,
             "hbar": config.hbar,
-            "dt": params.dt,
+            "dt": ds.dt,
             "steps": steps,
-            "record_stride": params.record_stride,
+            "record_stride": ds.record_stride,
             "final_drift": traj.drift(),
         },
     )

@@ -63,9 +63,8 @@ from .matrep import (
     write_csv,
 )
 from .ncpoly import TensorPoly, eval_ncpoly, make_generators
-from .states import WeightSpec, coherent_state, lift_qm_eigenstate
+from .states import WeightSpec, check_density, factor_packet, lift_qm_eigenstate, packet_width
 
-_MASS_TOL = 1e-10
 _ABORT_DRIFT = 1e-4
 _BOUNDARY_WARN = 1e-8
 # Al-Mohy and Higham (2011), Table 3.1 for u = 2^-53: the degree cap m_max
@@ -94,18 +93,11 @@ class PhaseSpaceDensity:
     extent: tuple[float, float]
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        if grid.ndim != 2:
-            raise ValueError(f"grid must be 2-dimensional, got shape {grid.shape}")
+        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
         if self.dq <= 0 or self.dp <= 0:
             raise ValueError("grid spacings must be positive")
-        # both tests are written so that a NaN, left by a sample that overflowed, fails
-        if not grid.min() >= -1e-12:
-            raise ValueError(f"density has negative or NaN entries (min {float(grid.min())!r})")
-        mass = float(grid.sum() * self.dq * self.dp)
-        if not abs(mass - 1.0) <= _MASS_TOL:
-            raise ValueError(f"density must have unit mass, got {mass!r}")
+        # a NaN, left by a sample that overflowed, fails the check
+        check_density(self.grid, self.dq, self.dp)
 
     @property
     def n_q(self) -> int:
@@ -122,9 +114,6 @@ class PhaseSpaceDensity:
     @property
     def p_values(self) -> np.ndarray:
         return -self.extent[1] / 2.0 + self.dp * np.arange(self.n_p)
-
-    def mass(self) -> float:
-        return float(self.grid.sum() * self.dq * self.dp)
 
     @staticmethod
     def gaussian(
@@ -276,14 +265,14 @@ def _record_steps(dt: float, steps: int, record_stride: int) -> list[int]:
 
 def liouville_evolve(
     rho0: PhaseSpaceDensity,
-    h_expr,
+    h_expr: str,
     dt: float,
     steps: int,
     record_stride: int = 1,
 ) -> Trajectory:
     """Transport a density by the bracket flow of ``h_expr``, record by record.
 
-    ``h_expr`` is a polynomial expression tree (or its source text) in Q, P.
+    ``h_expr`` is the text of a polynomial expression in Q, P.
     Records are taken at ``step * dt`` every ``record_stride`` steps plus the
     final step; ``dt`` sets only that grid.  Between two records the density
     moves by exp(tau L), summed as a truncated Taylor series in
@@ -296,7 +285,7 @@ def liouville_evolve(
     flow).
     """
     marks = _record_steps(dt, steps, record_stride)
-    node = expr_mod.parse_expr(h_expr) if isinstance(h_expr, str) else h_expr
+    node = expr_mod.parse_expr(h_expr)
     qm, pm = np.meshgrid(rho0.q_values, rho0.p_values, indexing="ij")
     hvals = _mesh_eval(node, qm, pm)
     dh_dq = _mesh_eval(expr_mod.differentiate(node, "Q"), qm, pm)
@@ -465,11 +454,10 @@ def qm_hamiltonian(text: str) -> TensorPoly:
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Discretization and initial data for the two-sided oscillator run."""
+    """Discretization and initial data of the two-sided oscillator run; hbar is the run's."""
 
     q0: float = 1.0
     p0: float = 0.0
-    hbar: float = 1.0
     sigma: float | None = None
     n_grid: int = 64
     n_fock: int = 32
@@ -478,16 +466,16 @@ class OscillatorParams:
     period_count: int = 1
     record_stride: int = 50
 
-    def width(self) -> float:
-        return self.sigma if self.sigma is not None else float(np.sqrt(self.hbar / 2.0))
+    def width(self, hbar: float = 1.0) -> float:
+        return packet_width(self.sigma, hbar)
 
-    def steps(self) -> int:
+    def period_steps(self) -> int:
         """The whole number of ``dt`` steps nearest ``period_count`` periods 2 pi, at least 1."""
         return max(1, round(2.0 * np.pi * self.period_count / self.dt))
 
-    def density(self) -> PhaseSpaceDensity:
-        """The Gaussian of width ``width()`` at (q0, p0) on the n_grid^2 box of side ``length``."""
-        s = self.width()
+    def density(self, hbar: float = 1.0) -> PhaseSpaceDensity:
+        """The Gaussian of width ``width(hbar)`` at (q0, p0) on the n_grid^2 box of side length."""
+        s = self.width(hbar)
         return PhaseSpaceDensity.gaussian(
             self.n_grid, self.n_grid, self.length, self.length, self.q0, self.p0, s, s
         )
@@ -535,24 +523,24 @@ class ComparisonTable:
         write_csv(path, list(columns), zip(*columns.values(), strict=True))
 
 
-def oscillator_compare(params: OscillatorParams) -> ComparisonTable:
+def oscillator_compare(params: OscillatorParams, hbar: float = 1.0) -> ComparisonTable:
     """Run both endpoint dynamics on the harmonic oscillator and tabulate.
 
-    The classical side transports a Gaussian density on an n_grid^2 periodic
-    box; the quantum side lifts the matching coherent state into the product
-    of two Fock factors and applies the exact propagator.  Both record on
-    the same time grid; the step count is rounded so the run lands exactly
-    on the requested number of periods.
+    The classical side transports ``params.density(hbar)`` on an n_grid^2
+    periodic box; the quantum side lifts the Fock packet at (q0, p0), the
+    coherent state of width sqrt(hbar/2) whatever ``params.sigma``, into the
+    product of two Fock factors and applies the exact propagator.  Both
+    record on the same time grid; the step count is rounded so the run
+    lands exactly on the requested number of periods.
     """
-    steps = params.steps()
+    steps = params.period_steps()
     dt = 2.0 * np.pi * params.period_count / steps
     classical = liouville_evolve(
-        params.density(), OSCILLATOR_EXPR, dt, steps, record_stride=params.record_stride
+        params.density(hbar), OSCILLATOR_EXPR, dt, steps, record_stride=params.record_stride
     )
 
-    fock = build_backend("fock", params.n_fock, params.hbar)
-    alpha = (params.q0 + 1j * params.p0) / np.sqrt(2.0 * params.hbar)
-    psi = coherent_state(params.n_fock, alpha)
+    fock = build_backend("fock", params.n_fock, hbar)
+    psi = factor_packet(fock, params.q0, params.p0)
     state = lift_qm_eigenstate(psi, WeightSpec.default(params.n_fock, params.n_fock))
     quantum = von_neumann_evolve(
         state, qm_hamiltonian(OSCILLATOR_EXPR), fock, fock, dt, steps,

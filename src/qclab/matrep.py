@@ -337,10 +337,8 @@ def qm_product_defect(
     ``D[:levels, :levels]``; the blocks that couple the sectors are zero.
     """
     sectors = zip(*(qm_factors(x, bq, bp) for x in (a * b, a, b)))
-    return max(
-        float(np.max(np.abs((f_ab - f_a @ f_b)[:levels, :levels])))
-        for f_ab, f_a, f_b in sectors
-    )
+    defects = [np.abs(f_ab - f_a @ f_b)[:levels, :levels].max() for f_ab, f_a, f_b in sectors]
+    return float(np.max(defects))  # np.max, unlike max, keeps a NaN from either sector
 
 
 def _word_product(m: int, n: int, m2: int, n2: int) -> tuple:

@@ -138,6 +138,17 @@ def cm_point_state(
     return np.kron(eq, np.kron(ep, r_part))
 
 
+def check_density(grid: np.ndarray, dq: float, dp: float) -> None:
+    """ValueError unless ``grid`` is 2-D, nonnegative and of unit mass on cells dq x dp."""
+    if grid.ndim != 2:
+        raise ValueError(f"density grid must be 2-dimensional, got shape {grid.shape}")
+    if not grid.min() >= -1e-12:
+        raise ValueError(f"density has negative or NaN entries (min {float(grid.min())!r})")
+    mass = float(grid.sum() * dq * dp)
+    if not abs(mass - 1.0) <= _NORM_TOL:
+        raise ValueError(f"density must have unit mass, got {mass!r}")
+
+
 def cm_mixed_density(rho_grid, c_q: complex, c_p: complex) -> np.ndarray:
     """Diagonal density array from a phase-space distribution.
 
@@ -147,15 +158,8 @@ def cm_mixed_density(rho_grid, c_q: complex, c_p: complex) -> np.ndarray:
     projector onto c_q e_q + c_p e_p.
     """
     grid = np.asarray(rho_grid.grid, dtype=float)
-    dq = float(rho_grid.dq)
-    dp = float(rho_grid.dp)
-    if grid.ndim != 2:
-        raise ValueError(f"rho grid must be 2-dimensional, got shape {grid.shape}")
-    if not grid.min() >= -1e-12:
-        raise ValueError(f"rho grid has negative or NaN entries (min {float(grid.min())!r})")
-    mass = float(grid.sum() * dq * dp)
-    if not abs(mass - 1.0) <= _NORM_TOL:
-        raise ValueError(f"rho grid must have unit mass, got {mass!r}")
+    # rho_grid may have been changed since it was checked on construction
+    check_density(grid, float(rho_grid.dq), float(rho_grid.dp))
     _check_weights(c_q, c_p)
     r_vec = c_q * _E_Q + c_p * _E_P
     projector = np.outer(r_vec, r_vec.conj())
@@ -236,13 +240,29 @@ def coherent_state(n: int, alpha: complex) -> np.ndarray:
         return _normalized(amps, f"the coherent state of alpha={alpha:.3g} on {n} levels")
 
 
+def packet_width(sigma: float | None, hbar: float) -> float:
+    """``sigma``, or when it is null the coherent-state width sqrt(hbar/2)."""
+    return float(np.sqrt(hbar / 2.0)) if sigma is None else sigma
+
+
+def factor_packet(
+    backend: Backend, q0: float, p0: float, sigma: float | None = None
+) -> np.ndarray:
+    """The normalized packet at (q0, p0) on one factor: ``gaussian_grid_state``
+    on a grid; on a Fock factor the coherent state of amplitude
+    (q0 + i p0)/sqrt(2 hbar), of width sqrt(hbar/2) whatever ``sigma``."""
+    if backend.is_grid:
+        return gaussian_grid_state(backend, q0, p0, sigma)
+    return coherent_state(backend.dim, (q0 + 1j * p0) / np.sqrt(2.0 * backend.hbar))
+
+
 def gaussian_grid_state(
     backend: Backend,
     q0: float,
     p0: float,
     sigma: float | None = None,
 ) -> np.ndarray:
-    """Normalized Gaussian wave packet sampled on a grid backend.
+    """Normalized Gaussian packet of width ``packet_width(sigma, hbar)`` on a grid backend.
 
     On a position grid the packet is centered at q0 with momentum phase p0;
     on a momentum grid it is the conjugate-representation packet (width
@@ -251,8 +271,7 @@ def gaussian_grid_state(
     if not backend.is_grid:
         raise ValueError("gaussian_grid_state needs a grid backend")
     hbar = backend.hbar
-    if sigma is None:
-        sigma = float(np.sqrt(hbar / 2.0))
+    sigma = packet_width(sigma, hbar)
     x = np.asarray(backend.basis_labels, dtype=float)
     what = f"the Gaussian of width sigma={sigma!r} on this grid"
     # an overflow or a vanishing width is refused here or by _normalized

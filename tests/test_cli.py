@@ -77,6 +77,17 @@ def test_config_rejects_unknown_keys():
         RunConfig.from_dict({"backend_q": {"knid": "fock"}})
 
 
+def test_dynamics_section_keys_and_defaults():
+    assert asdict(DynamicsSpec()) == {
+        "q0": 1.0, "p0": 0.0, "sigma": None, "n_grid": 64, "n_fock": 32,
+        "length": 16.0, "dt": 1e-3, "period_count": 1, "record_stride": 50,
+        "mode": "compare", "steps": None,
+    }
+    # hbar is the run's, set at the top level only
+    with pytest.raises(ConfigError, match="unknown dynamics config keys: hbar"):
+        RunConfig.from_dict({"dynamics": {"hbar": 1.0}})
+
+
 def test_config_rejects_out_of_range_h():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"h_values": [0.0, 1.5]})
@@ -389,6 +400,38 @@ def test_cmd_evolve_classical_endpoint(tmp_path):
     assert code == 0
     meta = json.loads((tmp_path / "evolve_meta.json").read_text())
     assert meta["mode"] == "liouville"
+
+
+EVOLVE_META_KEYS = {
+    "compare": {
+        "classical_mass_drift", "dt", "hbar", "length", "max_dp_abs", "max_dq_abs",
+        "mode", "n_fock", "n_grid", "p0", "period_count", "q0", "quantum_trace_drift",
+        "record_stride", "sigma",
+    },
+    "liouville": {"dt", "final_drift", "h", "hbar", "mode", "record_stride", "steps"},
+    "von-neumann": {"dt", "final_drift", "h", "hbar", "mode", "record_stride", "steps"},
+}
+
+
+@pytest.mark.parametrize(
+    "h, dynamics, mode",
+    [
+        (1.0, DynamicsSpec(n_grid=16, n_fock=8, dt=0.05, record_stride=40), "compare"),
+        (0.0, DynamicsSpec(mode="auto", steps=20, record_stride=10, n_grid=16), "liouville"),
+        (1.0, DynamicsSpec(mode="auto", steps=20, record_stride=10), "von-neumann"),
+    ],
+    ids=["compare", "liouville", "von-neumann"],
+)
+def test_evolve_meta_key_sets_are_pinned(tmp_path, h, dynamics, mode):
+    cfg = RunConfig(hbar=0.5, h_values=(h,), dynamics=dynamics)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the small boxes warn of boundary mass
+        assert cmd_evolve(cfg, str(tmp_path)) == 0
+    meta = json.loads((tmp_path / "evolve_meta.json").read_text())
+    assert set(meta) == EVOLVE_META_KEYS[mode]
+    assert meta["mode"] == mode and meta["hbar"] == 0.5
+    if mode == "compare":
+        assert meta["sigma"] == np.sqrt(0.25)  # the coherent width at hbar 0.5
 
 
 def test_main_verify_exit_codes(tmp_path, capsys):

@@ -23,7 +23,7 @@ def centered_gaussian(n=64, length=16.0, q0=1.0, p0=0.0):
 
 def test_phase_space_density_mass():
     rho = centered_gaussian()
-    assert rho.mass() == pytest.approx(1.0, abs=1e-12)
+    assert rho.grid.sum() * rho.dq * rho.dp == pytest.approx(1.0, abs=1e-12)
     assert rho.n_q == 64 and rho.n_p == 64
     assert rho.q_values[0] == -8.0
 
@@ -618,11 +618,11 @@ def test_comparison_table_csv(tmp_path):
 def test_oscillator_params_width_default():
     assert dyn.OscillatorParams().width() == pytest.approx(np.sqrt(0.5))
     assert dyn.OscillatorParams(sigma=0.3).width() == 0.3
-    assert dyn.OscillatorParams(dt=1e-3).steps() == 6283
-    assert dyn.OscillatorParams(dt=10.0).steps() == 1
+    assert dyn.OscillatorParams(dt=1e-3).period_steps() == 6283
+    assert dyn.OscillatorParams(dt=10.0).period_steps() == 1
     params = dyn.OscillatorParams(q0=0.7, p0=-0.4, n_grid=32)
     rho = params.density()
-    assert rho.mass() == pytest.approx(1.0, abs=1e-12)
+    assert rho.grid.sum() * rho.dq * rho.dp == pytest.approx(1.0, abs=1e-12)
     qm, pm = np.meshgrid(rho.q_values, rho.p_values, indexing="ij")
     cell = rho.dq * rho.dp
     assert (qm * rho.grid).sum() * cell == pytest.approx(0.7, abs=1e-9)

@@ -647,6 +647,16 @@ def test_qm_product_defect_matches_the_dense_product(n):
         )
 
 
+@pytest.mark.parametrize("nan_sector", [0, 1])
+def test_qm_product_defect_keeps_a_nan_from_either_sector(monkeypatch, nan_sector):
+    factors = [np.eye(4), np.eye(4)]
+    factors[nan_sector] = np.full((4, 4), np.nan)
+    monkeypatch.setattr(matrep, "qm_factors", lambda x, bq, bp: factors)
+    b = build_backend("fock", 4, 1.0)
+    g = make_generators()
+    assert np.isnan(qm_product_defect(g.q_qm, g.p_qm, b, b, 4))
+
+
 _FACTOR_PAIRS = {
     "fock": (("fock", 12, None), ("fock", 12, None)),
     "grid": (("grid-position", 7, 6.0), ("grid-momentum", 5, 6.0)),

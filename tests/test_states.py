@@ -15,6 +15,7 @@ from qclab.states import (
     cm_mixed_density,
     cm_point_state,
     coherent_state,
+    factor_packet,
     gaussian_grid_state,
     lift_qm_eigenstate,
     mean_value,
@@ -414,3 +415,17 @@ def test_an_overflowing_coherent_state_is_refused():
         with pytest.raises(ValueError, match="on 8 levels is not finite"):
             coherent_state(8, 1e300)
     assert np.linalg.norm(coherent_state(8, 2.0 - 1.0j)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_the_fock_packet_is_the_coherent_state_whatever_sigma():
+    b = build_backend("fock", 12, 0.5)
+    alpha = (0.4 + 0.3j) / np.sqrt(2.0 * 0.5)
+    packet = factor_packet(b, 0.4, 0.3)
+    assert np.array_equal(packet, coherent_state(12, alpha))
+    assert np.array_equal(factor_packet(b, 0.4, 0.3, 0.3), packet)
+
+
+def test_the_grid_packet_takes_sigma_and_the_coherent_width_by_default():
+    b = build_backend("grid-position", 16, 0.5, 8.0)
+    assert np.array_equal(factor_packet(b, 0.4, 0.3), gaussian_grid_state(b, 0.4, 0.3, 0.5))
+    assert not np.allclose(factor_packet(b, 0.4, 0.3, 0.3), factor_packet(b, 0.4, 0.3))

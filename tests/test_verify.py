@@ -1,6 +1,7 @@
 """The check-suite runner: reports, subsets, and fault-injection plumbing."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,17 @@ def test_fault_injection_breaks_the_factor_product_as_the_dense_one(fault, appro
     assert defect == pytest.approx(approx_defect, abs=1e-3)
     # the oscillator Hamiltonian has no product to reorder
     assert osc.status == "pass"
+
+
+def test_a_nan_defect_fails_its_check_without_a_warning():
+    # at hbar 1e300 the realized products overflow to NaN entries
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_verify(hbar=1e300, names=("realize-linearity", "homomorphism-bulk"))
+    assert caught == []
+    for check in report.checks:
+        assert check.status == "fail"
+        assert check.witness.endswith(": nan")
 
 
 def test_elapsed_is_tracked_per_check():
