@@ -55,6 +55,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .matrep import (
+    MAX_DENSE_BYTES,
     Backend,
     _hermitize,
     build_backend,
@@ -148,37 +149,24 @@ class PhaseSpaceDensity:
 
 @dataclass
 class Trajectory:
-    """Recorded observable history of one evolution run."""
+    """Recorded observable history of one evolution run, one array per column."""
 
-    times: list[float] = field(default_factory=list)
-    mean_q: list[float] = field(default_factory=list)
-    mean_p: list[float] = field(default_factory=list)
-    mean_energy: list[float] = field(default_factory=list)
-    norm_or_trace: list[float] = field(default_factory=list)
-    extras: dict[str, list[float]] = field(default_factory=dict)
-
-    def append(self, t: float, mq: float, mp: float, me: float, norm: float) -> None:
-        if self.times and t <= self.times[-1]:
-            raise ValueError("record times must be strictly increasing")
-        self.times.append(t)
-        self.mean_q.append(mq)
-        self.mean_p.append(mp)
-        self.mean_energy.append(me)
-        self.norm_or_trace.append(norm)
+    times: np.ndarray
+    mean_q: np.ndarray
+    mean_p: np.ndarray
+    mean_energy: np.ndarray
+    norm_or_trace: np.ndarray
+    extras: dict[str, np.ndarray] = field(default_factory=dict)
 
     def drift(self) -> float:
-        """Largest excursion of the conserved norm/trace/mass column."""
-        if not self.norm_or_trace:
-            return 0.0
-        base = self.norm_or_trace[0]
-        return max(abs(v - base) for v in self.norm_or_trace)
+        """Largest excursion of the conserved norm/trace/mass column; a NaN is kept."""
+        return float(np.max(np.abs(self.norm_or_trace - self.norm_or_trace[0])))
 
     def to_csv(self, path: str) -> None:
-        write_csv(
-            path,
-            ["t", "mean_q", "mean_p", "mean_energy", "norm_or_trace"],
-            zip(self.times, self.mean_q, self.mean_p, self.mean_energy, self.norm_or_trace),
-        )
+        header = ["t", "mean_q", "mean_p", "mean_energy", "norm_or_trace"]
+        columns = (self.times, self.mean_q, self.mean_p, self.mean_energy, self.norm_or_trace)
+        # Python floats keep write_csv on its one-pass float columns
+        write_csv(path, header, zip(*(column.tolist() for column in columns)))
 
 
 def _wavenumbers(n: int, spacing: float) -> np.ndarray:
@@ -249,7 +237,23 @@ def _boundary_mass(grid: np.ndarray, dq: float, dp: float) -> float:
     return float(ring * dq * dp)
 
 
-def _record_steps(dt: float, steps: int, record_stride: int) -> list[int]:
+def _record_count(steps: int, record_stride: int, record_bytes: int) -> int:
+    """Records every ``record_stride`` steps plus the final step, counted on Python
+    ints: refused (ValueError) when they keep more than ``MAX_DENSE_BYTES`` at
+    ``record_bytes`` each, or when their marks pass the int64 range."""
+    count = -(-steps // record_stride) + 1
+    if count * record_bytes > MAX_DENSE_BYTES:
+        beyond = f"{record_bytes} bytes each, above the {MAX_DENSE_BYTES / 2**30:g} GiB bound"
+    elif steps > np.iinfo(np.int64).max:
+        beyond = "with marks past the int64 range"
+    else:
+        return count
+    raise ValueError(
+        f"steps={steps} at record_stride={record_stride} make {count} records, {beyond}"
+    )
+
+
+def _record_steps(dt: float, steps: int, record_stride: int, record_bytes: int) -> np.ndarray:
     """The recorded step indices: every ``record_stride`` steps plus the final step."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -257,9 +261,12 @@ def _record_steps(dt: float, steps: int, record_stride: int) -> list[int]:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be at least 1, got {record_stride}")
-    marks = list(range(0, steps + 1, record_stride))
-    if marks[-1] != steps:
-        marks.append(steps)
+    count = _record_count(steps, record_stride, record_bytes)
+    if not np.isfinite(steps * dt):
+        raise ValueError(f"steps={steps} of dt={dt!r} end past the float range")
+    # a stride past steps records the two ends
+    marks = np.arange(count, dtype=np.int64) * min(record_stride, steps)
+    marks[-1] = steps
     return marks
 
 
@@ -284,7 +291,8 @@ def liouville_evolve(
     carries mass above 1e-8 (the periodic box is then too small for the
     flow).
     """
-    marks = _record_steps(dt, steps, record_stride)
+    # the marks, interval lengths, substep counts and 7-row table: 10 numbers a record
+    marks = _record_steps(dt, steps, record_stride, 10 * 8)
     node = expr_mod.parse_expr(h_expr)
     qm, pm = np.meshgrid(rho0.q_values, rho0.p_values, indexing="ij")
     hvals = _mesh_eval(node, qm, pm)
@@ -299,25 +307,27 @@ def liouville_evolve(
     k_q = float(np.abs(_wavenumbers(rho0.n_q, dq)).max())
     k_p = float(np.abs(_wavenumbers(rho0.n_p, dp)).max())
     bound = float(np.abs(dh_dq).max()) * k_p + float(np.abs(dh_dp).max()) * k_q
-    taus = [(stop - start) * dt for start, stop in zip(marks, marks[1:])]
-    substeps = [float(np.ceil(tau * bound / _THETA)) for tau in taus]
-    least = sum(substeps) * rho0.n_q * rho0.n_p * (rho0.n_q + rho0.n_p)
+    taus = np.diff(marks) * dt  # finite, as steps * dt is
+    with np.errstate(over="ignore"):  # inf, as for plain floats
+        substeps = np.ceil(taus * bound / _THETA)
+    least = float(substeps.sum()) * rho0.n_q * rho0.n_p * (rho0.n_q + rho0.n_p)
     # written so that an infinite or NaN bound is refused too
     if not least <= _MAX_WORK:
         raise ValueError(
             f"Liouville transport would take at least {least:.3g} multiply-adds"
-            f" ({sum(substeps):.3g} substeps on the {rho0.n_q}x{rho0.n_p} grid,"
+            f" ({substeps.sum():.3g} substeps on the {rho0.n_q}x{rho0.n_p} grid,"
             f" ||L|| <= {bound:.3g}), above the budget of {_MAX_WORK:.3g}"
         )
 
     grid = rho0.grid.astype(float).copy()
-    traj = Trajectory()
-    traj.extras["min_entry"] = []
-    traj.extras["boundary_mass"] = []
+    # rows: t, mean q, p and h, mass, min_entry, boundary_mass; column r is record r
+    table = np.empty((7, len(marks)))
+    table[0] = marks * dt
     warned = False
 
-    def record(step: int) -> None:
+    def record(r: int) -> None:
         nonlocal warned
+        step = int(marks[r])
         mass = float(grid.sum() * cell)
         # written so that a NaN mass, left by a run that overflowed, aborts too
         if not abs(mass - 1.0) <= _ABORT_DRIFT:
@@ -334,22 +344,15 @@ def liouville_evolve(
                 stacklevel=3,
             )
             warned = True
-        traj.append(
-            step * dt,
-            float((qm * grid).sum() * cell / mass),
-            float((pm * grid).sum() * cell / mass),
-            float((hvals * grid).sum() * cell / mass),
-            mass,
-        )
-        traj.extras["min_entry"].append(float(grid.min()))
-        traj.extras["boundary_mass"].append(boundary)
+        table[1:4, r] = [(x * grid).sum() * cell / mass for x in (qm, pm, hvals)]
+        table[4:, r] = mass, grid.min(), boundary
 
     term, nxt, work = (np.empty_like(grid) for _ in range(3))
     record(0)
     # values that overflow to inf or NaN reach the mass test at the next
     # record, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        for stop, tau, count in zip(marks[1:], taus, substeps):
+        for r, (tau, count) in enumerate(zip(taus.tolist(), substeps.tolist()), start=1):
             count = max(1, int(count))  # 0 when h is constant
             sub = tau / count
             for _ in range(count):
@@ -367,8 +370,8 @@ def liouville_evolve(
                     if before + size <= _UNIT_ROUNDOFF * np.linalg.norm(grid):
                         break
                     before = size
-            record(stop)
-    return traj
+            record(r)
+    return Trajectory(*table[:5], extras={"min_entry": table[5], "boundary_mass": table[6]})
 
 
 def _reduced_densities(state: np.ndarray, n_q: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +415,7 @@ def von_neumann_evolve(
     ``Tr(O rho(t)) = sum_ab O~_ba rho~_ab e^{-i(E_a - E_b)t/hbar}``, evaluated
     directly, so no error accumulates from step to step.
     """
-    marks = _record_steps(dt, steps, record_stride)
+    marks = _record_steps(dt, steps, record_stride, 16 * max(bq.dim, bp.dim))  # the phases
     with np.errstate(all="ignore"):  # a factor that overflows is refused below
         factors = qm_factors(h, bq, bp)
     if not has_hermitian_image(h):
@@ -420,7 +423,7 @@ def von_neumann_evolve(
     for name, x in zip("qp", factors):
         if not np.isfinite(x).all():
             raise ValueError(f"the Hamiltonian's {name}-factor matrix is not finite on this pair")
-    times = [step * dt for step in marks]
+    times = marks * dt
     reduced = _reduced_densities(state0, bq.dim, bp.dim)
 
     # rows: trace, q_qm, p_qm, H; columns: record times
@@ -428,7 +431,7 @@ def von_neumann_evolve(
     with np.errstate(all="ignore"):  # a record that overflows is refused below
         for rho, x, backend in zip(reduced, factors, (bq, bp)):
             energies, vectors = np.linalg.eigh(_hermitize(x))
-            phases = np.exp(np.outer(-1j * np.array(times) / backend.hbar, energies))
+            phases = np.exp(np.outer(-1j * times / backend.hbar, energies))
             rotated = vectors.conj().T @ rho @ vectors
             for row, mat in zip(totals, (np.eye(backend.dim), backend.qmat, backend.pmat, x)):
                 weights = (vectors.conj().T @ mat @ vectors).T * rotated
@@ -437,10 +440,7 @@ def von_neumann_evolve(
     if not np.isfinite(totals).all():
         raise ValueError(f"the quantum records are not finite (dt={dt!r}, steps={steps})")
 
-    traj = Trajectory()
-    for row in zip(times, *totals[1:], totals[0]):
-        traj.append(*(float(v) for v in row))
-    return traj
+    return Trajectory(times, *totals[1:], totals[0])
 
 
 OSCILLATOR_EXPR = "(1/2)*(P^2 + Q^2)"
@@ -471,7 +471,15 @@ class OscillatorParams:
 
     def period_steps(self) -> int:
         """The whole number of ``dt`` steps nearest ``period_count`` periods 2 pi, at least 1."""
-        return max(1, round(2.0 * np.pi * self.period_count / self.dt))
+        try:
+            steps = 2.0 * np.pi * self.period_count / self.dt
+        except OverflowError:  # a period_count past the float range
+            steps = np.inf
+        if not np.isfinite(steps):
+            raise ValueError(
+                f"period_count={self.period_count} at dt={self.dt!r} has no finite step count"
+            )
+        return max(1, round(steps))
 
     def density(self, hbar: float = 1.0) -> PhaseSpaceDensity:
         """The Gaussian of width ``width(hbar)`` at (q0, p0) on the n_grid^2 box of side length."""
@@ -485,27 +493,24 @@ class OscillatorParams:
 class ComparisonTable:
     """Per-time comparison of the two endpoint dynamics on one Hamiltonian."""
 
-    times: list[float]
     classical: Trajectory
     quantum: Trajectory
+    dq_abs: np.ndarray = field(init=False)
+    dp_abs: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.dq_abs = np.abs(self.classical.mean_q - self.quantum.mean_q)
+        self.dp_abs = np.abs(self.classical.mean_p - self.quantum.mean_p)
 
     @property
-    def dq_abs(self) -> list[float]:
-        return [
-            abs(a - b) for a, b in zip(self.classical.mean_q, self.quantum.mean_q)
-        ]
-
-    @property
-    def dp_abs(self) -> list[float]:
-        return [
-            abs(a - b) for a, b in zip(self.classical.mean_p, self.quantum.mean_p)
-        ]
+    def times(self) -> np.ndarray:
+        return self.classical.times
 
     def max_dq_abs(self) -> float:
-        return max(self.dq_abs)
+        return float(np.max(self.dq_abs))
 
     def max_dp_abs(self) -> float:
-        return max(self.dp_abs)
+        return float(np.max(self.dp_abs))
 
     def classical_mass_drift(self) -> float:
         return self.classical.drift()
@@ -520,7 +525,7 @@ class ComparisonTable:
             "mean_p_cl": cl.mean_p, "mean_p_qm": qm.mean_p, "dq_abs": self.dq_abs,
             "dp_abs": self.dp_abs, "energy_cl": cl.mean_energy, "energy_qm": qm.mean_energy,
         }
-        write_csv(path, list(columns), zip(*columns.values(), strict=True))
+        write_csv(path, list(columns), zip(*(c.tolist() for c in columns.values()), strict=True))
 
 
 def oscillator_compare(params: OscillatorParams, hbar: float = 1.0) -> ComparisonTable:
@@ -546,4 +551,4 @@ def oscillator_compare(params: OscillatorParams, hbar: float = 1.0) -> Compariso
         state, qm_hamiltonian(OSCILLATOR_EXPR), fock, fock, dt, steps,
         record_stride=params.record_stride,
     )
-    return ComparisonTable(times=list(classical.times), classical=classical, quantum=quantum)
+    return ComparisonTable(classical, quantum)

@@ -398,7 +398,9 @@ def _check_oscillator_spectrum(ctx: _Ctx, index: int) -> tuple[bool, str]:
     n = 16
     bq = build_backend("fock", n, ctx.hbar)
     bp = build_backend("fock", n, ctx.hbar)
-    groups = qm_spectrum(qm_hamiltonian(OSCILLATOR_EXPR), bq, bp)
+    # tolerances relative to hbar, the level spacing
+    tol = 1e-8 * ctx.hbar
+    groups = qm_spectrum(qm_hamiltonian(OSCILLATOR_EXPR), bq, bp, group_tol=tol)
     worst = 0.0
     for level in range(6):
         value, mult = groups[level]
@@ -408,7 +410,7 @@ def _check_oscillator_spectrum(ctx: _Ctx, index: int) -> tuple[bool, str]:
                 f"level {level}: multiplicity {mult}, expected {2 * n}"
                 " (each sector contributes the full spectator-factor degeneracy)"
             )
-    return worst < 1e-8, f"lowest 6 levels match hbar*(n+1/2), max error {worst!r}"
+    return worst < tol, f"lowest 6 levels match hbar*(n+1/2), max error {worst!r}"
 
 
 # -- state checks ----------------------------------------------------------

@@ -730,6 +730,15 @@ WIDE_DENSITY = (
          {"hbar": 1e30, "backend_q": {"kind": "grid-position", "n": 6, "length": 1e-300}},
          "the grid-position backend of 6 points on length 1e-300 at hbar=1e+30"
          " has a Q or P that is not finite"),
+        # steps = round(2 pi / dt) is finite, its records are past the byte bound
+        (["evolve"], {"dynamics": {"dt": 1e-30}},
+         "steps=6283185307179585306927499837440 at record_stride=50 make"
+         " 125663706143591706138549996750 records, 80 bytes each, above the 1 GiB bound"),
+        # 2 pi / dt overflows to inf
+        (["evolve"], {"dynamics": {"dt": 1e-310}},
+         "period_count=1 at dt=1e-310 has no finite step count"),
+        (["evolve", "--h", "1.0"], {"dynamics": {"mode": "auto", "dt": 1e-310}},
+         "period_count=1 at dt=1e-310 has no finite step count"),
     ],
     ids=[
         "sweep-q0-1e300", "evolve-q0-1e300", "sweep-hbar-1e200", "sweep-sigma-1e-170",
@@ -737,6 +746,7 @@ WIDE_DENSITY = (
         "kernels-hbar-1e200", "compare-sigma-1e-170", "liouville-sigma-1e-170",
         "kernels-hbar-power-overflow", "compare-sigma-1e200", "liouville-sigma-1e200",
         "von-neumann-factor-overflow", "von-neumann-record-overflow", "sweep-backend-overflow",
+        "compare-dt-1e-30", "compare-dt-1e-310", "von-neumann-dt-1e-310",
     ],
 )
 def test_main_non_finite_state_or_mean_is_usage_error(tmp_path, capsys, argv, config, message):

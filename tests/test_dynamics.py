@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qclab import dynamics as dyn
 from qclab.expr import differentiate, parse_expr
-from qclab.matrep import build_backend, qm_factors, realize
+from qclab.matrep import MAX_DENSE_BYTES, build_backend, qm_factors, realize
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.scalars import ScalarCoeff
 from qclab.states import WeightSpec, coherent_state, lift_qm_eigenstate
@@ -194,24 +194,22 @@ def four_stage_liouville(rho0, h_text, dt, steps, record_stride):
     d_q, d_p_t = dyn._differentiation_matrices(rho0)
     cell = rho0.dq * rho0.dp
     grid = rho0.grid.copy()
-    traj = dyn.Trajectory(extras={"min_entry": [], "boundary_mass": []})
+    rows = []
 
     def bracket(g):
         return dh_dq * (g @ d_p_t) - dh_dp * (d_q @ g)
 
     def record(step):
         mass = float(grid.sum() * cell)
-        traj.append(
+        rows.append((
             step * dt,
             float((qm * grid).sum() * cell / mass),
             float((pm * grid).sum() * cell / mass),
             float((hvals * grid).sum() * cell / mass),
             mass,
-        )
-        traj.extras["min_entry"].append(float(grid.min()))
-        traj.extras["boundary_mass"].append(
-            dyn._boundary_mass(grid, rho0.dq, rho0.dp)
-        )
+            float(grid.min()),
+            dyn._boundary_mass(grid, rho0.dq, rho0.dp),
+        ))
 
     record(0)
     for step in range(1, steps + 1):
@@ -222,7 +220,10 @@ def four_stage_liouville(rho0, h_text, dt, steps, record_stride):
         grid += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % record_stride == 0 or step == steps:
             record(step)
-    return traj
+    columns = np.array(rows).T
+    return dyn.Trajectory(
+        *columns[:5], extras={"min_entry": columns[5], "boundary_mass": columns[6]}
+    )
 
 
 @pytest.mark.filterwarnings("ignore:boundary ring:RuntimeWarning")
@@ -245,7 +246,7 @@ def test_taylor_action_matches_the_refined_four_stage_loop(rho0, h_text, dt, ste
     got = dyn.liouville_evolve(rho0, h_text, dt, steps, record_stride=stride)
     # RK4 at dt/8 records at the same times, exactly: 8k * (dt/8) == k * dt
     want = four_stage_liouville(rho0, h_text, dt / 8, 8 * steps, 8 * stride)
-    assert got.times == want.times
+    assert np.array_equal(got.times, want.times)
     columns = ("mean_q", "mean_p", "mean_energy", "norm_or_trace")
     for name in columns:
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
@@ -311,7 +312,7 @@ def test_taylor_action_of_random_separable_flows_matches_the_refined_loop(
     dt = 1.0 / (8.0 * rate) if rate > 0 else 0.1
     got = dyn.liouville_evolve(rho0, h_text, dt, steps, record_stride=stride)
     want = four_stage_liouville(rho0, h_text, dt / 8, 8 * steps, 8 * stride)
-    assert got.times == want.times
+    assert np.array_equal(got.times, want.times)
     # 1e-12 of each column's largest possible magnitude on the grid
     scales = {
         "mean_q": rho0.extent[0] / 2, "mean_p": rho0.extent[1] / 2,
@@ -440,13 +441,13 @@ def dense_stepping_oracle(state0, h_mat, dt, steps, hbar, q_mat, p_mat, record_s
         return u @ state if state.ndim == 1 else u @ state @ u.conj().T
 
     state = state0.astype(complex)
-    traj = dyn.Trajectory()
+    rows = []
 
     def record(step):
         mq, _ = expect(state, q_mat)
         mp, _ = expect(state, p_mat)
         me, norm = expect(state, hmat)
-        traj.append(step * dt, mq, mp, me, norm)
+        rows.append((step * dt, mq, mp, me, norm))
 
     record(0)
     step = 0
@@ -458,7 +459,7 @@ def dense_stepping_oracle(state0, h_mat, dt, steps, hbar, q_mat, p_mat, record_s
     if step < steps:
         state = advance(state, propagator(dt * (steps - step)))
         record(steps)
-    return traj
+    return dyn.Trajectory(*np.array(rows).T)
 
 
 def random_states(n_q, n_p, seed):
@@ -513,7 +514,7 @@ def test_von_neumann_matches_dense_stepping_oracle(coupled):
             oracle = dense_stepping_oracle(
                 state, h_mat, 1e-2, 333, bq.hbar, q_mat, p_mat, record_stride=40
             )
-            assert traj.times == oracle.times
+            assert np.array_equal(traj.times, oracle.times)
             for name in ("mean_q", "mean_p", "mean_energy", "norm_or_trace"):
                 np.testing.assert_allclose(
                     getattr(traj, name), getattr(oracle, name), rtol=0, atol=1e-12
@@ -541,11 +542,70 @@ def test_record_times_keep_the_trailing_partial_stride():
     state, h_poly, b = quantum_setup(n_fock=6)
     for st in (state, np.outer(state, state.conj())):
         traj = dyn.von_neumann_evolve(st, h_poly, b, b, dt, steps, record_stride=stride)
-        assert traj.times == expected
+        assert np.array_equal(traj.times, expected)
     traj = dyn.liouville_evolve(
         centered_gaussian(), OSC, dt, steps, record_stride=stride
     )
-    assert traj.times == expected
+    assert np.array_equal(traj.times, expected)
+
+
+def listed_record_steps(steps, stride):
+    """The record rule kept as a list: ``range(0, steps + 1, stride)``, plus
+    ``steps`` when the range misses it."""
+    marks = list(range(0, steps + 1, stride))
+    if marks[-1] != steps:
+        marks.append(steps)
+    return marks
+
+
+# at this size a record, at most _MOST_RECORDS records are admitted
+_MOST_RECORDS = 4096
+_RECORD_BYTES = MAX_DENSE_BYTES // _MOST_RECORDS
+_SIZES = st.integers(1, 5000) | st.integers(1, 2**64)
+
+
+@given(_SIZES, _SIZES)
+@example(1, 1)  # steps == 1
+@example(1, 7)
+@example(5, 7)  # stride > steps
+@example(12, 4)  # steps % stride == 0
+@example(4095, 1)  # the last admitted count
+@example(4096, 1)  # the first refused one
+@example(5, 2**64)  # a stride past the int64 range
+@example(2**63 - 1, 2**62)  # the last step the int64 marks hold
+@example(2**63, 2**63)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_the_record_grid_matches_the_listed_rule(steps, stride):
+    count = steps // stride + 1 + (steps % stride != 0)  # the list's length, unbuilt
+    if count > _MOST_RECORDS or steps >= 2**63:
+        with pytest.raises(
+            ValueError, match=rf"^steps={steps} at record_stride={stride} make {count} records, "
+        ):
+            dyn._record_steps(1e-300, steps, stride, _RECORD_BYTES)
+        return
+    marks = dyn._record_steps(1e-300, steps, stride, _RECORD_BYTES)
+    assert marks.dtype == np.int64
+    assert marks.tolist() == listed_record_steps(steps, stride)
+
+
+def test_the_record_count_is_priced_before_any_allocation():
+    # the 1e6-step, stride-1 auto run on a Fock 8 pair: 16 * 8 bytes a record
+    assert dyn._record_count(10**6, 1, 16 * 8) == 10**6 + 1
+    with pytest.raises(ValueError, match=r"make 10{29}1 records, 80 bytes each, above the 1 GiB"):
+        dyn._record_count(10**30, 1, 80)
+    # the bound is inclusive
+    most = MAX_DENSE_BYTES // 80
+    assert dyn._record_count(most - 1, 1, 80) == most
+    with pytest.raises(ValueError):
+        dyn._record_count(most, 1, 80)
+    with pytest.raises(ValueError, match="with marks past the int64 range"):
+        dyn._record_count(10**30, 10**30, 80)
+    with pytest.raises(ValueError, match="end past the float range"):
+        dyn._record_steps(1e300, 10**10, 10**8, 80)
+    with pytest.raises(ValueError, match="has no finite step count"):
+        dyn.OscillatorParams(dt=1e-310).period_steps()
+    with pytest.raises(ValueError, match="has no finite step count"):
+        dyn.OscillatorParams(period_count=10**400).period_steps()
 
 
 def test_coherent_state_beyond_any_dense_size():

@@ -175,6 +175,16 @@ def test_a_nan_defect_fails_its_check_without_a_warning():
         assert check.witness.endswith(": nan")
 
 
+@pytest.mark.parametrize("hbar", [1e-300, 1e-8, 1e300])
+def test_oscillator_spectrum_tolerances_scale_with_hbar(hbar):
+    # the levels are hbar apart: an absolute grouping tolerance of 1e-8 would
+    # merge all of them at hbar 1e-300
+    (check,) = run_verify(hbar=hbar, names=("oscillator-spectrum",)).checks
+    assert check.status == "pass", check.witness
+    worst = float(check.witness.rsplit(" ", 1)[1])
+    assert worst <= 1e-14 * hbar
+
+
 def test_elapsed_is_tracked_per_check():
     report = run_verify(names=("qm-ccr",))
     assert report.checks[0].elapsed >= 0.0
