@@ -415,7 +415,10 @@ def von_neumann_evolve(
     ``Tr(O rho(t)) = sum_ab O~_ba rho~_ab e^{-i(E_a - E_b)t/hbar}``, evaluated
     directly, so no error accumulates from step to step.
     """
-    marks = _record_steps(dt, steps, record_stride, 16 * max(bq.dim, bp.dim))  # the phases
+    # per record: the phases and one product with them, N complex numbers each
+    # for the wider factor, and 64 bytes of record vectors (the mark, the
+    # time, the four totals and one complex row sum)
+    times = _record_steps(dt, steps, record_stride, 32 * max(bq.dim, bp.dim) + 64) * dt
     with np.errstate(all="ignore"):  # a factor that overflows is refused below
         factors = qm_factors(h, bq, bp)
     if not has_hermitian_image(h):
@@ -423,7 +426,6 @@ def von_neumann_evolve(
     for name, x in zip("qp", factors):
         if not np.isfinite(x).all():
             raise ValueError(f"the Hamiltonian's {name}-factor matrix is not finite on this pair")
-    times = marks * dt
     reduced = _reduced_densities(state0, bq.dim, bp.dim)
 
     # rows: trace, q_qm, p_qm, H; columns: record times
@@ -431,11 +433,20 @@ def von_neumann_evolve(
     with np.errstate(all="ignore"):  # a record that overflows is refused below
         for rho, x, backend in zip(reduced, factors, (bq, bp)):
             energies, vectors = np.linalg.eigh(_hermitize(x))
-            phases = np.exp(np.outer(-1j * times / backend.hbar, energies))
+            # the phases and one product with them are the only records x N
+            # arrays held: exp writes in place, and each conjugation in place
+            # is exact and undone after its row, so no record changes
+            phases = np.outer(-1j * times / backend.hbar, energies)
+            np.exp(phases, out=phases)
             rotated = vectors.conj().T @ rho @ vectors
             for row, mat in zip(totals, (np.eye(backend.dim), backend.qmat, backend.pmat, x)):
                 weights = (vectors.conj().T @ mat @ vectors).T * rotated
-                row += np.einsum("ta,ta->t", phases @ weights, phases.conj()).real
+                product = phases @ weights
+                np.conjugate(phases, out=phases)
+                row += np.einsum("ta,ta->t", product, phases).real
+                np.conjugate(phases, out=phases)
+                del product  # before the next row's product is made
+            del phases  # before the next factor's phases are made
         totals[1:] /= totals[0]
     if not np.isfinite(totals).all():
         raise ValueError(f"the quantum records are not finite (dt={dt!r}, steps={steps})")

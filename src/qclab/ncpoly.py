@@ -9,8 +9,9 @@ Every element is kept in a canonical normal form:
 
 * per factor, monomials are normally ordered (all Q powers to the left of
   all P powers); products reorder ``P^b Q^c`` by its closed form in the swap
-  constant ``s`` of ``P Q = Q P + s`` (``s = -i*hbar``), and the word
-  rewriter ``P Q -> Q P + s`` stays as the independent confluence oracle;
+  constant ``s`` of ``P Q = Q P + s`` (``s = -i*hbar``), where a term pair
+  has both ``b, c > 0`` on some factor, and the word rewriter
+  ``P Q -> Q P + s`` stays as the independent confluence oracle;
 * the third factor enters through its matrix units ``E_ij``, so one term
   ``(m_q, n_q, m_p, n_p, i, j)`` is ``Q^m_q P^n_q (x) Q^m_p P^n_p (x) E_ij``;
 * term maps are sparse, with zero coefficients pruned.
@@ -159,6 +160,13 @@ class TensorPoly:
                 raise ValueError("r-factor indices must be 0 or 1")
         self._terms = pruned
 
+    @staticmethod
+    def _raw(terms: dict[TensorKey, ScalarCoeff]) -> "TensorPoly":
+        """Wrap terms whose keys the engine built itself; prunes zeros only."""
+        out = object.__new__(TensorPoly)
+        out._terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -189,42 +197,32 @@ class TensorPoly:
         merged = dict(self._terms)
         for k, v in other._terms.items():
             merged[k] = merged[k] + v if k in merged else v
-        return TensorPoly(merged)
+        return TensorPoly._raw(merged)
 
     def __neg__(self) -> "TensorPoly":
-        return TensorPoly({k: -v for k, v in self._terms.items()})
+        return TensorPoly._raw({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other: "TensorPoly") -> "TensorPoly":
         return self + (-other)
 
     def scale(self, c: ScalarCoeff) -> "TensorPoly":
-        return TensorPoly({k: c * v for k, v in self._terms.items()})
+        return TensorPoly._raw({k: c * v for k, v in self._terms.items()})
 
     def __mul__(self, other: "TensorPoly") -> "TensorPoly":
+        # each pair is the word pair Q^mq1 P^nq1 . Q^mq2 P^nq2 on factor q,
+        # the same on factor p, and E_i1j1 E_i2j2 = E_i1j2 when j1 == i2
         return _sum_products(
-            (
-                c1 * c2,
-                ordered_product(mq1, nq1, mq2, nq2),
-                ordered_product(mp1, np1, mp2, np2),
-                i1,
-                j2,
-            )
+            (c1 * c2, mq1, nq1, mq2, nq2, mp1, np1, mp2, np2, i1, j2)
             for (mq1, nq1, mp1, np1, i1, j1), c1 in self._terms.items()
             for (mq2, nq2, mp2, np2, i2, j2), c2 in other._terms.items()
             if j1 == i2
         )
 
     def adjoint(self) -> "TensorPoly":
-        # (Q^m P^n)^dagger = P^n Q^m, the product term (0, n, m, 0), and
+        # (Q^m P^n)^dagger = P^n Q^m, the word pair 1 . P^n Q^m, and
         # E_ij^dagger = E_ji
         return _sum_products(
-            (
-                c.conjugate(),
-                ordered_product(0, nq, mq, 0),
-                ordered_product(0, np_, mp, 0),
-                j,
-                i,
-            )
+            (c.conjugate(), 0, nq, mq, 0, 0, np_, mp, 0, j, i)
             for (mq, nq, mp, np_, i, j), c in self._terms.items()
         )
 
@@ -232,7 +230,7 @@ class TensorPoly:
         val = Fraction(value)
         if not 0 <= val <= 1:
             raise ValueError(f"lam must lie in [0, 1], got {val}")
-        return TensorPoly(
+        return TensorPoly._raw(
             {k: v.substitute_lambda(val) for k, v in self._terms.items()}
         )
 
@@ -259,18 +257,29 @@ class TensorPoly:
 
 
 def _sum_products(
-    products: Iterable[tuple[ScalarCoeff, FactorTerms, FactorTerms, int, int]],
+    products: Iterable[tuple[ScalarCoeff, int, int, int, int, int, int, int, int, int, int]],
 ) -> TensorPoly:
-    """Sum ``c * (qpart (x) ppart (x) E_ij)`` over ``(c, qpart, ppart, i, j)``."""
+    """Sum ``c * (Q^mq1 P^nq1 Q^mq2 P^nq2 (x) Q^mp1 P^np1 Q^mp2 P^np2 (x) E_ij)``
+    over ``(c, mq1, nq1, mq2, nq2, mp1, np1, mp2, np2, i, j)``.
+
+    A word pair with ``n1 == 0`` or ``m2 == 0`` on both factors is already
+    normally ordered, so it adds ``c`` at the summed powers; only a pair that
+    contracts on some factor is reordered by :func:`ordered_product`.
+    """
     out: dict[TensorKey, ScalarCoeff] = {}
-    for c, qpart, ppart, i, j in products:
-        for (mq, nq), sq in qpart.items():
-            cq = c * sq
-            for (mp, np_), sp in ppart.items():
-                key = (mq, nq, mp, np_, i, j)
-                add = cq * sp
-                out[key] = out[key] + add if key in out else add
-    return TensorPoly(out)
+    for c, mq1, nq1, mq2, nq2, mp1, np1, mp2, np2, i, j in products:
+        if (nq1 and mq2) or (np1 and mp2):
+            ppart = ordered_product(mp1, np1, mp2, np2)
+            for (mq, nq), sq in ordered_product(mq1, nq1, mq2, nq2).items():
+                cq = c * sq
+                for (mp, np_), sp in ppart.items():
+                    key = (mq, nq, mp, np_, i, j)
+                    add = cq * sp
+                    out[key] = out[key] + add if key in out else add
+        else:
+            key = (mq1 + mq2, nq1 + nq2, mp1 + mp2, np1 + np2, i, j)
+            out[key] = out[key] + c if key in out else c
+    return TensorPoly._raw(out)
 
 
 # -- module-level operation names ------------------------------------------
@@ -356,7 +365,9 @@ def eval_ncpoly(expr, x: TensorPoly, y: TensorPoly) -> TensorPoly:
         expr,
         lambda value: TensorPoly.scalar(ScalarCoeff.from_rational(value)),
         lambda name: x if name == "Q" else y,
-        power=lambda base, exponent: reduce(
-            operator.mul, repeat(base, exponent), TensorPoly.identity()
+        power=lambda base, exponent: (
+            reduce(operator.mul, repeat(base, exponent - 1), base)
+            if exponent
+            else TensorPoly.identity()
         ),
     )

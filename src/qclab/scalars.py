@@ -158,19 +158,22 @@ class ScalarCoeff:
         )
 
     def __mul__(self, other: "ScalarCoeff") -> "ScalarCoeff":
-        out: Numerators = {}
-        for (a1, b1), (r1, i1) in self._num.items():
-            for (a2, b2), (r2, i2) in other._num.items():
-                key = (a1 + a2, b1 + b2)
-                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-                if key in out:
-                    r0, i0 = out[key]
-                    re, im = r0 + re, i0 + im
-                out[key] = (re, im)
-        if len(out) < len(self._num) * len(other._num):
-            # keys collided, so a sum may have cancelled to zero
-            out = {k: v for k, v in out.items() if v[0] or v[1]}
-        return ScalarCoeff._reduced(out, self._den * other._den)
+        n1, n2 = self._num, other._num
+        # a unit costs nothing; checked by value, since from_rational(1) is
+        # a unit that is not _ONE
+        if n1 == _UNIT and self._den == 1:
+            return other
+        if n2 == _UNIT and other._den == 1:
+            return self
+        den = self._den * other._den
+        if len(n1) == 1 and len(n2) == 1:
+            # Gaussian integers have no zero divisors: one nonzero term
+            ((a1, b1), (r1, i1)), = n1.items()
+            ((a2, b2), (r2, i2)), = n2.items()
+            return ScalarCoeff._reduced(
+                {(a1 + a2, b1 + b2): (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)}, den
+            )
+        return ScalarCoeff._reduced(_product(n1, n2), den)
 
     def scale_int(self, n: int) -> "ScalarCoeff":
         """``n`` times this coefficient, for a nonzero integer ``n``."""
@@ -267,5 +270,23 @@ class ScalarCoeff:
         return " + ".join(parts)
 
 
+def _product(n1: Numerators, n2: Numerators) -> Numerators:
+    """Zero-free numerators of the product of two numerator maps."""
+    out: Numerators = {}
+    for (a1, b1), (r1, i1) in n1.items():
+        for (a2, b2), (r2, i2) in n2.items():
+            key = (a1 + a2, b1 + b2)
+            re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+            if key in out:
+                r0, i0 = out[key]
+                re, im = r0 + re, i0 + im
+            out[key] = (re, im)
+    if len(out) < len(n1) * len(n2):
+        # keys collided, so a sum may have cancelled to zero
+        out = {k: v for k, v in out.items() if v[0] or v[1]}
+    return out
+
+
 _ZERO = ScalarCoeff({})
 _ONE = ScalarCoeff({(0, 0): (1, 0)})
+_UNIT = _ONE._num

@@ -1,6 +1,8 @@
 """Endpoint dynamics: bracket transport, unitary evolution, and the
 oscillator comparison harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -588,9 +590,39 @@ def test_the_record_grid_matches_the_listed_rule(steps, stride):
     assert marks.tolist() == listed_record_steps(steps, stride)
 
 
-def test_the_record_count_is_priced_before_any_allocation():
-    # the 1e6-step, stride-1 auto run on a Fock 8 pair: 16 * 8 bytes a record
-    assert dyn._record_count(10**6, 1, 16 * 8) == 10**6 + 1
+class _Priced(Exception):
+    """Raised in place of the record count, once the price is known."""
+
+
+def _von_neumann_price(monkeypatch, n_fock, steps, run=False):
+    """The bytes a record that ``von_neumann_evolve`` prices on a Fock pair, and
+    the run's trajectory when ``run`` is set (else it stops at the price)."""
+    priced = []
+    count = dyn._record_count
+
+    def record_count(steps, stride, record_bytes):
+        priced.append(record_bytes)
+        if not run:
+            raise _Priced
+        return count(steps, stride, record_bytes)
+
+    state, h_poly, b = quantum_setup(n_fock=n_fock)
+    with monkeypatch.context() as patch:
+        patch.setattr(dyn, "_record_count", record_count)
+        try:
+            traj = dyn.von_neumann_evolve(state, h_poly, b, b, 1e-3, steps, record_stride=1)
+        except _Priced:
+            traj = None
+    (record_bytes,) = priced
+    return record_bytes, traj
+
+
+def test_the_record_count_is_priced_before_any_allocation(monkeypatch):
+    # the 1e6-step, stride-1 auto run on a Fock 8 pair: 320 bytes a record,
+    # about 320 MB, stays admitted
+    record_bytes, _ = _von_neumann_price(monkeypatch, 8, 10**6)
+    assert record_bytes == 32 * 8 + 64
+    assert dyn._record_count(10**6, 1, record_bytes) == 10**6 + 1
     with pytest.raises(ValueError, match=r"make 10{29}1 records, 80 bytes each, above the 1 GiB"):
         dyn._record_count(10**30, 1, 80)
     # the bound is inclusive
@@ -606,6 +638,21 @@ def test_the_record_count_is_priced_before_any_allocation():
         dyn.OscillatorParams(dt=1e-310).period_steps()
     with pytest.raises(ValueError, match="has no finite step count"):
         dyn.OscillatorParams(period_count=10**400).period_steps()
+
+
+def test_von_neumann_holds_no_more_than_its_price(monkeypatch):
+    # 20,001 records on a Fock 4 pair: the records x N arrays outweigh the
+    # fixed cost of the run, as they do in any run near the bound
+    steps = 20000
+    _von_neumann_price(monkeypatch, 4, 10, run=True)  # a first run, for the lazy imports
+    tracemalloc.start()
+    try:
+        record_bytes, traj = _von_neumann_price(monkeypatch, 4, steps, run=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == steps + 1
+    assert peak <= record_bytes * (steps + 1)
 
 
 def test_coherent_state_beyond_any_dense_size():
