@@ -13,19 +13,15 @@ A one-parameter family of generator pairs connects a quantum endpoint to a
 commuting classical endpoint; verification suites, parameter sweeps, kernel
 dumps, and endpoint dynamics are exposed both as a library and through the
 ``qclab`` command line tool.
+
+The exact engine (``scalars``, ``expr``, ``ncpoly``) is pure Python and is
+all that ``import qclab`` loads.  The numeric names (those of ``matrep``,
+``states`` and ``verify``) load with their module, and numpy, on first use.
 """
 
+from importlib import import_module
+
 from .expr import ExprError, differentiate, evaluate_numeric, parse_expr
-from .matrep import (
-    Backend,
-    build_backend,
-    commutator_defect,
-    flatten,
-    hermitian_defect,
-    realize,
-    spectrum,
-    unflatten,
-)
 from .ncpoly import (
     GeneratorSet,
     TensorPoly,
@@ -41,18 +37,37 @@ from .ncpoly import (
     tp_commutator,
 )
 from .scalars import ScalarCoeff
-from .states import (
-    StateReport,
-    WeightSpec,
-    cm_mixed_density,
-    cm_point_state,
-    coherent_state,
-    gaussian_grid_state,
-    lift_qm_eigenstate,
-    mean_value,
-    validate_state,
-)
-from .verify import CheckResult, VerifyReport, run_verify
+
+# each numeric name and its home module
+_NUMERIC = {
+    name: module
+    for module, names in {
+        ".matrep": (
+            "Backend", "build_backend", "commutator_defect", "flatten",
+            "hermitian_defect", "realize", "spectrum", "unflatten",
+        ),
+        ".states": (
+            "StateReport", "WeightSpec", "cm_mixed_density", "cm_point_state",
+            "coherent_state", "gaussian_grid_state", "lift_qm_eigenstate",
+            "mean_value", "validate_state",
+        ),
+        ".verify": ("CheckResult", "VerifyReport", "run_verify"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    # read from the home module on every access, so the name stays that
+    # module's attribute even after a tracer or a test rebinds it there
+    if name in _NUMERIC:
+        return getattr(import_module(_NUMERIC[name], __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return __all__
+
 
 __version__ = "0.1.0"
 

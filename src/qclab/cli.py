@@ -220,6 +220,12 @@ class RunConfig:
     fault_injection: float | None = None
     export_matrix: bool = False
 
+    def __post_init__(self) -> None:
+        # h = -0.0 is the classical endpoint h = 0, and is written as 0.0
+        object.__setattr__(
+            self, "h_values", tuple(0.0 if h == 0 else h for h in self.h_values)
+        )
+
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")

@@ -24,9 +24,10 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Node = Union["Const", "Var", "Add", "Sub", "Mul", "Neg", "Pow"]
 

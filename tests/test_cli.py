@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +448,20 @@ def test_main_seed_and_h_overrides(tmp_path, capsys):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 1.0
+
+
+def test_main_negative_zero_h_writes_the_classical_endpoint(tmp_path, capsys):
+    for h in ("0", "-0.0"):
+        for command in ("sweep", "kernels"):
+            assert main([command, "--h", h, "--out", str(tmp_path / h / command)]) == 0
+    capsys.readouterr()
+    files = sorted(p.relative_to(tmp_path / "0") for p in (tmp_path / "0").rglob("*.*"))
+    assert len(files) == 6  # sweep.csv, four kernel CSVs and kernels_meta.json
+    for name in files:
+        assert (tmp_path / "-0.0" / name).read_bytes() == (tmp_path / "0" / name).read_bytes(), name
+    # a JSON h_values entry and a replaced config get the same sign
+    assert str(RunConfig.from_dict({"h_values": [-0.0, 0.5]}).h_values) == "(0.0, 0.5)"
+    assert str(replace(RunConfig(), h_values=(-0.0,)).h_values) == "(0.0,)"
 
 
 def test_main_expr_override(tmp_path, capsys):

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from qclab import dynamics as dyn
 from qclab.expr import differentiate, parse_expr
-from qclab.matrep import MAX_DENSE_BYTES, build_backend, qm_factors, realize
+from qclab.matrep import MAX_DENSE_BYTES, build_backend, has_hermitian_image, qm_factors, realize
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
 from qclab.scalars import ScalarCoeff
 from qclab.states import WeightSpec, coherent_state, lift_qm_eigenstate
+from test_matrep import _backend_pairs
 
 GENS = make_generators()
 OSC = "(1/2)*(P^2 + Q^2)"
@@ -521,6 +522,52 @@ def test_von_neumann_matches_dense_stepping_oracle(coupled):
                 np.testing.assert_allclose(
                     getattr(traj, name), getattr(oracle, name), rtol=0, atol=1e-12
                 )
+
+
+@st.composite
+def _admitted_hamiltonians(draw):
+    """Real rational combinations of pure ``Q^k`` and ``P^k`` words, ``k <= 4``,
+    in ``q_qm``, ``p_qm``: odd powers of P are imaginary on a Fock factor."""
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from("QP"), st.integers(0, 4), st.fractions(-3, 3, max_denominator=4)),
+        min_size=1, max_size=4,
+    ))
+    text = " + ".join(f"({c.numerator}/{c.denominator})*{v}^{k}" for v, k, c in terms)
+    return eval_ncpoly(parse_expr(text), GENS.q_qm, GENS.p_qm)
+
+
+@given(
+    _backend_pairs(),
+    _admitted_hamiltonians(),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([1e-2, 0.05, 0.2]),
+    st.integers(1, 300),
+    st.integers(1, 60),
+)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_von_neumann_of_random_hamiltonians_matches_dense_stepping(
+    pair, h_poly, seed, mixed, dt, steps, stride
+):
+    bq, bp = pair
+    assert has_hermitian_image(h_poly)
+    state = random_states(bq.dim, bp.dim, seed)[mixed]
+    h_mat, q_mat, p_mat = (realize(x, bq, bp) for x in (h_poly, GENS.q_qm, GENS.p_qm))
+    traj = dyn.von_neumann_evolve(state, h_poly, bq, bp, dt, steps, record_stride=stride)
+    oracle = dense_stepping_oracle(state, h_mat, dt, steps, bq.hbar, q_mat, p_mat, stride)
+    assert np.array_equal(traj.times, oracle.times)
+    # rounded energies put a phase error of order ||H|| t / hbar into each
+    # record, on means as large as the operator's norm
+    norm = np.linalg.norm(h_mat, 2)
+    drift = 1e-12 * (1.0 + norm * steps * dt / bq.hbar)
+    scales = {
+        "mean_q": np.linalg.norm(q_mat, 2), "mean_p": np.linalg.norm(p_mat, 2),
+        "mean_energy": norm, "norm_or_trace": 1.0,
+    }
+    for name, scale in scales.items():
+        np.testing.assert_allclose(
+            getattr(traj, name), getattr(oracle, name), rtol=0, atol=drift * max(1.0, scale)
+        )
 
 
 def test_qm_factors_rebuild_the_dense_realization():
