@@ -42,6 +42,7 @@ from .matrep import (
     max_entry,
     quadratic_form,
     realize,
+    term_values,
     write_csv,
     write_json,
 )
@@ -388,10 +389,14 @@ def _print_verify(report: VerifyReport) -> None:
 def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state: np.ndarray) -> list[dict]:
     """The sweep table of a vector state, one row per h value.
 
-    Each mean substitutes lam exactly, is refused unless the exact engine
-    finds the element's image Hermitian (``has_hermitian_image``), and is
-    read from the factors (``quadratic_form``); its imaginary part must be
-    at most ``1e-10 * max(1, S)``, S the factors' bound on the image's
+    Only the coefficients of the pair and the observable depend on lam, so
+    the state's term values (``term_values``) are read once, with lam
+    symbolic, and each row substitutes lam exactly and weighs them
+    (``quadratic_form``).  A mean is refused unless the exact engine finds
+    the element's image Hermitian (``has_hermitian_image``): decided once on
+    the symbolic element, since a real lam commutes with conjugation, and
+    at each row only for an element that fails it.  Its imaginary part must
+    be at most ``1e-10 * max(1, S)``, S the factors' bound on the image's
     largest entry (``entry_bound``).  The bulk defect is ``commutator_defect``
     of the symbolic pair, whose exact terms are free of lam, read once for
     every row.  An endpoint gap is the largest entry of the exact difference
@@ -400,13 +405,18 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state: np.ndarray) -
     gens = make_generators()
     q_t, p_t = gens.q_tilde, gens.p_tilde
     obs = eval_ncpoly(parse_expr(config.observable), q_t, p_t)
+    elements = (q_t, p_t, obs)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        values = term_values(bq, bp, state, *elements)
+        norm = np.vdot(state, state)
+    q_read, p_read, obs_read = zip(elements, map(has_hermitian_image, elements), values)
 
-    def mean(element, lam: Fraction) -> float:
+    def mean(lam: Fraction, element, hermitian: bool, values: dict) -> float:
         a = substitute_lambda(element, lam)
-        if not has_hermitian_image(a):
+        if not (hermitian or has_hermitian_image(a)):
             raise ValueError("observable is not Hermitian on a finite pair")
         with np.errstate(all="ignore"):  # an overflow is refused below
-            ratio = quadratic_form(a, bq, bp, state) / np.vdot(state, state)
+            ratio = quadratic_form(a, values, bq.hbar) / norm
         if not np.isfinite(ratio):
             raise ValueError(f"mean value is not finite: {complex(ratio)}")
         # max(1, S) >= 1, so S is read only past 1e-10
@@ -427,9 +437,9 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state: np.ndarray) -
             row = {
                 "h": h,
                 "lambda": float(lam),
-                "mean_q_tilde": mean(q_t, lam),
-                "mean_p_tilde": mean(p_t, lam),
-                "mean_observable": mean(obs, lam),
+                "mean_q_tilde": mean(lam, *q_read),
+                "mean_p_tilde": mean(lam, *p_read),
+                "mean_observable": mean(lam, *obs_read),
             }
         except ValueError as exc:
             raise ConfigError(

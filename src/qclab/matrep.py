@@ -175,15 +175,37 @@ def _term_map(a: TensorPoly) -> dict:
     }
 
 
+def _factor_words(bq: Backend, bp: Backend, *maps: dict) -> list:
+    """One iterator per term map over its terms' factor matrices ``(i, j, X,
+    Y)``, each term being ``c * X (x) Y (x) E_ij``, in the map's order.
+
+    The coefficients are not read, so a map may keep the symbolic weight.  X
+    and Y are read from power tables of each factor's Q and P, built once for
+    all the maps before any term is read; a term's matrices are built only
+    when its iterator reaches it.
+    """
+    tables = []
+    for f, b in enumerate((bq, bp)):
+        words = [key[2 + f] for m in maps for key in m]
+        tables.append((
+            _matrix_powers(np.asarray(b.qmat), max((max(w[0::2]) for w in words), default=0)),
+            _matrix_powers(np.asarray(b.pmat), max((max(w[1::2]) for w in words), default=0)),
+        ))
+
+    def terms(m: dict):
+        for i, j, wq, wp in m:
+            yield i, j, _word(*tables[0], wq), _word(*tables[1], wp)
+
+    return [terms(m) for m in maps]
+
+
 def _factored(bq: Backend, bp: Backend, *maps: dict) -> list:
     """One iterator per term map over its terms ``(i, j, c, X, Y)``, each
-    meaning ``c * X (x) Y (x) E_ij``, in the map's order.
+    meaning ``c * X (x) Y (x) E_ij``, in the map's order (``_factor_words``).
 
     The coefficients must be free of the symbolic weight, and the backends
-    must share hbar, at which the coefficients are evaluated.  X and Y are
-    read from power tables of each factor's Q and P.  The checks and the
-    tables run before any term is read; a term's matrices are built only
-    when its iterator reaches it.
+    must share hbar, at which the coefficients are evaluated.  The checks run
+    before the tables are built.
     """
     if any(c.has_lambda for m in maps for c in m.values()):
         raise ValueError(
@@ -194,19 +216,10 @@ def _factored(bq: Backend, bp: Backend, *maps: dict) -> list:
         raise ValueError(
             f"backends disagree on hbar ({bq.hbar} vs {bp.hbar})"
         )
-    tables = []
-    for f, b in enumerate((bq, bp)):
-        words = [key[2 + f] for m in maps for key in m]
-        tables.append((
-            _matrix_powers(np.asarray(b.qmat), max((max(w[0::2]) for w in words), default=0)),
-            _matrix_powers(np.asarray(b.pmat), max((max(w[1::2]) for w in words), default=0)),
-        ))
-
-    def terms(m: dict):
-        for (i, j, wq, wp), coeff in m.items():
-            yield i, j, coeff.evaluate(bq.hbar), _word(*tables[0], wq), _word(*tables[1], wp)
-
-    return [terms(m) for m in maps]
+    return [
+        ((i, j, c.evaluate(bq.hbar), x, y) for (i, j, x, y), c in zip(words, m.values()))
+        for words, m in zip(_factor_words(bq, bp, *maps), maps)
+    ]
 
 
 # Most a dense reading allocates at once: 1 GiB of complex entries, for the
@@ -262,37 +275,49 @@ def _slots(bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.asarray(vec).reshape(bq.dim, bp.dim, 2), 2, 0)
 
 
-def _term_images(a: TensorPoly, bq: Backend, bp: Backend, psi: np.ndarray):
-    """For each term ``c X (x) Y (x) E_ij`` of ``a``, in sorted key order,
-    ``(i, c, X psi_j Y^T)``: the term maps slot j of the vector with r-slots
-    ``psi`` (``_slots``) to ``c X psi_j Y^T`` in slot i.
+def apply(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
+    """``A v`` in the flat ordering for the realization A of ``a``: a term
+    ``c X (x) Y (x) E_ij`` adds ``c X psi_j Y^T`` into r-slot i, with ``psi``
+    the r-slots of ``vec`` (``_slots``).
 
     ``(X (x) Y) vec(M) = vec(X M Y^T)`` for row-major ``vec`` (Van Loan, "The
     ubiquitous Kronecker product", J. Comput. Appl. Math. 123 (2000)), so a
     term costs N x N products and no product-space matrix is formed.
     """
-    (terms,) = _factored(bq, bp, _term_map(a))
-    for i, j, c, x, y in terms:
-        yield i, c, x @ psi[j] @ y.T
-
-
-def quadratic_form(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> complex:
-    """``<v|A|v>`` for the realization A of ``a``, with no product-space matrix:
-    a term ``c X (x) Y (x) E_ij`` adds ``c <psi_i, X psi_j Y^T>``
-    (``_term_images``)."""
-    psi = _slots(bq, bp, vec)
-    return complex(sum(c * np.vdot(psi[i], image) for i, c, image in _term_images(a, bq, bp, psi)))
-
-
-def apply(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
-    """``A v`` in the flat ordering for the realization A of ``a``, with no
-    product-space matrix: a term ``c X (x) Y (x) E_ij`` adds
-    ``c X psi_j Y^T`` into r-slot i (``_term_images``)."""
     psi = _slots(bq, bp, vec)
     out = np.zeros(psi.shape, dtype=complex)
-    for i, c, image in _term_images(a, bq, bp, psi):
-        out[i] += c * image
+    (terms,) = _factored(bq, bp, _term_map(a))
+    for i, j, c, x, y in terms:
+        out[i] += c * (x @ psi[j] @ y.T)
     return np.moveaxis(out, 0, 2).reshape(-1)
+
+
+def term_values(bq: Backend, bp: Backend, vec: np.ndarray, *elements: TensorPoly) -> list[dict]:
+    """For each element, the number ``<psi_i, X psi_j Y^T>`` of each of its
+    terms ``c X (x) Y (x) E_ij``, keyed as ``_term_map`` keys it, with
+    ``psi`` the r-slots of ``vec`` (``_slots``).
+
+    The numbers are the parts of ``<v|A|v>`` that do not depend on the
+    coefficients, so an element may keep lam; ``quadratic_form`` weighs them
+    for any element whose terms are among them, such as the element at a
+    substituted lam.  One power table per factor serves every element
+    (``_factor_words``), each image ``X psi_j Y^T`` is formed as ``apply``
+    forms it, and only the numbers are kept.
+    """
+    psi = _slots(bq, bp, vec)
+    maps = [_term_map(a) for a in elements]
+    return [
+        {key: np.vdot(psi[i], x @ psi[j] @ y.T) for key, (i, j, x, y) in zip(m, words)}
+        for m, words in zip(maps, _factor_words(bq, bp, *maps))
+    ]
+
+
+def quadratic_form(a: TensorPoly, values: dict, hbar: float) -> complex:
+    """``<v|A|v>`` for the realization A of ``a``, lam-free, at ``hbar``, from
+    term values of v (``term_values``) that include the terms of ``a``: a
+    term ``c X (x) Y (x) E_ij`` adds ``c <psi_i, X psi_j Y^T>``, in sorted
+    key order."""
+    return complex(sum(c.evaluate(hbar) * values[key] for key, c in _term_map(a).items()))
 
 
 def entry_bound(a: TensorPoly, bq: Backend, bp: Backend) -> float:

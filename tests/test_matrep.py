@@ -29,10 +29,11 @@ from qclab.matrep import (
     quadratic_form,
     realize,
     spectrum,
+    term_values,
     unflatten,
     write_csv,
 )
-from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
+from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators, substitute_lambda
 from qclab.expr import parse_expr, random_expr
 from qclab.scalars import ScalarCoeff
 from qclab.states import WeightSpec, cm_point_state, lift_qm_eigenstate, mean_value
@@ -329,6 +330,12 @@ def _polynomials(draw):
     return eval_ncpoly(node, getattr(g, f"q_{pair}"), getattr(g, f"p_{pair}"))
 
 
+def _form(a, bq, bp, v):
+    """``<v|A|v>``, the sweep's way: the term values of v, weighed."""
+    (values,) = term_values(bq, bp, v, a)
+    return quadratic_form(a, values, bq.hbar)
+
+
 @st.composite
 def _observables(draw):
     """A ``_polynomials`` draw, taken raw or as ``a + a^dagger``."""
@@ -347,7 +354,7 @@ def test_an_element_the_rule_accepts_realizes_hermitian(pair, a, seed):
     # the sweep's reading of a mean against the dense one
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
-    got = quadratic_form(a, bq, bp, v) / np.vdot(v, v)
+    got = _form(a, bq, bp, v) / np.vdot(v, v)
     want = vector_mean(v, m)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
@@ -363,8 +370,8 @@ def test_apply_of_random_elements_matches_the_realized_product(pair, a, seed):
     tol = 1e-12 * max(1.0, np.abs(m).max())
     av = apply(a, bq, bp, v)
     assert np.max(np.abs(av - m @ v)) <= tol
-    # the sweep's per-term sum against the product it shares its loop with
-    assert abs(quadratic_form(a, bq, bp, v) - np.vdot(v, av)) <= tol
+    # the sweep's weighed term values against the product, image by image the same
+    assert abs(_form(a, bq, bp, v) - np.vdot(v, av)) <= tol
 
 
 def test_the_rule_decides_from_the_words():
@@ -380,6 +387,20 @@ def test_the_rule_decides_from_the_words():
     # self-adjoint, but the image of a mixed word is not Hermitian on a finite pair
     assert qpq == qpq.adjoint() and not has_hermitian_image(qpq)
     assert not has_hermitian_image(TensorPoly({(1, 1, 0, 0, 0, 0): one}))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.fractions(0, 1, max_denominator=12))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_rule_admits_at_every_lam_what_it_admits_with_lam_symbolic(seed, symmetrize, lam):
+    # a real lam commutes with conjugation, so the sweep decides the rule
+    # once per element, with lam symbolic
+    g = make_generators()
+    node = random_expr(np.random.default_rng(seed), max_degree=4, max_terms=4)
+    a = eval_ncpoly(node, g.q_tilde, g.p_tilde)
+    if symmetrize:
+        a = a + a.adjoint()
+    if has_hermitian_image(a):
+        assert has_hermitian_image(substitute_lambda(a, lam))
 
 
 def test_write_csv_renders_each_column_by_its_values(tmp_path):
@@ -502,15 +523,12 @@ def _mean_states(bq, bp, seed):
 
 
 def _mean_elements():
+    """Self-adjoint elements, the tilde pair and two observables with lam
+    symbolic, and an element whose terms couple the r-sectors."""
     g = make_generators()
-    obs = {
-        text: eval_ncpoly(parse_expr(text), g.q_tilde, g.p_tilde)
-        for text in ("(1/2)*(P^2 + Q^2) + (1/10)*Q^4", "Q^8")
-    }
-    out = {}
-    for lam in (Fraction(0), Fraction(1, 3), Fraction(1)):
-        for name, a in [("q~", g.q_tilde), ("p~", g.p_tilde), *obs.items()]:
-            out[f"{name} at lam {lam}"] = a.substitute_lambda(lam)
+    out = {"q~": g.q_tilde, "p~": g.p_tilde}
+    for text in ("(1/2)*(P^2 + Q^2) + (1/10)*Q^4", "Q^8"):
+        out[text] = eval_ncpoly(parse_expr(text), g.q_tilde, g.p_tilde)
     # Q^2 (x) P (x) E_qp and P^3 (x) Q^3 (x) E_pq couple the r-sectors
     c = ScalarCoeff({(0, 0): (Fraction(1, 2), Fraction(-3, 4))})
     t = TensorPoly({(2, 0, 0, 1, 0, 1): c, (0, 3, 3, 0, 1, 0): ScalarCoeff.one()})
@@ -526,14 +544,27 @@ def test_quadratic_form_mean_matches_the_realized_mean(kind, hbar):
     g = make_generators()
     qp = eval_ncpoly(parse_expr("Q*P"), g.q_qm, g.p_qm)
     for v in _mean_states(bq, bp, seed=round(10 * hbar)):
-        for name, a in elements.items():
-            assert a == a.adjoint(), name
-            got = quadratic_form(a, bq, bp, v) / np.vdot(v, v)
-            want = vector_mean(v, realize(a, bq, bp))
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, got, want)
+        # one reading, with lam symbolic, serves every lam
+        values = dict(zip(elements, term_values(bq, bp, v, *elements.values())))
+        for lam in (Fraction(0), Fraction(1, 3), Fraction(1)):
+            for name, element in elements.items():
+                a = element.substitute_lambda(lam)
+                assert a == a.adjoint(), name
+                got = quadratic_form(a, values[name], bq.hbar) / np.vdot(v, v)
+                want = vector_mean(v, realize(a, bq, bp))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, lam, got, want)
         # the reading is <v|A|v> for any element, mixed words included
         want = np.vdot(v, realize(qp, bq, bp) @ v)
-        assert abs(quadratic_form(qp, bq, bp, v) - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(_form(qp, bq, bp, v) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_a_weighed_element_must_be_free_of_lam():
+    bq, bp = _pair("fock")
+    g = make_generators()
+    v = _mean_states(bq, bp, seed=3)[0]
+    (values,) = term_values(bq, bp, v, g.q_tilde)
+    with pytest.raises(ValueError, match="lam"):
+        quadratic_form(g.q_tilde, values, bq.hbar)
 
 
 def test_kernel_block_selects_r_entries(tmp_path, capsys):

@@ -1,19 +1,31 @@
-"""The sweep table against a per-h oracle.
+"""The sweep table against two per-h oracles.
 
-``sweep_rows`` refuses an element whose image the exact engine does not
-find Hermitian and reads every other mean term by term from the factors
-(``quadratic_form``); the bulk defect and the endpoint gaps come from
-factor-sized maxima of exact terms.  The oracle below is the direct path:
-at each h it substitutes the weight, realizes the pair and the observable,
-takes the commutator defect from dense products of the realized pair, and
-the mean values by dense products with the state vector (``vector_mean``).
+``sweep_rows`` reads the state's term values of the pair and the observable
+once, with lam symbolic (``term_values``), and at each h substitutes lam and
+weighs them (``quadratic_form``); it refuses an element whose image the
+exact engine does not find Hermitian, decided once with lam symbolic.  The
+bulk defect and the endpoint gaps come from factor-sized maxima of exact
+terms.  ``oracle_rows`` is the direct path: at each h it substitutes the
+weight, realizes the pair and the observable, takes the commutator defect
+from dense products of the realized pair, and the mean values by dense
+products with the state vector (``vector_mean``).  ``per_h_means`` is the
+per-h rule: at each h it substitutes, decides ``has_hermitian_image`` and
+forms every term image again (``per_term_quadratic_form``).  It forms the
+sweep's floats in the sweep's order, so its means must equal them exactly.
 """
 
+import contextlib
 import csv
+import io
 import json
+import math
 import sys
+import tempfile
 import tracemalloc
+import warnings
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +43,9 @@ from qclab.cli import (
     main,
     sweep_rows,
 )
-from qclab.expr import parse_expr
-from qclab.matrep import max_entry, realize
+from qclab import matrep
+from qclab.expr import fold, parse_expr, random_expr
+from qclab.matrep import entry_bound, has_hermitian_image, max_entry, realize
 from qclab.ncpoly import eval_ncpoly, make_generators, substitute_lambda
 from qclab.states import mean_value
 
@@ -404,3 +417,193 @@ def test_sweep_rows_of_random_sums_match_the_oracle(config):
         assert isinstance(got, str)  # both refuse
     else:
         _assert_rows_match(got, want, rtol=1e-12)
+
+
+# -- the per-h mean rule as an oracle ---------------------------------------
+
+
+def per_term_quadratic_form(a, bq, bp, vec):
+    """``<v|A|v>`` with every term image formed at the call: a term
+    ``c X (x) Y (x) E_ij`` adds ``c <psi_i, X psi_j Y^T>``, in sorted key
+    order."""
+    psi = matrep._slots(bq, bp, vec)
+    (terms,) = matrep._factored(bq, bp, matrep._term_map(a))
+    return complex(sum(c * np.vdot(psi[i], x @ psi[j] @ y.T) for i, j, c, x, y in terms))
+
+
+def per_h_means(config, bq, bp, state):
+    """The ``h``, ``lambda`` and mean columns of the sweep table by the per-h
+    rule: at each h substitute lam, decide ``has_hermitian_image`` and read
+    each mean with ``per_term_quadratic_form``, refusing as the sweep does."""
+    gens = make_generators()
+    q_t, p_t = gens.q_tilde, gens.p_tilde
+    obs = eval_ncpoly(parse_expr(config.observable), q_t, p_t)
+
+    def mean(element, lam):
+        a = substitute_lambda(element, lam)
+        if not has_hermitian_image(a):
+            raise ValueError("observable is not Hermitian on a finite pair")
+        with np.errstate(all="ignore"):
+            ratio = per_term_quadratic_form(a, bq, bp, state) / np.vdot(state, state)
+        if not np.isfinite(ratio):
+            raise ValueError(f"mean value is not finite: {complex(ratio)}")
+        if abs(ratio.imag) > 1e-10 and abs(ratio.imag) > 1e-10 * entry_bound(a, bq, bp):
+            raise ValueError(f"mean value has non-negligible imaginary part {ratio.imag!r}")
+        return float(ratio.real)
+
+    rows = []
+    for h in config.h_values:
+        lam = 1 - Fraction(str(h)) / Fraction(str(config.h_o))
+        try:
+            rows.append({
+                "h": h,
+                "lambda": float(lam),
+                "mean_q_tilde": mean(q_t, lam),
+                "mean_p_tilde": mean(p_t, lam),
+                "mean_observable": mean(obs, lam),
+            })
+        except ValueError as exc:
+            raise ConfigError(f"cannot evaluate means at h={h!r}: {exc}") from exc
+    return rows
+
+
+def _text(node, reverse=False):
+    """Source text of a tree; with ``reverse``, of the tree with every
+    product's factors swapped, which is its adjoint when the coefficients
+    are real."""
+    return fold(
+        node,
+        lambda v: f"({v.numerator}/{v.denominator})",
+        lambda name: name,
+        neg=lambda a: f"-({a})",
+        add=lambda a, b: f"{a} + {b}",
+        sub=lambda a, b: f"{a} - ({b})",
+        mul=lambda a, b: f"({b})*({a})" if reverse else f"({a})*({b})",
+        power=lambda a, exponent: f"({a})^{exponent}",
+    )
+
+
+@st.composite
+def _per_h_configs(draw):
+    """A ``_sweep_configs`` draw with a ``random_expr`` observable, taken raw
+    or plus its adjoint, and at times plus a power of ``Q*P - P*Q``, and
+    ``h_values`` a shuffled subset of the tenths that holds 0 and ``h_o``."""
+    config = draw(_sweep_configs())
+    node = random_expr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), max_degree=3)
+    observable = _text(node)
+    if draw(st.booleans()):  # self-adjoint; admitted when every word is a pure power
+        observable += " + " + _text(node, reverse=True)
+    # [Q, P]^e is (i hbar)^e in the tilde pair: a coefficient that depends
+    # on hbar, admitted for even e only
+    exponent = draw(st.integers(0, 4))
+    if exponent:
+        observable += f" + (Q*P - P*Q)^{exponent}"
+    inner = draw(st.sets(st.sampled_from([i / 10 for i in range(1, 10)]), max_size=4))
+    h_values = draw(st.permutations([0.0, *sorted(inner), 1.0]))
+    return replace(config, observable=observable, h_values=tuple(h_values))
+
+
+@given(_per_h_configs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sweep_means_equal_the_per_h_rule(config):
+    bq, bp = build_backends(config)
+    state = build_state(config, bq, bp)
+    got = _rows_or_refusal(sweep_rows, config, bq, bp, state)
+    want = _rows_or_refusal(per_h_means, config, bq, bp, state)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert [{key: row[key] for key in COLUMNS[:5]} for row in got] == want
+
+
+def test_a_sweep_forms_its_word_images_once_per_run(monkeypatch):
+    # every h row only substitutes lam and weighs the term values, so 101 rows
+    # form as many factor words as 11 (both include the two endpoint rows,
+    # whose gaps read two small exact differences)
+    words = []
+    original = matrep._word
+
+    def spy(*args):
+        words.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(matrep, "_word", spy)
+    counts = []
+    for n in (11, 101):
+        config = RunConfig(observable=QUARTIC, h_values=tuple(i / (n - 1) for i in range(n)))
+        bq, bp = build_backends(config)
+        words.clear()
+        assert len(sweep_rows(config, bq, bp, build_state(config, bq, bp))) == n
+        counts.append(len(words))
+    assert counts[0] == counts[1], counts
+
+
+# -- the sweep config fuzzer: every config exits 0 or 2 ----------------------
+
+# item 16's boundary values of a float key: plain, extreme, and not positive
+PLAIN = (0.5, 1.0, 2.0, 3.0)
+EXTREME = (1e-8, 1e8, 1e-30, 1e30, 1e-200, 1e200, 1e-300, 1e300)
+NOT_POSITIVE = (0.0, -1.0)
+KINDS = ("fock", "grid-position", "grid-momentum")
+
+
+def _weighted(*choices):
+    """One of ``(weight, values)`` choices, picked in proportion to its weight."""
+    return st.one_of(*[st.sampled_from(values) for weight, values in choices for _ in range(weight)])
+
+
+@st.composite
+def _boundary_sweep_configs(draw):
+    """A sweep config whose float keys take item 16's boundary values: hbar,
+    h_o, the h values, both backends' lengths, and the state's centre and
+    width.  The kinds take every pairing and the sizes run from 2 to 4.  A
+    key that must be positive is 0 or -1 one time in 10, and an h value is
+    0, h_o / 2 or h_o seven times in 8, so that most configs get past
+    validation to the backends, the state and the means."""
+    value = _weighted((2, PLAIN), (2, EXTREME), (1, NOT_POSITIVE))
+    positive = _weighted((5, PLAIN), (4, EXTREME), (1, NOT_POSITIVE))
+    h_o = draw(positive)
+    h = _weighted((1, PLAIN + EXTREME + NOT_POSITIVE), (7, (0.0, h_o / 2, h_o)))
+    backends = {
+        name: {"kind": draw(st.sampled_from(KINDS)), "n": draw(st.integers(2, 4)), "length": draw(positive)}
+        for name in ("backend_q", "backend_p")
+    }
+    return {
+        "hbar": draw(positive),
+        "h_o": h_o,
+        "h_values": draw(st.lists(h, min_size=1, max_size=3)),
+        **backends,
+        "state": {"q0": draw(value), "p0": draw(value), "sigma": draw(st.none() | positive)},
+    }
+
+
+def _finite_constant(name):
+    raise ValueError(f"{name} in a written JSON artifact")
+
+
+@given(_boundary_sweep_configs(), st.sampled_from(["csv", "json"]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_sweep_configs_at_the_boundary_exit_0_or_2(config, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["sweep", "--config", str(path), "--out", str(out), "--format", fmt])
+        assert caught == [], [str(w.message) for w in caught]
+        assert code in (0, 2), (code, stderr.getvalue())
+        if code == 2:
+            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+            assert stderr.getvalue().startswith("error: ")
+            assert not out.exists()
+            return
+        assert stderr.getvalue() == ""
+        if fmt == "json":
+            payload = json.loads((out / "sweep.json").read_text(), parse_constant=_finite_constant)
+            numbers = [v for row in payload["rows"] for v in row.values() if v is not None]
+        else:
+            rows = _read_csv(out / "sweep.csv")
+            numbers = [float(v) for row in rows for v in row.values() if v is not None]
+        assert numbers and all(math.isfinite(v) for v in numbers), numbers
