@@ -393,9 +393,10 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state: np.ndarray) -
     the state's term values (``term_values``) are read once, with lam
     symbolic, and each row substitutes lam exactly and weighs them
     (``quadratic_form``).  A mean is refused unless the exact engine finds
-    the element's image Hermitian (``has_hermitian_image``): decided once on
-    the symbolic element, since a real lam commutes with conjugation, and
-    at each row only for an element that fails it.  Its imaginary part must
+    the element's image Hermitian (``has_hermitian_image``), decided once on
+    the symbolic element: the rule admits an element at some lam only if it
+    admits its lam-free one-pair normal form (each r-sector's lam^0 part),
+    and then it admits the symbolic element too.  Its imaginary part must
     be at most ``1e-10 * max(1, S)``, S the factors' bound on the image's
     largest entry (``entry_bound``).  The bulk defect is ``commutator_defect``
     of the symbolic pair, whose exact terms are free of lam, read once for
@@ -412,9 +413,9 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state: np.ndarray) -
     q_read, p_read, obs_read = zip(elements, map(has_hermitian_image, elements), values)
 
     def mean(lam: Fraction, element, hermitian: bool, values: dict) -> float:
-        a = substitute_lambda(element, lam)
-        if not (hermitian or has_hermitian_image(a)):
+        if not hermitian:
             raise ValueError("observable is not Hermitian on a finite pair")
+        a = substitute_lambda(element, lam)
         with np.errstate(all="ignore"):  # an overflow is refused below
             ratio = quadratic_form(a, values, bq.hbar) / norm
         if not np.isfinite(ratio):

@@ -6,6 +6,14 @@ deterministic strings (canonical-form differences or measured defect
 norms), so a report generated from a fixed seed and configuration is
 reproducible byte for byte.
 
+A numeric check passes when its defect is at most ``rtol * scale`` and both
+are finite (``_within``), so a NaN or inf fails.  The scale is the largest
+entry of the operands it compares, and ``rtol`` is fixed per check: roundoff
+in a product is bounded relative to its operands (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., §3.5), so the verdict does not
+depend on the units of hbar.  Its witness reads ``what (scale S, ratio R): D``
+with D the defect.
+
 Two checks are informational: they record engine-derived facts that sit in
 tension with the prose surrounding the construction (the interpolating
 pair keeps the canonical commutator at every weight, and the classical
@@ -26,12 +34,15 @@ import numpy as np
 from . import expr as expr_mod
 from .dynamics import OSCILLATOR_EXPR, PhaseSpaceDensity, qm_hamiltonian
 from .matrep import (
+    Backend,
     _dft_matrix,
     apply,
     build_backend,
     commutator_defect,
+    entry_bound,
     flatten,
     hermitian_defect,
+    qm_factors,
     qm_product_defect,
     qm_spectrum,
     realize,
@@ -260,44 +271,54 @@ def _check_classical_endpoint_gap(ctx: _Ctx, index: int) -> tuple[bool, str]:
 # -- numeric checks --------------------------------------------------------
 
 
+def _within(defect: float, scale: float, rtol: float, what: str) -> tuple[bool, str]:
+    """The numeric checks' one rule: pass when ``defect <= rtol * scale`` and
+    both are finite, so a zero scale admits only a zero defect."""
+    defect, scale = float(defect), float(scale)
+    ratio = defect / scale if scale else (np.inf if defect else 0.0)
+    passed = bool(np.isfinite(defect) and np.isfinite(scale) and defect <= rtol * scale)
+    return passed, f"{what} (scale {scale!r}, ratio {ratio:.3g}): {defect!r}"
+
+
+def _grid_pair(ctx: _Ctx) -> tuple[Backend, Backend]:
+    """The 8-point position and momentum grids on length 8."""
+    return tuple(build_backend(k, 8, ctx.hbar, 8.0) for k in ("grid-position", "grid-momentum"))
+
+
 def _check_fock_truncated_ccr(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    worst = 0.0
+    worst = scale = 0.0
     for n in (4, 8, 16):
         b = build_backend("fock", n, ctx.hbar)
         comm = b.qmat @ b.pmat - b.pmat @ b.qmat
         diag = np.ones(n)
         diag[-1] = -(n - 1)
         oracle = 1j * ctx.hbar * np.diag(diag)
-        worst = _worst(worst, float(np.max(np.abs(comm - oracle))))
-    return worst < 1e-12, f"max deviation from analytic truncated form: {worst!r}"
+        worst = _worst(worst, np.max(np.abs(comm - oracle)))
+        scale = _worst(scale, n * np.max(np.abs(b.qmat)) * np.max(np.abs(b.pmat)))
+    return _within(worst, scale, 5e-15, "max deviation from analytic truncated form")
+
+
+def _bulk_defect(ctx: _Ctx, q: TensorPoly, p: TensorPoly) -> tuple[dict, float]:
+    """``commutator_defect`` of ``q``, ``p`` on the Fock 8 pair, and its scale."""
+    b = build_backend("fock", 8, ctx.hbar)
+    return commutator_defect(b, b, q, p), b.dim * entry_bound(q, b, b) * entry_bound(p, b, b)
 
 
 def _check_qm_bulk_defect(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    bq = build_backend("fock", 8, ctx.hbar)
-    bp = build_backend("fock", 8, ctx.hbar)
-    d = commutator_defect(bq, bp, ctx.gens.q_qm, ctx.gens.p_qm)
-    ok = d["bulk_defect_norm"] < 1e-12
-    return ok, (
-        f"bulk_defect_norm={d['bulk_defect_norm']!r},"
-        f" defect_norm={d['defect_norm']!r} (top level only)"
-    )
+    d, scale = _bulk_defect(ctx, ctx.gens.q_qm, ctx.gens.p_qm)
+    what = f"bulk_defect_norm, with defect_norm={d['defect_norm']!r} from the top level only"
+    return _within(d["bulk_defect_norm"], scale, 5e-15, what)
 
 
 def _check_tilde_bulk_defect(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    bq = build_backend("fock", 8, ctx.hbar)
-    bp = build_backend("fock", 8, ctx.hbar)
     half = (substitute_lambda(x, Fraction(1, 2)) for x in (ctx.gens.q_tilde, ctx.gens.p_tilde))
-    d = commutator_defect(bq, bp, *half)
-    ok = d["bulk_defect_norm"] < 1e-12
-    return ok, (
-        f"bulk_defect_norm={d['bulk_defect_norm']!r} at midpoint weight,"
-        f" defect_norm={d['defect_norm']!r}"
-    )
+    d, scale = _bulk_defect(ctx, *half)
+    what = f"bulk_defect_norm at midpoint weight, with defect_norm={d['defect_norm']!r}"
+    return _within(d["bulk_defect_norm"], scale, 5e-15, what)
 
 
 def _check_cm_defect_exact(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    bq = build_backend("grid-position", 8, ctx.hbar, 8.0)
-    bp = build_backend("grid-momentum", 8, ctx.hbar, 8.0)
+    bq, bp = _grid_pair(ctx)
     d = commutator_defect(bq, bp, ctx.gens.q_cm, ctx.gens.p_cm)
     ok = d["defect_norm"] == 0.0
     return ok, f"defect_norm={d['defect_norm']!r} (diagonal pair commutes exactly)"
@@ -305,41 +326,36 @@ def _check_cm_defect_exact(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 def _check_realize_linearity(ctx: _Ctx, index: int) -> tuple[bool, str]:
     rng = _rng(ctx, index)
-    bq = build_backend("fock", 6, ctx.hbar)
-    bp = build_backend("fock", 6, ctx.hbar)
+    fock = build_backend("fock", 6, ctx.hbar)
     q, p = (substitute_lambda(x, Fraction(1, 3)) for x in (ctx.gens.q_tilde, ctx.gens.p_tilde))
-    worst = 0.0
+    worst = scale = 0.0
     for _ in range(5):
         f = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
         g = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
         a, b = eval_ncpoly(f, q, p), eval_ncpoly(g, q, p)
-        lhs = realize(a + b, bq, bp)
-        rhs = realize(a, bq, bp) + realize(b, bq, bp)
-        worst = _worst(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst < 1e-12, f"max linearity defect over 5 random pairs: {worst!r}"
+        ra, rb = realize(a, fock, fock), realize(b, fock, fock)
+        worst = _worst(worst, np.max(np.abs(realize(a + b, fock, fock) - (ra + rb))))
+        scale = _worst(scale, np.max(np.abs(ra)) + np.max(np.abs(rb)))
+    return _within(worst, scale, 2e-14, "max linearity defect over 5 random pairs")
 
 
 def _check_homomorphism_bulk(ctx: _Ctx, index: int) -> tuple[bool, str]:
     rng = _rng(ctx, index)
-    n = 16
-    bq = build_backend("fock", n, ctx.hbar)
-    bp = build_backend("fock", n, ctx.hbar)
-    keep_levels = n - 4
-    worst = 0.0
+    fock = build_backend("fock", 16, ctx.hbar)
+    worst = scale = 0.0
     for _ in range(5):
         f = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
         g = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
         a = eval_ncpoly(f, ctx.gens.q_qm, ctx.gens.p_qm)
         b = eval_ncpoly(g, ctx.gens.q_qm, ctx.gens.p_qm)
-        worst = _worst(worst, qm_product_defect(a, b, bq, bp, keep_levels))
-    return worst < 1e-9, (
-        f"max product defect on the bottom {keep_levels} levels per factor: {worst!r}"
-    )
+        worst = _worst(worst, qm_product_defect(a, b, fock, fock, 12))
+        sectors = zip(qm_factors(a, fock, fock), qm_factors(b, fock, fock))
+        scale = _worst(scale, *(np.max(np.abs(fa) @ np.abs(fb)) for fa, fb in sectors))
+    return _within(worst, scale, 2e-12, "max product defect on the bottom 12 levels per factor")
 
 
 def _check_hermiticity_transport(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    bq = build_backend("fock", 8, ctx.hbar)
-    bp = build_backend("fock", 8, ctx.hbar)
+    fock = build_backend("fock", 8, ctx.hbar)
     osc = expr_mod.parse_expr(OSCILLATOR_EXPR)
     candidates = [
         ("q_tilde@1/3", ctx.gens.q_tilde.substitute_lambda(Fraction(1, 3))),
@@ -347,12 +363,13 @@ def _check_hermiticity_transport(ctx: _Ctx, index: int) -> tuple[bool, str]:
         ("oscillator-qm", qm_hamiltonian(OSCILLATOR_EXPR)),
         ("oscillator-cm", eval_ncpoly(osc, ctx.gens.q_cm, ctx.gens.p_cm)),
     ]
-    worst = 0.0
+    worst = scale = 0.0
     for name, el in candidates:
         if not canonical_eq(tp_adjoint(el), el):
             return False, f"{name} is not adjoint-fixed symbolically"
-        worst = _worst(worst, hermitian_defect(realize(el, bq, bp)))
-    return worst < 1e-12, f"max Hermitian defect of realized fixed points: {worst!r}"
+        worst = _worst(worst, hermitian_defect(realize(el, fock, fock)))
+        scale = _worst(scale, entry_bound(el, fock, fock))
+    return _within(worst, scale, 5e-14, "max Hermitian defect of realized fixed points")
 
 
 def _check_index_round_trip(ctx: _Ctx, index: int) -> tuple[bool, str]:
@@ -370,47 +387,38 @@ def _check_index_round_trip(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 
 def _check_grid_conjugacy(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    n, length = 8, 8.0
-    f = _dft_matrix(n)
-    conj_values = 2.0 * np.pi * ctx.hbar * np.fft.fftfreq(n, d=length / n)
-    pos = build_backend("grid-position", n, ctx.hbar, length)
-    mom = build_backend("grid-momentum", n, ctx.hbar, length)
-    d1 = np.max(np.abs(f @ pos.pmat @ f.conj().T - np.diag(conj_values)))
-    d2 = np.max(np.abs(f.conj().T @ mom.qmat @ f - np.diag(conj_values)))
-    worst = _worst(d1, d2)
-    return worst < 1e-10, f"max DFT-diagonalization defect: {worst!r}"
+    f = _dft_matrix(8)
+    conj = np.diag(2.0 * np.pi * ctx.hbar * np.fft.fftfreq(8, d=8.0 / 8))
+    pos, mom = _grid_pair(ctx)
+    d1 = np.max(np.abs(f @ pos.pmat @ f.conj().T - conj))
+    d2 = np.max(np.abs(f.conj().T @ mom.qmat @ f - conj))
+    return _within(_worst(d1, d2), np.max(np.abs(conj)), 2e-11, "max DFT-diagonalization defect")
 
 
 def _check_identity_spectrum(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    bq = build_backend("grid-position", 8, ctx.hbar, 8.0)
-    bp = build_backend("grid-momentum", 8, ctx.hbar, 8.0)
-    groups = spectrum(realize(ctx.gens.identity, bq, bp))
-    expected_dim = 8 * 8 * 2
-    ok = (
-        len(groups) == 1
-        and abs(groups[0][0] - 1.0) < 1e-12
-        and groups[0][1] == expected_dim
-    )
-    return ok, f"spectrum groups: {groups!r}"
+    groups = spectrum(realize(ctx.gens.identity, *_grid_pair(ctx)))
+    if len(groups) != 1 or groups[0][1] != 8 * 8 * 2:
+        return False, f"spectrum groups: {groups!r}"
+    what = f"distance from 1 of the {groups[0][1]}-fold eigenvalue"
+    return _within(abs(groups[0][0] - 1.0), 1.0, 1e-12, what)
 
 
 def _check_oscillator_spectrum(ctx: _Ctx, index: int) -> tuple[bool, str]:
     n = 16
-    bq = build_backend("fock", n, ctx.hbar)
-    bp = build_backend("fock", n, ctx.hbar)
-    # tolerances relative to hbar, the level spacing
-    tol = 1e-8 * ctx.hbar
-    groups = qm_spectrum(qm_hamiltonian(OSCILLATOR_EXPR), bq, bp, group_tol=tol)
+    fock = build_backend("fock", n, ctx.hbar)
+    # levels are hbar apart, so group within a fraction of hbar
+    groups = qm_spectrum(qm_hamiltonian(OSCILLATOR_EXPR), fock, fock, group_tol=1e-8 * ctx.hbar)
     worst = 0.0
     for level in range(6):
         value, mult = groups[level]
-        worst = _worst(worst, abs(value - ctx.hbar * (level + 0.5)))
+        expected = ctx.hbar * (level + 0.5)
+        worst = _worst(worst, abs(value - expected))
         if mult != 2 * n:
             return False, (
                 f"level {level}: multiplicity {mult}, expected {2 * n}"
                 " (each sector contributes the full spectator-factor degeneracy)"
             )
-    return worst < tol, f"lowest 6 levels match hbar*(n+1/2), max error {worst!r}"
+    return _within(worst, expected, 1e-9, "lowest 6 levels match hbar*(n+1/2), max error")
 
 
 # -- state checks ----------------------------------------------------------
@@ -430,30 +438,22 @@ def _random_weights(rng: np.random.Generator, n_q: int, n_p: int) -> WeightSpec:
     )
 
 
-def _lifting_residuals(
-    ctx: _Ctx, rng: np.random.Generator, n: int, levels: int, draws: int
-) -> float:
-    bq = build_backend("fock", n, ctx.hbar)
-    bp = build_backend("fock", n, ctx.hbar)
+def _check_eigenstate_lifting(ctx: _Ctx, index: int) -> tuple[bool, str]:
+    rng = _rng(ctx, index)
+    n = 32
+    fock = build_backend("fock", n, ctx.hbar)
     # H v is read from the factors: the realized H would be 2n^2 x 2n^2
     h = qm_hamiltonian(OSCILLATOR_EXPR)
     worst = 0.0
-    for level in range(levels):
+    for level in range(5):
         psi = np.zeros(n, dtype=complex)
         psi[level] = 1.0
         energy = ctx.hbar * (level + 0.5)
-        for _ in range(draws):
-            w = _random_weights(rng, n, n)
-            state = lift_qm_eigenstate(psi, w)
-            residual = float(np.linalg.norm(apply(h, bq, bp, state) - energy * state))
+        for _ in range(5):
+            state = lift_qm_eigenstate(psi, _random_weights(rng, n, n))
+            residual = float(np.linalg.norm(apply(h, fock, fock, state) - energy * state))
             worst = _worst(worst, residual)
-    return worst
-
-
-def _check_eigenstate_lifting(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    rng = _rng(ctx, index)
-    worst = _lifting_residuals(ctx, rng, n=32, levels=5, draws=5)
-    return worst < 1e-8, f"max eigen-residual over 5 levels x 5 draws: {worst!r}"
+    return _within(worst, energy, 2e-9, "max eigen-residual over 5 levels x 5 draws")
 
 
 def _check_weight_rejection(ctx: _Ctx, index: int) -> tuple[bool, str]:
@@ -489,9 +489,8 @@ def _check_weight_rejection(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 def _check_point_universality(ctx: _Ctx, index: int) -> tuple[bool, str]:
     rng = _rng(ctx, index)
-    bq = build_backend("grid-position", 8, ctx.hbar, 8.0)
-    bp = build_backend("grid-momentum", 8, ctx.hbar, 8.0)
-    worst = 0.0
+    bq, bp = _grid_pair(ctx)
+    worst = scale = 0.0
     for _ in range(5):
         f = expr_mod.random_expr(rng, max_degree=4, max_terms=4)
         mat = realize(eval_ncpoly(f, ctx.gens.q_cm, ctx.gens.p_cm), bq, bp)
@@ -505,7 +504,8 @@ def _check_point_universality(ctx: _Ctx, index: int) -> tuple[bool, str]:
                     np.max(np.abs(mat @ state - expected * state))
                 )
                 worst = _worst(worst, residual)
-    return worst < 1e-10, f"max eigen-residual over 5 polys x 64 points: {worst!r}"
+        scale = _worst(scale, np.max(np.abs(mat)))
+    return _within(worst, scale, 1e-13, "max eigen-residual over 5 polys x 64 points")
 
 
 def _default_grid_density(ctx: _Ctx):
@@ -513,8 +513,7 @@ def _default_grid_density(ctx: _Ctx):
 
 
 def _check_mean_scale_invariance(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    bq = build_backend("grid-position", 8, ctx.hbar, 8.0)
-    bp = build_backend("grid-momentum", 8, ctx.hbar, 8.0)
+    bq, bp = _grid_pair(ctx)
     rho = _default_grid_density(ctx)
     density = cm_mixed_density(rho, 1 / np.sqrt(2.0), 1 / np.sqrt(2.0))
     osc = expr_mod.parse_expr(OSCILLATOR_EXPR)
@@ -523,13 +522,12 @@ def _check_mean_scale_invariance(ctx: _Ctx, index: int) -> tuple[bool, str]:
     worst = 0.0
     for c in (1e-6, 1e6):
         scaled = mean_value(c * density, a)
-        worst = _worst(worst, abs(scaled - base) / abs(base))
-    return worst < 1e-12, f"max relative mean shift under scaling: {worst!r}"
+        worst = _worst(worst, abs(scaled - base))
+    return _within(worst, abs(base), 1e-12, "max mean shift under scaling")
 
 
 def _check_pure_mixed_consistency(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    bq = build_backend("grid-position", 8, ctx.hbar, 8.0)
-    bp = build_backend("grid-momentum", 8, ctx.hbar, 8.0)
+    bq, bp = _grid_pair(ctx)
     k, l = 2, 5
     dq = dp = 1.0
     grid = np.zeros((8, 8))
@@ -537,8 +535,9 @@ def _check_pure_mixed_consistency(ctx: _Ctx, index: int) -> tuple[bool, str]:
     rho = PhaseSpaceDensity(grid, dq, dp, (8.0, 8.0))
     mixed = cm_mixed_density(rho, 0.6, 0.8)
     point = cm_point_state(bq, bp, k, l, 0.6, 0.8)
-    diff = float(np.max(np.abs(mixed - np.outer(point, point.conj()))))
-    return diff < 1e-15, f"max entrywise gap between constructions: {diff!r}"
+    diff = np.max(np.abs(mixed - np.outer(point, point.conj())))
+    scale = np.max(np.abs(point)) ** 2  # the pure density's largest entry
+    return _within(diff, scale, 1e-15, "max entrywise gap between constructions")
 
 
 def _check_density_axioms(ctx: _Ctx, index: int) -> tuple[bool, str]:

@@ -516,6 +516,20 @@ def test_sweep_means_equal_the_per_h_rule(config):
         assert [{key: row[key] for key in COLUMNS[:5]} for row in got] == want
 
 
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=1500, deadline=None, derandomize=True)
+def test_the_symbolic_hermitian_decision_is_the_decision_at_every_row(seed, symmetrize):
+    # sweep_rows decides has_hermitian_image once, with lam symbolic, and
+    # refuses at the first row: an element is refused at every lam or at none
+    g = make_generators()
+    obs = eval_ncpoly(random_expr(np.random.default_rng(seed)), g.q_tilde, g.p_tilde)
+    if symmetrize:
+        obs = obs + obs.adjoint()
+    symbolic = has_hermitian_image(obs)
+    lams = [Fraction(k, 4) for k in range(5)]
+    assert [has_hermitian_image(substitute_lambda(obs, lam)) for lam in lams] == [symbolic] * 5
+
+
 def test_a_sweep_forms_its_word_images_once_per_run(monkeypatch):
     # every h row only substitutes lam and weighs the term values, so 101 rows
     # form as many factor words as 11 (both include the two endpoint rows,

@@ -1,11 +1,21 @@
-"""The check-suite runner: reports, subsets, and fault-injection plumbing."""
+"""The check-suite runner: reports, subsets, fault-injection plumbing, the
+numeric checks' one rule, and the verify slice of the config fuzzer."""
 
+import contextlib
+import io
+import json
+import math
+import re
+import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qclab.expr import random_expr
 from qclab.matrep import build_backend
@@ -17,10 +27,13 @@ from qclab.ncpoly import (
     rewrite_fault,
     tp_commutator,
 )
+from qclab import verify
+from qclab.cli import main
 from qclab.scalars import ScalarCoeff
 from qclab.verify import CHECKS, SYMBOLIC_SUITE, run_verify
 
 from matrix_oracle import dense_product_defect
+from test_sweep import EXTREME, NOT_POSITIVE, PLAIN, _weighted
 
 
 def test_full_suite_passes():
@@ -231,3 +244,96 @@ def test_symbolic_witnesses_are_pinned(fault):
         expected["qm-ccr"] = expected["tilde-ccr-symbolic"] = ("fail", diff)
     got = {c.name: (c.status, c.witness) for c in report.checks}
     assert got == expected
+
+
+# -- the numeric checks' one rule: the defect against the operands' scale ----
+
+
+@pytest.mark.parametrize("hbar", [1e-300, 1e-8, 1.0, 1e8, 1e30])
+def test_every_check_passes_in_any_units_of_hbar(hbar):
+    # roundoff grows with the operands, so a bound fixed in the units of
+    # hbar = 1 failed six checks at 1e8 and seven at 1e30
+    report = run_verify(hbar=hbar)
+    failed = [(c.name, c.witness) for c in report.checks if c.status == "fail"]
+    assert failed == [] and report.all_passed
+
+
+def test_a_commuting_fock_pair_fails_the_truncated_ccr_at_small_hbar(monkeypatch):
+    # with P = 0 the commutator's defect is the oracle itself, 15 hbar at
+    # n = 16: a bound of 1e-12 passed it below hbar ~ 6.7e-14
+    def commuting(kind, n, hbar, length=None):
+        b = build_backend(kind, n, hbar, length)
+        return replace(b, pmat=np.zeros_like(b.pmat)) if kind == "fock" else b
+
+    monkeypatch.setattr(verify, "build_backend", commuting)
+    (check,) = run_verify(hbar=1e-14, names=("fock-truncated-ccr",)).checks
+    assert check.status == "fail", check.witness
+    assert float(check.witness.rsplit(" ", 1)[1]) == pytest.approx(15e-14)
+
+
+@pytest.mark.parametrize(
+    "defect, scale",
+    [(math.inf, 1.0), (1e-300, math.inf), (math.nan, 1.0), (0.0, math.nan), (1e-300, 0.0)],
+)
+def test_the_rule_fails_a_non_finite_number_or_a_defect_at_zero_scale(defect, scale):
+    passed, witness = verify._within(defect, scale, 1.0, "gap")
+    assert not passed
+    assert witness.endswith(f": {defect!r}")
+
+
+def test_the_rule_admits_up_to_rtol_times_the_scale():
+    assert verify._within(0.5, 2.0, 0.25, "gap") == (True, "gap (scale 2.0, ratio 0.25): 0.5")
+    assert verify._within(np.float64(0.0), 0.0, 1e-15, "gap") == (
+        True, "gap (scale 0.0, ratio 0): 0.0"
+    )
+    assert not verify._within(np.nextafter(0.5, 1.0), 2.0, 0.25, "gap")[0]
+
+
+# -- the verify config fuzzer: ROADMAP item 16's slice for verify -------------
+
+
+@st.composite
+def _boundary_verify_configs(draw):
+    """A verify config whose keys take item 16's boundary values: hbar, h_o
+    and fault_injection from the float set (a positive one is 0 or -1 one
+    time in 10, fault_injection null or 1 three times in 8), and seeds from
+    small, 32-bit, 64-bit and negative ints.  ``h_values`` is ``[0]``, so
+    that any positive ``h_o`` is valid."""
+    fault = _weighted((2, PLAIN), (2, EXTREME), (1, NOT_POSITIVE), (3, (None, 1.0)))
+    positive = _weighted((5, PLAIN), (4, EXTREME), (1, NOT_POSITIVE))
+    return {
+        "hbar": draw(positive),
+        "h_o": draw(positive),
+        "h_values": [0.0],
+        "seed": draw(st.sampled_from([0, 7, 1234, 2**32 - 1, 2**32, 2**64 + 1, -1])),
+        "fault_injection": draw(fault),
+    }
+
+
+# the witness of a numeric check, whose last token is its defect
+_NUMERIC_WITNESS = re.compile(r"\(scale \S+, ratio \S+\): (\S+)$")
+
+
+@given(_boundary_verify_configs())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_verify_configs_at_the_boundary_fail_only_on_a_fault_or_a_non_finite_defect(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["verify", "--config", str(path), "--out", str(out)])
+        assert caught == [], [str(w.message) for w in caught]
+        assert code in (0, 1, 2), code
+        if code == 2:
+            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+            assert stderr.getvalue().startswith("error: ")
+            return
+        assert stderr.getvalue() == ""
+        if code == 1 and config["fault_injection"] in (None, 1.0):
+            checks = json.loads((out / "verify_report.json").read_text())["checks"]
+            failed = [c for c in checks if c["status"] == "fail" and not c["informational"]]
+            defects = [m[1] for c in failed if (m := _NUMERIC_WITNESS.search(c["witness"]))]
+            assert any(not math.isfinite(float(d)) for d in defects), failed
