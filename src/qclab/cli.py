@@ -43,6 +43,7 @@ from .matrep import (
     quadratic_form,
     realize,
     term_values,
+    within,
     write_csv,
     write_json,
 )
@@ -230,8 +231,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.hbar <= 0:
-            raise ConfigError(f"hbar must be positive, got {self.hbar}")
+        if self.hbar < sys.float_info.min:  # roundoff is relative only for normal floats
+            raise ConfigError(f"hbar must be at least {sys.float_info.min!r}, got {self.hbar}")
         if self.h_o <= 0:
             raise ConfigError(f"h_o must be positive, got {self.h_o}")
         if not self.h_values:
@@ -397,10 +398,12 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state: np.ndarray) -
     the symbolic element: the rule admits an element at some lam only if it
     admits its lam-free one-pair normal form (each r-sector's lam^0 part),
     and then it admits the symbolic element too.  Its imaginary part must
-    be at most ``1e-10 * max(1, S)``, S the factors' bound on the image's
-    largest entry (``entry_bound``).  The bulk defect is ``commutator_defect``
-    of the symbolic pair, whose exact terms are free of lam, read once for
-    every row.  An endpoint gap is the largest entry of the exact difference
+    pass ``within`` at ``rtol`` 1e-10 and scale ``max(1, S)``, S the factors'
+    bound on the image's largest entry (``entry_bound``), whose floor lets S
+    be read only past 1e-10: at n 16 an ``entry_bound`` of the quartic costs
+    a fifteenth of all the rows.  The bulk defect is ``commutator_defect`` of
+    the symbolic pair, whose exact terms are free of lam, read once for every
+    row.  An endpoint gap is the largest entry of the exact difference
     between the pair at that h and the reference pair (``max_entry``).
     """
     gens = make_generators()
@@ -420,8 +423,8 @@ def sweep_rows(config: RunConfig, bq: Backend, bp: Backend, state: np.ndarray) -
             ratio = quadratic_form(a, values, bq.hbar) / norm
         if not np.isfinite(ratio):
             raise ValueError(f"mean value is not finite: {complex(ratio)}")
-        # max(1, S) >= 1, so S is read only past 1e-10
-        if abs(ratio.imag) > 1e-10 and abs(ratio.imag) > 1e-10 * entry_bound(a, bq, bp):
+        imag = abs(ratio.imag)
+        if not (within(imag, 1.0, 1e-10) or within(imag, max(1.0, entry_bound(a, bq, bp)), 1e-10)):
             raise ValueError(f"mean value has non-negligible imaginary part {ratio.imag!r}")
         return float(ratio.real)
 
@@ -509,8 +512,8 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
         "hbar": config.hbar,
         "dims": [bq.dim, bp.dim, 2],
         "ordering": ORDERING,
-        "backend_q": config.backend_q.kind,
-        "backend_p": config.backend_p.kind,
+        "backend_q": bq.kind,
+        "backend_p": bp.kind,
     }
     meta_path = os.path.join(out_dir, "kernels_meta.json")
     write_json(meta_path, meta)
@@ -520,7 +523,7 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
         export_matrix(
             mat,
             matrix_path,
-            {"q": config.backend_q.kind, "p": config.backend_p.kind},
+            {"q": bq.kind, "p": bp.kind},
             (bq.dim, bp.dim),
             config.hbar,
         )

@@ -493,23 +493,17 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def hermitian_tolerance(m: np.ndarray) -> float:
-    """Largest Hermitian defect of ``m`` that is roundoff: ``1e-10 * max(1, max|m|)``.
-
-    The defect of a realized Hermitian element grows with its entries (a
-    ``Q^8`` on a grid has entries near 1e6), so the bound scales with them.
-    """
-    return 1e-10 * max(1.0, float(np.max(np.abs(m))))
+def within(defect: float, scale: float, rtol: float) -> bool:
+    """The package's one roundoff rule, ``defect <= rtol * scale`` with both
+    finite (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.5)."""
+    return bool(np.isfinite(defect) and np.isfinite(scale) and defect <= rtol * scale)
 
 
 def _hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``m``, ascending, refused (ValueError) unless ``m`` is
-    Hermitian to ``hermitian_tolerance``."""
-    defect, tol = hermitian_defect(m), hermitian_tolerance(m)
-    if defect > tol:
-        raise ValueError(
-            f"matrix is not Hermitian (defect {defect:.3e} > {tol:.3e})"
-        )
+    """Ascending eigenvalues of ``m``; ValueError unless ``within(defect, max|m|, 1e-10)``."""
+    defect, scale = hermitian_defect(m), float(np.max(np.abs(m)))
+    if not within(defect, scale, 1e-10):
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {1e-10 * scale:.3e})")
     return np.linalg.eigvalsh(_hermitize(m))
 
 
@@ -546,7 +540,7 @@ def qm_spectrum(
     The realization is ``A (x) 1`` on E_qq and ``1 (x) B`` on E_pp, so its
     eigenvalues are those of A, each N_p times, and those of B, each N_q
     times (Horn and Johnson, *Topics in Matrix Analysis*, 4.4).  Each factor
-    must be Hermitian to its ``hermitian_tolerance``.
+    must be Hermitian to within ``1e-10`` times its largest entry.
     """
     fa, fb = qm_factors(a, bq, bp)
     values = [np.repeat(_hermitian_eigvalsh(f), n) for f, n in ((fa, bp.dim), (fb, bq.dim))]

@@ -15,8 +15,9 @@ Vectors are flat on C^{N_q} (x) C^{N_p} (x) C^2 in ``matrep.ORDERING`` and
 densities are square arrays on that space.  Means are always the ratio
 Tr(rho A)/Tr(rho), which makes every construction insensitive to state
 normalization conventions; the discrete normalization 1/(dq*dp) of a sharp
-point is never relied on.  Each check below is written so that a NaN fails
-it.
+point is never relied on.  Each tolerance below is decided by ``matrep.within``
+against the scale of what it measures (1 for a norm or a mass, ``max|A|`` for
+an observable, the trace for a density), so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrep import Backend, _hermitize, hermitian_defect, hermitian_tolerance
+from .matrep import Backend, _hermitize, hermitian_defect, within
 
 _NORM_TOL = 1e-10
 
@@ -35,10 +36,17 @@ _E_P = np.array([0.0, 1.0], dtype=complex)
 
 def _check_weights(c_q: complex, c_p: complex) -> None:
     weight = abs(c_q) ** 2 + abs(c_p) ** 2
-    if not abs(weight - 1.0) <= _NORM_TOL:
+    if not within(abs(weight - 1.0), 1.0, _NORM_TOL):
         raise ValueError(
             f"weights must satisfy |c_q|^2 + |c_p|^2 = 1, got {weight!r}"
         )
+
+
+def _check_normalized(**vectors: np.ndarray) -> None:
+    for name, vec in vectors.items():
+        norm = float(np.linalg.norm(vec))
+        if not within(abs(norm - 1.0), 1.0, _NORM_TOL):
+            raise ValueError(f"{name} must be normalized, got norm {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,7 @@ class WeightSpec:
 
     def validate(self) -> None:
         _check_weights(self.c_q, self.c_p)
-        for name, vec in (("a_vec", self.a_vec), ("b_vec", self.b_vec)):
-            norm = float(np.linalg.norm(vec))
-            if not abs(norm - 1.0) <= _NORM_TOL:
-                raise ValueError(f"{name} must be normalized, got norm {norm!r}")
+        _check_normalized(a_vec=self.a_vec, b_vec=self.b_vec)
 
     @staticmethod
     def default(n_q: int, n_p: int) -> "WeightSpec":
@@ -89,10 +94,7 @@ def lift_qm_eigenstate(
         psi_p = psi
     psi_p = np.asarray(psi_p, dtype=complex)
     w.validate()
-    for name, vec in (("psi", psi), ("psi_p", psi_p)):
-        norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"{name} must be normalized, got norm {norm!r}")
+    _check_normalized(psi=psi, psi_p=psi_p)
     n_q = psi.size
     n_p = psi_p.size
     if w.b_vec.shape != (n_q,) or w.a_vec.shape != (n_p,):
@@ -145,7 +147,7 @@ def check_density(grid: np.ndarray, dq: float, dp: float) -> None:
     if not grid.min() >= -1e-12:
         raise ValueError(f"density has negative or NaN entries (min {float(grid.min())!r})")
     mass = float(grid.sum() * dq * dp)
-    if not abs(mass - 1.0) <= _NORM_TOL:
+    if not within(abs(mass - 1.0), 1.0, _NORM_TOL):
         raise ValueError(f"density must have unit mass, got {mass!r}")
 
 
@@ -170,11 +172,12 @@ def mean_value(rho: np.ndarray, a: np.ndarray) -> float:
     """Normalized expectation Tr(rho A)/Tr(rho) of a density ``rho``.
 
     ``a`` must be Hermitian and the ratio must come out finite and real, both
-    to ``hermitian_tolerance(a)``; the residual imaginary part is then
+    to within ``1e-10 * max|a|``; the residual imaginary part is then
     discarded.
     """
-    defect, tol = hermitian_defect(a), hermitian_tolerance(a)
-    if not defect <= tol:
+    defect, scale = hermitian_defect(a), float(np.max(np.abs(a)))
+    tol = 1e-10 * scale
+    if not within(defect, scale, 1e-10):
         raise ValueError(f"observable is not Hermitian (defect {defect:.3e} > {tol:.3e})")
     if rho.shape != a.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape}, observable {a.shape}")
@@ -185,7 +188,7 @@ def mean_value(rho: np.ndarray, a: np.ndarray) -> float:
         ratio = numer / denom
     if not np.isfinite(ratio):
         raise ValueError(f"mean value is not finite: {complex(ratio)}")
-    if abs(ratio.imag) > tol:
+    if not within(abs(ratio.imag), scale, 1e-10):
         raise ValueError(
             f"mean value has non-negligible imaginary part {ratio.imag:.3e} (> {tol:.3e})"
         )
@@ -194,7 +197,8 @@ def mean_value(rho: np.ndarray, a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StateReport:
-    """Measured state-axiom quantities with the documented pass thresholds."""
+    """Measured state-axiom quantities; the pass thresholds are relative to the
+    trace, so any positive multiple of a valid density passes."""
 
     hermitian_defect: float
     min_eigenvalue: float
@@ -203,9 +207,10 @@ class StateReport:
     @property
     def passed(self) -> bool:
         return (
-            self.hermitian_defect < 1e-12
-            and self.min_eigenvalue >= -1e-10
-            and self.trace > 0
+            self.trace > 0
+            and within(self.hermitian_defect, self.trace, 1e-12)
+            # max(x, 0.0), not max(0.0, x), so a NaN eigenvalue stays NaN
+            and within(max(-self.min_eigenvalue, 0.0), self.trace, 1e-10)
         )
 
 

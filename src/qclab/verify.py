@@ -6,13 +6,12 @@ deterministic strings (canonical-form differences or measured defect
 norms), so a report generated from a fixed seed and configuration is
 reproducible byte for byte.
 
-A numeric check passes when its defect is at most ``rtol * scale`` and both
-are finite (``_within``), so a NaN or inf fails.  The scale is the largest
-entry of the operands it compares, and ``rtol`` is fixed per check: roundoff
-in a product is bounded relative to its operands (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., §3.5), so the verdict does not
-depend on the units of hbar.  Its witness reads ``what (scale S, ratio R): D``
-with D the defect.
+A numeric check passes by ``matrep.within``, the package's one roundoff
+rule: its defect, the largest entry modulus of what it measures, is at most
+``rtol * scale`` and both are finite, so a NaN or inf fails.  The scale is
+the largest entry of the operands it compares and ``rtol`` is fixed per
+check, so the verdict does not depend on the units of hbar.  ``_within``
+adds the witness ``what (scale S, ratio R): D`` with D the defect.
 
 Two checks are informational: they record engine-derived facts that sit in
 tension with the prose surrounding the construction (the interpolating
@@ -48,6 +47,7 @@ from .matrep import (
     realize,
     spectrum,
     unflatten,
+    within,
 )
 from .ncpoly import (
     GeneratorSet,
@@ -272,12 +272,10 @@ def _check_classical_endpoint_gap(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 
 def _within(defect: float, scale: float, rtol: float, what: str) -> tuple[bool, str]:
-    """The numeric checks' one rule: pass when ``defect <= rtol * scale`` and
-    both are finite, so a zero scale admits only a zero defect."""
+    """``matrep.within``'s verdict, with the witness ``what (scale S, ratio D/S): D``."""
     defect, scale = float(defect), float(scale)
     ratio = defect / scale if scale else (np.inf if defect else 0.0)
-    passed = bool(np.isfinite(defect) and np.isfinite(scale) and defect <= rtol * scale)
-    return passed, f"{what} (scale {scale!r}, ratio {ratio:.3g}): {defect!r}"
+    return within(defect, scale, rtol), f"{what} (scale {scale!r}, ratio {ratio:.3g}): {defect!r}"
 
 
 def _grid_pair(ctx: _Ctx) -> tuple[Backend, Backend]:
@@ -451,7 +449,7 @@ def _check_eigenstate_lifting(ctx: _Ctx, index: int) -> tuple[bool, str]:
         energy = ctx.hbar * (level + 0.5)
         for _ in range(5):
             state = lift_qm_eigenstate(psi, _random_weights(rng, n, n))
-            residual = float(np.linalg.norm(apply(h, fock, fock, state) - energy * state))
+            residual = np.max(np.abs(apply(h, fock, fock, state) - energy * state))
             worst = _worst(worst, residual)
     return _within(worst, energy, 2e-9, "max eigen-residual over 5 levels x 5 draws")
 

@@ -16,7 +16,7 @@ quantum pair's factors.
 import numpy as np
 
 from qclab.expr import Add, Const, Mul, Neg, Node, Pow, Sub, Var
-from qclab.matrep import Backend, hermitian_defect, hermitian_tolerance, realize, spectrum
+from qclab.matrep import Backend, hermitian_defect, realize, spectrum, within
 from qclab.ncpoly import TensorPoly, tp_commutator
 
 
@@ -43,12 +43,12 @@ def evaluate_matrix(node: Node, q: np.ndarray, p: np.ndarray) -> np.ndarray:
 def vector_mean(vec: np.ndarray, mat: np.ndarray) -> float:
     """``<v|A|v>/<v|v>`` by a dense product, refused (ValueError) as
     ``mean_value`` refuses: unless A is Hermitian and the ratio finite and
-    real, each to ``hermitian_tolerance(A)``."""
-    defect, tol = hermitian_defect(mat), hermitian_tolerance(mat)
-    if not defect <= tol:
-        raise ValueError(f"observable is not Hermitian (defect {defect:.3e} > {tol:.3e})")
+    real, each to within ``1e-10 * max|A|``."""
+    defect, scale = hermitian_defect(mat), np.max(np.abs(mat))
+    if not within(defect, scale, 1e-10):
+        raise ValueError(f"observable is not Hermitian (defect {defect:.3e} > {1e-10 * scale:.3e})")
     ratio = np.vdot(vec, mat @ vec) / np.vdot(vec, vec)
-    if not (np.isfinite(ratio) and abs(ratio.imag) <= tol):
+    if not (np.isfinite(ratio) and within(abs(ratio.imag), scale, 1e-10)):
         raise ValueError(f"mean value is not finite and real: {complex(ratio)}")
     return float(ratio.real)
 

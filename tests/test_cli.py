@@ -1,18 +1,23 @@
 """Command-line interface: configuration, subcommands, exit codes."""
 
 import ast
+import contextlib
 import functools
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qclab.cli import (
     BackendSpec,
@@ -30,6 +35,8 @@ from qclab.cli import (
     main,
 )
 from qclab.verify import run_verify
+
+from test_sweep import EXTREME, NOT_POSITIVE, PLAIN, _finite_constant, _weighted
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -342,6 +349,20 @@ def test_cmd_kernels_past_the_dense_bound_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cmd_kernels_records_the_canonical_backend_kinds(tmp_path):
+    cfg = RunConfig.from_dict({
+        "h_values": [1.0],
+        "export_matrix": True,
+        "backend_q": {"kind": " GRID_Position "},
+        "backend_p": {"kind": "Fock", "n": 8},
+    })
+    assert cmd_kernels(cfg, str(tmp_path)) == 0
+    meta = json.loads((tmp_path / "kernels_meta.json").read_text())
+    sidecar = json.loads((tmp_path / "matrix.bin.json").read_text())
+    assert (meta["backend_q"], meta["backend_p"]) == ("grid-position", "fock")
+    assert sidecar["kind"] == {"q": "grid-position", "p": "fock"}
+
+
 @pytest.mark.parametrize("where", ["file", "below-file", "empty"])
 @pytest.mark.parametrize(
     "argv", [["verify"], ["sweep"], ["kernels", "--h", "1.0"], ["evolve"]],
@@ -567,6 +588,21 @@ def test_main_negative_seed_is_usage_error(tmp_path, capsys, where, command):
     code = main(argv + (["--seed", "-1"] if where == "flag" else []))
     assert code == 2
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "kernels", "evolve"])
+def test_main_subnormal_hbar_is_usage_error(tmp_path, capsys, command):
+    # below the smallest normal float roundoff is no longer relative to the
+    # operands: at hbar 1e-310 verify failed fock-truncated-ccr with no fault
+    assert RunConfig.from_dict({"hbar": sys.float_info.min}).hbar == sys.float_info.min
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"hbar": 1e-310, "h_values": [1.0]}))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: hbar must be at least 2.2250738585072014e-308, got 1e-310\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -1115,3 +1151,87 @@ def test_verify_report_changes_exactly_when_the_key_is_listed(tmp_path, capsys, 
         assert changed == {"h_o"}  # echoed into the report only
     else:
         assert {key, "checks"} <= changed
+
+
+# -- the kernels config fuzzer: ROADMAP item 16's slice for kernels -----------
+
+# each spelling of a backend kind that validation admits, with its canonical kind
+_KIND_SPELLINGS = {
+    "fock": "fock",
+    " Fock": "fock",
+    "grid-position": "grid-position",
+    "GRID_POSITION": "grid-position",
+    "gridposition": "grid-position",
+    "grid-momentum": "grid-momentum",
+    "gridmomentum": "grid-momentum",
+    " Grid_Momentum ": "grid-momentum",
+}
+
+
+@st.composite
+def _boundary_kernels_configs(draw):
+    """A kernels config whose hbar, h_o and backend lengths take item 16's
+    boundary values (0 or -1 one time in 10), with one h of 0, h_o / 2 or
+    h_o, every family, both kinds in any spelling, sizes from 2 to 6, an
+    observable from a short list that holds the non-Hermitian ``Q*P``, and
+    the matrix export on or off."""
+    positive = _weighted((5, PLAIN), (4, EXTREME), (1, NOT_POSITIVE))
+    h_o = draw(positive)
+    backends = {
+        name: {
+            "kind": draw(st.sampled_from(sorted(_KIND_SPELLINGS))),
+            "n": draw(st.integers(2, 6)),
+            "length": draw(positive),
+        }
+        for name in ("backend_q", "backend_p")
+    }
+    return {
+        "hbar": draw(positive),
+        "h_o": h_o,
+        "h_values": [draw(st.sampled_from((0.0, h_o / 2, h_o)))],
+        "family": draw(st.sampled_from(("tilde", "qm", "cm"))),
+        **backends,
+        "observable": draw(st.sampled_from(("Q", "P^2", "Q*P", "(1/2)*(P^2 + Q^2)", "Q^4 + P^4"))),
+        "export_matrix": draw(st.booleans()),
+    }
+
+
+def _json_numbers(value):
+    if isinstance(value, dict):
+        return [n for v in value.values() for n in _json_numbers(v)]
+    if isinstance(value, list):
+        return [n for v in value for n in _json_numbers(v)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+@given(_boundary_kernels_configs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_kernels_configs_at_the_boundary_exit_0_or_2(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["kernels", "--config", str(path), "--out", str(out)])
+        assert caught == [], [str(w.message) for w in caught]
+        assert code in (0, 2), (code, stderr.getvalue())
+        if code == 2:
+            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+            assert stderr.getvalue().startswith("error: ")
+            assert not out.exists()
+            return
+        assert stderr.getvalue() == ""
+        kinds = {r: _KIND_SPELLINGS[config[f"backend_{r}"]["kind"]] for r in "qp"}
+        meta = json.loads((out / "kernels_meta.json").read_text(), parse_constant=_finite_constant)
+        assert {"q": meta["backend_q"], "p": meta["backend_p"]} == kinds
+        numbers = _json_numbers(meta)
+        if config["export_matrix"]:
+            sidecar = json.loads((out / "matrix.bin.json").read_text(), parse_constant=_finite_constant)
+            assert sidecar["kind"] == kinds
+            numbers += _json_numbers(sidecar)
+        for pair in ("qq", "qp", "pq", "pp"):
+            rows = (out / f"kernel_{pair}.csv").read_text().splitlines()[1:]
+            numbers += [float(v) for row in rows for v in row.split(",")]
+        assert all(math.isfinite(v) for v in numbers)

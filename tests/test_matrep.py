@@ -22,7 +22,6 @@ from qclab.matrep import (
     format_float,
     has_hermitian_image,
     hermitian_defect,
-    hermitian_tolerance,
     max_entry,
     qm_product_defect,
     qm_spectrum,
@@ -31,6 +30,7 @@ from qclab.matrep import (
     spectrum,
     term_values,
     unflatten,
+    within,
     write_csv,
 )
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators, substitute_lambda
@@ -350,7 +350,7 @@ def test_an_element_the_rule_accepts_realizes_hermitian(pair, a, seed):
     if not has_hermitian_image(a):
         return
     m = realize(a, bq, bp)
-    assert hermitian_defect(m) <= hermitian_tolerance(m)
+    assert within(hermitian_defect(m), np.max(np.abs(m)), 1e-10)
     # the sweep's reading of a mean against the dense one
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(len(m)) + 1j * rng.standard_normal(len(m))
@@ -715,6 +715,41 @@ def test_qm_spectrum_refuses_a_non_hermitian_factor():
     a = TensorPoly({(1, 1, 0, 0, 0, 0): ScalarCoeff.one()})  # QP (x) 1 (x) E_qq
     with pytest.raises(ValueError, match="not Hermitian"):
         qm_spectrum(a, b, b)
+
+
+def test_the_hermitian_rule_refuses_a_nan_and_has_no_floor():
+    with pytest.raises(ValueError, match=r"defect nan > nan"):
+        spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # a defect as large as the entries: a bound floored at 1e-10 admitted it
+    tiny = 1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    rho = np.eye(2, dtype=complex)
+    for refuse in (lambda: spectrum(tiny), lambda: mean_value(rho, tiny)):
+        with pytest.raises(ValueError, match=r"defect 1\.000e-12 > 1\.000e-22"):
+            refuse()
+
+
+def test_qm_spectrum_refuses_a_non_hermitian_factor_at_small_hbar():
+    # Q P on Fock 8 has a Hermitian defect of 7 hbar, below 1e-10 at hbar
+    # 1e-14, where a floored bound returned a 128-fold eigenvalue of 3.2e-30
+    gens = make_generators()
+    b = build_backend("fock", 8, 1e-14)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qm_spectrum(eval_ncpoly(parse_expr("Q*P"), gens.q_qm, gens.p_qm), b, b)
+
+
+@pytest.mark.parametrize(
+    "defect, scale",
+    [(np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf), (np.nan, 1.0), (0.0, np.nan)],
+)
+def test_within_fails_a_non_finite_number(defect, scale):
+    assert within(defect, scale, 1.0) is False
+
+
+def test_within_admits_up_to_rtol_times_the_scale_and_at_zero_scale_only_zero():
+    assert within(0.5, 2.0, 0.25) is True
+    assert within(np.nextafter(0.5, 1.0), 2.0, 0.25) is False
+    assert within(0.0, 0.0, 1e-10) is True
+    assert within(5e-324, 0.0, 1e-10) is False
 
 
 def _import_matrix(path):

@@ -11,6 +11,7 @@ from qclab.expr import parse_expr
 from qclab.matrep import build_backend, flatten, realize
 from qclab.ncpoly import eval_ncpoly, make_generators
 from qclab.states import (
+    StateReport,
     WeightSpec,
     cm_mixed_density,
     cm_point_state,
@@ -270,6 +271,14 @@ def test_validate_state_flags_negative_eigenvalue():
     assert report.min_eigenvalue < -1e-5
 
 
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_validate_state_passes_any_multiple_of_a_density(c):
+    # the thresholds scale with the trace: at c = 1e12 the smallest
+    # eigenvalue's roundoff is -9.5e-7, which a fixed -1e-10 refused
+    rho = PhaseSpaceDensity.gaussian(8, 8, 8.0, 8.0, 0.0, 0.0, 1.2, 1.2)
+    assert validate_state(c * cm_mixed_density(rho, 0.6, 0.8j)).passed
+
+
 def test_coherent_state_statistics():
     alpha = 0.5 - 0.25j
     vec = coherent_state(48, alpha)
@@ -388,6 +397,15 @@ def test_a_nan_mean_is_refused():
     nan_obs[0, 0] = NAN
     with pytest.raises(ValueError, match="not Hermitian"):
         mean_value(outer(lift_qm_eigenstate(fock_level(4, 0), WeightSpec.default(4, 4))), nan_obs)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [StateReport(NAN, 0.0, 1.0), StateReport(0.0, NAN, 1.0), StateReport(0.0, 0.0, NAN)],
+    ids=["defect", "min-eigenvalue", "trace"],
+)
+def test_a_nan_in_the_state_report_fails_it(report):
+    assert not report.passed
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,14 @@ def test_every_check_passes_in_any_units_of_hbar(hbar):
     assert failed == [] and report.all_passed
 
 
+@pytest.mark.parametrize("hbar", [1e172, 1e250, 1e300])
+def test_eigenstate_lifting_reads_its_largest_residual_entry(hbar):
+    # the residual entries are near 1e-16 hbar: the sum of their squares in
+    # a 2-norm overflows from about hbar 1e170, each entry never does
+    (check,) = run_verify(hbar=hbar, names=("eigenstate-lifting",)).checks
+    assert check.status == "pass", check.witness
+
+
 def test_a_commuting_fock_pair_fails_the_truncated_ccr_at_small_hbar(monkeypatch):
     # with P = 0 the commutator's defect is the oracle itself, 15 hbar at
     # n = 16: a bound of 1e-12 passed it below hbar ~ 6.7e-14
