@@ -271,8 +271,11 @@ def realize(a: TensorPoly, bq: Backend, bp: Backend) -> np.ndarray:
 
 def _slots(bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
     """``vec`` in the flat ordering as its two r-slots, each an N_q x N_p
-    matrix ``psi_i`` (a view, shape ``(2, N_q, N_p)``)."""
-    return np.moveaxis(np.asarray(vec).reshape(bq.dim, bp.dim, 2), 2, 0)
+    matrix ``psi_i`` (a view, shape ``(2, N_q, N_p)``).  A stack of vectors
+    of shape ``(..., dim)`` gives a stack of slots, shape ``(2, ..., N_q,
+    N_p)``."""
+    vec = np.asarray(vec)
+    return np.moveaxis(vec.reshape(*vec.shape[:-1], bq.dim, bp.dim, 2), -1, 0)
 
 
 def apply(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
@@ -282,14 +285,16 @@ def apply(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarra
 
     ``(X (x) Y) vec(M) = vec(X M Y^T)`` for row-major ``vec`` (Van Loan, "The
     ubiquitous Kronecker product", J. Comput. Appl. Math. 123 (2000)), so a
-    term costs N x N products and no product-space matrix is formed.
+    term costs N x N products and no product-space matrix is formed.  A
+    stack of vectors, shape ``(..., dim)``, is applied in one pass: each
+    vector's image is the one ``apply`` gives it alone, entry for entry.
     """
     psi = _slots(bq, bp, vec)
     out = np.zeros(psi.shape, dtype=complex)
     (terms,) = _factored(bq, bp, _term_map(a))
     for i, j, c, x, y in terms:
         out[i] += c * (x @ psi[j] @ y.T)
-    return np.moveaxis(out, 0, 2).reshape(-1)
+    return np.moveaxis(out, 0, -1).reshape(*psi.shape[1:-2], -1)
 
 
 def term_values(bq: Backend, bp: Backend, vec: np.ndarray, *elements: TensorPoly) -> list[dict]:
@@ -349,21 +354,44 @@ def qm_factors(a: TensorPoly, bq: Backend, bp: Backend) -> tuple[np.ndarray, np.
     return factors[0], factors[1]
 
 
-def qm_product_defect(
+# qm_product_sectors scales a factor whose largest entry modulus reaches
+# 2^_TOP_EXPONENT below it, so a product of two N x N factors stays below
+# N * 2^(2 * _TOP_EXPONENT), inside the float range for any N below 2^23
+_TOP_EXPONENT = 500
+
+
+def _ldexp(m: np.ndarray, e: int) -> np.ndarray:
+    """``m * 2^e`` for a contiguous ``m``, real or complex (part by part),
+    exact wherever nothing under- or overflows."""
+    return np.ldexp(m.view(m.real.dtype), e).view(m.dtype)
+
+
+def qm_product_sectors(
     a: TensorPoly, b: TensorPoly, bq: Backend, bp: Backend, levels: int
-) -> float:
-    """Largest entry modulus of ``realize(a*b) - realize(a) @ realize(b)`` on
-    the bottom ``levels`` levels of each factor, for polynomials in the
-    quantum generators, read from their factors (``qm_factors``).
+) -> list[tuple[float, float, int]]:
+    """Per r-sector, ``(D, S, e)`` for polynomials in the quantum generators,
+    read from their factors (``qm_factors``): D is the largest entry modulus
+    of ``F_ab - F_a F_b`` on the bottom ``levels`` levels and S that of
+    ``|F_a| |F_b|``, both in units of ``2^e``, with ``F_x`` the sector's
+    factor of ``x``.
 
     ``(X (x) 1)(X' (x) 1) = XX' (x) 1`` (Van Loan, "The ubiquitous Kronecker
-    product", 2000), so each r-sector's block of the defect is ``D (x) 1``
-    with ``D = F_ab - F_a F_b`` for that sector's factors, whose kept part is
-    ``D[:levels, :levels]``; the blocks that couple the sectors are zero.
+    product", 2000), so each r-sector's block of ``realize(a*b) - realize(a)
+    @ realize(b)`` is ``(F_ab - F_a F_b) (x) 1``; the blocks that couple the
+    sectors are zero.  S bounds the entries of ``F_a F_b``.  Each of F_a, F_b
+    whose largest entry reaches ``2^_TOP_EXPONENT`` is scaled below it by an
+    exact power of two, and F_ab by both, so S is finite wherever the
+    factors are.  Such scaling commutes with rounding, so D/S is the unscaled
+    ratio bit for bit wherever nothing under- or overflows.
     """
-    sectors = zip(*(qm_factors(x, bq, bp) for x in (a * b, a, b)))
-    defects = [np.abs(f_ab - f_a @ f_b)[:levels, :levels].max() for f_ab, f_a, f_b in sectors]
-    return float(np.max(defects))  # np.max, unlike max, keeps a NaN from either sector
+    out = []
+    for f_ab, f_a, f_b in zip(*(qm_factors(x, bq, bp) for x in (a * b, a, b))):
+        # frexp reads the exponent 0 from an inf or NaN, which stays as it is
+        e_a, e_b = (max(0, int(np.frexp(np.max(np.abs(f)))[1]) - _TOP_EXPONENT) for f in (f_a, f_b))
+        f_a, f_b, f_ab = _ldexp(f_a, -e_a), _ldexp(f_b, -e_b), _ldexp(f_ab, -e_a - e_b)
+        defect = np.abs(f_ab - f_a @ f_b)[:levels, :levels].max()
+        out.append((float(defect), float(np.max(np.abs(f_a) @ np.abs(f_b))), e_a + e_b))
+    return out
 
 
 def _word_product(m: int, n: int, m2: int, n2: int) -> tuple:

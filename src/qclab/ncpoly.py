@@ -175,12 +175,12 @@ class TensorPoly:
 
     @staticmethod
     def identity() -> "TensorPoly":
-        one = ScalarCoeff.one()
-        return TensorPoly({(0, 0, 0, 0, 0, 0): one, (0, 0, 0, 0, 1, 1): one})
+        return TensorPoly.scalar(ScalarCoeff.one())
 
     @staticmethod
     def scalar(c: ScalarCoeff) -> "TensorPoly":
-        return TensorPoly.identity().scale(c)
+        """``c`` times the identity: ``c`` on the unit term of each r-sector."""
+        return TensorPoly._raw({(0, 0, 0, 0, 0, 0): c, (0, 0, 0, 0, 1, 1): c})
 
     # -- inspection --------------------------------------------------------
 

@@ -50,8 +50,9 @@ class ScalarCoeff:
                 raise ValueError("powers of hbar and lam must be nonnegative")
         # over the lcm of reduced denominators the gcd is already 1
         den = lcm(*(x.denominator for v in pruned.values() for x in v))
+        # int(), since the Fraction of an np.int64 keeps an np.int64 numerator
         self._num = {
-            k: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+            k: (int(re.numerator) * (den // re.denominator), int(im.numerator) * (den // im.denominator))
             for k, (re, im) in pruned.items()
         }
         self._den = den
@@ -92,7 +93,15 @@ class ScalarCoeff:
 
     @staticmethod
     def from_rational(re: RationalLike, im: RationalLike = 0) -> "ScalarCoeff":
-        return ScalarCoeff({(0, 0): (re, im)})
+        """The constant ``re + i*im``, its canonical numerators read off the
+        two reduced fractions directly (see ``__init__``)."""
+        # int(), since an np.int64's numerator is an np.int64, which would
+        # overflow silently past 2^63
+        (nr, dr), (ni, di) = ((int(x.numerator), int(x.denominator)) for x in (re, im))
+        if not (nr or ni):
+            return _ZERO
+        den = lcm(dr, di)
+        return ScalarCoeff._raw({(0, 0): (nr * (den // dr), ni * (den // di))}, den)
 
     @staticmethod
     def i() -> "ScalarCoeff":

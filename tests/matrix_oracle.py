@@ -9,7 +9,7 @@ exact engine and reads each r-block from factor-sized maxima.
 ``vector_mean`` reads a pure state's mean with a dense product, where the
 sweep reads it from the factors and ``mean_value`` takes densities only.
 ``dense_product_defect`` and ``dense_spectrum`` read the product-space
-matrices that ``qm_product_defect`` and ``qm_spectrum`` read from the
+matrices that ``qm_product_sectors`` and ``qm_spectrum`` read from the
 quantum pair's factors.
 """
 

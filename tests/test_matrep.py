@@ -23,7 +23,7 @@ from qclab.matrep import (
     has_hermitian_image,
     hermitian_defect,
     max_entry,
-    qm_product_defect,
+    qm_product_sectors,
     qm_spectrum,
     quadratic_form,
     realize,
@@ -374,6 +374,18 @@ def test_apply_of_random_elements_matches_the_realized_product(pair, a, seed):
     assert abs(_form(a, bq, bp, v) - np.vdot(v, av)) <= tol
 
 
+@given(_backend_pairs(), _polynomials(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_apply_to_a_stack_of_vectors_is_apply_to_each(pair, a, seed):
+    bq, bp = pair
+    rng = np.random.default_rng(seed)
+    shape = (2, 3, 2 * bq.dim * bp.dim)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    av = apply(a, bq, bp, v)
+    assert av.shape == shape
+    assert np.array_equal(av, [[apply(a, bq, bp, x) for x in row] for row in v])
+
+
 def test_the_rule_decides_from_the_words():
     g = make_generators()
     one = ScalarCoeff.one()
@@ -673,7 +685,9 @@ def test_qm_product_defect_matches_the_dense_product(n):
             eval_ncpoly(random_expr(rng, max_degree=3, max_terms=3), g.q_qm, g.p_qm)
             for _ in range(2)
         )
-        assert qm_product_defect(a, c, b, b, n - 4) == pytest.approx(
+        sectors = qm_product_sectors(a, c, b, b, n - 4)
+        assert [e for _, _, e in sectors] == [0, 0]  # no factor entry near 2^500
+        assert max(d for d, _, _ in sectors) == pytest.approx(
             dense_product_defect(a, c, b, b, n - 4), rel=0, abs=1e-12
         )
 
@@ -685,7 +699,9 @@ def test_qm_product_defect_keeps_a_nan_from_either_sector(monkeypatch, nan_secto
     monkeypatch.setattr(matrep, "qm_factors", lambda x, bq, bp: factors)
     b = build_backend("fock", 4, 1.0)
     g = make_generators()
-    assert np.isnan(qm_product_defect(g.q_qm, g.p_qm, b, b, 4))
+    (d0, s0, _), (d1, s1, _) = qm_product_sectors(g.q_qm, g.p_qm, b, b, 4)
+    assert np.isnan([d0, d1][nan_sector]) and np.isnan([s0, s1][nan_sector])
+    assert [d0, d1][1 - nan_sector] == 0.0
 
 
 _FACTOR_PAIRS = {

@@ -223,6 +223,17 @@ def test_tensor_identity_is_unit():
         assert a * one == a
 
 
+@given(st.sampled_from([ScalarCoeff.zero(), ONE, I_HBAR, ScalarCoeff.lam(2)]) | st.builds(
+    ScalarCoeff.from_rational, st.fractions(-9, 9, max_denominator=7), st.fractions(-9, 9, max_denominator=7)
+))
+@settings(max_examples=50, derandomize=True)
+def test_a_scalar_is_the_scaled_identity(c):
+    unit = TensorPoly({(0, 0, 0, 0, 0, 0): ONE, (0, 0, 0, 0, 1, 1): ONE})
+    assert TensorPoly.identity() == unit and hash(TensorPoly.identity()) == hash(unit)
+    got, want = TensorPoly.scalar(c), unit.scale(c)
+    assert got == want and hash(got) == hash(want)
+
+
 def test_tensor_product_r_chain():
     # E_qp * E_pq = E_qq on the selector factor; Q and P multiply factorwise
     a = TensorPoly({(1, 0, 0, 0, 0, 1): ONE})  # Q (x) 1 (x) E_qp

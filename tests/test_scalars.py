@@ -4,6 +4,7 @@ Gaussian rationals (``exact_oracle``)."""
 from fractions import Fraction
 from math import gcd, inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -337,6 +338,25 @@ def test_equal_values_built_apart_are_equal_and_hash_equal(xs, ys):
     for left, right in [((a + b) - b, a), (a * b, b * a), (a - a, ScalarCoeff.zero())]:
         assert left == right
         assert hash(left) == hash(right)
+
+
+@given(rationals | st.integers(-10**30, 10**30), rationals | st.integers(-10**30, 10**30))
+@settings(max_examples=200, derandomize=True)
+def test_from_rational_is_the_general_constructor(re, im):
+    for args in ((re,), (re, im), (0, im)):
+        got, want = ScalarCoeff.from_rational(*args), ScalarCoeff({(0, 0): (*args, 0)[:2]})
+        assert got == want and hash(got) == hash(want)
+        _assert_canonical(got)
+
+
+@pytest.mark.parametrize("build", [ScalarCoeff.from_rational, lambda re, im: ScalarCoeff({(0, 0): (re, im)})])
+def test_each_constructor_reads_an_np_int64_as_a_python_int(build):
+    # an np.int64 is a Rational whose numerator is an np.int64 again, which
+    # wraps silently past 2^63
+    big = np.int64(2**62 + 1)
+    c = build(big, np.int64(-3))
+    assert {type(x) for v in c._num.values() for x in v} | {type(c._den)} == {int}
+    assert (c * c).terms == {(0, 0): ComplexRational.of((2**62 + 1) ** 2 - 9, -6 * (2**62 + 1))}
 
 
 def test_reduced_products_are_canonical():

@@ -32,6 +32,7 @@ from qclab.cli import main
 from qclab.scalars import ScalarCoeff
 from qclab.verify import CHECKS, SYMBOLIC_SUITE, run_verify
 
+import verify_oracle
 from matrix_oracle import dense_product_defect
 from test_sweep import EXTREME, NOT_POSITIVE, PLAIN, _weighted
 
@@ -249,13 +250,50 @@ def test_symbolic_witnesses_are_pinned(fault):
 # -- the numeric checks' one rule: the defect against the operands' scale ----
 
 
-@pytest.mark.parametrize("hbar", [1e-300, 1e-8, 1.0, 1e8, 1e30])
+@pytest.mark.parametrize("hbar", [1e-300, 1e-8, 1.0, 1e8, 1e30, 1e153])
 def test_every_check_passes_in_any_units_of_hbar(hbar):
     # roundoff grows with the operands, so a bound fixed in the units of
-    # hbar = 1 failed six checks at 1e8 and seven at 1e30
+    # hbar = 1 failed six checks at 1e8 and seven at 1e30; at 1e153 the
+    # unscaled product scale of homomorphism-bulk overflows
     report = run_verify(hbar=hbar)
     failed = [(c.name, c.witness) for c in report.checks if c.status == "fail"]
     assert failed == [] and report.all_passed
+
+
+_ORACLES = {
+    "point-universality": verify_oracle.point_universality,
+    "eigenstate-lifting": verify_oracle.eigenstate_lifting,
+    "homomorphism-bulk": verify_oracle.homomorphism_bulk,
+}
+
+
+def _check_and_oracle(name, seed, hbar):
+    """The check's ``(passed, witness)`` and its oracle's, as ``run_verify`` runs it."""
+    index = [c.name for c in CHECKS].index(name)
+    ctx = verify._Ctx(hbar=hbar, seed=seed, gens=make_generators())
+    with np.errstate(all="ignore"):
+        return CHECKS[index].fn(ctx, index), _ORACLES[name](ctx, index)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLES))
+@pytest.mark.parametrize("seed", [1234, 7, 0])
+@pytest.mark.parametrize("hbar", [1e-300, 1.0, 1e8, 1e300])
+def test_a_check_reads_as_its_one_vector_oracle(name, seed, hbar):
+    got, want = _check_and_oracle(name, seed, hbar)
+    assert got == want
+
+
+@pytest.mark.parametrize("hbar", [1e100, 1e150])
+def test_homomorphism_bulk_reports_in_the_factors_units_where_they_are_finite(hbar):
+    # the factors are scaled by powers of two here, and the witness is not
+    got, want = _check_and_oracle("homomorphism-bulk", 1234, hbar)
+    assert got == want and got[0]
+
+
+def test_homomorphism_bulk_decides_in_units_where_its_scale_overflows():
+    (passed, witness), (unscaled_passed, unscaled) = _check_and_oracle("homomorphism-bulk", 1234, 1e153)
+    assert passed and ", in units of 2^" in witness, witness
+    assert not unscaled_passed and "(scale inf, ratio 0)" in unscaled
 
 
 @pytest.mark.parametrize("hbar", [1e172, 1e250, 1e300])
