@@ -43,8 +43,8 @@ _NUMERIC = {
     name: module
     for module, names in {
         ".matrep": (
-            "Backend", "build_backend", "commutator_defect", "flatten",
-            "hermitian_defect", "realize", "spectrum", "unflatten",
+            "Backend", "build_backend", "commutator_defect", "hermitian_defect",
+            "r_block", "realize", "slots", "spectrum",
         ),
         ".states": (
             "StateReport", "WeightSpec", "cm_mixed_density", "cm_point_state",
@@ -91,7 +91,6 @@ __all__ = [
     "eval_ncpoly",
     "evaluate_numeric",
     "factor_normalize",
-    "flatten",
     "gaussian_grid_state",
     "hermitian_defect",
     "lift_qm_eigenstate",
@@ -100,13 +99,14 @@ __all__ = [
     "ordered_product",
     "parse_expr",
     "qm_embedding",
+    "r_block",
     "realize",
     "rewrite_fault",
     "run_verify",
+    "slots",
     "spectrum",
     "substitute_lambda",
     "tp_adjoint",
     "tp_commutator",
-    "unflatten",
     "validate_state",
 ]

@@ -33,6 +33,7 @@ from .matrep import (
     Backend,
     ORDERING,
     build_backend,
+    check_arrays,
     check_backend,
     commutator_defect,
     entry_bound,
@@ -41,6 +42,7 @@ from .matrep import (
     has_hermitian_image,
     max_entry,
     quadratic_form,
+    r_block,
     realize,
     term_values,
     within,
@@ -124,6 +126,18 @@ class DynamicsSpec(dyn.OscillatorParams):
                 raise ConfigError(
                     f"dynamics {name} must be at least {least}, got {value}"
                 )
+        # the peaks of the two flows, measured at n_grid and n_fock 64 and 128:
+        # 120 bytes per mesh point of the Liouville flow and 305 per entry of
+        # an n_fock x n_fock matrix for the quantum side of compare mode
+        flows = (
+            ("the Liouville flow on an n_grid^2 mesh", 16, self.n_grid, 8),
+            ("the quantum flow on an n_fock^2 Fock pair", 20, self.n_fock, 16),
+        )
+        for what, count, n, itemsize in flows:
+            try:
+                check_arrays(what, count, n, itemsize)
+            except ValueError as exc:
+                raise ConfigError(f"dynamics: {exc}") from exc
 
 
 def _read_section(default, d: dict, section: str = ""):
@@ -500,9 +514,8 @@ def cmd_kernels(config: RunConfig, out_dir: str) -> int:
     written = []
     for i, row in enumerate("qp"):
         for j, col in enumerate("qp"):
-            # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
             path = os.path.join(out_dir, f"kernel_{row}{col}.csv")
-            export_kernel_csv(mat[i::2, j::2], path)
+            export_kernel_csv(r_block(mat, i, j), path)
             written.append(path)
     meta = {
         "h": h,

@@ -61,6 +61,8 @@ from .matrep import (
     build_backend,
     has_hermitian_image,
     qm_factors,
+    r_block,
+    slots,
     write_csv,
 )
 from .ncpoly import TensorPoly, eval_ncpoly, make_generators
@@ -377,18 +379,14 @@ def liouville_evolve(
 def _reduced_densities(state: np.ndarray, n_q: int, n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """``rho_q = Tr_p rho_qq`` and ``rho_p = Tr_q rho_pp`` of a vector or density.
 
-    For a vector reshaped to ``(N_q, N_p, 2)`` these are ``Psi_q Psi_q^dagger``
-    and ``Psi_p^T Psi_p^*`` of its two r-slices.
+    For a vector these are ``Psi_q Psi_q^dagger`` and ``Psi_p^T Psi_p^*`` of
+    its two r-slots (``slots``).
     """
     if state.ndim == 1:
-        psi = state.reshape(n_q, n_p, 2)
-        psi_q, psi_p = psi[:, :, 0], psi[:, :, 1]
+        psi_q, psi_p = slots(state, n_q, n_p)
         return psi_q @ psi_q.conj().T, psi_p.T @ psi_p.conj()
-    rho = state.reshape(n_q, n_p, 2, n_q, n_p, 2)
-    return (
-        np.einsum("ikjk->ij", rho[:, :, 0, :, :, 0]),
-        np.einsum("kikj->ij", rho[:, :, 1, :, :, 1]),
-    )
+    rho_qq, rho_pp = (r_block(state, s, s).reshape(n_q, n_p, n_q, n_p) for s in (0, 1))
+    return np.einsum("ikjk->ij", rho_qq), np.einsum("kikj->ij", rho_pp)
 
 
 def von_neumann_evolve(

@@ -12,7 +12,8 @@ Two backend families realize the single-factor pair (Q, P):
   (point states, diagonal densities) exact.
 
 The full space is C^{N_q} (x) C^{N_p} (x) C^2.  The flat index convention
-is fixed once and verified by round-trip tests:
+is fixed once, in the views ``slots`` and ``r_block``, and checked against
+the formula by ``verify``'s ``index-round-trip``:
 
     flat = (i_q * N_p + i_p) * 2 + i_r
 
@@ -79,14 +80,22 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+# Most complex N x N arrays that building a backend of N points holds at
+# once: its peak was 82 to 96 bytes per entry of one N x N matrix at N = 128
+# and 256, on every kind
+_BACKEND_ARRAYS = 6
+
+
 def check_backend(kind: str, n: int, length: float | None = None) -> str:
     """The canonical kind of a backend spec; ValueError if ``kind``, ``n`` or
-    ``length`` cannot make a backend (grid kinds need a positive extent)."""
+    ``length`` cannot make a backend (grid kinds need a positive extent), or
+    if building it would need more than ``MAX_DENSE_BYTES``."""
     kind = _canonical_kind(kind)
     if n < 2:
         raise ValueError(f"backend dimension must be at least 2, got {n}")
     if kind != "fock" and (length is None or length <= 0):
         raise ValueError(f"grid backends need a positive length, got {length}")
+    check_arrays(f"a {kind} backend of {n} points", _BACKEND_ARRAYS, n)
     return kind
 
 
@@ -129,18 +138,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def flatten(i_q: int, i_p: int, i_r: int, dim_q: int, dim_p: int) -> int:
-    if not (0 <= i_q < dim_q and 0 <= i_p < dim_p and 0 <= i_r < 2):
-        raise ValueError(f"index ({i_q}, {i_p}, {i_r}) out of range")
-    return (i_q * dim_p + i_p) * 2 + i_r
+def slots(vec: np.ndarray, dim_q: int, dim_p: int) -> np.ndarray:
+    """``vec``, of shape ``(..., 2 N_q N_p)`` in ``ORDERING``, as its two
+    r-slots, each an N_q x N_p matrix indexed ``(i_q, i_p)``: shape ``(2,
+    ..., N_q, N_p)``.  For a contiguous ``vec`` this is a view, so writing
+    into it writes ``vec``."""
+    vec = np.asarray(vec)
+    return np.moveaxis(vec.reshape(*vec.shape[:-1], dim_q, dim_p, 2), -1, 0)
 
 
-def unflatten(flat: int, dim_q: int, dim_p: int) -> tuple[int, int, int]:
-    if not 0 <= flat < dim_q * dim_p * 2:
-        raise ValueError(f"flat index {flat} out of range")
-    i_r = flat % 2
-    rest = flat // 2
-    return rest // dim_p, rest % dim_p, i_r
+def r_block(m: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The ``(i, j)`` r-block of a product-space matrix in ``ORDERING``, a view
+    with rows and columns in the order of ``slots``: the r index varies
+    fastest, so it is the stride-2 block at offset ``(i, j)``."""
+    return m[i::2, j::2]
 
 
 def _matrix_powers(mat: np.ndarray, max_power: int) -> list[np.ndarray]:
@@ -229,17 +240,28 @@ def _factored(bq: Backend, bp: Backend, *maps: dict) -> list:
 MAX_DENSE_BYTES = 1 << 30
 
 
+def _check_bytes(size: int, what: str) -> None:
+    """ValueError when ``what`` needs ``size`` bytes, more than ``MAX_DENSE_BYTES``."""
+    if size > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"{what} need {size / 2**30:.1f} GiB, above the"
+            f" {MAX_DENSE_BYTES / 2**30:g} GiB bound"
+        )
+
+
+def check_arrays(what: str, count: int, n: int, itemsize: int = 16) -> None:
+    """ValueError, before anything is allocated, when ``count`` ``n x n``
+    arrays of ``itemsize``-byte entries, which ``what`` holds at once, need
+    more than ``MAX_DENSE_BYTES``."""
+    _check_bytes(count * itemsize * n * n, f"the {count} arrays of {n} x {n} entries of {what}")
+
+
 def _dense_zeros(dim: int, term_dim: int) -> np.ndarray:
     """A complex ``dim x dim`` zero matrix that ``_add_term`` fills with
     ``term_dim x term_dim`` terms, refused (ValueError) before it is
     allocated when the two need more than ``MAX_DENSE_BYTES``."""
-    size = 16 * (dim * dim + term_dim * term_dim)
-    if size > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"a dense {dim} x {dim} matrix and its {term_dim} x {term_dim} term"
-            f" need {size / 2**30:.1f} GiB, above the"
-            f" {MAX_DENSE_BYTES / 2**30:g} GiB bound"
-        )
+    what = f"a dense {dim} x {dim} matrix and its {term_dim} x {term_dim} term"
+    _check_bytes(16 * (dim * dim + term_dim * term_dim), what)
     return np.zeros((dim, dim), dtype=complex)
 
 
@@ -264,24 +286,14 @@ def realize(a: TensorPoly, bq: Backend, bp: Backend) -> np.ndarray:
     (terms,) = _factored(bq, bp, _term_map(a))
     data = _dense_zeros(bq.dim * bp.dim * 2, bq.dim * bp.dim)
     for i, j, c, x, y in terms:
-        # the r index varies fastest, so E_ij selects the (i, j) stride-2 block
-        _add_term(data[i::2, j::2], c, x, y)
+        _add_term(r_block(data, i, j), c, x, y)
     return _freeze(data)
-
-
-def _slots(bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
-    """``vec`` in the flat ordering as its two r-slots, each an N_q x N_p
-    matrix ``psi_i`` (a view, shape ``(2, N_q, N_p)``).  A stack of vectors
-    of shape ``(..., dim)`` gives a stack of slots, shape ``(2, ..., N_q,
-    N_p)``."""
-    vec = np.asarray(vec)
-    return np.moveaxis(vec.reshape(*vec.shape[:-1], bq.dim, bp.dim, 2), -1, 0)
 
 
 def apply(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarray:
     """``A v`` in the flat ordering for the realization A of ``a``: a term
     ``c X (x) Y (x) E_ij`` adds ``c X psi_j Y^T`` into r-slot i, with ``psi``
-    the r-slots of ``vec`` (``_slots``).
+    the r-slots of ``vec`` (``slots``).
 
     ``(X (x) Y) vec(M) = vec(X M Y^T)`` for row-major ``vec`` (Van Loan, "The
     ubiquitous Kronecker product", J. Comput. Appl. Math. 123 (2000)), so a
@@ -289,18 +301,18 @@ def apply(a: TensorPoly, bq: Backend, bp: Backend, vec: np.ndarray) -> np.ndarra
     stack of vectors, shape ``(..., dim)``, is applied in one pass: each
     vector's image is the one ``apply`` gives it alone, entry for entry.
     """
-    psi = _slots(bq, bp, vec)
-    out = np.zeros(psi.shape, dtype=complex)
+    psi = slots(vec, bq.dim, bp.dim)
+    out = np.zeros(np.shape(vec), dtype=complex)
     (terms,) = _factored(bq, bp, _term_map(a))
     for i, j, c, x, y in terms:
-        out[i] += c * (x @ psi[j] @ y.T)
-    return np.moveaxis(out, 0, -1).reshape(*psi.shape[1:-2], -1)
+        slots(out, bq.dim, bp.dim)[i] += c * (x @ psi[j] @ y.T)
+    return out
 
 
 def term_values(bq: Backend, bp: Backend, vec: np.ndarray, *elements: TensorPoly) -> list[dict]:
     """For each element, the number ``<psi_i, X psi_j Y^T>`` of each of its
     terms ``c X (x) Y (x) E_ij``, keyed as ``_term_map`` keys it, with
-    ``psi`` the r-slots of ``vec`` (``_slots``).
+    ``psi`` the r-slots of ``vec`` (``slots``).
 
     The numbers are the parts of ``<v|A|v>`` that do not depend on the
     coefficients, so an element may keep lam; ``quadratic_form`` weighs them
@@ -309,7 +321,7 @@ def term_values(bq: Backend, bp: Backend, vec: np.ndarray, *elements: TensorPoly
     (``_factor_words``), each image ``X psi_j Y^T`` is formed as ``apply``
     forms it, and only the numbers are kept.
     """
-    psi = _slots(bq, bp, vec)
+    psi = slots(vec, bq.dim, bp.dim)
     maps = [_term_map(a) for a in elements]
     return [
         {key: np.vdot(psi[i], x @ psi[j] @ y.T) for key, (i, j, x, y) in zip(m, words)}
@@ -590,7 +602,7 @@ def export_matrix(
     sidecar at ``path + '.json'`` records the factor kinds ``kind``, dims, hbar,
     and ordering.
     """
-    flat = m.flatten(order="F")
+    flat = m.ravel(order="F")
     interleaved = np.empty(2 * flat.size, dtype="<f8")
     interleaved[0::2] = flat.real
     interleaved[1::2] = flat.imag

@@ -26,12 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrep import Backend, _hermitize, hermitian_defect, within
+from .matrep import Backend, _hermitize, hermitian_defect, r_block, slots, within
 
 _NORM_TOL = 1e-10
-
-_E_Q = np.array([1.0, 0.0], dtype=complex)
-_E_P = np.array([0.0, 1.0], dtype=complex)
 
 
 def _check_weights(c_q: complex, c_p: complex) -> None:
@@ -102,9 +99,9 @@ def lift_qm_eigenstate(
             "weight padding vectors do not match the factor dimensions:"
             f" a_vec {w.a_vec.shape} vs ({n_p},), b_vec {w.b_vec.shape} vs ({n_q},)"
         )
-    term_q = np.kron(psi, np.kron(np.asarray(w.a_vec, dtype=complex), _E_Q))
-    term_p = np.kron(np.asarray(w.b_vec, dtype=complex), np.kron(psi_p, _E_P))
-    return w.c_q * term_q + w.c_p * term_p
+    out = np.zeros(2 * n_q * n_p, dtype=complex)
+    slots(out, n_q, n_p)[:] = w.c_q * np.outer(psi, w.a_vec), w.c_p * np.outer(w.b_vec, psi_p)
+    return out
 
 
 def cm_point_state(
@@ -132,12 +129,9 @@ def cm_point_state(
     if not 0 <= l < bp.dim:
         raise ValueError(f"grid index l={l} out of range for dim {bp.dim}")
     _check_weights(c_q, c_p)
-    eq = np.zeros(bq.dim, dtype=complex)
-    ep = np.zeros(bp.dim, dtype=complex)
-    eq[k] = 1.0
-    ep[l] = 1.0
-    r_part = c_q * _E_Q + c_p * _E_P
-    return np.kron(eq, np.kron(ep, r_part))
+    out = np.zeros(2 * bq.dim * bp.dim, dtype=complex)
+    slots(out, bq.dim, bp.dim)[:, k, l] = c_q, c_p
+    return out
 
 
 def check_density(grid: np.ndarray, dq: float, dp: float) -> None:
@@ -163,9 +157,12 @@ def cm_mixed_density(rho_grid, c_q: complex, c_p: complex) -> np.ndarray:
     # rho_grid may have been changed since it was checked on construction
     check_density(grid, float(rho_grid.dq), float(rho_grid.dp))
     _check_weights(c_q, c_p)
-    r_vec = c_q * _E_Q + c_p * _E_P
+    r_vec = np.array([c_q, c_p], dtype=complex)
     projector = np.outer(r_vec, r_vec.conj())
-    return np.kron(np.diag(grid.reshape(-1).astype(complex)), projector)
+    rho = np.zeros((2 * grid.size, 2 * grid.size), dtype=complex)
+    for i, j in np.ndindex(2, 2):  # an r-block is indexed (i_q, i_p), as the grid
+        np.fill_diagonal(r_block(rho, i, j), grid.reshape(-1) * projector[i, j])
+    return rho
 
 
 def mean_value(rho: np.ndarray, a: np.ndarray) -> float:

@@ -39,13 +39,13 @@ from .matrep import (
     build_backend,
     commutator_defect,
     entry_bound,
-    flatten,
     hermitian_defect,
     qm_product_sectors,
     qm_spectrum,
+    r_block,
     realize,
+    slots,
     spectrum,
-    unflatten,
     within,
 )
 from .ncpoly import (
@@ -378,16 +378,16 @@ def _check_hermiticity_transport(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 def _check_index_round_trip(ctx: _Ctx, index: int) -> tuple[bool, str]:
     dim_q, dim_p = 3, 5
-    for i_q in range(dim_q):
-        for i_p in range(dim_p):
-            for i_r in range(2):
-                flat = flatten(i_q, i_p, i_r, dim_q, dim_p)
-                if unflatten(flat, dim_q, dim_p) != (i_q, i_p, i_r):
-                    return False, f"round trip broken at ({i_q}, {i_p}, {i_r})"
-    for flat in range(dim_q * dim_p * 2):
-        if flatten(*unflatten(flat, dim_q, dim_p), dim_q, dim_p) != flat:
-            return False, f"round trip broken at flat index {flat}"
-    return True, f"all {dim_q * dim_p * 2} indices round-trip exactly"
+    flat = np.arange(dim_q * dim_p * 2)
+    rows, cols = np.meshgrid(flat, flat, indexing="ij")  # at (a, b): a in rows, b in cols
+    psi = slots(flat, dim_q, dim_p)
+    for i_q, i_p, i_r in np.ndindex(dim_q, dim_p, 2):
+        want, slot = (i_q * dim_p + i_p) * 2 + i_r, i_q * dim_p + i_p
+        read = [r_block(rows, i_r, j)[slot] for j in (0, 1)]
+        read += [r_block(cols, j, i_r)[:, slot] for j in (0, 1)]
+        if psi[i_r, i_q, i_p] != want or any((x != want).any() for x in read):
+            return False, f"round trip broken at ({i_q}, {i_p}, {i_r})"
+    return True, f"all {flat.size} indices round-trip exactly"
 
 
 def _check_grid_conjugacy(ctx: _Ctx, index: int) -> tuple[bool, str]:

@@ -10,7 +10,8 @@ exact engine and reads each r-block from factor-sized maxima.
 sweep reads it from the factors and ``mean_value`` takes densities only.
 ``dense_product_defect`` and ``dense_spectrum`` read the product-space
 matrices that ``qm_product_sectors`` and ``qm_spectrum`` read from the
-quantum pair's factors.
+quantum pair's factors.  ``flatten`` writes out ``matrep.ORDERING`` for the
+tests that index a product-space vector or matrix by it.
 """
 
 import numpy as np
@@ -18,6 +19,11 @@ import numpy as np
 from qclab.expr import Add, Const, Mul, Neg, Node, Pow, Sub, Var
 from qclab.matrep import Backend, hermitian_defect, realize, spectrum, within
 from qclab.ncpoly import TensorPoly, tp_commutator
+
+
+def flatten(i_q: int, i_p: int, i_r: int, dim_q: int, dim_p: int) -> int:
+    """The flat index of ``(i_q, i_p, i_r)``: ``(i_q * N_p + i_p) * 2 + i_r``."""
+    return (i_q * dim_p + i_p) * 2 + i_r
 
 
 def evaluate_matrix(node: Node, q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from qclab.cli import (
     cmd_verify,
     main,
 )
+from qclab.matrep import MAX_DENSE_BYTES, check_backend
 from qclab.verify import run_verify
 
 from test_sweep import EXTREME, NOT_POSITIVE, PLAIN, _finite_constant, _weighted
@@ -641,6 +642,54 @@ def test_main_bad_backend_is_usage_error_for_every_command(
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_construction_sizes_are_priced_by_their_arithmetic():
+    # building a backend holds six complex N x N arrays at once (96 bytes an
+    # entry), the Liouville flow 16 float ones (128) and compare mode's
+    # quantum side 20 complex ones (320): the largest sizes the 1 GiB bound
+    # admits, and one more is refused; nothing is allocated
+    assert MAX_DENSE_BYTES == 1 << 30
+    most = math.isqrt(MAX_DENSE_BYTES // 96)
+    assert most == 3344
+    for kind in ("fock", "grid-position", "grid-momentum"):
+        assert check_backend(kind, most, 8.0) == kind
+        with pytest.raises(ValueError, match=f"the 6 arrays of 3345 x 3345 entries of a {kind} backend"):
+            check_backend(kind, most + 1, 8.0)
+    for name, most, count, itemsize in (("n_grid", 2896, 16, 8), ("n_fock", 1831, 20, 16)):
+        assert most == math.isqrt(MAX_DENSE_BYTES // (count * itemsize))
+        DynamicsSpec(**{name: most}).validate()
+        with pytest.raises(ConfigError, match=f"dynamics: the {count} arrays of {most + 1} x {most + 1}"):
+            DynamicsSpec(**{name: most + 1}).validate()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "kernels", "evolve"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # once 728 TiB at the first allocation, exit 1 with a traceback
+        ({"backend_q": {"kind": "fock", "n": 10**7}},
+         "backend_q: the 6 arrays of 10000000 x 10000000 entries of a fock backend"
+         " of 10000000 points need 8940696.7 GiB, above the 1 GiB bound"),
+        ({"dynamics": {"n_grid": 10**8}},
+         "dynamics: the 16 arrays of 100000000 x 100000000 entries of the Liouville"
+         " flow on an n_grid^2 mesh need 1192092895.5 GiB, above the 1 GiB bound"),
+        # compare mode runs the whole Liouville flow before it builds the Fock pair
+        ({"dynamics": {"n_fock": 2000}},
+         "dynamics: the 20 arrays of 2000 x 2000 entries of the quantum flow on an"
+         " n_fock^2 Fock pair need 1.2 GiB, above the 1 GiB bound"),
+    ],
+    ids=["backend-n-1e7", "n-grid-1e8", "n-fock-2000"],
+)
+def test_main_oversized_construction_is_usage_error(tmp_path, capsys, command, config, message):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"h_values": [1.0], **config}))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

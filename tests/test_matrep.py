@@ -18,7 +18,6 @@ from qclab.matrep import (
     defect_terms,
     export_kernel_csv,
     export_matrix,
-    flatten,
     format_float,
     has_hermitian_image,
     hermitian_defect,
@@ -26,10 +25,11 @@ from qclab.matrep import (
     qm_product_sectors,
     qm_spectrum,
     quadratic_form,
+    r_block,
     realize,
+    slots,
     spectrum,
     term_values,
-    unflatten,
     within,
     write_csv,
 )
@@ -42,6 +42,7 @@ from matrix_oracle import (
     dense_commutator_defect,
     dense_product_defect,
     dense_spectrum,
+    flatten,
     vector_mean,
 )
 
@@ -122,21 +123,61 @@ def test_backend_matrices_are_frozen():
 
 
 def test_flat_index_round_trip():
+    flat = np.arange(30)
+    labels = flat[:, None] * 30 + flat  # entry (a, b) names its row a and column b
+    psi = slots(flat, 3, 5)
+    assert psi.shape == (2, 3, 5)
     for iq in range(3):
         for ip in range(5):
             for ir in range(2):
-                flat = flatten(iq, ip, ir, 3, 5)
-                assert flat == (iq * 5 + ip) * 2 + ir
-                assert unflatten(flat, 3, 5) == (iq, ip, ir)
+                want = (iq * 5 + ip) * 2 + ir
+                assert psi[ir, iq, ip] == want
+                for j in range(2):
+                    assert (r_block(labels, ir, j)[iq * 5 + ip] // 30 == want).all()
+                    assert (r_block(labels, j, ir)[:, iq * 5 + ip] % 30 == want).all()
 
 
 def test_flat_index_range_checks():
+    # a vector on the 3 x 5 pair has 30 entries in two r-slots, and each
+    # r-block of a matrix there is 15 x 15
     with pytest.raises(ValueError):
-        flatten(3, 0, 0, 3, 5)
-    with pytest.raises(ValueError):
-        flatten(0, 0, 2, 3, 5)
-    with pytest.raises(ValueError):
-        unflatten(30, 3, 5)
+        slots(np.arange(31), 3, 5)
+    with pytest.raises(IndexError):
+        slots(np.arange(30), 3, 5)[2]
+    with pytest.raises(IndexError):
+        slots(np.arange(30), 3, 5)[0, 3]
+    m = np.zeros((30, 30))
+    assert all(r_block(m, i, j).shape == (15, 15) for i, j in np.ndindex(2, 2))
+
+
+def test_slots_and_r_blocks_are_views_on_a_non_square_pair():
+    # N_q = 3, N_p = 5 tells the two factor axes apart
+    bq, bp = build_backend("fock", 3, 1.0), build_backend("fock", 5, 1.0)
+    stack = np.zeros((4, 30), dtype=complex)
+    view = slots(stack, 3, 5)
+    assert view.shape == (2, 4, 3, 5)
+    for n, iq, ip, ir in np.ndindex(4, 3, 5, 2):
+        view[ir, n, iq, ip] = complex(n, flatten(iq, ip, ir, 3, 5))
+    want = np.array([[complex(n, f) for f in range(30)] for n in range(4)])
+    np.testing.assert_array_equal(stack, want)
+    # one term on each r-block: r_block(m, i, j) is the block of E_ij
+    one = ScalarCoeff.one()
+    a = TensorPoly({(1, 0, 0, 0, 0, 0): one, (0, 0, 1, 1, 0, 1): one, (2, 0, 0, 0, 1, 0): ScalarCoeff.i()})
+    m = realize(a, bq, bp)
+    q, qp = np.asarray(bq.qmat), np.asarray(bp.qmat @ bp.pmat)
+    blocks = {
+        (0, 0): np.kron(q, np.eye(5)),
+        (0, 1): np.kron(np.eye(3), qp),
+        (1, 0): 1j * np.kron(q @ q, np.eye(5)),
+        (1, 1): np.zeros((15, 15)),
+    }
+    # kron(block, E_ij) puts a block at (i, j) by the formula, without r_block
+    e = np.eye(2)
+    want = sum(np.kron(block, np.outer(e[i], e[j])) for (i, j), block in blocks.items())
+    np.testing.assert_allclose(m, want, rtol=0, atol=1e-15)
+    for (i, j), block in blocks.items():
+        assert np.shares_memory(r_block(m, i, j), m)
+        np.testing.assert_allclose(r_block(m, i, j), block, rtol=0, atol=1e-15)
 
 
 def test_realize_identity():

@@ -8,7 +8,7 @@ import pytest
 
 from qclab.dynamics import PhaseSpaceDensity
 from qclab.expr import parse_expr
-from qclab.matrep import build_backend, flatten, realize
+from qclab.matrep import build_backend, realize
 from qclab.ncpoly import eval_ncpoly, make_generators
 from qclab.states import (
     StateReport,
@@ -22,6 +22,8 @@ from qclab.states import (
     mean_value,
     validate_state,
 )
+
+from matrix_oracle import flatten
 
 GENS = make_generators()
 OSC = parse_expr("(1/2)*(P^2 + Q^2)")

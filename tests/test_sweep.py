@@ -426,7 +426,7 @@ def per_term_quadratic_form(a, bq, bp, vec):
     """``<v|A|v>`` with every term image formed at the call: a term
     ``c X (x) Y (x) E_ij`` adds ``c <psi_i, X psi_j Y^T>``, in sorted key
     order."""
-    psi = matrep._slots(bq, bp, vec)
+    psi = matrep.slots(vec, bq.dim, bp.dim)
     (terms,) = matrep._factored(bq, bp, matrep._term_map(a))
     return complex(sum(c * np.vdot(psi[i], x @ psi[j] @ y.T) for i, j, c, x, y in terms))
 
