@@ -76,10 +76,14 @@ _DEGREE_CAP = 55
 _THETA = 9.9
 _UNIT_ROUNDOFF = 2.0**-53
 # multiply-adds of the bracket products that a Liouville run needs at the
-# least, one bracket per substep: over two years at the 1.5e10 per second
+# least, one bracket per substep: about 80 minutes at the 1.5e10 per second
 # that a 64^2 bracket runs on one thread of OpenBLAS, so only a flow out of
-# any reach (or one whose norm bound is not finite) is refused
-_MAX_WORK = 2.0**60
+# reach (or one whose norm bound is not finite) is refused.  A bracket of
+# any size costs at least about 3 us (3.2 us at 8^2, 3.4 us at 16^2 on one
+# thread), so it is priced at no less than _MIN_BRACKET_WORK, 2^16
+# multiply-adds or about 4 us
+_MAX_WORK = 2.0**46
+_MIN_BRACKET_WORK = 2.0**16
 
 
 class LiouvilleUnstable(RuntimeError):
@@ -286,8 +290,9 @@ def liouville_evolve(
     final step; ``dt`` sets only that grid.  Between two records the density
     moves by exp(tau L), summed as a truncated Taylor series in
     ``ceil(tau B / theta)`` substeps (see the module docstring).  A run that
-    needs more than ``_MAX_WORK`` multiply-adds at one bracket per substep
-    (an infinite or NaN bound included) is refused before any bracket.
+    needs more than ``_MAX_WORK`` multiply-adds at one bracket per substep,
+    each priced at no less than ``_MIN_BRACKET_WORK`` (an infinite or NaN
+    bound included), is refused before any bracket.
     Aborts with a diagnostic if
     the total mass drifts beyond 1e-4; warns once if the boundary ring ever
     carries mass above 1e-8 (the periodic box is then too small for the
@@ -312,7 +317,8 @@ def liouville_evolve(
     taus = np.diff(marks) * dt  # finite, as steps * dt is
     with np.errstate(over="ignore"):  # inf, as for plain floats
         substeps = np.ceil(taus * bound / _THETA)
-    least = float(substeps.sum()) * rho0.n_q * rho0.n_p * (rho0.n_q + rho0.n_p)
+    bracket = max(rho0.n_q * rho0.n_p * (rho0.n_q + rho0.n_p), _MIN_BRACKET_WORK)
+    least = float(substeps.sum()) * bracket
     # written so that an infinite or NaN bound is refused too
     if not least <= _MAX_WORK:
         raise ValueError(

@@ -22,7 +22,11 @@ operator).  Informational results never affect the aggregate outcome.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 import time
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -569,7 +573,8 @@ class CheckDef:
     note: str | None = None
 
 
-CHECKS: list[CheckDef] = [
+# the exact engine's checks, which run in the worker (see ``run_verify``)
+EXACT_CHECKS: list[CheckDef] = [
     CheckDef("qm-ccr", _check_qm_ccr),
     CheckDef("cm-commutativity", _check_cm_commutativity),
     CheckDef("translation-identity", _check_translation_identity),
@@ -590,6 +595,9 @@ CHECKS: list[CheckDef] = [
         informational=True,
         note=KNOWN_DISCREPANCY_NOTE,
     ),
+]
+
+CHECKS: list[CheckDef] = EXACT_CHECKS + [
     CheckDef("fock-truncated-ccr", _check_fock_truncated_ccr),
     CheckDef("qm-bulk-defect", _check_qm_bulk_defect),
     CheckDef("tilde-bulk-defect", _check_tilde_bulk_defect),
@@ -618,6 +626,78 @@ SYMBOLIC_SUITE = (
 )
 
 
+def _run_check(ctx: _Ctx, index: int, check: CheckDef) -> CheckResult:
+    start = time.perf_counter()
+    try:
+        passed, witness = check.fn(ctx, index)
+    except Exception as exc:  # a crashed check is a failed check
+        passed, witness = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(
+        name=check.name,
+        status="pass" if passed else "fail",
+        witness=witness,
+        elapsed=time.perf_counter() - start,
+        informational=check.informational,
+        note=check.note,
+    )
+
+
+def _may_fork() -> bool:
+    """Whether a worker can run beside this process: fork exists, two CPUs
+    are ours and no other Python thread runs (a threaded fork can deadlock)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1
+
+
+def _run_beside(ctx: _Ctx, exact: list, numeric: list) -> list[CheckResult]:
+    """Run the ``exact`` checks in a forked worker while this process runs
+    ``numeric``; the results come back in registry order.
+
+    The worker runs only pure-Python exact-engine code and numpy's RNG, never
+    BLAS, and ends in ``os._exit``.  If it ends without reporting, each of its
+    checks fails, the witness naming its exit status.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of BLAS's own threads; the worker never calls BLAS
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare: every check runs here
+        os.close(read_fd)
+        os.close(write_fd)
+        return [_run_check(ctx, i, c) for i, c in exact + numeric]
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump([_run_check(ctx, i, c) for i, c in exact], pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            ours = [_run_check(ctx, i, c) for i, c in numeric]
+            # read it all before waiting: a fault's witnesses can fill the pipe
+            data = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        theirs = pickle.loads(data)
+    else:
+        witness = f"the exact-engine worker ended without a report (exit status {code})"
+        theirs = [
+            CheckResult(c.name, "fail", witness, 0.0, c.informational, c.note) for _, c in exact
+        ]
+    # every exact check precedes every numeric one in CHECKS
+    return theirs + ours
+
+
 def run_verify(
     hbar: float = 1.0,
     h_o: float = 1.0,
@@ -630,6 +710,12 @@ def run_verify(
     ``fault_injection`` deliberately scales the swap constant ``s = -i*hbar``
     of normal ordering by the given factor for the duration of the run; a
     corrupted engine must surface as failing identity checks.
+
+    Where ``_may_fork`` allows and both halves hold a selected check, the
+    exact-engine checks (``EXACT_CHECKS``) run in one forked worker beside
+    the numeric and state checks.  Each check gets the same context and
+    registry index either way, so the report is the same; only ``elapsed``
+    is timed in whichever process ran the check.
     """
     if fault_injection is None:
         guard = nullcontext()
@@ -642,29 +728,17 @@ def run_verify(
         unknown = wanted - {check.name for check in CHECKS}
         if unknown:
             raise ValueError(f"unknown check names: {', '.join(sorted(unknown))}")
+    selected = [(i, c) for i, c in enumerate(CHECKS) if wanted is None or c.name in wanted]
+    exact = [(i, c) for i, c in selected if i < len(EXACT_CHECKS)]
+    numeric = selected[len(exact):]
     ctx = _Ctx(hbar=hbar, seed=seed, gens=make_generators())
-    results: list[CheckResult] = []
-    # an overflow becomes an inf or NaN witness, which fails its check
+    # entered before any fork, so a worker inherits the fault; an overflow
+    # becomes an inf or NaN witness, which fails its check
     with guard, np.errstate(all="ignore"):
-        for idx, check in enumerate(CHECKS):
-            if wanted is not None and check.name not in wanted:
-                continue
-            start = time.perf_counter()
-            try:
-                passed, witness = check.fn(ctx, idx)
-            except Exception as exc:  # a crashed check is a failed check
-                passed, witness = False, f"raised {type(exc).__name__}: {exc}"
-            elapsed = time.perf_counter() - start
-            results.append(
-                CheckResult(
-                    name=check.name,
-                    status="pass" if passed else "fail",
-                    witness=witness,
-                    elapsed=elapsed,
-                    informational=check.informational,
-                    note=check.note,
-                )
-            )
+        if exact and numeric and _may_fork():
+            results = _run_beside(ctx, exact, numeric)
+        else:
+            results = [_run_check(ctx, idx, check) for idx, check in selected]
     return VerifyReport(
         hbar=hbar,
         h_o=h_o,

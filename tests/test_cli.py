@@ -872,8 +872,13 @@ def test_main_non_finite_state_or_mean_is_usage_error(tmp_path, capsys, argv, co
         # ||L|| <= 3.9e30 on the default grid: refused before any bracket
         (["--h", "0.0", "--expr", "Q^32"], {"dynamics": {"mode": "auto"}},
          "Liouville transport would take at least"),
+        # 3.8e9 substeps of an 8^2 grid, each bracket priced at its 4 us floor
+        # (2^16 multiply-adds): 2.5e14, past the budget of 2^46
+        ([], {"h_values": [0.0], "dynamics": {"mode": "auto", "dt": 1e8, "steps": 20,
+                                              "record_stride": 5, "n_grid": 8, "length": 1.0}},
+         "Liouville transport would take at least 2.5e+14 multiply-adds"),
     ],
-    ids=["compare-QP", "auto-QP", "auto-no-single-h", "auto-steep-flow"],
+    ids=["compare-QP", "auto-QP", "auto-no-single-h", "auto-steep-flow", "auto-slow-flow"],
 )
 def test_main_evolve_refusal_is_usage_error(tmp_path, capsys, argv, config, message):
     path = tmp_path / "cfg.json"

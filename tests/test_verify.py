@@ -5,8 +5,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import signal
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -131,9 +134,17 @@ def test_eigenstate_lifting_forms_no_product_space_matrix():
     assert peak < 8 * 2**20, peak
 
 
-def test_verify_forms_no_dense_matrix_past_dimension_128():
+def test_verify_forms_no_dense_matrix_past_dimension_128(monkeypatch):
     # homomorphism-bulk and oscillator-spectrum read the Fock 16 pair's
-    # factors; their dimension-512 matrices took 22 MiB
+    # factors; their dimension-512 matrices took 22 MiB.  Beside the
+    # exact-engine worker, every check that realizes a matrix still runs in
+    # this process, where tracemalloc sees it
+    _cpus(monkeypatch, 2)
+    ran_here = []
+    run_check = verify._run_check
+    monkeypatch.setattr(
+        verify, "_run_check", lambda ctx, i, c: ran_here.append(c.name) or run_check(ctx, i, c)
+    )
     tracemalloc.start()
     try:
         report = run_verify()
@@ -142,6 +153,7 @@ def test_verify_forms_no_dense_matrix_past_dimension_128():
         tracemalloc.stop()
     assert report.all_passed
     assert peak < 4 * 2**20, peak
+    assert ran_here == [c.name for c in CHECKS[len(verify.EXACT_CHECKS):]]
 
 
 def _dense_homomorphism_defect(fault: float) -> float:
@@ -199,9 +211,144 @@ def test_oscillator_spectrum_tolerances_scale_with_hbar(hbar):
     assert worst <= 1e-14 * hbar
 
 
-def test_elapsed_is_tracked_per_check():
+def test_elapsed_is_tracked_per_check(monkeypatch):
     report = run_verify(names=("qm-ccr",))
     assert report.checks[0].elapsed >= 0.0
+    # the worker times its own checks and sends the times back
+    _cpus(monkeypatch, 2)
+    forks = _forks(monkeypatch)
+    report = run_verify()
+    assert len(forks) == 1
+    assert all(c.elapsed > 0.0 for c in report.checks)
+
+
+# -- the exact-engine worker -----------------------------------------------
+
+
+def _cpus(monkeypatch, count):
+    """Let ``run_verify`` see ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _forks(monkeypatch):
+    """The list of the run's forks, each still made."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_WORKER_CONFIGS = [
+    {"seed": 1234},
+    {"seed": 7},
+    {"hbar": 1e-300},
+    {"hbar": 1e8},
+    {"hbar": 1e153},
+    {"hbar": 1e300},
+    {"fault_injection": -1.0},
+    {"fault_injection": 0.5},
+    {"fault_injection": 0.0},
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, config",
+    [("json", c) for c in _WORKER_CONFIGS] + [("csv", {"seed": 1234})],
+    ids=[json.dumps(c) for c in _WORKER_CONFIGS] + ["csv"],
+)
+def test_the_worker_writes_the_report_one_process_writes(
+    tmp_path, capsys, monkeypatch, fmt, config
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    forks = _forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        code = main(["verify", "--config", str(path), "--out", str(out), "--format", fmt])
+        captured = capsys.readouterr()
+        (report,) = out.iterdir()
+        runs.append((code, captured.out.replace(str(out), "OUT"), captured.err, report.read_bytes()))
+    assert len(forks) == 1  # the second run only
+    assert runs[0] == runs[1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "end, status",
+    [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL)],
+    ids=["exit-3", "sigkill"],
+)
+def test_a_worker_that_ends_without_a_report_fails_its_checks(monkeypatch, end, status):
+    caller = os.getpid()
+
+    def end_the_worker(ctx, index):
+        if os.getpid() != caller:
+            end()
+        return True, "ran in the calling process"
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "CHECKS", [replace(CHECKS[0], fn=end_the_worker)] + CHECKS[1:])
+    report = run_verify(names=("qm-ccr", "cm-commutativity", "fock-truncated-ccr"))
+    witness = f"the exact-engine worker ended without a report (exit status {status})"
+    got = [(c.name, c.status, c.witness) for c in report.checks[:2]]
+    assert got == [("qm-ccr", "fail", witness), ("cm-commutativity", "fail", witness)]
+    assert report.checks[2].status == "pass"
+    assert not report.all_passed
+    _assert_no_child_left()
+
+
+def _refuse_to_fork():
+    raise AssertionError("os.fork was called")
+
+
+@pytest.mark.parametrize(
+    "cpus, names",
+    [(1, None), (2, SYMBOLIC_SUITE), (2, ("fock-truncated-ccr", "density-axioms"))],
+    ids=["one-cpu", "exact-only", "numeric-only"],
+)
+def test_no_worker_without_two_cpus_and_two_halves(monkeypatch, cpus, names):
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+    assert run_verify(names=names).all_passed
+
+
+def test_no_worker_beside_another_python_thread(monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _refuse_to_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        report = run_verify(names=("qm-ccr", "fock-truncated-ccr"))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert report.all_passed
+
+
+def test_a_fork_that_fails_runs_every_check_here(monkeypatch):
+    def no_process():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_process)
+    names = ("qm-ccr", "cm-commutativity", "fock-truncated-ccr")
+    report = run_verify(names=names)
+    assert [c.name for c in report.checks] == list(names)
+    assert report.all_passed
 
 
 # Exact witnesses of the ten symbolic checks.  They are canonical forms and
