@@ -14,12 +14,19 @@ Every element is kept in a canonical normal form:
   ``P Q -> Q P + s`` stays as the independent confluence oracle;
 * the third factor enters through its matrix units ``E_ij``, so one term
   ``(m_q, n_q, m_p, n_p, i, j)`` is ``Q^m_q P^n_q (x) Q^m_p P^n_p (x) E_ij``;
-* term maps are sparse, with zero coefficients pruned.
+* an element is one positive denominator over Gaussian-integer numerators
+  ``(re, im)``, keyed by the term key followed by the powers of ``hbar``
+  and ``lam``, sparse and reduced (``scalars``' layout, lifted from the
+  coefficient to the whole element, as FLINT's ``fmpq_poly``; Hart, ICMS
+  2010).  Products, adjoints and sums are then integer loops with one gcd
+  pass per result, and a reordering contributes only the integer weight
+  ``k! C(b, k) C(c, k)`` (:func:`reorder_weights`) times ``s^k``.
 
-:class:`TensorPoly` is the only element type.  A single-factor normal form
-is a plain map ``(m, n) -> coefficient`` of ``Q^m P^n``.
+:class:`TensorPoly` is the only element type; its ``terms`` read it back as
+``term key -> ScalarCoeff``.  A single-factor normal form is a plain map
+``(m, n) -> coefficient`` of ``Q^m P^n``.
 
-Two elements are equal as operators exactly when their canonical term maps
+Two elements are equal as operators exactly when their canonical forms
 coincide, which makes equality a decision procedure rather than a
 tolerance test.
 """
@@ -32,10 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .expr import fold
-from .scalars import ScalarCoeff
+from .scalars import ScalarCoeff, _product, combine, lowest_terms, read_indices, substitute_last
 
 # Letters of the single-factor word alphabet.
 Q = "Q"
@@ -118,6 +126,16 @@ def _misordered_position(word: tuple[str, ...], strategy: str) -> int | None:
     return None
 
 
+def reorder_weights(n: int, m: int) -> list[int]:
+    """The integer weights ``k! C(n, k) C(m, k)``, k = 0 .. min(n, m), of
+    ``s^k Q^(m-k) P^(n-k)`` in the normal form of ``P^n Q^m`` (Wilcox 1967)."""
+    weights = [1]
+    for k in range(1, min(n, m) + 1):
+        # an integer at every step
+        weights.append(weights[-1] * (n - k + 1) * (m - k + 1) // k)
+    return weights
+
+
 def ordered_product(m1: int, n1: int, m2: int, n2: int) -> FactorTerms:
     """Normal form of the concatenated monomial word Q^m1 P^n1 Q^m2 P^n2.
 
@@ -129,49 +147,126 @@ def ordered_product(m1: int, n1: int, m2: int, n2: int) -> FactorTerms:
     terms = {(m1 + m2, n1 + n2): ScalarCoeff.one()}
     if _swap_term.is_zero():  # a fault may zero s; keep the map pruned
         return terms
-    power, weight = _swap_term, 1
-    for k in range(1, min(n1, m2) + 1):
+    power = _swap_term
+    for k, weight in enumerate(reorder_weights(n1, m2)[1:], 1):
         if k > 1:
             power = power * _swap_term
-        # weight = k! C(n1, k) C(m2, k), an integer at every step
-        weight = weight * (n1 - k + 1) * (m2 - k + 1) // k
-        key = (m1 + m2 - k, n1 + n2 - k)
-        terms[key] = power if weight == 1 else power.scale_int(weight)
+        terms[(m1 + m2 - k, n1 + n2 - k)] = power if weight == 1 else power.scale_int(weight)
     return terms
+
+
+class _SwapPowers(dict):
+    """The powers of the swap constant ``s`` for one product: item ``k``
+    maps ``(hbar power, lam power)`` to the numerator of ``s^k d^(top-k)``,
+    ``d`` the denominator of ``s``, and ``unit`` is ``d^top``.  Items past
+    0 are made on first use."""
+
+    __slots__ = ("s", "unit")
+
+    def __missing__(self, k: int) -> dict:
+        # s^k d^(top-k) = s^(k-1) d^(top-k+1) * num(s) / d, exactly
+        s, d = self.s, self.s._den
+        self[k] = power = {
+            key: (re // d, im // d) for key, (re, im) in _product(self[k - 1], s._num).items()
+        }
+        return power
+
+
+def _swap_powers(keys: Iterable[tuple]) -> _SwapPowers:
+    """The powers of ``_swap_term``, read now, for one product.
+
+    ``top`` must bound the factors of ``s`` that one term pair contracts;
+    the largest ``m_q + m_p`` over ``keys``, the term keys of the right-hand
+    words, does.  With ``d = 1``, as for the unfaulted ``s = -i*hbar``, any
+    ``top`` does, and 0 is taken.
+    """
+    s = _swap_term
+    unit = s._den ** max((k[0] + k[2] for k in keys), default=0) if s._den != 1 else 1
+    powers = _SwapPowers({0: {(0, 0): (unit, 0)}})
+    powers.s, powers.unit = s, unit
+    return powers
+
+
+# the weights of a word pair that does not reorder
+_NO_REORDER = (1,)
+
+
+def _add_reordered(
+    out: dict, powers: _SwapPowers, re: int, im: int,
+    mq1: int, nq1: int, mq2: int, nq2: int,
+    mp1: int, np1: int, mp2: int, np2: int,
+    i: int, j: int, a: int, b: int,
+) -> None:
+    """Add the normal form of ``(re + i*im) hbar^a lam^b`` times the word
+    pairs ``Q^mq1 P^nq1 Q^mq2 P^nq2 (x) Q^mp1 P^np1 Q^mp2 P^np2 (x) E_ij`` to
+    the numerators ``out``: each reordering adds its integer weight times
+    ``s^k`` (``powers``)."""
+    wp = reorder_weights(np1, mp2) if np1 and mp2 else _NO_REORDER
+    for kq, w1 in enumerate(reorder_weights(nq1, mq2) if nq1 and mq2 else _NO_REORDER):
+        for kp, w2 in enumerate(wp):
+            w = w1 * w2
+            cr, ci = re * w, im * w
+            head = (mq1 + mq2 - kq, nq1 + nq2 - kq, mp1 + mp2 - kp, np1 + np2 - kp, i, j)
+            for (da, db), (sr, si) in powers[kq + kp].items():
+                key = head + (a + da, b + db)
+                vr, vi = cr * sr - ci * si, cr * si + ci * sr
+                if key in out:
+                    r0, i0 = out[key]
+                    vr, vi = r0 + vr, i0 + vi
+                out[key] = (vr, vi)
+
+
+# the unit term key of each r-sector
+_UNITS = ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1))
 
 
 class TensorPoly:
     """Canonical element of the full three-factor operator algebra.
 
-    Terms map ``(m_q, n_q, m_p, n_p, i, j)`` to a scalar coefficient, where
-    the first two pairs are the normal monomials on the q and p factors and
-    ``(i, j)`` is the matrix slot on the third factor.
+    An element is ``sum c Q^m_q P^n_q (x) Q^m_p P^n_p (x) E_ij``, each ``c``
+    a coefficient in ``hbar`` and ``lam`` (:class:`ScalarCoeff`).  It is
+    stored as Gaussian-integer numerators ``(re, im)``, keyed by the term key
+    ``(m_q, n_q, m_p, n_p, i, j)`` followed by the powers of ``hbar`` and
+    ``lam``, over one positive denominator for the whole element.  The
+    canonical form has no zero numerator and gcd 1 between the denominator
+    and every numerator part (zero has denominator 1), so equal elements
+    have equal maps.  Arithmetic is integer arithmetic plus one gcd pass;
+    :attr:`terms` reads the element back as ``{term key: ScalarCoeff}``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[TensorKey, ScalarCoeff] = ()):
-        pruned = {k: v for k, v in dict(terms).items() if not v.is_zero()}
-        for key in pruned:
-            mq, nq, mp, np_, i, j = key
+        coeffs = []
+        for key, c in dict(terms).items():
+            mq, nq, mp, np_, i, j = key = read_indices(key)
             if min(mq, nq, mp, np_) < 0:
                 raise ValueError("monomial powers must be nonnegative")
             if i not in (0, 1) or j not in (0, 1):
                 raise ValueError("r-factor indices must be 0 or 1")
-        self._terms = pruned
+            coeffs.append((key, c))
+        # over the lcm of canonical denominators the gcd is already 1
+        den = lcm(*(c._den for _, c in coeffs))
+        self._num = {
+            key + k: (re * (den // c._den), im * (den // c._den))
+            for key, c in coeffs
+            for k, (re, im) in c._num.items()
+        }
+        self._den = den
 
     @staticmethod
-    def _raw(terms: dict[TensorKey, ScalarCoeff]) -> "TensorPoly":
-        """Wrap terms whose keys the engine built itself; prunes zeros only."""
+    def _raw(num: dict, den: int) -> "TensorPoly":
+        """Wrap numerators and a denominator that are already canonical."""
         out = object.__new__(TensorPoly)
-        out._terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        out._num = num
+        out._den = den
         return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "TensorPoly":
-        return TensorPoly()
+        return TensorPoly._raw({}, 1)
 
     @staticmethod
     def identity() -> "TensorPoly":
@@ -180,73 +275,106 @@ class TensorPoly:
     @staticmethod
     def scalar(c: ScalarCoeff) -> "TensorPoly":
         """``c`` times the identity: ``c`` on the unit term of each r-sector."""
-        return TensorPoly._raw({(0, 0, 0, 0, 0, 0): c, (0, 0, 0, 0, 1, 1): c})
+        return TensorPoly._raw(
+            {unit + k: v for unit in _UNITS for k, v in c._num.items()}, c._den
+        )
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> dict[TensorKey, ScalarCoeff]:
-        return dict(self._terms)
+        grouped: dict[TensorKey, dict] = {}
+        for key, v in self._num.items():
+            head = key[:6]
+            if head in grouped:
+                grouped[head][key[6:]] = v
+            else:
+                grouped[head] = {key[6:]: v}
+        den = self._den
+        return {key: ScalarCoeff._reduced(num, den) for key, num in grouped.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        merged = dict(self._terms)
-        for k, v in other._terms.items():
-            merged[k] = merged[k] + v if k in merged else v
-        return TensorPoly._raw(merged)
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly._raw({k: -v for k, v in self._terms.items()})
+        return TensorPoly._raw(*combine(self._num, self._den, other._num, other._den))
 
     def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + (-other)
+        return TensorPoly._raw(*combine(self._num, self._den, other._num, other._den, -1))
+
+    def __neg__(self) -> "TensorPoly":
+        return TensorPoly._raw({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     def scale(self, c: ScalarCoeff) -> "TensorPoly":
-        return TensorPoly._raw({k: c * v for k, v in self._terms.items()})
+        return TensorPoly._raw(*lowest_terms(_product(self._num, c._num), self._den * c._den))
 
     def __mul__(self, other: "TensorPoly") -> "TensorPoly":
         # each pair is the word pair Q^mq1 P^nq1 . Q^mq2 P^nq2 on factor q,
         # the same on factor p, and E_i1j1 E_i2j2 = E_i1j2 when j1 == i2
-        return _sum_products(
-            (c1 * c2, mq1, nq1, mq2, nq2, mp1, np1, mp2, np2, i1, j2)
-            for (mq1, nq1, mp1, np1, i1, j1), c1 in self._terms.items()
-            for (mq2, nq2, mp2, np2, i2, j2), c2 in other._terms.items()
-            if j1 == i2
-        )
+        by_row: tuple[list, list] = ([], [])
+        for (mq, nq, mp, np_, i, j, a, b), (re, im) in other._num.items():
+            by_row[i].append((mq, nq, mp, np_, j, a, b, re, im))
+        powers = _swap_powers(other._num)
+        # pairs that contract nothing are summed apart while d^top != 1
+        out: dict = {}
+        plain = out if powers.unit == 1 else {}
+        for (mq1, nq1, mp1, np1, i1, j1, a1, b1), (r1, x1) in self._num.items():
+            for mq2, nq2, mp2, np2, j2, a2, b2, r2, x2 in by_row[j1]:
+                re, im = r1 * r2 - x1 * x2, r1 * x2 + x1 * r2
+                if (nq1 and mq2) or (np1 and mp2):
+                    _add_reordered(
+                        out, powers, re, im, mq1, nq1, mq2, nq2, mp1, np1, mp2, np2,
+                        i1, j2, a1 + a2, b1 + b2,
+                    )
+                    continue
+                key = (mq1 + mq2, nq1 + nq2, mp1 + mp2, np1 + np2, i1, j2, a1 + a2, b1 + b2)
+                if key in plain:
+                    r0, i0 = plain[key]
+                    re, im = r0 + re, i0 + im
+                plain[key] = (re, im)
+        return _reduced_sum(out, plain, self._den * other._den, powers.unit)
 
     def adjoint(self) -> "TensorPoly":
         # (Q^m P^n)^dagger = P^n Q^m, the word pair 1 . P^n Q^m, and
         # E_ij^dagger = E_ji
-        return _sum_products(
-            (c.conjugate(), 0, nq, mq, 0, 0, np_, mp, 0, j, i)
-            for (mq, nq, mp, np_, i, j), c in self._terms.items()
-        )
+        powers = _swap_powers(self._num)
+        out: dict = {}
+        plain = out if powers.unit == 1 else {}
+        for (mq, nq, mp, np_, i, j, a, b), (re, im) in self._num.items():
+            im = -im  # hbar and lam are real, only the numbers conjugate
+            if (nq and mq) or (np_ and mp):
+                _add_reordered(out, powers, re, im, 0, nq, mq, 0, 0, np_, mp, 0, j, i, a, b)
+                continue
+            key = (mq, nq, mp, np_, j, i, a, b)
+            if key in plain:
+                r0, i0 = plain[key]
+                re, im = r0 + re, i0 + im
+            plain[key] = (re, im)
+        return _reduced_sum(out, plain, self._den, powers.unit)
 
     def substitute_lambda(self, value) -> "TensorPoly":
         val = Fraction(value)
         if not 0 <= val <= 1:
             raise ValueError(f"lam must lie in [0, 1], got {val}")
         return TensorPoly._raw(
-            {k: v.substitute_lambda(val) for k, v in self._terms.items()}
+            *substitute_last(self._num, self._den, val.numerator, val.denominator)
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((k, hash(v)) for k, v in self._terms.items())))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "TensorPoly(0)"
         bits = []
-        for key, c in sorted(self._terms.items()):
+        for key, c in sorted(self.terms.items()):
             mq, nq, mp, np_, i, j = key
             def mono(m: int, n: int) -> str:
                 s = ("Q^%d" % m if m else "") + ("P^%d" % n if n else "")
@@ -256,30 +384,19 @@ class TensorPoly:
         return "TensorPoly(" + " + ".join(bits) + ")"
 
 
-def _sum_products(
-    products: Iterable[tuple[ScalarCoeff, int, int, int, int, int, int, int, int, int, int]],
-) -> TensorPoly:
-    """Sum ``c * (Q^mq1 P^nq1 Q^mq2 P^nq2 (x) Q^mp1 P^np1 Q^mp2 P^np2 (x) E_ij)``
-    over ``(c, mq1, nq1, mq2, nq2, mp1, np1, mp2, np2, i, j)``.
-
-    A word pair with ``n1 == 0`` or ``m2 == 0`` on both factors is already
-    normally ordered, so it adds ``c`` at the summed powers; only a pair that
-    contracts on some factor is reordered by :func:`ordered_product`.
-    """
-    out: dict[TensorKey, ScalarCoeff] = {}
-    for c, mq1, nq1, mq2, nq2, mp1, np1, mp2, np2, i, j in products:
-        if (nq1 and mq2) or (np1 and mp2):
-            ppart = ordered_product(mp1, np1, mp2, np2)
-            for (mq, nq), sq in ordered_product(mq1, nq1, mq2, nq2).items():
-                cq = c * sq
-                for (mp, np_), sp in ppart.items():
-                    key = (mq, nq, mp, np_, i, j)
-                    add = cq * sp
-                    out[key] = out[key] + add if key in out else add
-        else:
-            key = (mq1 + mq2, nq1 + nq2, mp1 + mp2, np1 + np2, i, j)
-            out[key] = out[key] + c if key in out else c
-    return TensorPoly._raw(out)
+def _reduced_sum(out: dict, plain: dict, den: int, unit: int) -> TensorPoly:
+    """Canonical ``(out + unit * plain) / (den * unit)`` from summed
+    numerators that may hold zeros; ``plain`` is ``out`` itself when
+    ``unit`` is 1."""
+    if plain is not out:
+        for key, (re, im) in plain.items():
+            re, im = re * unit, im * unit
+            if key in out:
+                r0, i0 = out[key]
+                re, im = r0 + re, i0 + im
+            out[key] = (re, im)
+        den *= unit
+    return TensorPoly._raw(*lowest_terms({k: v for k, v in out.items() if v[0] or v[1]}, den))
 
 
 # -- module-level operation names ------------------------------------------
@@ -347,7 +464,7 @@ def qm_embedding(corner: TensorPoly) -> TensorPoly:
     ValueError on a term outside the corner.
     """
     lifted = corner.terms
-    for key, c in corner.terms.items():
+    for key, c in list(lifted.items()):
         m, n, *rest = key
         if rest != [0, 0, 0, 0]:
             raise ValueError(f"term {key} is outside the q-sector corner")

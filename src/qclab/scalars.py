@@ -10,11 +10,14 @@ A coefficient keeps Gaussian-integer numerators over one positive common
 denominator, the layout of FLINT's ``fmpq_poly`` (Hart, "FLINT: Fast Library
 for Number Theory", ICMS 2010), so its arithmetic is integer arithmetic plus
 one gcd pass.  The constructor and ``ScalarCoeff.terms`` exchange each
-complex rational as a pair ``(re, im)``.
+complex rational as a pair ``(re, im)``.  The helpers on numerator maps at
+the end of the module serve ``ncpoly.TensorPoly`` too, which keeps the same
+layout for a whole element.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import copysign, gcd, inf, lcm
 from numbers import Rational
@@ -43,11 +46,12 @@ class ScalarCoeff:
 
     def __init__(self, terms: Mapping[tuple[int, int], tuple[RationalLike, RationalLike]] = ()):
         pruned = {
-            k: (Fraction(re), Fraction(im)) for k, (re, im) in dict(terms).items() if re or im
+            read_indices(k): (Fraction(re), Fraction(im))
+            for k, (re, im) in dict(terms).items()
+            if re or im
         }
-        for a, b in pruned:
-            if a < 0 or b < 0:
-                raise ValueError("powers of hbar and lam must be nonnegative")
+        if any(a < 0 or b < 0 for a, b in pruned):
+            raise ValueError("powers of hbar and lam must be nonnegative")
         # over the lcm of reduced denominators the gcd is already 1
         den = lcm(*(x.denominator for v in pruned.values() for x in v))
         # int(), since the Fraction of an np.int64 keeps an np.int64 numerator
@@ -70,16 +74,7 @@ class ScalarCoeff:
     @staticmethod
     def _reduced(num: Numerators, den: int) -> "ScalarCoeff":
         """Canonical ``num / den`` from zero-free numerators."""
-        if den != 1:
-            g = den
-            for re, im in num.values():
-                g = gcd(g, re, im)
-                if g == 1:
-                    break
-            else:
-                den //= g
-                num = {k: (re // g, im // g) for k, (re, im) in num.items()}
-        return ScalarCoeff._raw(num, den)
+        return ScalarCoeff._raw(num, 1) if den == 1 else ScalarCoeff._raw(*lowest_terms(num, den))
 
     # -- constructors ------------------------------------------------------
 
@@ -136,30 +131,10 @@ class ScalarCoeff:
             return self
         if not self._num:
             return other
-        den, d2 = self._den, other._den
-        if den == d2:
-            merged = dict(self._num)
-            s2 = 1
-        else:
-            g = gcd(den, d2)
-            s1, s2 = d2 // g, den // g
-            merged = {k: (re * s1, im * s1) for k, (re, im) in self._num.items()}
-            den *= s1
-        cancelled = False
-        for k, (re, im) in other._num.items():
-            if s2 != 1:
-                re, im = re * s2, im * s2
-            if k in merged:
-                r0, i0 = merged[k]
-                re, im = r0 + re, i0 + im
-                cancelled = cancelled or not (re or im)
-            merged[k] = (re, im)
-        if cancelled:
-            merged = {k: v for k, v in merged.items() if v[0] or v[1]}
-        return ScalarCoeff._reduced(merged, den)
+        return ScalarCoeff._raw(*combine(self._num, self._den, other._num, other._den))
 
     def __sub__(self, other: "ScalarCoeff") -> "ScalarCoeff":
-        return self + (-other)
+        return ScalarCoeff._raw(*combine(self._num, self._den, other._num, other._den, -1))
 
     def __neg__(self) -> "ScalarCoeff":
         return ScalarCoeff._raw(
@@ -199,32 +174,13 @@ class ScalarCoeff:
     # -- substitution and evaluation ---------------------------------------
 
     def substitute_lambda(self, value: RationalLike | float) -> "ScalarCoeff":
-        """Replace ``lam`` by an exact rational; the result has no lam powers.
-
-        With ``value = n/d`` and top lam power ``t``, the lam^b numerators are
-        scaled by ``n^b d^(t-b)`` over the denominator times ``d^t``.
-        """
+        """Replace ``lam`` by an exact rational; the result has no lam powers."""
         n, d = (
             (value.numerator, value.denominator)
             if isinstance(value, Rational)
             else value.as_integer_ratio()
         )
-        top = max((b for _, b in self._num), default=0)
-        n_pow, d_pow = [1], [1]
-        for _ in range(top):
-            n_pow.append(n_pow[-1] * n)
-            d_pow.append(d_pow[-1] * d)
-        out: Numerators = {}
-        for (a, b), (re, im) in self._num.items():
-            w = n_pow[b] * d_pow[top - b]
-            key = (a, 0)
-            re, im = re * w, im * w
-            if key in out:
-                r0, i0 = out[key]
-                re, im = r0 + re, i0 + im
-            out[key] = (re, im)
-        out = {k: v for k, v in out.items() if v[0] or v[1]}
-        return ScalarCoeff._reduced(out, self._den * d_pow[top])
+        return ScalarCoeff._raw(*substitute_last(self._num, self._den, n, d))
 
     def evaluate(self, hbar: float) -> complex:
         """Numeric value at the given hbar.  Any remaining lam power is an error."""
@@ -279,12 +235,70 @@ class ScalarCoeff:
         return " + ".join(parts)
 
 
-def _product(n1: Numerators, n2: Numerators) -> Numerators:
-    """Zero-free numerators of the product of two numerator maps."""
-    out: Numerators = {}
-    for (a1, b1), (r1, i1) in n1.items():
+# -- numerator maps --------------------------------------------------------
+#
+# The helpers below serve ScalarCoeff and ncpoly's TensorPoly alike: a map's
+# keys end in (hbar power, lam power), whatever precedes them, and each
+# value is a Gaussian-integer numerator (re, im) over a denominator kept
+# beside the map.
+
+
+def read_indices(key) -> tuple[int, ...]:
+    """A key of powers or indices read as Python ints; a non-integer is a
+    ValueError."""
+    try:
+        return tuple(map(operator.index, key))
+    except TypeError:
+        raise ValueError(f"powers and indices must be integers, got {key!r}") from None
+
+
+def lowest_terms(num: dict, den: int) -> tuple[dict, int]:
+    """Zero-free ``num / den`` with the gcd of ``den`` and every numerator
+    part divided out, which is the canonical form."""
+    if den != 1:
+        g = den
+        for re, im in num.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                return num, den
+        den //= g
+        num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+    return num, den
+
+
+def combine(n1: dict, d1: int, n2: dict, d2: int, sign: int = 1) -> tuple[dict, int]:
+    """Canonical ``n1 / d1 + sign * n2 / d2`` for canonical inputs."""
+    den = d1
+    if d1 == d2:
+        merged = dict(n1)
+        s2 = sign
+    else:
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        merged = {k: (re * s1, im * s1) for k, (re, im) in n1.items()}
+        den *= s1
+    cancelled = False
+    for k, (re, im) in n2.items():
+        if s2 != 1:
+            re, im = re * s2, im * s2
+        if k in merged:
+            r0, i0 = merged[k]
+            re, im = r0 + re, i0 + im
+            cancelled = cancelled or not (re or im)
+        merged[k] = (re, im)
+    if cancelled:
+        merged = {k: v for k, v in merged.items() if v[0] or v[1]}
+    return lowest_terms(merged, den)
+
+
+def _product(n1: dict, n2: Numerators) -> dict:
+    """Zero-free numerators of the product of ``n1`` and the coefficient
+    numerators ``n2``; the powers add, the rest of ``n1``'s keys is kept."""
+    out: dict = {}
+    for k1, (r1, i1) in n1.items():
+        head, a1, b1 = k1[:-2], k1[-2], k1[-1]
         for (a2, b2), (r2, i2) in n2.items():
-            key = (a1 + a2, b1 + b2)
+            key = head + (a1 + a2, b1 + b2)
             re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
             if key in out:
                 r0, i0 = out[key]
@@ -294,6 +308,30 @@ def _product(n1: Numerators, n2: Numerators) -> Numerators:
         # keys collided, so a sum may have cancelled to zero
         out = {k: v for k, v in out.items() if v[0] or v[1]}
     return out
+
+
+def substitute_last(num: dict, den: int, n: int, d: int) -> tuple[dict, int]:
+    """Canonical ``num / den`` with ``lam = n/d`` substituted.
+
+    With top lam power ``t``, the lam^b numerators are scaled by
+    ``n^b d^(t-b)`` over the denominator times ``d^t``.
+    """
+    top = max((k[-1] for k in num), default=0)
+    n_pow, d_pow = [1], [1]
+    for _ in range(top):
+        n_pow.append(n_pow[-1] * n)
+        d_pow.append(d_pow[-1] * d)
+    out: dict = {}
+    for k, (re, im) in num.items():
+        w = n_pow[k[-1]] * d_pow[top - k[-1]]
+        key = k[:-1] + (0,)
+        re, im = re * w, im * w
+        if key in out:
+            r0, i0 = out[key]
+            re, im = r0 + re, i0 + im
+        out[key] = (re, im)
+    out = {k: v for k, v in out.items() if v[0] or v[1]}
+    return lowest_terms(out, den * d_pow[top])
 
 
 _ZERO = ScalarCoeff({})

@@ -726,6 +726,10 @@ def run_verify(
     registry index either way, so the report is the same; only ``elapsed``
     is timed in whichever process ran the check.
     """
+    # numpy loads its random module on first use, about 11 ms; loaded here,
+    # before any check and any fork, it is charged to no check's elapsed
+    import numpy.random  # noqa: F401
+
     if fault_injection is None:
         guard = nullcontext()
     else:

@@ -12,7 +12,7 @@ forms numerically.
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 import pytest
@@ -498,11 +498,14 @@ _coeffs = st.sampled_from(_ONE_TERMS) | st.builds(
 _keys = st.tuples(*[st.integers(0, 3)] * 4, st.integers(0, 1), st.integers(0, 1))
 _polys = st.dictionaries(_keys, _coeffs, max_size=3).map(TensorPoly)
 
-# the swap constant as it is, zeroed, and as verify's fault_injection -1.0 sets it
+# the swap constant as it is, zeroed, as verify's fault_injection -1.0 and
+# 0.5 set it (the second over denominator 2), and with two terms over 3
 _SWAP_FAULTS = {
     "none": None,
     "zero": ScalarCoeff.zero(),
     "verify-minus-one": ScalarCoeff.from_rational(0, 1) * ScalarCoeff.hbar(),
+    "verify-half": ScalarCoeff.from_rational(0, Fraction(-1, 2)) * ScalarCoeff.hbar(),
+    "two-terms": ScalarCoeff({(1, 0): (0, -1), (0, 1): (Fraction(1, 3), 0)}),
 }
 
 
@@ -514,6 +517,57 @@ def test_products_and_adjoints_match_the_all_pairs_oracle(fault, a, b):
     with nullcontext() if term is None else rewrite_fault(term):
         assert a * b == oracle_mul(a, b)
         assert a.adjoint() == oracle_adjoint(a)
+
+
+# -- the element layout: one denominator over Gaussian-integer numerators --
+
+
+def _assert_canonical(a: TensorPoly) -> None:
+    """No zero numerator, and gcd 1 between the denominator and every part."""
+    num, den = a._num, a._den
+    assert den > 0
+    assert all(len(key) == 8 and (re or im) for key, (re, im) in num.items())
+    assert gcd(den, *(x for v in num.values() for x in v)) == 1
+    if not num:
+        assert den == 1
+
+
+def _keywise(op, *polys: TensorPoly) -> dict:
+    """``op`` of the coefficients of each term key, zero where a key is missing."""
+    terms = [p.terms for p in polys]
+    keys = set().union(*terms)
+    out = {k: op(*(t.get(k, ScalarCoeff.zero()) for t in terms)) for k in keys}
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@given(_polys, _polys)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_terms_read_back_the_element_and_equal_elements_hash_equal(a, b):
+    for x in (a, b, a * b, a.adjoint(), a + b):
+        _assert_canonical(x)
+        view = x.terms
+        # each coefficient canonical: rebuilt from its fractions, it is equal
+        assert view == {k: ScalarCoeff(c.terms) for k, c in view.items() if not c.is_zero()}
+        back = TensorPoly(view)
+        assert back == x and hash(back) == hash(x)
+    # equal elements built apart
+    for left, right in (((a + b) - b, a), (a * b, oracle_mul(a, b)), (a - a, TensorPoly.zero())):
+        assert left == right and hash(left) == hash(right)
+
+
+@given(_polys, _polys, _coeffs, st.fractions(min_value=0, max_value=1, max_denominator=6))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_linear_operations_act_key_by_key_on_the_coefficients(a, b, c, value):
+    cases = [
+        (a + b, _keywise(lambda x, y: x + y, a, b)),
+        (a - b, _keywise(lambda x, y: x - y, a, b)),
+        (-a, _keywise(lambda x: -x, a)),
+        (a.scale(c), _keywise(lambda x: c * x, a)),
+        (a.substitute_lambda(value), _keywise(lambda x: x.substitute_lambda(value), a)),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.terms == want
 
 
 def test_unit_skip_keeps_non_unit_coefficients():
@@ -556,6 +610,33 @@ def test_tensor_poly_validates_keys():
         TensorPoly({(0, 0, 0, 0, 2, 0): ScalarCoeff.one()})
     with pytest.raises(ValueError):
         TensorPoly({(-1, 0, 0, 0, 0, 0): ScalarCoeff.one()})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TensorPoly({(1.5, 0, 0, 0, 0, 0): ONE}),
+        lambda: TensorPoly({(1.0, 0, 0, 0, 0, 0): ONE}),
+        lambda: TensorPoly({(0, 0, 0, 0, 0.0, 0): ONE}),
+        lambda: TensorPoly({(0, 0, 0, 0, 0, "1"): ONE}),
+        lambda: ScalarCoeff({(0.5, 0): (1, 0)}),
+        lambda: ScalarCoeff({(0, 1.0): (1, 0)}),
+        lambda: ScalarCoeff.hbar(2.0),
+    ],
+    ids=["q-power-1.5", "q-power-1.0", "r-index-0.0", "r-index-str", "hbar-power-0.5",
+         "lam-power-1.0", "hbar-2.0"],
+)
+def test_a_power_or_index_that_is_not_an_integer_is_refused(build):
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
+def test_any_integer_type_reads_as_a_python_int():
+    big = np.int64(3)
+    a = TensorPoly({(big, 0, 0, 0, np.int64(1), True): ScalarCoeff({(big, 0): (1, 0)})})
+    assert a == TensorPoly({(3, 0, 0, 0, 1, 1): ScalarCoeff.hbar(3)})
+    assert repr(a) == "TensorPoly((1*hbar^3)*[Q^3|1|E_pp])"
+    assert {type(x) for key in a._num for x in key} == {int}
 
 
 def test_repr_round_trip_stability():

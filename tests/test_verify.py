@@ -37,6 +37,7 @@ from qclab.verify import CHECKS, SYMBOLIC_SUITE, run_verify
 
 import verify_oracle
 from matrix_oracle import dense_product_defect
+from test_cli import _run_python
 from test_sweep import EXTREME, NOT_POSITIVE, PLAIN, _weighted
 
 
@@ -223,6 +224,30 @@ def test_elapsed_is_tracked_per_check(monkeypatch):
     report = run_verify()
     assert len(forks) == 1
     assert all(c.elapsed > 0.0 for c in report.checks)
+
+
+# the first check to draw, in each process, would pay numpy's lazy import of
+# its random module in its elapsed; a fresh interpreter has not loaded it
+_FIRST_CHECK_SEES_NUMPY_RANDOM = """
+import sys
+from qclab import cli, verify
+loaded = ["numpy.random" in sys.modules]
+run_check = verify._run_check
+
+def spy(ctx, index, check):
+    loaded.append("numpy.random" in sys.modules)
+    return run_check(ctx, index, check)
+
+verify._run_check = spy
+verify.run_verify(names=("qm-ccr", "projector-relations"))
+print(loaded)
+"""
+
+
+def test_numpy_random_loads_before_the_first_check_not_on_import():
+    run = _run_python("-c", _FIRST_CHECK_SEES_NUMPY_RANDOM, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[False, True, True]\n"
 
 
 # -- the exact-engine worker -----------------------------------------------
