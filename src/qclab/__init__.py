@@ -29,7 +29,6 @@ from .ncpoly import (
     eval_ncpoly,
     factor_normalize,
     make_generators,
-    ordered_product,
     qm_embedding,
     rewrite_fault,
     substitute_lambda,
@@ -96,7 +95,6 @@ __all__ = [
     "lift_qm_eigenstate",
     "make_generators",
     "mean_value",
-    "ordered_product",
     "parse_expr",
     "qm_embedding",
     "r_block",

@@ -58,9 +58,9 @@ FactorTerms = dict[tuple[int, int], ScalarCoeff]
 
 _MINUS_I_HBAR = ScalarCoeff({(1, 0): (0, -1)})
 
-# Swap constant s of P Q = Q P + s, read by ordered_product and by the word
-# rewriter alike.  Mutable only through the fault-injection hook below;
-# everything else treats it as a constant.
+# Swap constant s of P Q = Q P + s, read by TensorPoly's products (through
+# _swap_powers) and by the word rewriter alike.  Mutable only through the
+# fault-injection hook below; everything else treats it as a constant.
 _swap_term = _MINUS_I_HBAR
 
 
@@ -86,7 +86,8 @@ def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorT
     ``strategy`` picks which misordered adjacent pair (a P immediately left
     of a Q) gets rewritten first; the rewrite system is confluent, so every
     strategy ends at the same polynomial.  The empty word normalizes to 1.
-    This rewriter is the independent oracle for :func:`ordered_product`.
+    This rewriter is the independent oracle for the closed-form reordering
+    of :class:`TensorPoly` products (:func:`reorder_weights`).
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -94,26 +95,33 @@ def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorT
     for ch in letters:
         if ch not in (Q, P):
             raise ValueError(f"word letters must be {Q!r} or {P!r}, got {ch!r}")
-    # Worklist of words with accumulated coefficients; each rewrite of
-    # P Q at position i branches into the swapped word and the contracted
-    # word carrying the swap term.
-    pending: dict[tuple[str, ...], ScalarCoeff] = {letters: ScalarCoeff.one()}
-    done: FactorTerms = {}
+    # Worklist of words with integer weights; each rewrite of P Q at
+    # position i branches into the swapped word and the contracted word,
+    # which carries one more factor of s.  Every path to a word contracts
+    # (len(letters) - len(word)) / 2 times, so a weight counts paths and s
+    # enters once per normal word.
+    pending: dict[tuple[str, ...], int] = {letters: 1}
+    done: dict[tuple[int, int], int] = {}
     while pending:
-        word, coeff = pending.popitem()
+        word, weight = pending.popitem()
         pos = _misordered_position(word, strategy)
         if pos is None:
             key = (word.count(Q), word.count(P))
-            done[key] = done[key] + coeff if key in done else coeff
+            done[key] = done.get(key, 0) + weight
             continue
         swapped = word[:pos] + (Q, P) + word[pos + 2:]
         contracted = word[:pos] + word[pos + 2:]
-        pending[swapped] = pending[swapped] + coeff if swapped in pending else coeff
-        extra = coeff * _swap_term
-        pending[contracted] = (
-            pending[contracted] + extra if contracted in pending else extra
-        )
-    return {k: v for k, v in done.items() if not v.is_zero()}
+        for rewritten in (swapped, contracted):
+            pending[rewritten] = pending.get(rewritten, 0) + weight
+    powers = [ScalarCoeff.one()]  # s^k, k = 0, 1, ...
+    out: FactorTerms = {}
+    for (m, n), weight in done.items():
+        k = (len(letters) - m - n) // 2
+        while len(powers) <= k:
+            powers.append(powers[-1] * _swap_term)
+        if not powers[k].is_zero():  # a fault may zero s
+            out[(m, n)] = ScalarCoeff.from_rational(weight) * powers[k]
+    return out
 
 
 def _misordered_position(word: tuple[str, ...], strategy: str) -> int | None:
@@ -134,25 +142,6 @@ def reorder_weights(n: int, m: int) -> list[int]:
         # an integer at every step
         weights.append(weights[-1] * (n - k + 1) * (m - k + 1) // k)
     return weights
-
-
-def ordered_product(m1: int, n1: int, m2: int, n2: int) -> FactorTerms:
-    """Normal form of the concatenated monomial word Q^m1 P^n1 Q^m2 P^n2.
-
-    With ``P Q = Q P + s`` the middle pair reorders in closed form,
-    ``P^b Q^c = sum_k k! C(b, k) C(c, k) s^k Q^(c-k) P^(b-k)`` (Wilcox 1967).
-    """
-    # s itself serves k = 1 and a unit weight is not applied, so the common
-    # single contraction P Q costs no scalar arithmetic
-    terms = {(m1 + m2, n1 + n2): ScalarCoeff.one()}
-    if _swap_term.is_zero():  # a fault may zero s; keep the map pruned
-        return terms
-    power = _swap_term
-    for k, weight in enumerate(reorder_weights(n1, m2)[1:], 1):
-        if k > 1:
-            power = power * _swap_term
-        terms[(m1 + m2 - k, n1 + n2 - k)] = power if weight == 1 else power.scale_int(weight)
-    return terms
 
 
 class _SwapPowers(dict):
@@ -463,13 +452,13 @@ def qm_embedding(corner: TensorPoly) -> TensorPoly:
     expression to the qm generator pair lands exactly here.  Raises
     ValueError on a term outside the corner.
     """
-    lifted = corner.terms
-    for key, c in list(lifted.items()):
-        m, n, *rest = key
-        if rest != [0, 0, 0, 0]:
-            raise ValueError(f"term {key} is outside the q-sector corner")
-        lifted[(0, 0, m, n, 1, 1)] = c
-    return TensorPoly(lifted)
+    lifted = dict(corner._num)
+    for key, v in corner._num.items():
+        if key[2:6] != (0, 0, 0, 0):
+            raise ValueError(f"term {key[:6]} is outside the q-sector corner")
+        lifted[(0, 0) + key[:2] + (1, 1) + key[6:]] = v
+    # the same numerators over the same denominator stay canonical
+    return TensorPoly._raw(lifted, corner._den)
 
 
 def eval_ncpoly(expr, x: TensorPoly, y: TensorPoly) -> TensorPoly:

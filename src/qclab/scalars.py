@@ -127,10 +127,6 @@ class ScalarCoeff:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ScalarCoeff") -> "ScalarCoeff":
-        if not other._num:
-            return self
-        if not self._num:
-            return other
         return ScalarCoeff._raw(*combine(self._num, self._den, other._num, other._den))
 
     def __sub__(self, other: "ScalarCoeff") -> "ScalarCoeff":
@@ -142,28 +138,7 @@ class ScalarCoeff:
         )
 
     def __mul__(self, other: "ScalarCoeff") -> "ScalarCoeff":
-        n1, n2 = self._num, other._num
-        # a unit costs nothing; checked by value, since from_rational(1) is
-        # a unit that is not _ONE
-        if n1 == _UNIT and self._den == 1:
-            return other
-        if n2 == _UNIT and other._den == 1:
-            return self
-        den = self._den * other._den
-        if len(n1) == 1 and len(n2) == 1:
-            # Gaussian integers have no zero divisors: one nonzero term
-            ((a1, b1), (r1, i1)), = n1.items()
-            ((a2, b2), (r2, i2)), = n2.items()
-            return ScalarCoeff._reduced(
-                {(a1 + a2, b1 + b2): (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)}, den
-            )
-        return ScalarCoeff._reduced(_product(n1, n2), den)
-
-    def scale_int(self, n: int) -> "ScalarCoeff":
-        """``n`` times this coefficient, for a nonzero integer ``n``."""
-        return ScalarCoeff._reduced(
-            {k: (re * n, im * n) for k, (re, im) in self._num.items()}, self._den
-        )
+        return ScalarCoeff._reduced(_product(self._num, other._num), self._den * other._den)
 
     def conjugate(self) -> "ScalarCoeff":
         # hbar and lam are real symbols, only the coefficients conjugate
@@ -171,16 +146,7 @@ class ScalarCoeff:
             {k: (re, -im) for k, (re, im) in self._num.items()}, self._den
         )
 
-    # -- substitution and evaluation ---------------------------------------
-
-    def substitute_lambda(self, value: RationalLike | float) -> "ScalarCoeff":
-        """Replace ``lam`` by an exact rational; the result has no lam powers."""
-        n, d = (
-            (value.numerator, value.denominator)
-            if isinstance(value, Rational)
-            else value.as_integer_ratio()
-        )
-        return ScalarCoeff._raw(*substitute_last(self._num, self._den, n, d))
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, hbar: float) -> complex:
         """Numeric value at the given hbar.  Any remaining lam power is an error."""
@@ -336,4 +302,3 @@ def substitute_last(num: dict, den: int, n: int, d: int) -> tuple[dict, int]:
 
 _ZERO = ScalarCoeff({})
 _ONE = ScalarCoeff({(0, 0): (1, 0)})
-_UNIT = _ONE._num

@@ -9,13 +9,13 @@ concatenation and repetition by complex addition and multiplication.
 
 ``oracle_mul`` and ``oracle_adjoint`` are the all-pairs product of the
 three-factor algebra, with every coefficient product taken in these
-Fractions.
+Fractions and every reordering done by the word rewriter.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from qclab.ncpoly import TensorPoly, ordered_product
+from qclab.ncpoly import P, Q, TensorPoly, factor_normalize
 from qclab.scalars import ScalarCoeff
 
 
@@ -69,11 +69,11 @@ CR_I = ComplexRational.of(0, 1)
 
 # -- the all-pairs product of the three-factor algebra ---------------------
 #
-# Every term pair is reordered by ordered_product on both factors, contracting
-# or not, and every coefficient product is taken term by term in Fraction
-# arithmetic, units included.  TensorPoly's product skips the reordering of
-# pairs that do not contract and the multiplication by a unit; this is the
-# path it must agree with.
+# Every term pair's concatenated word on each factor is normal-ordered by
+# the word rewriter, contracting or not, and every coefficient product is
+# taken term by term in Fraction arithmetic, units included.  TensorPoly's
+# product reorders by the closed form (reorder_weights) and only the pairs
+# that contract; this path shares no reordering code with it.
 
 Coeff = dict  # (hbar power, lam power) -> ComplexRational, no zero entries
 
@@ -89,6 +89,12 @@ def _coeff_mul(a: Coeff, b: Coeff) -> Coeff:
             key = (a1 + a2, b1 + b2)
             out[key] = out[key] + v1 * v2 if key in out else v1 * v2
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _word(*runs: int) -> dict:
+    """Normal form of the word Q^runs[0] P^runs[1] Q^runs[2] ..., rewritten."""
+    letters = (Q, P) * len(runs)
+    return factor_normalize([ch for ch, n in zip(letters, runs) for _ in range(n)])
 
 
 def _sum_products(products) -> TensorPoly:
@@ -111,8 +117,8 @@ def oracle_mul(a: TensorPoly, b: TensorPoly) -> TensorPoly:
     return _sum_products(
         (
             _coeff_mul(_coeff(c1), _coeff(c2)),
-            ordered_product(mq1, nq1, mq2, nq2),
-            ordered_product(mp1, np1, mp2, np2),
+            _word(mq1, nq1, mq2, nq2),
+            _word(mp1, np1, mp2, np2),
             i1,
             j2,
         )
@@ -127,8 +133,8 @@ def oracle_adjoint(a: TensorPoly) -> TensorPoly:
     return _sum_products(
         (
             {k: v.conjugate() for k, v in _coeff(c).items()},
-            ordered_product(0, nq, mq, 0),
-            ordered_product(0, np_, mp, 0),
+            _word(0, nq, mq),
+            _word(0, np_, mp),
             j,
             i,
         )

@@ -16,7 +16,7 @@ from math import comb, factorial, gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exact_oracle import CR_ONE, ComplexRational, oracle_adjoint, oracle_mul
 from qclab.expr import parse_expr, random_expr
@@ -29,7 +29,6 @@ from qclab.ncpoly import (
     eval_ncpoly,
     factor_normalize,
     make_generators,
-    ordered_product,
     qm_embedding,
     rewrite_fault,
     substitute_lambda,
@@ -57,14 +56,15 @@ def e_unit(i: int, j: int) -> TensorPoly:
     return TensorPoly({(0, 0, 0, 0, i, j): ONE})
 
 
-def reorder_oracle(m: int, n: int) -> dict:
-    """Closed form for the normal ordering of P^m Q^n."""
+def reorder_oracle(m: int, n: int, s: ScalarCoeff = -I_HBAR) -> dict:
+    """Closed form for the normal ordering of P^m Q^n with P Q = Q P + s."""
     total = {}
     for k in range(min(m, n) + 1):
-        z = (-ComplexRational.of(0, 1)) ** k * ComplexRational.of(
-            factorial(k) * comb(m, k) * comb(n, k)
-        )
-        total[(n - k, m - k)] = ScalarCoeff.hbar(k) * from_complex_rational(z)
+        c = ScalarCoeff.from_rational(factorial(k) * comb(m, k) * comb(n, k))
+        for _ in range(k):
+            c = c * s
+        if not c.is_zero():
+            total[(n - k, m - k)] = c
     return total
 
 
@@ -94,14 +94,18 @@ def test_empty_word_is_one():
 
 
 def test_reorder_matches_closed_form():
-    for m in range(5):
-        for n in range(5):
-            word = [P] * m + [Q] * n
-            assert factor_normalize(word) == reorder_oracle(m, n), (m, n)
-    # sizes out of the rewriter's reach
-    for m in range(9):
-        for n in range(9):
-            assert ordered_product(0, m, n, 0) == reorder_oracle(m, n), (m, n)
+    for term in _SWAP_FAULTS.values():
+        s = -I_HBAR if term is None else term
+        with nullcontext() if term is None else rewrite_fault(term):
+            for m in range(5):
+                for n in range(5):
+                    word = [P] * m + [Q] * n
+                    assert factor_normalize(word) == reorder_oracle(m, n, s), (m, n, term)
+            # sizes out of the rewriter's reach, through the element product
+            for m in range(9):
+                for n in range(9):
+                    got = corner({(0, m): ONE}) * corner({(n, 0): ONE})
+                    assert got == corner(reorder_oracle(m, n, s)), (m, n, term)
 
 
 def test_factor_normalize_rejects_bad_letters():
@@ -153,24 +157,31 @@ def test_word_normal_forms_match_fock_matrices():
 
 
 def test_ordered_product_examples():
-    assert ordered_product(0, 1, 1, 0) == factor_normalize([P, Q])
-    assert ordered_product(1, 0, 0, 1) == {(1, 1): ONE}
-    assert ordered_product(0, 0, 2, 3) == {(2, 3): ONE}
+    """Products of ordered corner monomials Q^a P^b . Q^c P^d, reordered by
+    the closed form, against the word rewriter."""
+
+    def mono(m: int, n: int) -> TensorPoly:
+        return corner({(m, n): ONE})
+
+    assert mono(0, 1) * mono(1, 0) == corner(factor_normalize([P, Q]))
+    assert mono(1, 0) * mono(0, 1) == mono(1, 1)
+    assert mono(0, 0) * mono(2, 3) == mono(2, 3)
 
     def agrees_with_rewriter():
         for a, b, c, d in product(range(5), repeat=4):
             word = [Q] * a + [P] * b + [Q] * c + [P] * d
-            assert ordered_product(a, b, c, d) == factor_normalize(word), (a, b, c, d)
+            assert mono(a, b) * mono(c, d) == corner(factor_normalize(word)), (a, b, c, d)
 
     agrees_with_rewriter()
     # a fault corrupts the closed form exactly as it corrupts the rewriter
     bad = ScalarCoeff.from_rational(Fraction(3, 2)) * ScalarCoeff.hbar() + ScalarCoeff.lam()
     with rewrite_fault(bad):
-        assert ordered_product(0, 1, 1, 0)[(0, 0)] == bad
+        assert mono(0, 1) * mono(1, 0) == mono(1, 1) + corner({(0, 0): bad})
         agrees_with_rewriter()
     # a zero s keeps only the reordered word, with no zero entries left over
     with rewrite_fault(ScalarCoeff.zero()):
-        assert ordered_product(2, 3, 4, 1) == {(6, 4): ONE}
+        assert mono(2, 3) * mono(4, 1) == mono(6, 4)
+        assert factor_normalize([P, P, Q]) == {(1, 2): ONE}
         agrees_with_rewriter()
 
 
@@ -511,6 +522,8 @@ _SWAP_FAULTS = {
 
 @pytest.mark.parametrize("fault", list(_SWAP_FAULTS))
 @given(_polys, _polys)
+# P^3 . Q^3 on both factors: every reordering weight up to k = 3, and s^6
+@example(TensorPoly({(0, 3, 0, 3, 0, 1): ONE}), TensorPoly({(3, 0, 3, 0, 1, 1): ONE}))
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_products_and_adjoints_match_the_all_pairs_oracle(fault, a, b):
     term = _SWAP_FAULTS[fault]
@@ -540,6 +553,15 @@ def _keywise(op, *polys: TensorPoly) -> dict:
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
+def _at_lam(c: ScalarCoeff, value: Fraction) -> ScalarCoeff:
+    """``c`` with ``lam = value``, summed term by term in Fractions."""
+    out: dict = {}
+    for (a, b), (re, im) in c.terms.items():
+        r0, i0 = out.get((a, 0), (0, 0))
+        out[(a, 0)] = (r0 + re * value**b, i0 + im * value**b)
+    return ScalarCoeff(out)
+
+
 @given(_polys, _polys)
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_terms_read_back_the_element_and_equal_elements_hash_equal(a, b):
@@ -563,7 +585,7 @@ def test_linear_operations_act_key_by_key_on_the_coefficients(a, b, c, value):
         (a - b, _keywise(lambda x, y: x - y, a, b)),
         (-a, _keywise(lambda x: -x, a)),
         (a.scale(c), _keywise(lambda x: c * x, a)),
-        (a.substitute_lambda(value), _keywise(lambda x: x.substitute_lambda(value), a)),
+        (a.substitute_lambda(value), _keywise(lambda x: _at_lam(x, value), a)),
     ]
     for got, want in cases:
         _assert_canonical(got)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exact_oracle import CR_I, CR_ONE, CR_ZERO, ComplexRational
-from qclab.scalars import ScalarCoeff, _product
+from qclab.scalars import ScalarCoeff
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -111,19 +111,6 @@ def test_scalar_coeff_i_squares():
     i = ScalarCoeff.i()
     minus_one = from_complex_rational(-CR_ONE)
     assert i * i == minus_one
-
-
-def test_scalar_coeff_substitute_lambda():
-    s = ScalarCoeff.one() + ScalarCoeff.lam(2) * ScalarCoeff.from_rational(Fraction(4))
-    out = s.substitute_lambda(Fraction(1, 2))
-    assert out == ScalarCoeff.from_rational(Fraction(2))
-    assert not out.has_lambda
-
-
-def test_scalar_coeff_substitute_leaves_hbar_alone():
-    s = ScalarCoeff.hbar() * ScalarCoeff.lam()
-    out = s.substitute_lambda(Fraction(1, 3))
-    assert out.terms == {(1, 0): ComplexRational.of(Fraction(1, 3))}
 
 
 def test_scalar_coeff_evaluate():
@@ -296,25 +283,12 @@ def test_arithmetic_matches_the_oracle(xs, ys):
         assert got.terms == want
 
 
-@given(
-    mixed_terms,
-    st.fractions(min_value=-3, max_value=3, max_denominator=9),
-)
-@settings(max_examples=100, derandomize=True)
-def test_substitute_lambda_matches_the_oracle(xs, value):
-    a, oa = _pair(xs)
-    got = a.substitute_lambda(value)
-    _assert_canonical(got)
-    assert got.terms == _oracle_substitute(oa, value)
-    assert not got.has_lambda
-
-
 @given(mixed_terms, st.floats(min_value=-4, max_value=4))
 @settings(max_examples=100, derandomize=True)
 def test_evaluate_is_the_sum_of_rounded_terms(xs, hbar):
     # each rational part is rounded once (n/d correctly rounded) and the
     # terms are summed in the order of .terms
-    a = _pair(xs)[0].substitute_lambda(Fraction(1, 3))
+    a = ScalarCoeff(_oracle_substitute(_pair(xs)[1], Fraction(1, 3)))
     want = 0j
     for (hp, _), v in a.terms.items():
         want += ComplexRational(*v).to_complex() * hbar**hp
@@ -374,30 +348,6 @@ def test_reduced_products_are_canonical():
     plus, minus = ScalarCoeff.one() + half * ScalarCoeff.hbar(), ScalarCoeff.one() - half * ScalarCoeff.hbar()
     assert (plus * minus).terms == {(0, 0): CR_ONE, (2, 0): ComplexRational.of(Fraction(-1, 4))}
     assert (plus + minus).terms == {(0, 0): ComplexRational.of(2)}
-    assert half.scale_int(-4) == ScalarCoeff.from_rational(-2)
-
-
-single_terms = st.builds(
-    lambda hp, lp, re, im: ScalarCoeff({(hp, lp): (re, im)}),
-    st.integers(0, 3),
-    st.integers(0, 3),
-    st.fractions(min_value=-20, max_value=20, max_denominator=12),
-    st.fractions(min_value=-20, max_value=20, max_denominator=12),
-)
-
-
-units = st.sampled_from([ScalarCoeff.one(), ScalarCoeff.from_rational(1)])
-
-
-@given(single_terms | units, single_terms)
-@settings(max_examples=200, derandomize=True)
-def test_single_term_products_match_the_general_loop(a, b):
-    # the general loop over numerator pairs, reduced once
-    want = ScalarCoeff._reduced(_product(a._num, b._num), a._den * b._den)
-    for got in (a * b, b * a):
-        _assert_canonical(got)
-        assert got == want
-        assert hash(got) == hash(want)
 
 
 def test_constructor_rejects_negative_powers_only_on_nonzero_terms():
