@@ -81,7 +81,8 @@ def rewrite_fault(term: ScalarCoeff) -> Iterator[None]:
 
 
 def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorTerms:
-    """Normal-order a word over the alphabet {Q, P}.
+    """Normal-order a word over the alphabet {Q, P}, given as a ``str`` or a
+    sequence of letters.
 
     ``strategy`` picks which misordered adjacent pair (a P immediately left
     of a Q) gets rewritten first; the rewrite system is confluent, so every
@@ -91,25 +92,27 @@ def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorT
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    letters = tuple(word)
-    for ch in letters:
+    for ch in word:
         if ch not in (Q, P):
             raise ValueError(f"word letters must be {Q!r} or {P!r}, got {ch!r}")
+    letters = "".join(word)
+    find = str.find if strategy == "leftmost" else str.rfind
     # Worklist of words with integer weights; each rewrite of P Q at
     # position i branches into the swapped word and the contracted word,
     # which carries one more factor of s.  Every path to a word contracts
     # (len(letters) - len(word)) / 2 times, so a weight counts paths and s
     # enters once per normal word.
-    pending: dict[tuple[str, ...], int] = {letters: 1}
+    pending: dict[str, int] = {letters: 1}
     done: dict[tuple[int, int], int] = {}
     while pending:
         word, weight = pending.popitem()
-        pos = _misordered_position(word, strategy)
-        if pos is None:
-            key = (word.count(Q), word.count(P))
+        pos = find(word, P + Q)
+        if pos < 0:
+            m = word.count(Q)
+            key = (m, len(word) - m)
             done[key] = done.get(key, 0) + weight
             continue
-        swapped = word[:pos] + (Q, P) + word[pos + 2:]
+        swapped = word[:pos] + Q + P + word[pos + 2:]
         contracted = word[:pos] + word[pos + 2:]
         for rewritten in (swapped, contracted):
             pending[rewritten] = pending.get(rewritten, 0) + weight
@@ -122,16 +125,6 @@ def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorT
         if not powers[k].is_zero():  # a fault may zero s
             out[(m, n)] = ScalarCoeff.from_rational(weight) * powers[k]
     return out
-
-
-def _misordered_position(word: tuple[str, ...], strategy: str) -> int | None:
-    positions = range(len(word) - 1)
-    if strategy == "rightmost":
-        positions = reversed(positions)
-    for i in positions:
-        if word[i] == P and word[i + 1] == Q:
-            return i
-    return None
 
 
 def reorder_weights(n: int, m: int) -> list[int]:

@@ -22,14 +22,11 @@ operator).  Informational results never affect the aggregate outcome.
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -141,6 +138,28 @@ def _diff_witness(lhs: TensorPoly, rhs: TensorPoly) -> str:
     return f"canonical-diff={lhs - rhs!r}"
 
 
+def _draw_exprs(rng: np.random.Generator, count: int, max_degree: int, max_terms: int) -> list:
+    """``count`` polynomials of ``expr.random_expr``'s family from one draw.
+
+    Row ``t`` of a polynomial's ``(max_terms, 4 + max_degree)`` block holds
+    the term count (read from row 0 only), then term ``t``'s numerator,
+    denominator, word length and ``max_degree`` letters, in the ranges
+    ``random_expr`` draws them from one scalar call each.
+    """
+    low = [1, -6, 1, 0] + [0] * max_degree
+    high = [max_terms + 1, 7, 5, max_degree + 1] + [2] * max_degree
+    exprs = []
+    for rows in rng.integers(low, high, size=(count, max_terms, 4 + max_degree)).tolist():
+        node = None
+        for _, num, den, length, *letters in rows[: rows[0][0]]:
+            term = expr_mod.Const(Fraction(num, den))
+            for letter in letters[:length]:
+                term = expr_mod.Mul(term, expr_mod.Var("QP"[letter]))
+            node = term if node is None else expr_mod.Add(node, term)
+        exprs.append(node)
+    return exprs
+
+
 def _worst(*values: float) -> float:
     """The largest of ``values``, NaN if any is (``max`` drops a NaN after a number)."""
     return float(np.max(values))
@@ -158,10 +177,8 @@ def _check_qm_ccr(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 
 def _check_cm_commutativity(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    rng = _rng(ctx, index)
-    for trial in range(100):
-        f = expr_mod.random_expr(rng, max_degree=4, max_terms=4)
-        g = expr_mod.random_expr(rng, max_degree=4, max_terms=4)
+    exprs = _draw_exprs(_rng(ctx, index), 200, max_degree=4, max_terms=4)
+    for trial, (f, g) in enumerate(zip(exprs[::2], exprs[1::2])):
         a = eval_ncpoly(f, ctx.gens.q_cm, ctx.gens.p_cm)
         b = eval_ncpoly(g, ctx.gens.q_cm, ctx.gens.p_cm)
         comm = tp_commutator(a, b)
@@ -175,9 +192,8 @@ def _check_translation_identity(ctx: _Ctx, index: int) -> tuple[bool, str]:
     # the q-sector corner Q (x) 1 (x) E_qq, P (x) 1 (x) E_qq of the qm pair;
     # r_q drops the E_pp part of constant terms, leaving f(Q, P) (x) 1 (x) E_qq
     q_corner, p_corner = g.q_qm * g.r_q, g.p_qm * g.r_q
-    rng = _rng(ctx, index)
-    for trial in range(100):
-        f = expr_mod.random_expr(rng, max_degree=4, max_terms=4)
+    exprs = _draw_exprs(_rng(ctx, index), 100, max_degree=4, max_terms=4)
+    for trial, f in enumerate(exprs):
         lhs = eval_ncpoly(f, g.q_qm, g.p_qm)
         rhs = qm_embedding(g.r_q * eval_ncpoly(f, q_corner, p_corner))
         if not canonical_eq(lhs, rhs):
@@ -210,16 +226,29 @@ def _check_projector_relations(ctx: _Ctx, index: int) -> tuple[bool, str]:
     return True, "all six projector relations hold exactly"
 
 
+def _q_corner(terms: dict) -> TensorPoly:
+    """A single-factor normal form on the q corner: ``f(Q, P) (x) 1 (x) E_qq``."""
+    return TensorPoly({(m, n, 0, 0, 0, 0): c for (m, n), c in terms.items()})
+
+
 def _check_rewrite_confluence(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    rng = _rng(ctx, index)
-    for trial in range(200):
-        length = int(rng.integers(0, 9))
-        word = tuple("QP"[int(rng.integers(0, 2))] for _ in range(length))
-        left = factor_normalize(word, "leftmost")
-        right = factor_normalize(word, "rightmost")
-        if left != right:
-            return False, f"trial {trial}: word {''.join(word)!r} diverges"
-    return True, "200 random words: leftmost and rightmost strategies agree"
+    # a row is a word length, then 8 letters
+    rows = _rng(ctx, index).integers([0] + [0] * 8, [9] + [2] * 8, size=(200, 9)).tolist()
+    for trial, (length, *letters) in enumerate(rows):
+        word = "".join("QP"[letter] for letter in letters[:length])
+        if factor_normalize(word, "leftmost") != factor_normalize(word, "rightmost"):
+            return False, f"trial {trial}: word {word!r} diverges"
+    # the closed-form reordering of a product against the rewriter
+    one = ScalarCoeff.one()
+    for n, m in product(range(1, 4), repeat=2):
+        lhs = _q_corner({(0, n): one}) * _q_corner({(m, 0): one})
+        rhs = _q_corner(factor_normalize("P" * n + "Q" * m))
+        if not canonical_eq(lhs, rhs):
+            return False, f"P^{n} Q^{m} against the rewriter: " + _diff_witness(lhs, rhs)
+    return True, (
+        "200 random words: leftmost and rightmost strategies agree;"
+        " products P^n Q^m match the rewriter for 1 <= n <= 3 and 1 <= m <= 3"
+    )
 
 
 def _check_generator_hermiticity(ctx: _Ctx, index: int) -> tuple[bool, str]:
@@ -239,9 +268,8 @@ def _check_generator_hermiticity(ctx: _Ctx, index: int) -> tuple[bool, str]:
 
 
 def _check_adjoint_involution(ctx: _Ctx, index: int) -> tuple[bool, str]:
-    rng = _rng(ctx, index)
-    for trial in range(10):
-        f = expr_mod.random_expr(rng, max_degree=3, max_terms=3)
+    exprs = _draw_exprs(_rng(ctx, index), 10, max_degree=3, max_terms=3)
+    for trial, f in enumerate(exprs):
         x = eval_ncpoly(f, ctx.gens.q_tilde, ctx.gens.p_tilde)
         x = x.scale(_i_hbar())
         if not canonical_eq(tp_adjoint(tp_adjoint(x)), x):
@@ -573,7 +601,7 @@ class CheckDef:
     note: str | None = None
 
 
-# the exact engine's checks, which run in the worker (see ``run_verify``)
+# the exact engine's checks: canonical forms in pure Python, no matrix
 EXACT_CHECKS: list[CheckDef] = [
     CheckDef("qm-ccr", _check_qm_ccr),
     CheckDef("cm-commutativity", _check_cm_commutativity),
@@ -642,71 +670,6 @@ def _run_check(ctx: _Ctx, index: int, check: CheckDef) -> CheckResult:
     )
 
 
-def _may_fork() -> bool:
-    """Whether a worker can run beside this process: fork exists, two CPUs
-    are ours and no other Python thread runs (a threaded fork can deadlock).
-
-    On one CPU the worker only adds its fork to the same serial work: pinned
-    to one CPU, ``verify-suite`` took 0.138 s per operation with the worker
-    and 0.120 s without (``BENCH_34.json``)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1
-
-
-def _run_beside(ctx: _Ctx, exact: list, numeric: list) -> list[CheckResult]:
-    """Run the ``exact`` checks in a forked worker while this process runs
-    ``numeric``; the results come back in registry order.
-
-    The worker runs only pure-Python exact-engine code and numpy's RNG, never
-    BLAS, and ends in ``os._exit``.  If it ends without reporting, each of its
-    checks fails, the witness naming its exit status (unknown where SIGCHLD
-    is ignored and the kernel reaps the worker itself).
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns of BLAS's own threads; the worker never calls BLAS
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:  # no process to spare: every check runs here
-        os.close(read_fd)
-        os.close(write_fd)
-        return [_run_check(ctx, i, c) for i, c in exact + numeric]
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump([_run_check(ctx, i, c) for i, c in exact], pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            ours = [_run_check(ctx, i, c) for i, c in numeric]
-            # read it all before waiting: a fault's witnesses can fill the pipe
-            data = pipe.read()
-    finally:
-        try:
-            status = f"exit status {os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])}"
-        except ChildProcessError:  # SIGCHLD ignored: the kernel reaped the worker
-            status = "exit status unknown"
-    try:
-        # the report is whole exactly when it unpickles: a pickle ends in STOP
-        theirs = pickle.loads(data)
-    except (EOFError, pickle.UnpicklingError):
-        witness = f"the exact-engine worker ended without a report ({status})"
-        theirs = [
-            CheckResult(c.name, "fail", witness, 0.0, c.informational, c.note) for _, c in exact
-        ]
-    # every exact check precedes every numeric one in CHECKS
-    return theirs + ours
-
-
 def run_verify(
     hbar: float = 1.0,
     h_o: float = 1.0,
@@ -720,14 +683,12 @@ def run_verify(
     of normal ordering by the given factor for the duration of the run; a
     corrupted engine must surface as failing identity checks.
 
-    Where ``_may_fork`` allows and both halves hold a selected check, the
-    exact-engine checks (``EXACT_CHECKS``) run in one forked worker beside
-    the numeric and state checks.  Each check gets the same context and
-    registry index either way, so the report is the same; only ``elapsed``
-    is timed in whichever process ran the check.
+    The selected checks run in registry order in the calling process, each
+    with its registry index, so a named subset reports each of its checks
+    as the full suite does.
     """
     # numpy loads its random module on first use, about 11 ms; loaded here,
-    # before any check and any fork, it is charged to no check's elapsed
+    # before the first check, it is charged to no check's elapsed
     import numpy.random  # noqa: F401
 
     if fault_injection is None:
@@ -742,16 +703,10 @@ def run_verify(
         if unknown:
             raise ValueError(f"unknown check names: {', '.join(sorted(unknown))}")
     selected = [(i, c) for i, c in enumerate(CHECKS) if wanted is None or c.name in wanted]
-    exact = [(i, c) for i, c in selected if i < len(EXACT_CHECKS)]
-    numeric = selected[len(exact):]
     ctx = _Ctx(hbar=hbar, seed=seed, gens=make_generators())
-    # entered before any fork, so a worker inherits the fault; an overflow
-    # becomes an inf or NaN witness, which fails its check
+    # an overflow becomes an inf or NaN witness, which fails its check
     with guard, np.errstate(all="ignore"):
-        if exact and numeric and _may_fork():
-            results = _run_beside(ctx, exact, numeric)
-        else:
-            results = [_run_check(ctx, idx, check) for idx, check in selected]
+        results = [_run_check(ctx, idx, check) for idx, check in selected]
     return VerifyReport(
         hbar=hbar,
         h_o=h_o,

@@ -109,10 +109,19 @@ def test_reorder_matches_closed_form():
 
 
 def test_factor_normalize_rejects_bad_letters():
-    with pytest.raises(ValueError):
-        factor_normalize(["Q", "X"])
+    # a word is a str or a sequence of one-letter strs
+    for bad in (["Q", "X"], "QXP", ("QP",), "qp"):
+        with pytest.raises(ValueError):
+            factor_normalize(bad)
     with pytest.raises(ValueError):
         factor_normalize([Q, P], strategy="middle")
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_factor_normalize_reads_a_str_as_its_letters(strategy):
+    for length in range(7):
+        for letters in product((Q, P), repeat=length):
+            assert factor_normalize("".join(letters), strategy) == factor_normalize(letters, strategy)
 
 
 words = st.lists(st.sampled_from([Q, P]), max_size=8)

@@ -7,9 +7,7 @@ import json
 import math
 import os
 import re
-import signal
 import tempfile
-import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -30,7 +28,7 @@ from qclab.ncpoly import (
     rewrite_fault,
     tp_commutator,
 )
-from qclab import verify
+from qclab import ncpoly, verify
 from qclab.cli import main
 from qclab.scalars import ScalarCoeff
 from qclab.verify import CHECKS, SYMBOLIC_SUITE, run_verify
@@ -135,29 +133,18 @@ def test_eigenstate_lifting_forms_no_product_space_matrix():
     assert peak < 8 * 2**20, peak
 
 
-def test_verify_forms_no_dense_matrix_past_dimension_128(monkeypatch):
+def test_verify_forms_no_dense_matrix_past_dimension_128():
     # homomorphism-bulk and oscillator-spectrum read the Fock 16 pair's
-    # factors; their dimension-512 matrices took 22 MiB.  On one CPU the
-    # bound holds the whole run; beside the exact-engine worker, every check
-    # that realizes a matrix still runs in this process, where tracemalloc
-    # sees it
-    ran_here = []
-    run_check = verify._run_check
-    monkeypatch.setattr(
-        verify, "_run_check", lambda ctx, i, c: ran_here.append(c.name) or run_check(ctx, i, c)
-    )
-    for cpus, here in ((1, CHECKS), (2, CHECKS[len(verify.EXACT_CHECKS) :])):
-        _cpus(monkeypatch, cpus)
-        ran_here.clear()
-        tracemalloc.start()
-        try:
-            report = run_verify()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.all_passed
-        assert peak < 4 * 2**20, (cpus, peak)
-        assert ran_here == [c.name for c in here]
+    # factors; their dimension-512 matrices took 22 MiB.  The bound holds
+    # the whole run
+    tracemalloc.start()
+    try:
+        report = run_verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 4 * 2**20, peak
 
 
 def _dense_homomorphism_defect(fault: float) -> float:
@@ -215,18 +202,14 @@ def test_oscillator_spectrum_tolerances_scale_with_hbar(hbar):
     assert worst <= 1e-14 * hbar
 
 
-def test_elapsed_is_tracked_per_check(monkeypatch):
+def test_elapsed_is_tracked_per_check():
     report = run_verify(names=("qm-ccr",))
     assert report.checks[0].elapsed >= 0.0
-    # the worker times its own checks and sends the times back
-    _cpus(monkeypatch, 2)
-    forks = _forks(monkeypatch)
     report = run_verify()
-    assert len(forks) == 1
     assert all(c.elapsed > 0.0 for c in report.checks)
 
 
-# the first check to draw, in each process, would pay numpy's lazy import of
+# the first check to draw would pay numpy's lazy import of
 # its random module in its elapsed; a fresh interpreter has not loaded it
 _FIRST_CHECK_SEES_NUMPY_RANDOM = """
 import sys
@@ -250,33 +233,10 @@ def test_numpy_random_loads_before_the_first_check_not_on_import():
     assert run.stdout == "[False, True, True]\n"
 
 
-# -- the exact-engine worker -----------------------------------------------
+# -- one process ------------------------------------------------------------
 
 
-def _cpus(monkeypatch, count):
-    """Let ``run_verify`` see ``count`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def _forks(monkeypatch):
-    """The list of the run's forks, each still made."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-_WORKER_CONFIGS = [
+_REPORT_CONFIGS = [
     {"seed": 1234},
     {"seed": 7},
     {"hbar": 1e-300},
@@ -291,120 +251,35 @@ _WORKER_CONFIGS = [
 
 @pytest.mark.parametrize(
     "fmt, config",
-    [("json", c) for c in _WORKER_CONFIGS] + [("csv", {"seed": 1234})],
-    ids=[json.dumps(c) for c in _WORKER_CONFIGS] + ["csv"],
+    [("json", c) for c in _REPORT_CONFIGS] + [("csv", {"seed": 1234})],
+    ids=[json.dumps(c) for c in _REPORT_CONFIGS] + ["csv"],
 )
-def test_the_worker_writes_the_report_one_process_writes(
-    tmp_path, capsys, monkeypatch, fmt, config
-):
+def test_two_runs_write_the_same_report(tmp_path, capsys, fmt, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    forks = _forks(monkeypatch)
     runs = []
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        out = tmp_path / str(cpus)
+    for run in ("a", "b"):
+        out = tmp_path / run
         code = main(["verify", "--config", str(path), "--out", str(out), "--format", fmt])
         captured = capsys.readouterr()
         (report,) = out.iterdir()
         runs.append((code, captured.out.replace(str(out), "OUT"), captured.err, report.read_bytes()))
-    assert len(forks) == 1  # the second run only
     assert runs[0] == runs[1]
-    _assert_no_child_left()
-
-
-@contextlib.contextmanager
-def _sigchld_ignored():
-    """SIGCHLD set to SIG_IGN, as a parent process may leave it across exec:
-    the kernel then reaps each child itself and ``waitpid`` finds none."""
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-
-
-@pytest.mark.parametrize(
-    "end, ignored, status",
-    [
-        (lambda: os._exit(3), False, "exit status 3"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), False, f"exit status {-signal.SIGKILL}"),
-        (lambda: os._exit(3), True, "exit status unknown"),
-    ],
-    ids=["exit-3", "sigkill", "exit-3-sigchld-ignored"],
-)
-def test_a_worker_that_ends_without_a_report_fails_its_checks(monkeypatch, end, ignored, status):
-    caller = os.getpid()
-
-    def end_the_worker(ctx, index):
-        if os.getpid() != caller:
-            end()
-        return True, "ran in the calling process"
-
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(verify, "CHECKS", [replace(CHECKS[0], fn=end_the_worker)] + CHECKS[1:])
-    with _sigchld_ignored() if ignored else contextlib.nullcontext():
-        report = run_verify(names=("qm-ccr", "cm-commutativity", "fock-truncated-ccr"))
-    witness = f"the exact-engine worker ended without a report ({status})"
-    got = [(c.name, c.status, c.witness) for c in report.checks[:2]]
-    assert got == [("qm-ccr", "fail", witness), ("cm-commutativity", "fail", witness)]
-    assert report.checks[2].status == "pass"
-    assert not report.all_passed
-    _assert_no_child_left()
-
-
-def test_a_worker_reaped_by_the_kernel_still_reports(monkeypatch):
-    _cpus(monkeypatch, 1)
-    alone = run_verify(fault_injection=0.5)
-    _cpus(monkeypatch, 2)
-    forks = _forks(monkeypatch)
-    with _sigchld_ignored():
-        beside = run_verify(fault_injection=0.5)
-    assert len(forks) == 1
-    assert beside.to_payload() == alone.to_payload()
-    _assert_no_child_left()
 
 
 def _refuse_to_fork():
     raise AssertionError("os.fork was called")
 
 
-@pytest.mark.parametrize(
-    "cpus, names",
-    [(1, None), (2, SYMBOLIC_SUITE), (2, ("fock-truncated-ccr", "density-axioms"))],
-    ids=["one-cpu", "exact-only", "numeric-only"],
-)
-def test_no_worker_without_two_cpus_and_two_halves(monkeypatch, cpus, names):
-    _cpus(monkeypatch, cpus)
+@pytest.mark.parametrize("fault", [None, 0.5])
+def test_run_verify_never_forks(monkeypatch, fault):
     monkeypatch.setattr(os, "fork", _refuse_to_fork)
-    assert run_verify(names=names).all_passed
-
-
-def test_no_worker_beside_another_python_thread(monkeypatch):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", _refuse_to_fork)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        report = run_verify(names=("qm-ccr", "fock-truncated-ccr"))
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert report.all_passed
-
-
-def test_a_fork_that_fails_runs_every_check_here(monkeypatch):
-    def no_process():
-        raise BlockingIOError("Resource temporarily unavailable")
-
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", no_process)
-    names = ("qm-ccr", "cm-commutativity", "fock-truncated-ccr")
-    report = run_verify(names=names)
-    assert [c.name for c in report.checks] == list(names)
-    assert report.all_passed
+    report = run_verify(fault_injection=fault)
+    failed = [c.name for c in report.checks if c.status == "fail"]
+    assert [c.name for c in report.checks] == [c.name for c in CHECKS]
+    assert failed == ([] if fault is None else [
+        "qm-ccr", "tilde-ccr-symbolic", "qm-bulk-defect", "tilde-bulk-defect", "homomorphism-bulk"
+    ])
 
 
 # Exact witnesses of the ten symbolic checks.  They are canonical forms and
@@ -415,7 +290,10 @@ _SYMBOLIC_WITNESSES = {
     "translation-identity": "100 random polynomials map to the two-sector diagonal form",
     "endpoint-qm": "exact: interpolating pair at weight 0 equals the qm pair",
     "projector-relations": "all six projector relations hold exactly",
-    "rewrite-confluence": "200 random words: leftmost and rightmost strategies agree",
+    "rewrite-confluence": (
+        "200 random words: leftmost and rightmost strategies agree; products"
+        " P^n Q^m match the rewriter for 1 <= n <= 3 and 1 <= m <= 3"
+    ),
     "generator-hermiticity": "all six generators are adjoint-fixed",
     "adjoint-involution": "adjoint is an involution on 10 random elements",
     "tilde-ccr-symbolic": (
@@ -448,6 +326,105 @@ def test_symbolic_witnesses_are_pinned(fault):
         expected["qm-ccr"] = expected["tilde-ccr-symbolic"] = ("fail", diff)
     got = {c.name: (c.status, c.witness) for c in report.checks}
     assert got == expected
+
+
+# -- the exact checks' draws and the rewriter oracle --------------------------
+
+# the exact checks that draw polynomials: (count, max_degree, max_terms)
+_POLY_DRAWS = {
+    "cm-commutativity": (200, 4, 4),
+    "translation-identity": (100, 4, 4),
+    "adjoint-involution": (10, 3, 3),
+}
+
+
+class _RecordingRng:
+    """A check's generator, with each array its ``integers`` returns recorded."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def integers(self, *args, **kwargs):
+        self._draws.append(self._rng.integers(*args, **kwargs))
+        return self._draws[-1]
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _recorded_draws(monkeypatch, name, seed=1234):
+    """The arrays ``Generator.integers`` gives check ``name`` at ``seed``, and
+    each list of polynomials the check reads from them."""
+    draws, exprs = [], []
+    make, read = verify._rng, verify._draw_exprs
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_rng", lambda ctx, index: _RecordingRng(make(ctx, index), draws))
+        patch.setattr(verify, "_draw_exprs", lambda *a, **kw: exprs.append(read(*a, **kw)) or exprs[-1])
+        (check,) = run_verify(seed=seed, names=(name,)).checks
+    assert check.status == "pass", check.witness
+    return draws, exprs
+
+
+@pytest.mark.parametrize("name", [*_POLY_DRAWS, "rewrite-confluence"])
+def test_each_drawing_exact_check_draws_once(monkeypatch, name):
+    draws, _ = _recorded_draws(monkeypatch, name)
+    if name == "rewrite-confluence":
+        shape = (200, 9)  # a word length, then 8 letters
+    else:
+        count, degree, terms = _POLY_DRAWS[name]
+        shape = (count, terms, 4 + degree)
+    assert [d.shape for d in draws] == [shape]
+
+
+class _Replay:
+    """Hands ``random_expr`` the given values, one scalar call at a time,
+    each checked against the range that call asks for."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def integers(self, low, high):
+        value = next(self._values)
+        assert low <= value < high, (low, value, high)
+        return value
+
+
+def test_exact_checks_draw_polynomials_of_random_exprs_family(monkeypatch):
+    numerators, denominators = set(), set()
+    for name, (count, degree, terms) in _POLY_DRAWS.items():
+        (draw,), (exprs,) = _recorded_draws(monkeypatch, name)
+        lengths = set()
+        for rows, f in zip(draw.tolist(), exprs):
+            used = rows[: rows[0][0]]
+            values = [len(used)]
+            for _, num, den, length, *letters in used:
+                values += [num, den, length, *letters[:length]]
+                numerators.add(num)
+                denominators.add(den)
+                lengths.add(length)
+            # random_expr, fed the same values, builds the same tree
+            assert random_expr(_Replay(values), max_degree=degree, max_terms=terms) == f
+        assert set(draw[:, 0, 0].tolist()) == set(range(1, terms + 1)), name
+        assert lengths == set(range(degree + 1)), name
+        assert set(draw[:, :, 4:].flat) == {0, 1}, name
+    assert numerators == set(range(-6, 7))
+    assert denominators == set(range(1, 5))
+    (words,), _ = _recorded_draws(monkeypatch, "rewrite-confluence")
+    assert set(words[:, 0].tolist()) == set(range(9))
+    assert set(words[:, 1:].flat) == {0, 1}
+
+
+def test_rewrite_confluence_catches_a_wrong_reordering_weight(monkeypatch):
+    # one more than k! C(n, k) C(m, k) past k = 2: only P^3 Q^3 reorders that far
+    weights = ncpoly.reorder_weights
+    monkeypatch.setattr(
+        ncpoly, "reorder_weights", lambda n, m: [w + (k > 2) for k, w in enumerate(weights(n, m))]
+    )
+    (check,) = run_verify(names=("rewrite-confluence",)).checks
+    assert check.status == "fail"
+    assert check.witness == (
+        "P^3 Q^3 against the rewriter: canonical-diff=TensorPoly((1i*hbar^3)*[1|1|E_qq])"
+    )
 
 
 # -- the numeric checks' one rule: the defect against the operands' scale ----
