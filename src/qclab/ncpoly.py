@@ -20,7 +20,11 @@ Every element is kept in a canonical normal form:
   coefficient to the whole element, as FLINT's ``fmpq_poly``; Hart, ICMS
   2010).  Products, adjoints and sums are then integer loops with one gcd
   pass per result, and a reordering contributes only the integer weight
-  ``k! C(b, k) C(c, k)`` (:func:`reorder_weights`) times ``s^k``.
+  ``k! C(b, k) C(c, k)`` (:func:`reorder_weights`) times ``s^k``;
+* a commutator is one pass over the term pairs (:func:`tp_commutator`): in
+  a diagonal r-sector both products of a pair reorder onto the same words
+  and their ``k = 0`` terms cancel, so only the reorderings ``k >= 1`` are
+  summed, with the weight of ``ab`` less that of ``ba``.
 
 :class:`TensorPoly` is the only element type; its ``terms`` read it back as
 ``term key -> ScalarCoeff``.  A single-factor normal form is a plain map
@@ -38,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat, zip_longest
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -80,6 +84,10 @@ def rewrite_fault(term: ScalarCoeff) -> Iterator[None]:
         _swap_term = saved
 
 
+# Where each strategy finds the misordered pair P Q it rewrites first.
+_REDEX = {"leftmost": str.find, "rightmost": str.rfind}
+
+
 def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorTerms:
     """Normal-order a word over the alphabet {Q, P}, given as a ``str`` or a
     sequence of letters.
@@ -90,40 +98,45 @@ def factor_normalize(word: Sequence[str], strategy: str = "leftmost") -> FactorT
     This rewriter is the independent oracle for the closed-form reordering
     of :class:`TensorPoly` products (:func:`reorder_weights`).
     """
-    if strategy not in ("leftmost", "rightmost"):
+    if strategy not in _REDEX:
         raise ValueError(f"unknown strategy {strategy!r}")
+    find = _REDEX[strategy]
+    inversions = letters_p = 0  # P-before-Q pairs, Ps so far
     for ch in word:
-        if ch not in (Q, P):
+        if ch == P:
+            letters_p += 1
+        elif ch == Q:
+            inversions += letters_p
+        else:
             raise ValueError(f"word letters must be {Q!r} or {P!r}, got {ch!r}")
     letters = "".join(word)
-    find = str.find if strategy == "leftmost" else str.rfind
-    # Worklist of words with integer weights; each rewrite of P Q at
-    # position i branches into the swapped word and the contracted word,
-    # which carries one more factor of s.  Every path to a word contracts
-    # (len(letters) - len(word)) / 2 times, so a weight counts paths and s
-    # enters once per normal word.
-    pending: dict[str, int] = {letters: 1}
-    done: dict[tuple[int, int], int] = {}
-    while pending:
-        word, weight = pending.popitem()
-        pos = find(word, P + Q)
-        if pos < 0:
-            m = word.count(Q)
-            key = (m, len(word) - m)
-            done[key] = done.get(key, 0) + weight
-            continue
-        swapped = word[:pos] + Q + P + word[pos + 2:]
-        contracted = word[:pos] + word[pos + 2:]
-        for rewritten in (swapped, contracted):
-            pending[rewritten] = pending.get(rewritten, 0) + weight
+    # Words with integer weights, by their count of P-before-Q pairs.  A
+    # rewrite of P Q at position i branches into the swapped word, one pair
+    # fewer, and the contracted word, which carries one more factor of s and
+    # loses the pairs of both removed letters.  Taking the counts downwards,
+    # every path into a word has arrived before it is rewritten, so each
+    # word is rewritten once with its summed weight.  Every path to a word
+    # contracts (len(letters) - len(word)) / 2 times, so a weight counts
+    # paths and s enters once per normal word.
+    pending: list[dict[str, int]] = [{} for _ in range(inversions)] + [{letters: 1}]
+    for count in range(inversions, 0, -1):
+        for word, weight in pending[count].items():
+            pos = find(word, P + Q)
+            swapped = word[:pos] + Q + P + word[pos + 2:]
+            contracted = word[:pos] + word[pos + 2:]
+            lost = 1 + word.count(P, 0, pos) + word.count(Q, pos + 2)
+            for rewritten, below in ((swapped, 1), (contracted, lost)):
+                level = pending[count - below]
+                level[rewritten] = level.get(rewritten, 0) + weight
     powers = [ScalarCoeff.one()]  # s^k, k = 0, 1, ...
     out: FactorTerms = {}
-    for (m, n), weight in done.items():
-        k = (len(letters) - m - n) // 2
+    for normal, weight in pending[0].items():
+        m = normal.count(Q)
+        k = (len(letters) - len(normal)) // 2
         while len(powers) <= k:
             powers.append(powers[-1] * _swap_term)
         if not powers[k].is_zero():  # a fault may zero s
-            out[(m, n)] = ScalarCoeff.from_rational(weight) * powers[k]
+            out[(m, len(normal) - m)] = ScalarCoeff.from_rational(weight) * powers[k]
     return out
 
 
@@ -159,8 +172,8 @@ def _swap_powers(keys: Iterable[tuple]) -> _SwapPowers:
 
     ``top`` must bound the factors of ``s`` that one term pair contracts;
     the largest ``m_q + m_p`` over ``keys``, the term keys of the right-hand
-    words, does.  With ``d = 1``, as for the unfaulted ``s = -i*hbar``, any
-    ``top`` does, and 0 is taken.
+    words (of both operands, for a commutator), does.  With ``d = 1``, as
+    for the unfaulted ``s = -i*hbar``, any ``top`` does, and 0 is taken.
     """
     s = _swap_term
     unit = s._den ** max((k[0] + k[2] for k in keys), default=0) if s._den != 1 else 1
@@ -189,6 +202,75 @@ def _add_reordered(
             w = w1 * w2
             cr, ci = re * w, im * w
             head = (mq1 + mq2 - kq, nq1 + nq2 - kq, mp1 + mp2 - kp, np1 + np2 - kp, i, j)
+            for (da, db), (sr, si) in powers[kq + kp].items():
+                key = head + (a + da, b + db)
+                vr, vi = cr * sr - ci * si, cr * si + ci * sr
+                if key in out:
+                    r0, i0 = out[key]
+                    vr, vi = r0 + vr, i0 + vi
+                out[key] = (vr, vi)
+
+
+def _add_products(out: dict, plain: dict, powers: _SwapPowers, left: dict, right: dict) -> None:
+    """Add the numerators of ``left . right`` to ``out``, and the pairs that
+    reorder nothing to ``plain``, for numerator maps ``left`` and ``right``.
+
+    Each pair is the word pair ``Q^mq1 P^nq1 . Q^mq2 P^nq2`` on factor q,
+    the same on factor p, and ``E_i1j1 E_i2j2 = E_i1j2`` when ``j1 == i2``.
+    """
+    by_row: tuple[list, list] = ([], [])
+    for (mq, nq, mp, np_, i, j, a, b), (re, im) in right.items():
+        by_row[i].append((mq, nq, mp, np_, j, a, b, re, im))
+    for (mq1, nq1, mp1, np1, i1, j1, a1, b1), (r1, x1) in left.items():
+        for mq2, nq2, mp2, np2, j2, a2, b2, r2, x2 in by_row[j1]:
+            re, im = r1 * r2 - x1 * x2, r1 * x2 + x1 * r2
+            if (nq1 and mq2) or (np1 and mp2):
+                _add_reordered(
+                    out, powers, re, im, mq1, nq1, mq2, nq2, mp1, np1, mp2, np2,
+                    i1, j2, a1 + a2, b1 + b2,
+                )
+                continue
+            key = (mq1 + mq2, nq1 + nq2, mp1 + mp2, np1 + np2, i1, j2, a1 + a2, b1 + b2)
+            if key in plain:
+                r0, i0 = plain[key]
+                re, im = r0 + re, i0 + im
+            plain[key] = (re, im)
+
+
+def _add_commuted(
+    out: dict, powers: _SwapPowers, re: int, im: int,
+    mq1: int, nq1: int, mq2: int, nq2: int,
+    mp1: int, np1: int, mp2: int, np2: int,
+    r: int, a: int, b: int,
+) -> None:
+    """Add the normal form of ``(re + i*im) hbar^a lam^b`` times the
+    commutator of ``Q^mq1 P^nq1 (x) Q^mp1 P^np1 (x) E_rr`` and ``Q^mq2 P^nq2
+    (x) Q^mp2 P^np2 (x) E_rr`` to the numerators ``out``.
+
+    Both orders reorder onto the same words, ``kq`` and ``kp`` letters
+    contracted on each factor, so each word takes the weight of the first
+    order less that of the second, times ``s^(kq+kp)``.  The ``k = 0``
+    weights are 1 in both orders and cancel.
+    """
+    # (W_ab(k), W_ba(k)) on each factor, zero past either order's reach
+    wq = zip_longest(
+        reorder_weights(nq1, mq2) if nq1 and mq2 else _NO_REORDER,
+        reorder_weights(nq2, mq1) if nq2 and mq1 else _NO_REORDER,
+        fillvalue=0,
+    )
+    wp = list(zip_longest(
+        reorder_weights(np1, mp2) if np1 and mp2 else _NO_REORDER,
+        reorder_weights(np2, mp1) if np2 and mp1 else _NO_REORDER,
+        fillvalue=0,
+    ))
+    mq, nq, mp, np_ = mq1 + mq2, nq1 + nq2, mp1 + mp2, np1 + np2
+    for kq, (u, v) in enumerate(wq):
+        for kp, (x, y) in enumerate(wp):
+            w = u * x - v * y
+            if not w:
+                continue
+            cr, ci = re * w, im * w
+            head = (mq - kq, nq - kq, mp - kp, np_ - kp, r, r)
             for (da, db), (sr, si) in powers[kq + kp].items():
                 key = head + (a + da, b + db)
                 vr, vi = cr * sr - ci * si, cr * si + ci * sr
@@ -293,29 +375,11 @@ class TensorPoly:
         return TensorPoly._raw(*lowest_terms(_product(self._num, c._num), self._den * c._den))
 
     def __mul__(self, other: "TensorPoly") -> "TensorPoly":
-        # each pair is the word pair Q^mq1 P^nq1 . Q^mq2 P^nq2 on factor q,
-        # the same on factor p, and E_i1j1 E_i2j2 = E_i1j2 when j1 == i2
-        by_row: tuple[list, list] = ([], [])
-        for (mq, nq, mp, np_, i, j, a, b), (re, im) in other._num.items():
-            by_row[i].append((mq, nq, mp, np_, j, a, b, re, im))
         powers = _swap_powers(other._num)
         # pairs that contract nothing are summed apart while d^top != 1
         out: dict = {}
         plain = out if powers.unit == 1 else {}
-        for (mq1, nq1, mp1, np1, i1, j1, a1, b1), (r1, x1) in self._num.items():
-            for mq2, nq2, mp2, np2, j2, a2, b2, r2, x2 in by_row[j1]:
-                re, im = r1 * r2 - x1 * x2, r1 * x2 + x1 * r2
-                if (nq1 and mq2) or (np1 and mp2):
-                    _add_reordered(
-                        out, powers, re, im, mq1, nq1, mq2, nq2, mp1, np1, mp2, np2,
-                        i1, j2, a1 + a2, b1 + b2,
-                    )
-                    continue
-                key = (mq1 + mq2, nq1 + nq2, mp1 + mp2, np1 + np2, i1, j2, a1 + a2, b1 + b2)
-                if key in plain:
-                    r0, i0 = plain[key]
-                    re, im = r0 + re, i0 + im
-                plain[key] = (re, im)
+        _add_products(out, plain, powers, self._num, other._num)
         return _reduced_sum(out, plain, self._den * other._den, powers.unit)
 
     def adjoint(self) -> "TensorPoly":
@@ -385,7 +449,40 @@ def _reduced_sum(out: dict, plain: dict, den: int, unit: int) -> TensorPoly:
 
 
 def tp_commutator(a: TensorPoly, b: TensorPoly) -> TensorPoly:
-    return a * b - b * a
+    """``a * b - b * a`` in one pass over the term pairs.
+
+    A pair of terms in one diagonal r-sector ``E_rr`` gives both products
+    in that sector, on the same words: their ``k = 0`` terms cancel, so
+    only the reorderings ``k >= 1`` are summed, each with the weight
+    ``W_ab(k) - W_ba(k)`` (:func:`_add_commuted`), and a pair that reorders
+    in neither order adds nothing.  A pair with an off-diagonal term adds
+    its two signed products as ``__mul__`` does.
+    """
+    # s^k for k up to the contractions of either order
+    powers = _swap_powers(chain(a._num, b._num))
+    out: dict = {}
+    plain = out if powers.unit == 1 else {}
+    a_off, b_off = ({k: v for k, v in x._num.items() if k[4] != k[5]} for x in (a, b))
+    a_diag = {k: v for k, v in a._num.items() if k not in a_off} if b_off else {}
+    # the pairs with an off-diagonal term: [a_off, b] + [a_diag, b_off]
+    for x, y in ((a_off, b._num), (a_diag, b_off)):
+        if x and y:
+            _add_products(out, plain, powers, x, y)
+            _add_products(out, plain, powers, {k: (-re, -im) for k, (re, im) in y.items()}, x)
+    by_sector: tuple[list, list] = ([], [])
+    for (mq, nq, mp, np_, r, c, ha, la), (re, im) in b._num.items():
+        if r == c:
+            by_sector[r].append((mq, nq, mp, np_, ha, la, re, im))
+    for (mq1, nq1, mp1, np1, r, c, a1, b1), (r1, x1) in a._num.items():
+        if r != c:
+            continue
+        for mq2, nq2, mp2, np2, a2, b2, r2, x2 in by_sector[r]:
+            if (nq1 and mq2) or (np1 and mp2) or (nq2 and mq1) or (np2 and mp1):
+                _add_commuted(
+                    out, powers, r1 * r2 - x1 * x2, r1 * x2 + x1 * r2,
+                    mq1, nq1, mq2, nq2, mp1, np1, mp2, np2, r, a1 + a2, b1 + b2,
+                )
+    return _reduced_sum(out, plain, a._den * b._den, powers.unit)
 
 
 def tp_adjoint(a: TensorPoly) -> TensorPoly:

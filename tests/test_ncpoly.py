@@ -9,6 +9,7 @@ rewriter, and truncated oscillator matrices cross-check the symbolic normal
 forms numerically.
 """
 
+import operator
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exact_oracle import CR_ONE, ComplexRational, oracle_adjoint, oracle_mul
+from qclab import ncpoly
 from qclab.expr import parse_expr, random_expr
 from qclab.matrep import build_backend
 from qclab.ncpoly import (
@@ -539,6 +541,63 @@ def test_products_and_adjoints_match_the_all_pairs_oracle(fault, a, b):
     with nullcontext() if term is None else rewrite_fault(term):
         assert a * b == oracle_mul(a, b)
         assert a.adjoint() == oracle_adjoint(a)
+
+
+# -- the one-pass commutator against both products -------------------------
+
+
+def _verify_fault(factor: Fraction) -> ScalarCoeff:
+    """The swap constant under verify's ``fault_injection`` ``factor``."""
+    return ScalarCoeff.from_rational(0, -factor) * ScalarCoeff.hbar()
+
+
+# the swap constant as it is, and as verify's fault_injection -1, 0, 1/2 and
+# 3 set it (1/2 over denominator 2)
+_COMMUTATOR_FAULTS = {
+    "none": None,
+    **{f"verify-{f}": _verify_fault(Fraction(f)) for f in ("-1", "0", "1/2", "3")},
+}
+_GENS = make_generators()
+# zero, the identity, the six generators, or a drawn element, whose terms
+# may sit on the off-diagonal E_qp and E_pq
+_named = st.sampled_from([
+    TensorPoly.zero(), _GENS.identity, _GENS.q_tilde, _GENS.p_tilde,
+    _GENS.q_qm, _GENS.p_qm, _GENS.q_cm, _GENS.p_cm,
+])
+_elements = _named | _polys
+# larger elements, out of the word rewriter's reach: products of drawn
+# elements and generators, and terms of degree up to 6 on each factor
+_big_keys = st.tuples(*[st.integers(0, 6)] * 4, st.integers(0, 1), st.integers(0, 1))
+_big = (
+    st.dictionaries(_big_keys, _coeffs, max_size=5).map(TensorPoly)
+    | st.builds(operator.mul, _elements, _elements)
+    | st.builds(lambda a, b, c: a * b * c, _named, _named, _named)
+)
+
+
+@pytest.mark.parametrize("fault", list(_COMMUTATOR_FAULTS))
+@given(_elements, _elements, _big, _big)
+# P^3 (x) P^3 E_qp against Q^3 (x) Q^3 on the diagonal: an off-diagonal pair
+# with every reordering weight up to k = 3 in one order only
+@example(
+    TensorPoly({(0, 3, 0, 3, 0, 1): ONE}), TensorPoly({(3, 0, 3, 0, 1, 1): ONE}),
+    TensorPoly({(0, 3, 0, 3, 0, 0): ONE}), TensorPoly({(3, 0, 3, 0, 0, 0): ONE}),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_commutator_is_the_difference_of_both_products(fault, a, b, x, y):
+    term = _COMMUTATOR_FAULTS[fault]
+    with nullcontext() if term is None else rewrite_fault(term):
+        got = tp_commutator(a, b)
+        _assert_canonical(got)
+        assert got == oracle_mul(a, b) - oracle_mul(b, a)
+        for left, right in ((x, y), (y, x), (a, y), (x, b)):
+            assert tp_commutator(left, right) == left * right - right * left
+
+
+def test_the_two_rewrite_strategies_start_at_different_pairs():
+    # confluence gives both the same result, so pin the pair each rewrites
+    # first: in P Q P Q, leftmost takes position 0 and rightmost position 2
+    assert [ncpoly._REDEX[s]("PQPQ", P + Q) for s in ("leftmost", "rightmost")] == [0, 2]
 
 
 # -- the element layout: one denominator over Gaussian-integer numerators --
