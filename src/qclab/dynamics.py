@@ -233,7 +233,9 @@ def _bracket(
 
 
 def _mesh_eval(node, qm: np.ndarray, pm: np.ndarray) -> np.ndarray:
-    values = expr_mod.evaluate_numeric(node, qm, pm)
+    # values past the float range read inf or NaN, for the work bound to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = expr_mod.evaluate_numeric(node, qm, pm)
     return np.broadcast_to(np.asarray(values, dtype=float), qm.shape).copy()
 
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
+from .scalars import ratio
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -300,9 +302,14 @@ def evaluate_numeric(node: Node, q, p):
     """Evaluate the tree with numpy semantics.
 
     ``q`` and ``p`` may be scalars or arrays; products use elementwise ``*``
-    so this is the commutative (phase-space) reading of the expression.
+    so this is the commutative (phase-space) reading of the expression.  A
+    constant past the float range reads as ``+-inf``.
     """
-    return fold(node, float, lambda name: q if name == "Q" else p)
+    return fold(
+        node,
+        lambda value: ratio(value.numerator, value.denominator),
+        lambda name: q if name == "Q" else p,
+    )
 
 
 def differentiate(node: Node, var: str) -> Node:

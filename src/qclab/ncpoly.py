@@ -16,10 +16,14 @@ Every element is kept in a canonical normal form:
   ``(m_q, n_q, m_p, n_p, i, j)`` is ``Q^m_q P^n_q (x) Q^m_p P^n_p (x) E_ij``;
 * an element is one positive denominator over Gaussian-integer numerators
   ``(re, im)``, keyed by the term key followed by the powers of ``hbar``
-  and ``lam``, sparse and reduced (``scalars``' layout, lifted from the
-  coefficient to the whole element, as FLINT's ``fmpq_poly``; Hart, ICMS
-  2010).  Products, adjoints and sums are then integer loops with one gcd
-  pass per result, and a reordering contributes only the integer weight
+  and ``lam``, sparse and reduced: ``scalars``' one layout type,
+  ``CommonDenominator``, lifted from the coefficient to the whole element
+  (as FLINT's ``fmpq_poly``; Hart, ICMS 2010), whose sums, negation,
+  scaling, equality and hash :class:`TensorPoly` inherits.  Products and
+  adjoints sum every term pair into one numerator map over
+  ``d^top`` (``d`` the denominator of ``s``; a pair that reorders nothing
+  takes ``s^0 d^top``), and ``scalars.reduced`` makes it canonical in one
+  pass; a reordering contributes only the integer weight
   ``k! C(b, k) C(c, k)`` (:func:`reorder_weights`) times ``s^k``;
 * a commutator is one pass over the term pairs (:func:`tp_commutator`): in
   a diagonal r-sector both products of a pair reorder onto the same words
@@ -47,7 +51,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .expr import fold
-from .scalars import ScalarCoeff, _product, combine, lowest_terms, read_indices, substitute_last
+from .scalars import CommonDenominator, ScalarCoeff, _product, read_indices, reduced, substitute_last
 
 # Letters of the single-factor word alphabet.
 Q = "Q"
@@ -211,13 +215,15 @@ def _add_reordered(
                 out[key] = (vr, vi)
 
 
-def _add_products(out: dict, plain: dict, powers: _SwapPowers, left: dict, right: dict) -> None:
-    """Add the numerators of ``left . right`` to ``out``, and the pairs that
-    reorder nothing to ``plain``, for numerator maps ``left`` and ``right``.
+def _add_products(out: dict, powers: _SwapPowers, left: dict, right: dict) -> None:
+    """Add the numerators of ``left . right``, over ``powers.unit``, to
+    ``out``, for numerator maps ``left`` and ``right``.
 
     Each pair is the word pair ``Q^mq1 P^nq1 . Q^mq2 P^nq2`` on factor q,
     the same on factor p, and ``E_i1j1 E_i2j2 = E_i1j2`` when ``j1 == i2``.
+    A pair that reorders nothing takes ``s^0 d^top = unit``.
     """
+    unit = powers.unit
     by_row: tuple[list, list] = ([], [])
     for (mq, nq, mp, np_, i, j, a, b), (re, im) in right.items():
         by_row[i].append((mq, nq, mp, np_, j, a, b, re, im))
@@ -231,10 +237,11 @@ def _add_products(out: dict, plain: dict, powers: _SwapPowers, left: dict, right
                 )
                 continue
             key = (mq1 + mq2, nq1 + nq2, mp1 + mp2, np1 + np2, i1, j2, a1 + a2, b1 + b2)
-            if key in plain:
-                r0, i0 = plain[key]
+            re, im = re * unit, im * unit
+            if key in out:
+                r0, i0 = out[key]
                 re, im = r0 + re, i0 + im
-            plain[key] = (re, im)
+            out[key] = (re, im)
 
 
 def _add_commuted(
@@ -284,21 +291,20 @@ def _add_commuted(
 _UNITS = ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1))
 
 
-class TensorPoly:
+class TensorPoly(CommonDenominator):
     """Canonical element of the full three-factor operator algebra.
 
     An element is ``sum c Q^m_q P^n_q (x) Q^m_p P^n_p (x) E_ij``, each ``c``
     a coefficient in ``hbar`` and ``lam`` (:class:`ScalarCoeff`).  It is
-    stored as Gaussian-integer numerators ``(re, im)``, keyed by the term key
-    ``(m_q, n_q, m_p, n_p, i, j)`` followed by the powers of ``hbar`` and
-    ``lam``, over one positive denominator for the whole element.  The
-    canonical form has no zero numerator and gcd 1 between the denominator
-    and every numerator part (zero has denominator 1), so equal elements
-    have equal maps.  Arithmetic is integer arithmetic plus one gcd pass;
-    :attr:`terms` reads the element back as ``{term key: ScalarCoeff}``.
+    stored in ``scalars``' layout (:class:`CommonDenominator`, which holds
+    the sums, negation, :meth:`scale`, equality and hash): Gaussian-integer
+    numerators ``(re, im)``, keyed by the term key ``(m_q, n_q, m_p, n_p, i,
+    j)`` followed by the powers of ``hbar`` and ``lam``, over one positive
+    denominator for the whole element.  :attr:`terms` reads the element
+    back as ``{term key: ScalarCoeff}``.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[TensorKey, ScalarCoeff] = ()):
         coeffs = []
@@ -317,14 +323,6 @@ class TensorPoly:
             for k, (re, im) in c._num.items()
         }
         self._den = den
-
-    @staticmethod
-    def _raw(num: dict, den: int) -> "TensorPoly":
-        """Wrap numerators and a denominator that are already canonical."""
-        out = object.__new__(TensorPoly)
-        out._num = num
-        out._den = den
-        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -355,50 +353,34 @@ class TensorPoly:
             else:
                 grouped[head] = {key[6:]: v}
         den = self._den
-        return {key: ScalarCoeff._reduced(num, den) for key, num in grouped.items()}
-
-    def is_zero(self) -> bool:
-        return not self._num
+        return {key: ScalarCoeff._raw(*reduced(num, den)) for key, num in grouped.items()}
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        return TensorPoly._raw(*combine(self._num, self._den, other._num, other._den))
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return TensorPoly._raw(*combine(self._num, self._den, other._num, other._den, -1))
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly._raw({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
-
-    def scale(self, c: ScalarCoeff) -> "TensorPoly":
-        return TensorPoly._raw(*lowest_terms(_product(self._num, c._num), self._den * c._den))
-
     def __mul__(self, other: "TensorPoly") -> "TensorPoly":
         powers = _swap_powers(other._num)
-        # pairs that contract nothing are summed apart while d^top != 1
         out: dict = {}
-        plain = out if powers.unit == 1 else {}
-        _add_products(out, plain, powers, self._num, other._num)
-        return _reduced_sum(out, plain, self._den * other._den, powers.unit)
+        _add_products(out, powers, self._num, other._num)
+        return TensorPoly._raw(*reduced(out, self._den * other._den * powers.unit))
 
     def adjoint(self) -> "TensorPoly":
         # (Q^m P^n)^dagger = P^n Q^m, the word pair 1 . P^n Q^m, and
         # E_ij^dagger = E_ji
         powers = _swap_powers(self._num)
+        unit = powers.unit
         out: dict = {}
-        plain = out if powers.unit == 1 else {}
         for (mq, nq, mp, np_, i, j, a, b), (re, im) in self._num.items():
             im = -im  # hbar and lam are real, only the numbers conjugate
             if (nq and mq) or (np_ and mp):
                 _add_reordered(out, powers, re, im, 0, nq, mq, 0, 0, np_, mp, 0, j, i, a, b)
                 continue
             key = (mq, nq, mp, np_, j, i, a, b)
-            if key in plain:
-                r0, i0 = plain[key]
+            re, im = re * unit, im * unit
+            if key in out:
+                r0, i0 = out[key]
                 re, im = r0 + re, i0 + im
-            plain[key] = (re, im)
-        return _reduced_sum(out, plain, self._den, powers.unit)
+            out[key] = (re, im)
+        return TensorPoly._raw(*reduced(out, self._den * unit))
 
     def substitute_lambda(self, value) -> "TensorPoly":
         val = Fraction(value)
@@ -407,14 +389,6 @@ class TensorPoly:
         return TensorPoly._raw(
             *substitute_last(self._num, self._den, val.numerator, val.denominator)
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -428,21 +402,6 @@ class TensorPoly:
             rlab = "qp"[i] + "qp"[j]
             bits.append(f"({c})*[{mono(mq, nq)}|{mono(mp, np_)}|E_{rlab}]")
         return "TensorPoly(" + " + ".join(bits) + ")"
-
-
-def _reduced_sum(out: dict, plain: dict, den: int, unit: int) -> TensorPoly:
-    """Canonical ``(out + unit * plain) / (den * unit)`` from summed
-    numerators that may hold zeros; ``plain`` is ``out`` itself when
-    ``unit`` is 1."""
-    if plain is not out:
-        for key, (re, im) in plain.items():
-            re, im = re * unit, im * unit
-            if key in out:
-                r0, i0 = out[key]
-                re, im = r0 + re, i0 + im
-            out[key] = (re, im)
-        den *= unit
-    return TensorPoly._raw(*lowest_terms({k: v for k, v in out.items() if v[0] or v[1]}, den))
 
 
 # -- module-level operation names ------------------------------------------
@@ -461,14 +420,13 @@ def tp_commutator(a: TensorPoly, b: TensorPoly) -> TensorPoly:
     # s^k for k up to the contractions of either order
     powers = _swap_powers(chain(a._num, b._num))
     out: dict = {}
-    plain = out if powers.unit == 1 else {}
     a_off, b_off = ({k: v for k, v in x._num.items() if k[4] != k[5]} for x in (a, b))
     a_diag = {k: v for k, v in a._num.items() if k not in a_off} if b_off else {}
     # the pairs with an off-diagonal term: [a_off, b] + [a_diag, b_off]
     for x, y in ((a_off, b._num), (a_diag, b_off)):
         if x and y:
-            _add_products(out, plain, powers, x, y)
-            _add_products(out, plain, powers, {k: (-re, -im) for k, (re, im) in y.items()}, x)
+            _add_products(out, powers, x, y)
+            _add_products(out, powers, {k: (-re, -im) for k, (re, im) in y.items()}, x)
     by_sector: tuple[list, list] = ([], [])
     for (mq, nq, mp, np_, r, c, ha, la), (re, im) in b._num.items():
         if r == c:
@@ -482,7 +440,7 @@ def tp_commutator(a: TensorPoly, b: TensorPoly) -> TensorPoly:
                     out, powers, r1 * r2 - x1 * x2, r1 * x2 + x1 * r2,
                     mq1, nq1, mq2, nq2, mp1, np1, mp2, np2, r, a1 + a2, b1 + b2,
                 )
-    return _reduced_sum(out, plain, a._den * b._den, powers.unit)
+    return TensorPoly._raw(*reduced(out, a._den * b._den * powers.unit))
 
 
 def tp_adjoint(a: TensorPoly) -> TensorPoly:

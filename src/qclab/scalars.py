@@ -9,10 +9,12 @@ until a matrix realization asks for them.
 A coefficient keeps Gaussian-integer numerators over one positive common
 denominator, the layout of FLINT's ``fmpq_poly`` (Hart, "FLINT: Fast Library
 for Number Theory", ICMS 2010), so its arithmetic is integer arithmetic plus
-one gcd pass.  The constructor and ``ScalarCoeff.terms`` exchange each
-complex rational as a pair ``(re, im)``.  The helpers on numerator maps at
-the end of the module serve ``ncpoly.TensorPoly`` too, which keeps the same
-layout for a whole element.
+one gcd pass.  The layout is one base class, :class:`CommonDenominator`,
+which holds its canonical form, sums, negation, product with a coefficient,
+equality and hash; :class:`ScalarCoeff` and ``ncpoly.TensorPoly``, which
+keeps the same layout for a whole element, add only what differs.  The
+constructor and ``ScalarCoeff.terms`` exchange each complex rational as a
+pair ``(re, im)``.
 """
 
 from __future__ import annotations
@@ -31,18 +33,62 @@ RationalLike = Rational | int
 Numerators = dict[tuple[int, int], tuple[int, int]]
 
 
-class ScalarCoeff:
+class CommonDenominator:
+    """Gaussian-integer numerators over one positive common denominator.
+
+    ``_num`` maps keys ending in (hbar power, lam power) to numerators
+    ``(re, im)``; ``_den`` is the denominator.  The canonical form has no
+    numerator ``(0, 0)``, gcd 1 between the denominator and every numerator
+    part, and denominator 1 for zero, so equal values have equal maps.
+    :class:`ScalarCoeff` keys by the two powers alone, ``ncpoly.TensorPoly``
+    by a term key followed by them; both are immutable and hashable, and
+    all arithmetic returns new values.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    @classmethod
+    def _raw(cls, num: dict, den: int):
+        """Wrap numerators and a denominator that are already canonical."""
+        out = object.__new__(cls)
+        out._num = num
+        out._den = den
+        return out
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __add__(self, other):
+        return self._raw(*combine(self._num, self._den, other._num, other._den))
+
+    def __sub__(self, other):
+        return self._raw(*combine(self._num, self._den, other._num, other._den, -1))
+
+    def __neg__(self):
+        return self._raw({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
+
+    def scale(self, c: "ScalarCoeff"):
+        """The product with the coefficient ``c``."""
+        return self._raw(*reduced(_product(self._num, c._num), self._den * c._den))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self._den, frozenset(self._num.items())))
+
+
+class ScalarCoeff(CommonDenominator):
     """Sparse polynomial ``sum c_{ab} hbar^a lam^b`` with complex rational c.
 
     Stored as integer numerators ``(a, b) -> (re, im)`` over one positive
-    integer denominator, in canonical form: keys are unique pairs of
-    nonnegative integers, no numerator is ``(0, 0)``, the denominator and
-    every numerator part have gcd 1, and zero has denominator 1.  Equal
-    values therefore have equal numerators and denominators.  Instances are
-    immutable and hashable; all arithmetic returns new values.
+    integer denominator, in the canonical form of
+    :class:`CommonDenominator`, keys unique pairs of nonnegative integers.
     """
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], tuple[RationalLike, RationalLike]] = ()):
         pruned = {
@@ -60,21 +106,6 @@ class ScalarCoeff:
             for k, (re, im) in pruned.items()
         }
         self._den = den
-        self._hash = None
-
-    @staticmethod
-    def _raw(num: Numerators, den: int) -> "ScalarCoeff":
-        """Wrap numerators and a denominator that are already canonical."""
-        out = object.__new__(ScalarCoeff)
-        out._num = num
-        out._den = den
-        out._hash = None
-        return out
-
-    @staticmethod
-    def _reduced(num: Numerators, den: int) -> "ScalarCoeff":
-        """Canonical ``num / den`` from zero-free numerators."""
-        return ScalarCoeff._raw(num, 1) if den == 1 else ScalarCoeff._raw(*lowest_terms(num, den))
 
     # -- constructors ------------------------------------------------------
 
@@ -117,28 +148,15 @@ class ScalarCoeff:
         d = self._den
         return {k: (Fraction(re, d), Fraction(im, d)) for k, (re, im) in self._num.items()}
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     @property
     def has_lambda(self) -> bool:
         return any(b > 0 for _, b in self._num)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "ScalarCoeff") -> "ScalarCoeff":
-        return ScalarCoeff._raw(*combine(self._num, self._den, other._num, other._den))
-
-    def __sub__(self, other: "ScalarCoeff") -> "ScalarCoeff":
-        return ScalarCoeff._raw(*combine(self._num, self._den, other._num, other._den, -1))
-
-    def __neg__(self) -> "ScalarCoeff":
-        return ScalarCoeff._raw(
-            {k: (-re, -im) for k, (re, im) in self._num.items()}, self._den
-        )
-
-    def __mul__(self, other: "ScalarCoeff") -> "ScalarCoeff":
-        return ScalarCoeff._reduced(_product(self._num, other._num), self._den * other._den)
+    # bound here too: perfbench counts the calls of what a class binds itself
+    __add__ = CommonDenominator.__add__
+    __mul__ = CommonDenominator.scale
 
     def conjugate(self) -> "ScalarCoeff":
         # hbar and lam are real symbols, only the coefficients conjugate
@@ -161,27 +179,10 @@ class ScalarCoeff:
                 power = hbar**a
             except OverflowError:  # past the float range: inf, for the caller to refuse
                 power = copysign(inf, hbar) if a % 2 else inf
-            # int / int is correctly rounded, as float(Fraction) is
-            total += (complex(re / d) + 1j * complex(im / d)) * power
+            total += (complex(ratio(re, d)) + 1j * complex(ratio(im, d))) * power
         return total
 
-    # -- canonical identity ------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScalarCoeff):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self._den, tuple(sorted(self._num.items()))))
-            self._hash = h
-        return h
-
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "ScalarCoeff(0)"
         return f"ScalarCoeff({self})"
 
     def __str__(self) -> str:
@@ -203,10 +204,20 @@ class ScalarCoeff:
 
 # -- numerator maps --------------------------------------------------------
 #
-# The helpers below serve ScalarCoeff and ncpoly's TensorPoly alike: a map's
-# keys end in (hbar power, lam power), whatever precedes them, and each
-# value is a Gaussian-integer numerator (re, im) over a denominator kept
-# beside the map.
+# The helpers below serve every CommonDenominator and ncpoly's products: a
+# map's keys end in (hbar power, lam power), whatever precedes them, and
+# each value is a Gaussian-integer numerator (re, im) over a denominator
+# kept beside the map.  ``reduced`` is the one step that drops zeros and
+# divides out the gcd.
+
+
+def ratio(n: int, d: int) -> float:
+    """``n / d`` for ``d > 0``, correctly rounded as ``float(Fraction(n, d))``
+    is, and past the float range ``+-inf``, for the caller to refuse."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
 
 
 def read_indices(key) -> tuple[int, ...]:
@@ -218,9 +229,10 @@ def read_indices(key) -> tuple[int, ...]:
         raise ValueError(f"powers and indices must be integers, got {key!r}") from None
 
 
-def lowest_terms(num: dict, den: int) -> tuple[dict, int]:
-    """Zero-free ``num / den`` with the gcd of ``den`` and every numerator
-    part divided out, which is the canonical form."""
+def reduced(num: dict, den: int) -> tuple[dict, int]:
+    """Canonical ``num / den`` from numerators that may hold zeros: the zeros
+    dropped, and the gcd of ``den`` and every numerator part divided out."""
+    num = {k: v for k, v in num.items() if v[0] or v[1]}
     if den != 1:
         g = den
         for re, im in num.values():
@@ -243,23 +255,20 @@ def combine(n1: dict, d1: int, n2: dict, d2: int, sign: int = 1) -> tuple[dict, 
         s1, s2 = d2 // g, sign * (d1 // g)
         merged = {k: (re * s1, im * s1) for k, (re, im) in n1.items()}
         den *= s1
-    cancelled = False
     for k, (re, im) in n2.items():
         if s2 != 1:
             re, im = re * s2, im * s2
         if k in merged:
             r0, i0 = merged[k]
             re, im = r0 + re, i0 + im
-            cancelled = cancelled or not (re or im)
         merged[k] = (re, im)
-    if cancelled:
-        merged = {k: v for k, v in merged.items() if v[0] or v[1]}
-    return lowest_terms(merged, den)
+    return reduced(merged, den)
 
 
 def _product(n1: dict, n2: Numerators) -> dict:
-    """Zero-free numerators of the product of ``n1`` and the coefficient
-    numerators ``n2``; the powers add, the rest of ``n1``'s keys is kept."""
+    """Numerators of the product of ``n1`` and the coefficient numerators
+    ``n2``, zeros not yet dropped; the powers add, the rest of ``n1``'s keys
+    is kept."""
     out: dict = {}
     for k1, (r1, i1) in n1.items():
         head, a1, b1 = k1[:-2], k1[-2], k1[-1]
@@ -270,9 +279,6 @@ def _product(n1: dict, n2: Numerators) -> dict:
                 r0, i0 = out[key]
                 re, im = r0 + re, i0 + im
             out[key] = (re, im)
-    if len(out) < len(n1) * len(n2):
-        # keys collided, so a sum may have cancelled to zero
-        out = {k: v for k, v in out.items() if v[0] or v[1]}
     return out
 
 
@@ -296,8 +302,7 @@ def substitute_last(num: dict, den: int, n: int, d: int) -> tuple[dict, int]:
             r0, i0 = out[key]
             re, im = r0 + re, i0 + im
         out[key] = (re, im)
-    out = {k: v for k, v in out.items() if v[0] or v[1]}
-    return lowest_terms(out, den * d_pow[top])
+    return reduced(out, den * d_pow[top])
 
 
 _ZERO = ScalarCoeff({})

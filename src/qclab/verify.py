@@ -601,8 +601,8 @@ class CheckDef:
     note: str | None = None
 
 
-# the exact engine's checks: canonical forms in pure Python, no matrix
-EXACT_CHECKS: list[CheckDef] = [
+CHECKS: list[CheckDef] = [
+    # the exact engine's checks: canonical forms in pure Python, no matrix
     CheckDef("qm-ccr", _check_qm_ccr),
     CheckDef("cm-commutativity", _check_cm_commutativity),
     CheckDef("translation-identity", _check_translation_identity),
@@ -623,9 +623,7 @@ EXACT_CHECKS: list[CheckDef] = [
         informational=True,
         note=KNOWN_DISCREPANCY_NOTE,
     ),
-]
-
-CHECKS: list[CheckDef] = EXACT_CHECKS + [
+    # the finite numeric engine's checks
     CheckDef("fock-truncated-ccr", _check_fock_truncated_ccr),
     CheckDef("qm-bulk-defect", _check_qm_bulk_defect),
     CheckDef("tilde-bulk-defect", _check_tilde_bulk_defect),

@@ -784,6 +784,10 @@ WIDE_DENSITY = (
 )
 
 
+# an integer literal past the float range, times Q^2, plus P^2
+_HUGE = "1" + "0" * 400 + "*Q^2 + P^2"
+
+
 @pytest.mark.parametrize(
     "argv, config, message",
     [
@@ -838,6 +842,19 @@ WIDE_DENSITY = (
          "period_count=1 at dt=1e-310 has no finite step count"),
         (["evolve", "--h", "1.0"], {"dynamics": {"mode": "auto", "dt": 1e-310}},
          "period_count=1 at dt=1e-310 has no finite step count"),
+        # a literal past the float range reads as inf, in a coefficient's
+        # value (h = 1) and in the phase-space reading (h = 0)
+        (["kernels", "--h", "1", "--expr", _HUGE], {},
+         "the realized observable is not finite at hbar=1.0"),
+        (["sweep", "--h", "1", "--expr", _HUGE], {},
+         "cannot evaluate means at h=1.0: mean value is not finite: (nan+nanj)"),
+        (["sweep", "--h", "0", "--expr", _HUGE], {},
+         "cannot evaluate means at h=0.0: mean value is not finite: (nan+nanj)"),
+        (["evolve", "--h", "1", "--expr", _HUGE], {"dynamics": {"mode": "auto"}},
+         "the Hamiltonian's q-factor matrix is not finite on this pair"),
+        (["evolve", "--h", "0", "--expr", _HUGE], {"dynamics": {"mode": "auto"}},
+         "Liouville transport would take at least nan multiply-adds (nan substeps on the"
+         " 64x64 grid, ||L|| <= nan), above the budget of 7.04e+13"),
     ],
     ids=[
         "sweep-q0-1e300", "evolve-q0-1e300", "sweep-hbar-1e200", "sweep-sigma-1e-170",
@@ -846,6 +863,8 @@ WIDE_DENSITY = (
         "kernels-hbar-power-overflow", "compare-sigma-1e200", "liouville-sigma-1e200",
         "von-neumann-factor-overflow", "von-neumann-record-overflow", "sweep-backend-overflow",
         "compare-dt-1e-30", "compare-dt-1e-310", "von-neumann-dt-1e-310",
+        "kernels-huge-literal", "sweep-huge-literal", "sweep-h0-huge-literal",
+        "von-neumann-huge-literal", "liouville-huge-literal",
     ],
 )
 def test_main_non_finite_state_or_mean_is_usage_error(tmp_path, capsys, argv, config, message):
