@@ -54,8 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as expr_mod
+from . import matrep
 from .matrep import (
-    MAX_DENSE_BYTES,
     Backend,
     _hermitize,
     build_backend,
@@ -233,7 +233,7 @@ def _bracket(
 
 
 def _mesh_eval(node, qm: np.ndarray, pm: np.ndarray) -> np.ndarray:
-    # values past the float range read inf or NaN, for the work bound to refuse
+    # values past the float range read inf or NaN, for the caller to refuse
     with np.errstate(over="ignore", invalid="ignore"):
         values = expr_mod.evaluate_numeric(node, qm, pm)
     return np.broadcast_to(np.asarray(values, dtype=float), qm.shape).copy()
@@ -247,11 +247,11 @@ def _boundary_mass(grid: np.ndarray, dq: float, dp: float) -> float:
 
 def _record_count(steps: int, record_stride: int, record_bytes: int) -> int:
     """Records every ``record_stride`` steps plus the final step, counted on Python
-    ints: refused (ValueError) when they keep more than ``MAX_DENSE_BYTES`` at
-    ``record_bytes`` each, or when their marks pass the int64 range."""
+    ints: refused (ValueError) when they keep more than ``matrep.MAX_DENSE_BYTES``
+    at ``record_bytes`` each, or when their marks pass the int64 range."""
     count = -(-steps // record_stride) + 1
-    if count * record_bytes > MAX_DENSE_BYTES:
-        beyond = f"{record_bytes} bytes each, above the {MAX_DENSE_BYTES / 2**30:g} GiB bound"
+    if count * record_bytes > matrep.MAX_DENSE_BYTES:
+        beyond = f"{record_bytes} bytes each, above the {matrep.MAX_DENSE_BYTES / 2**30:g} GiB bound"
     elif steps > np.iinfo(np.int64).max:
         beyond = "with marks past the int64 range"
     else:
@@ -307,6 +307,11 @@ def liouville_evolve(
     hvals = _mesh_eval(node, qm, pm)
     dh_dq = _mesh_eval(expr_mod.differentiate(node, "Q"), qm, pm)
     dh_dp = _mesh_eval(expr_mod.differentiate(node, "P"), qm, pm)
+    if not all(np.isfinite(v).all() for v in (hvals, dh_dq, dh_dp)):
+        raise ValueError(
+            "the Hamiltonian or its gradient is not finite on the"
+            f" {rho0.n_q}x{rho0.n_p} phase-space mesh"
+        )
     dq, dp = rho0.dq, rho0.dp
     cell = dq * dp
     d_q, d_p_t = _differentiation_matrices(rho0)

@@ -23,9 +23,11 @@ i.e. the 2-dimensional factor varies fastest, matching
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -243,8 +245,11 @@ MAX_DENSE_BYTES = 1 << 30
 def _check_bytes(size: int, what: str) -> None:
     """ValueError when ``what`` needs ``size`` bytes, more than ``MAX_DENSE_BYTES``."""
     if size > MAX_DENSE_BYTES:
+        # tenths of a GiB on Python ints, rounded half to even as a float's
+        # format rounds, so that a size past the float range is priced too
+        tenths = round(Fraction(10 * size, 2**30))
         raise ValueError(
-            f"{what} need {size / 2**30:.1f} GiB, above the"
+            f"{what} need {tenths // 10}.{tenths % 10} GiB, above the"
             f" {MAX_DENSE_BYTES / 2**30:g} GiB bound"
         )
 
@@ -333,8 +338,12 @@ def quadratic_form(a: TensorPoly, values: dict, hbar: float) -> complex:
     """``<v|A|v>`` for the realization A of ``a``, lam-free, at ``hbar``, from
     term values of v (``term_values``) that include the terms of ``a``: a
     term ``c X (x) Y (x) E_ij`` adds ``c <psi_i, X psi_j Y^T>``, in sorted
-    key order."""
-    return complex(sum(c.evaluate(hbar) * values[key] for key, c in _term_map(a).items()))
+    key order.  A coefficient that is not finite at ``hbar`` is refused
+    (ValueError)."""
+    terms = [(c.evaluate(hbar), values[key]) for key, c in _term_map(a).items()]
+    if not all(cmath.isfinite(c) for c, _ in terms):
+        raise ValueError(f"an observable coefficient is not finite at hbar={hbar!r}")
+    return complex(sum(c * value for c, value in terms))
 
 
 def entry_bound(a: TensorPoly, bq: Backend, bp: Backend) -> float:

@@ -32,7 +32,10 @@ _NORM_TOL = 1e-10
 
 
 def _check_weights(c_q: complex, c_p: complex) -> None:
-    weight = abs(c_q) ** 2 + abs(c_p) ** 2
+    # products of Python floats, not powers: a float power past the range
+    # raises OverflowError, where the product reads inf for ``within`` to refuse
+    q, p = float(abs(c_q)), float(abs(c_p))
+    weight = q * q + p * p
     if not within(abs(weight - 1.0), 1.0, _NORM_TOL):
         raise ValueError(
             f"weights must satisfy |c_q|^2 + |c_p|^2 = 1, got {weight!r}"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qclab import dynamics as dyn
+from qclab import dynamics as dyn, matrep
 from qclab.expr import differentiate, parse_expr
 from qclab.matrep import MAX_DENSE_BYTES, build_backend, has_hermitian_image, qm_factors, realize
 from qclab.ncpoly import TensorPoly, eval_ncpoly, make_generators
@@ -685,6 +685,15 @@ def test_the_record_count_is_priced_before_any_allocation(monkeypatch):
         dyn.OscillatorParams(dt=1e-310).period_steps()
     with pytest.raises(ValueError, match="has no finite step count"):
         dyn.OscillatorParams(period_count=10**400).period_steps()
+
+
+def test_the_record_bound_reads_the_one_dense_budget(monkeypatch):
+    # dynamics reads matrep.MAX_DENSE_BYTES when it is called, so one patch
+    # tightens the record bound with every dense one
+    monkeypatch.setattr(matrep, "MAX_DENSE_BYTES", 80 * 10)
+    assert dyn._record_count(9, 1, 80) == 10
+    with pytest.raises(ValueError, match="make 11 records, 80 bytes each"):
+        dyn._record_count(10, 1, 80)
 
 
 def test_von_neumann_holds_no_more_than_its_price(monkeypatch):

@@ -14,18 +14,12 @@ forms every term image again (``per_term_quadratic_form``).  It forms the
 sweep's floats in the sweep's order, so its means must equal them exactly.
 """
 
-import contextlib
 import csv
-import io
 import json
-import math
 import sys
-import tempfile
 import tracemalloc
-import warnings
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,74 +544,3 @@ def test_a_sweep_forms_its_word_images_once_per_run(monkeypatch):
         assert len(sweep_rows(config, bq, bp, build_state(config, bq, bp))) == n
         counts.append(len(words))
     assert counts[0] == counts[1], counts
-
-
-# -- the sweep config fuzzer: every config exits 0 or 2 ----------------------
-
-# item 16's boundary values of a float key: plain, extreme, and not positive
-PLAIN = (0.5, 1.0, 2.0, 3.0)
-EXTREME = (1e-8, 1e8, 1e-30, 1e30, 1e-200, 1e200, 1e-300, 1e300)
-NOT_POSITIVE = (0.0, -1.0)
-KINDS = ("fock", "grid-position", "grid-momentum")
-
-
-def _weighted(*choices):
-    """One of ``(weight, values)`` choices, picked in proportion to its weight."""
-    return st.one_of(*[st.sampled_from(values) for weight, values in choices for _ in range(weight)])
-
-
-@st.composite
-def _boundary_sweep_configs(draw):
-    """A sweep config whose float keys take item 16's boundary values: hbar,
-    h_o, the h values, both backends' lengths, and the state's centre and
-    width.  The kinds take every pairing and the sizes run from 2 to 4.  A
-    key that must be positive is 0 or -1 one time in 10, and an h value is
-    0, h_o / 2 or h_o seven times in 8, so that most configs get past
-    validation to the backends, the state and the means."""
-    value = _weighted((2, PLAIN), (2, EXTREME), (1, NOT_POSITIVE))
-    positive = _weighted((5, PLAIN), (4, EXTREME), (1, NOT_POSITIVE))
-    h_o = draw(positive)
-    h = _weighted((1, PLAIN + EXTREME + NOT_POSITIVE), (7, (0.0, h_o / 2, h_o)))
-    backends = {
-        name: {"kind": draw(st.sampled_from(KINDS)), "n": draw(st.integers(2, 4)), "length": draw(positive)}
-        for name in ("backend_q", "backend_p")
-    }
-    return {
-        "hbar": draw(positive),
-        "h_o": h_o,
-        "h_values": draw(st.lists(h, min_size=1, max_size=3)),
-        **backends,
-        "state": {"q0": draw(value), "p0": draw(value), "sigma": draw(st.none() | positive)},
-    }
-
-
-def _finite_constant(name):
-    raise ValueError(f"{name} in a written JSON artifact")
-
-
-@given(_boundary_sweep_configs(), st.sampled_from(["csv", "json"]))
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_sweep_configs_at_the_boundary_exit_0_or_2(config, fmt):
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
-        path.write_text(json.dumps(config))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(["sweep", "--config", str(path), "--out", str(out), "--format", fmt])
-        assert caught == [], [str(w.message) for w in caught]
-        assert code in (0, 2), (code, stderr.getvalue())
-        if code == 2:
-            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
-            assert stderr.getvalue().startswith("error: ")
-            assert not out.exists()
-            return
-        assert stderr.getvalue() == ""
-        if fmt == "json":
-            payload = json.loads((out / "sweep.json").read_text(), parse_constant=_finite_constant)
-            numbers = [v for row in payload["rows"] for v in row.values() if v is not None]
-        else:
-            rows = _read_csv(out / "sweep.csv")
-            numbers = [float(v) for row in rows for v in row.values() if v is not None]
-        assert numbers and all(math.isfinite(v) for v in numbers), numbers

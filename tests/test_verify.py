@@ -1,22 +1,16 @@
 """The check-suite runner: reports, subsets, fault-injection plumbing, the
 numeric checks' one rule, and the verify slice of the config fuzzer."""
 
-import contextlib
-import io
 import json
 import math
 import os
-import re
-import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qclab.expr import random_expr
 from qclab.matrep import build_backend
@@ -36,7 +30,6 @@ from qclab.verify import CHECKS, SYMBOLIC_SUITE, run_verify
 import verify_oracle
 from matrix_oracle import dense_product_defect
 from test_cli import _run_python
-from test_sweep import EXTREME, NOT_POSITIVE, PLAIN, _weighted
 
 
 def test_full_suite_passes():
@@ -513,53 +506,3 @@ def test_the_rule_admits_up_to_rtol_times_the_scale():
         True, "gap (scale 0.0, ratio 0): 0.0"
     )
     assert not verify._within(np.nextafter(0.5, 1.0), 2.0, 0.25, "gap")[0]
-
-
-# -- the verify config fuzzer: ROADMAP item 16's slice for verify -------------
-
-
-@st.composite
-def _boundary_verify_configs(draw):
-    """A verify config whose keys take item 16's boundary values: hbar, h_o
-    and fault_injection from the float set (a positive one is 0 or -1 one
-    time in 10, fault_injection null or 1 three times in 8), and seeds from
-    small, 32-bit, 64-bit and negative ints.  ``h_values`` is ``[0]``, so
-    that any positive ``h_o`` is valid."""
-    fault = _weighted((2, PLAIN), (2, EXTREME), (1, NOT_POSITIVE), (3, (None, 1.0)))
-    positive = _weighted((5, PLAIN), (4, EXTREME), (1, NOT_POSITIVE))
-    return {
-        "hbar": draw(positive),
-        "h_o": draw(positive),
-        "h_values": [0.0],
-        "seed": draw(st.sampled_from([0, 7, 1234, 2**32 - 1, 2**32, 2**64 + 1, -1])),
-        "fault_injection": draw(fault),
-    }
-
-
-# the witness of a numeric check, whose last token is its defect
-_NUMERIC_WITNESS = re.compile(r"\(scale \S+, ratio \S+\): (\S+)$")
-
-
-@given(_boundary_verify_configs())
-@settings(max_examples=20, deadline=None, derandomize=True)
-def test_verify_configs_at_the_boundary_fail_only_on_a_fault_or_a_non_finite_defect(config):
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
-        path.write_text(json.dumps(config))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(["verify", "--config", str(path), "--out", str(out)])
-        assert caught == [], [str(w.message) for w in caught]
-        assert code in (0, 1, 2), code
-        if code == 2:
-            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
-            assert stderr.getvalue().startswith("error: ")
-            return
-        assert stderr.getvalue() == ""
-        if code == 1 and config["fault_injection"] in (None, 1.0):
-            checks = json.loads((out / "verify_report.json").read_text())["checks"]
-            failed = [c for c in checks if c["status"] == "fail" and not c["informational"]]
-            defects = [m[1] for c in failed if (m := _NUMERIC_WITNESS.search(c["witness"]))]
-            assert any(not math.isfinite(float(d)) for d in defects), failed
