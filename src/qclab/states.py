@@ -44,7 +44,8 @@ def _check_weights(c_q: complex, c_p: complex) -> None:
 
 def _check_normalized(**vectors: np.ndarray) -> None:
     for name, vec in vectors.items():
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):  # an entry past the range reads inf, refused below
+            norm = float(np.linalg.norm(vec))
         if not within(abs(norm - 1.0), 1.0, _NORM_TOL):
             raise ValueError(f"{name} must be normalized, got norm {norm!r}")
 

@@ -857,6 +857,9 @@ _HUGE = "1" + "0" * 400 + "*Q^2 + P^2"
         # |c_p|^2 is past the float range
         (["sweep"], {"weights": {"c_p": [0.5, 1e200]}},
          "weights must satisfy |c_q|^2 + |c_p|^2 = 1, got inf"),
+        # the squared norm of a padding vector is past the float range
+        (["sweep"], {"backend_p": {"kind": "fock", "n": 2}, "weights": {"a_vec": [1e200, 0.5]}},
+         "a_vec must be normalized, got norm inf"),
     ],
     ids=[
         "sweep-q0-1e300", "evolve-q0-1e300", "sweep-hbar-1e200", "sweep-sigma-1e-170",
@@ -867,6 +870,7 @@ _HUGE = "1" + "0" * 400 + "*Q^2 + P^2"
         "compare-dt-1e-30", "compare-dt-1e-310", "von-neumann-dt-1e-310",
         "kernels-huge-literal", "sweep-huge-literal", "sweep-h0-huge-literal",
         "von-neumann-huge-literal", "liouville-huge-literal", "sweep-huge-n", "sweep-huge-weight",
+        "sweep-huge-pad",
     ],
 )
 def test_main_non_finite_state_or_mean_is_usage_error(tmp_path, capsys, argv, config, message):

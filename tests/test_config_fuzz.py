@@ -2,8 +2,11 @@
 
 One Hypothesis draw walks ``RunConfig``'s dataclass fields as
 ``cli._read_section`` reads them, so a key added later is drawn with no edit
-here.  Admitted flows can run for hours, so the runs read tighter budgets:
-``dynamics._MAX_WORK`` 2^26 multiply-adds, ``matrep.MAX_DENSE_BYTES`` 64 MiB.
+here.  Hypothesis draws only the seed of a ``Random`` that makes the config:
+its own search spreads the first keys evenly over their distinct values,
+which loses the weights below, and its sequence differed between processes.  Admitted flows can run for hours, so the runs read
+tighter budgets: ``dynamics._MAX_WORK`` 2^26 multiply-adds,
+``matrep.MAX_DENSE_BYTES`` 64 MiB.
 """
 
 import contextlib
@@ -25,87 +28,90 @@ from qclab import dynamics, matrep
 from qclab.cli import Pair, RunConfig, main
 
 
-def _weighted(*choices):
-    """One of ``(weight, strategy)`` choices, picked in proportion to its weight
-    by one bounded integer (a ``one_of`` is not weighted by repeated branches)."""
-    branches = [s for weight, s in choices for _ in range(weight)]
-    return st.integers(0, len(branches) - 1).flatmap(branches.__getitem__)
+def _one_of(*choices):
+    """A draw that takes one of ``(weight, draw)`` choices in proportion to its weight."""
+    weights, draws = zip(*choices)
+    return lambda rng: rng.choices(draws, weights)[0](rng)
+
+
+def _from(*values):
+    return lambda rng: rng.choice(values)
 
 
 # the boundary values of a float key: plain, extreme, and not positive
-FLOATS = _weighted(
-    (5, st.sampled_from((0.5, 1.0, 2.0, 3.0))),
-    (4, st.sampled_from((1e-8, 1e8, 1e-30, 1e30, 1e-200, 1e200, 1e-300, 1e300))),
-    (1, st.sampled_from((0.0, -1.0))),
+FLOATS = _one_of(
+    (5, _from(0.5, 1.0, 2.0, 3.0)),
+    (4, _from(1e-8, 1e8, 1e-30, 1e30, 1e-200, 1e200, 1e-300, 1e300)),
+    (1, _from(0.0, -1.0)),
 )
-INTS = _weighted((4, st.integers(0, 3)), (1, st.sampled_from((-1, 2**31, 2**32, 2**64 + 1))))
+INTS = _one_of((4, _from(0, 1, 2, 3)), (1, _from(-1, 2**31, 2**32, 2**64 + 1)))
 # a value of the wrong type for any key, or an int past the float range
-WRONG = st.sampled_from(("x", True, [0.5], {"x": 1}, 10**400))
+WRONG = _from("x", True, [0.5], {"x": 1}, 10**400)
 # each spelling of a backend kind that validation admits, with its canonical kind
-KINDS = {"fock": "fock", " Fock": "fock", "grid-position": "grid-position",
-         "GRID_POSITION": "grid-position", "gridposition": "grid-position",
-         "grid-momentum": "grid-momentum", "gridmomentum": "grid-momentum",
-         " Grid_Momentum ": "grid-momentum"}
+KINDS = {"fock": "fock", " Fock": "fock", "grid-position": "grid-position", "GRID_POSITION": "grid-position",
+         "gridposition": "grid-position", "grid-momentum": "grid-momentum",
+         "gridmomentum": "grid-momentum", " Grid_Momentum ": "grid-momentum"}
 HALF = 0.5**0.5  # |c|^2 = 1/2, as in the default weights
-# the likely values of a key, drawn 9 times in 10 beside its type's boundary set
+# the chance that a key is present, in a config that keeps to likely values and in
+# one that stresses the boundary: the float keys the replaced slices drew in every
+# config; the sizes and kinds, drawn small and valid; and the fault, which only
+# verify reads.  Any other leaf key is present 1 time in 10.
+PRESENT = {**dict.fromkeys(("RunConfig.hbar", "RunConfig.h_o", "RunConfig.h_values",
+                            "BackendSpec.length", "StateSpec.q0", "StateSpec.p0",
+                            "StateSpec.sigma"), (0.1, 0.9)),
+           **dict.fromkeys(("RunConfig.fault_injection", "BackendSpec.kind", "BackendSpec.n"), (0.9, 0.9))}
+# the likely values of a key
 LIKELY = {
-    "RunConfig.observable": st.sampled_from(
-        ("(1/2)*(P^2 + Q^2)", "(1/2)*Q^2 + (1/2)*P^2", "Q", "P^2", "Q*P", "Q^4 + P^4")),
-    "RunConfig.family": st.sampled_from(("tilde", "qm", "cm")),
-    "RunConfig.seed": st.sampled_from((0, 7, 1234, 2**32 - 1, 2**64 + 1)),
-    "RunConfig.fault_injection": st.sampled_from((None, 1.0)),
-    "BackendSpec.kind": st.sampled_from(sorted(KINDS)),
-    "BackendSpec.n": st.integers(2, 6),
-    "BackendSpec.length": st.sampled_from((1.0, 8.0, 16.0)),
-    "WeightsConfig.c_q": st.sampled_from((HALF, [0.0, HALF], [-HALF, 0.0])),
-    "WeightsConfig.c_p": st.sampled_from((HALF, [HALF, 0.0], [0.0, -HALF])),
-    "WeightsConfig.a_vec": st.sampled_from((None, [[0.6, 0.0], [0.0, 0.8]])),
-    "WeightsConfig.b_vec": st.sampled_from((None, [[0.0, 1.0], 0.0])),
-    "StateSpec.kind": st.sampled_from(("lifted-qm", "cm-point")),
-    "StateSpec.k": st.integers(0, 3), "StateSpec.l": st.integers(0, 3),
-    "DynamicsSpec.mode": st.sampled_from(("auto", "compare")),
-    "DynamicsSpec.length": st.sampled_from((8.0, 16.0)),
-    "DynamicsSpec.dt": st.sampled_from((0.01, 0.1, 0.5)),
-    "DynamicsSpec.n_grid": st.integers(2, 16),
-    "DynamicsSpec.n_fock": st.integers(2, 8),
-    "DynamicsSpec.period_count": st.integers(1, 2),
-    "DynamicsSpec.record_stride": st.integers(1, 20),
-    "DynamicsSpec.steps": st.integers(1, 20),
+    "RunConfig.observable": _from(
+        "(1/2)*(P^2 + Q^2)", "(1/2)*Q^2 + (1/2)*P^2", "Q", "P^2", "Q*P", "Q^4 + P^4"),
+    "RunConfig.family": _from("tilde", "qm", "cm"), "RunConfig.seed": _from(0, 7, 1234, 2**32 - 1, 2**64 + 1),
+    "BackendSpec.kind": _from(*KINDS), "BackendSpec.n": _from(*range(2, 7)),
+    "WeightsConfig.c_q": _from(HALF, [0.0, HALF], [-HALF, 0.0]),
+    "WeightsConfig.c_p": _from(HALF, [HALF, 0.0], [0.0, -HALF]),
+    "WeightsConfig.a_vec": _from(None, [[0.6, 0.0], [0.0, 0.8]]),
+    "WeightsConfig.b_vec": _from(None, [[0.0, 1.0], 0.0]),
+    "StateSpec.kind": _from("lifted-qm", "cm-point"),
+    "StateSpec.k": _from(*range(4)), "StateSpec.l": _from(*range(4)),
+    "DynamicsSpec.mode": _from("auto", "compare"), "DynamicsSpec.dt": _from(0.01, 0.1, 0.5),
+    "DynamicsSpec.n_grid": _from(*range(2, 17)), "DynamicsSpec.n_fock": _from(*range(2, 9)),
+    "DynamicsSpec.period_count": _from(1, 2), "DynamicsSpec.record_stride": _from(*range(1, 21)),
+    "DynamicsSpec.steps": _from(*range(1, 21)),
 }
 
 
 @functools.cache
 def _of_type(tp):
-    """The boundary set of a value of the declared type ``tp``."""
+    """A draw from the boundary set of the declared type ``tp``."""
     if tp in (float, int, bool, str):
-        return {float: FLOATS, int: INTS, bool: st.booleans(), str: st.sampled_from(("", "x"))}[tp]
+        return {float: FLOATS, int: INTS, bool: _from(False, True), str: _from("", "x")}[tp]
     if tp == Pair:
-        return FLOATS | st.lists(FLOATS, min_size=2, max_size=2)
+        return _one_of((1, FLOATS), (1, lambda rng: [FLOATS(rng), FLOATS(rng)]))
     if get_origin(tp) is tuple:
-        return st.lists(_of_type(get_args(tp)[0]), max_size=3)
-    return _weighted((1, st.none()), (3, _of_type(get_args(tp)[0])))  # X | None
+        entry = _of_type(get_args(tp)[0])
+        return lambda rng: [entry(rng) for _ in range(rng.randint(0, 3))]
+    return _one_of((1, _from(None)), (9, _of_type(get_args(tp)[0])))  # X | None
 
 
 @functools.cache
-def _values(key, tp):
+def _values(key, tp, stress):
+    """A key's likely values alone; under ``stress`` its type's boundary set 1 time in 10."""
     likely = LIKELY.get(key)
-    return _of_type(tp) if likely is None else _weighted((9, likely), (1, _of_type(tp)))
+    return _of_type(tp) if likely is None else _one_of((9, likely), (1, _of_type(tp))) if stress else likely
 
 
-def _h_values(h_o):
-    """Lists of h values, 15 in 16 of them 0, h_o / 2 or h_o; one list in 10
-    from the boundary set of its type."""
+def _h_values(rng, h_o):
+    """A list of h values, 31 in 32 of them 0, h_o / 2 or h_o; 1 list in 20 of its type's boundary set."""
     h_o = h_o if isinstance(h_o, float) else 1.0
-    h = _weighted((15, st.sampled_from((0.0, h_o / 2, h_o))), (1, FLOATS))
-    return _weighted((9, st.lists(h, min_size=1, max_size=3)), (1, _of_type(tuple[float, ...])))
+    h = _one_of((31, _from(0.0, h_o / 2, h_o)), (1, FLOATS))
+    return _one_of((19, lambda rng: [h(rng) for _ in range(rng.randint(1, 3))]),
+                   (1, _of_type(tuple[float, ...])))(rng)
 
 
 _hints = functools.cache(get_type_hints)  # evaluates the config's string annotations
 
 
 def _keys(cls, prefix=()):
-    """The path and declared type of each key of the config dataclass ``cls``,
-    its sections' keys among them."""
+    """The path and declared type of each key, sections' keys among them, of ``cls``."""
     hints = _hints(cls)
     for f in fields(cls):
         yield (*prefix, f.name), hints[f.name]
@@ -113,28 +119,29 @@ def _keys(cls, prefix=()):
             yield from _keys(hints[f.name], (*prefix, f.name))
 
 
-@st.composite
-def _section(draw, cls, prefix, wrong):
-    """A JSON object for the config dataclass ``cls`` at ``prefix``: each leaf
-    key absent 4 times in 5, and the key at ``wrong`` of a wrong type."""
+def _section(rng, cls, prefix, wrong, stress):
+    """A JSON object for the config dataclass ``cls`` at ``prefix``, each key present
+    as ``PRESENT`` says for ``stress`` (0 or 1), the key at ``wrong`` of a wrong type."""
     hints, out = _hints(cls), {}
     for f in fields(cls):
-        tp, path = hints[f.name], (*prefix, f.name)
+        tp, path, key = hints[f.name], (*prefix, f.name), f"{cls.__name__}.{f.name}"
         if path == wrong:
-            out[f.name] = draw(WRONG)
+            out[f.name] = WRONG(rng)
         elif is_dataclass(tp):
-            out[f.name] = draw(_section(tp, path, wrong))
-        elif draw(st.integers(0, 99)) >= 80:  # Hypothesis draws 0 most often: absent
-            key = f"{cls.__name__}.{f.name}"
-            out[f.name] = draw(_h_values(out.get("h_o")) if path == ("h_values",) else _values(key, tp))
+            out[f.name] = _section(rng, tp, path, wrong, stress)
+        elif rng.random() < PRESENT.get(key, (0.1, 0.1))[stress]:
+            out[f.name] = _h_values(rng, out.get("h_o")) if path == ("h_values",) else _values(key, tp, stress)(rng)
     return out
 
 
-@st.composite
-def _configs(draw):
-    """A config; in about one of 16, one key, a leaf or a section, is of a wrong type."""
-    wrong = draw(_weighted((15, st.none()), (1, st.sampled_from([p for p, _ in _keys(RunConfig)]))))
-    return draw(_section(RunConfig, (), wrong))
+def _config(stress, rng):
+    """A config, stressed with chance ``stress``; in one of 16, a key or section of a wrong type."""
+    wrong = rng.choice([p for p, _ in _keys(RunConfig)]) if rng.random() < 1 / 16 else None
+    return _section(rng, RunConfig, (), wrong, int(rng.random() < stress))
+
+
+def _configs(stress):
+    return st.randoms(use_true_random=True).map(functools.partial(_config, stress))
 
 
 def _paths(config, prefix=()):
@@ -147,8 +154,8 @@ def _paths(config, prefix=()):
 def test_the_draw_reaches_every_leaf_key_of_run_config():
     missed = {path for path, tp in _keys(RunConfig) if not is_dataclass(tp)}
 
-    @given(_configs())
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(_configs(1 / 2))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def draw(config):
         missed.difference_update(_paths(config))
 
@@ -219,16 +226,18 @@ def _check(command, config, fmt):
                 assert json.loads(artifacts["matrix.bin.json"])["kind"] == kinds
 
 
-# each run: its subcommand and its example count (a full verify costs about 50 ms)
-RUNS = {"sweep": ("sweep", 150), "kernels": ("kernels", 60), "verify": ("verify", 12),
-        "evolve-compare": ("evolve", 30), "evolve-h0": ("evolve", 30), "evolve-ho": ("evolve", 60)}
+# each run: its subcommand, its example count (a full verify costs about 100 ms) and
+# its share of stressed configs, so that a quarter of its examples pass validation
+RUNS = {"sweep": ("sweep", 700, 0.6), "kernels": ("kernels", 400, 0.9), "verify": ("verify", 30, 0.9),
+        "evolve-compare": ("evolve", 20, 0.5), "evolve-h0": ("evolve", 20, 0.5),
+        "evolve-ho": ("evolve", 90, 0.5)}
 
 
 @pytest.mark.parametrize("run", RUNS)
 def test_every_config_keeps_the_exit_code_contract(run):
-    command, examples = RUNS[run]
+    command, examples, stress = RUNS[run]
 
-    @given(_configs(), st.sampled_from(("csv", "json")))
+    @given(_configs(stress), st.sampled_from(("csv", "json")))
     @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
     def check(config, fmt):
         _check(command, _pinned(run, config), fmt)

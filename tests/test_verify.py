@@ -1,5 +1,5 @@
-"""The check-suite runner: reports, subsets, fault-injection plumbing, the
-numeric checks' one rule, and the verify slice of the config fuzzer."""
+"""The check-suite runner: reports, subsets, fault-injection plumbing and the
+numeric checks' one rule."""
 
 import json
 import math
